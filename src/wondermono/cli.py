@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
     letter, rank = _parse_group_name(args.group)
     try:
         results = run_suite(letter, rank, args.max_weight)
-    except RootSystemError as exc:
+    except ValueError as exc:
         raise CLIError(str(exc)) from exc
     lines = []
     for r in results:

@@ -5,6 +5,11 @@ exponent vector n, the dominant shape mu = lam - n.alpha, and a pair of paths
 of shapes (-w0 mu, mu).  The pair is standard on a closure when some
 irreducible component of the closure's slice to the doubled flag variety
 admits both initial directions in its Bruhat intervals.
+
+Standardness therefore depends only on the pair's initial directions (a, b).
+Each orbit z gets one table of row masks, built once from its Schubert pairs
+(L, R): bit b of row a is set when a <= L and b <= R for some component.
+Every standardness test is then one bit lookup in that table.
 """
 
 from __future__ import annotations
@@ -12,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .orbits import OrbitLabel, OrbitPoset, schubert_pairs
-from .paths import PathPair, generate_pairs, initial_direction, pair_weight
+from .paths import (
+    PathPair,
+    direction_indices,
+    generate_pairs,
+    initial_direction,
+    pair_directions,
+    pair_weight,
+)
 from .rootsys import (
     RootVector,
     Weight,
@@ -56,6 +68,7 @@ class GradedTable:
 def is_standard_on_components(group: WeylGroup, pair: PathPair, components) -> bool:
     """True when some component pair dominates both initial directions.
 
+    The direct scan over components, kept as the reference for the table.
     An empty component list admits nothing.
     """
     a = initial_direction(group, pair.left)
@@ -66,22 +79,50 @@ def is_standard_on_components(group: WeylGroup, pair: PathPair, components) -> b
     return False
 
 
+def _component_masks(z: OrbitLabel) -> list[tuple[int, int]]:
+    group = z.group
+    return [(group.down_mask(c.left), group.down_mask(c.right)) for c in schubert_pairs(z)]
+
+
+def _row(masks: list[tuple[int, int]], a: int) -> int:
+    row = 0
+    for left, right in masks:
+        if left >> a & 1:
+            row |= right
+    return row
+
+
+def standard_rows(z: OrbitLabel) -> tuple[int, ...]:
+    """The standard set of z's closure as one row mask per group element.
+
+    Bit b of row a is set iff a <= L and b <= R for some Schubert pair (L, R)
+    of z, i.e. the union of the products down(L) x down(R).
+    """
+    masks = _component_masks(z)
+    return tuple(_row(masks, a) for a in range(len(z.group)))
+
+
 def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
-    return is_standard_on_components(z.group, pair, schubert_pairs(z))
+    """One lookup in z's table; a single test builds only the row it reads."""
+    a, b = direction_indices(z.group, pair)
+    return bool(_row(_component_masks(z), a) >> b & 1)
 
 
 def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
     """Section-existence test for a weight on the Schubert variety of w.
 
-    The coordinate of mu at every simple root sent negative by w must be
-    nonnegative.  Dominant weights pass trivially.
+    The coordinate of mu at every simple root sent negative by w, i.e. at
+    every right descent of w, must be nonnegative.  Dominant weights pass
+    trivially.
     """
-    group = w.group
-    return all(
-        mu[i - 1] >= 0
-        for i in range(1, group.rank + 1)
-        if group.simple_root_negated(w, i)
-    )
+    return all(mu[i - 1] >= 0 for i in w.group.right_descents(w))
+
+
+def _admissible_shapes(z: OrbitLabel, lam: Weight):
+    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
+    if not is_dominant(lam):
+        raise ValueError(f"weight {lam} is not dominant")
+    return [(mu, nvec) for mu, nvec in dominant_below(z.group.rs, lam) if support(nvec) <= z.stratum]
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
@@ -91,17 +132,15 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     enumeration order of the path pairs of each shape.
     """
     group = z.group
-    rs = group.rs
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    comps = schubert_pairs(z)
+    rows = standard_rows(z)
     out = []
-    for mu, nvec in dominant_below(rs, lam):
-        if not support(nvec) <= z.stratum:
-            continue
-        for pair in generate_pairs(group, mu):
-            if is_standard_on_components(group, pair, comps):
-                out.append(MonomialIndex(nvec, mu, pair))
+    for mu, nvec in _admissible_shapes(z, lam):
+        dirs = pair_directions(group, mu)
+        out.extend(
+            MonomialIndex(nvec, mu, pair)
+            for pair, (a, b) in zip(generate_pairs(group, mu), dirs)
+            if rows[a] >> b & 1
+        )
     return tuple(out)
 
 
@@ -124,28 +163,32 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     """Basis counts by boundary degree, including degrees with no index.
 
     The degree range runs from 0 to the largest degree of any exponent vector
-    admissible for z's stratum, so interior zero rows survive.
+    admissible for z's stratum, so interior zero rows survive.  Counts come
+    from the same table lookups as basis_indices, without building indices.
     """
-    rs = z.group.rs
-    degrees = [
-        sum(nvec) for _, nvec in dominant_below(rs, lam) if support(nvec) <= z.stratum
-    ]
-    counts = {d: 0 for d in range(max(degrees) + 1)}
-    for idx in basis_indices(z, lam):
-        counts[idx.degree] += 1
-    return GradedTable(tuple(sorted(counts.items())))
+    group = z.group
+    rows = standard_rows(z)
+    counts: dict[int, int] = {}
+    for mu, nvec in _admissible_shapes(z, lam):
+        d = sum(nvec)
+        hits = sum(rows[a] >> b & 1 for a, b in pair_directions(group, mu))
+        counts[d] = counts.get(d, 0) + hits
+    return GradedTable(tuple((d, counts.get(d, 0)) for d in range(max(counts) + 1)))
 
 
 def nonstandard_orbits(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
     """All orbits on whose closure the pair fails to be standard."""
-    return [z for z in poset.labels if not is_standard_on_closure(pair, z)]
+    a, b = direction_indices(poset.group, pair)
+    tables = poset.per_label(standard_rows)
+    return [z for z, rows in zip(poset.labels, tables) if not rows[a] >> b & 1]
 
 
 def nonstandard_components(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
     """Maximal orbits of the nonstandard locus of a pair."""
+    a, b = direction_indices(poset.group, pair)
     mask = 0
-    for k, z in enumerate(poset.labels):
-        if not is_standard_on_closure(pair, z):
+    for k, rows in enumerate(poset.per_label(standard_rows)):
+        if not rows[a] >> b & 1:
             mask |= 1 << k
     return poset.maximal_of_mask(mask)
 

@@ -62,6 +62,23 @@ def dimension(z: OrbitLabel) -> int:
     return z.group.longest.length - z.x.length + z.w.length + len(z.stratum)
 
 
+def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
+    group = z1.group
+    if group is not z2.group:
+        raise ValueError("labels from different Weyl groups")
+    if not z1.stratum <= z2.stratum:
+        return
+    for v in group.parabolic_min_reps(z2.stratum, z1.stratum):
+        wv = group.multiply(z2.w, v)
+        if wv.length != z2.w.length + v.length:
+            continue
+        xv = group.multiply(z2.x, v)
+        for u in group.parabolic_elements(z1.stratum):
+            xvu = group.multiply(xv, group.inverse(u))
+            if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
+                yield u, v
+
+
 def closure_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement, WeylElement]]:
     """All witness pairs (u, v) certifying that z1 lies in the closure of z2.
 
@@ -69,41 +86,12 @@ def closure_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement,
     parabolic minimal for z1's stratum with l(wv) additive; the pair works
     when x' >= x v u^-1 and w' u <= w v.
     """
-    group = z1.group
-    if group is not z2.group:
-        raise ValueError("labels from different Weyl groups")
-    if not z1.stratum <= z2.stratum:
-        return []
-    out = []
-    for v in group.parabolic_min_reps(z2.stratum, z1.stratum):
-        wv = group.multiply(z2.w, v)
-        if wv.length != z2.w.length + v.length:
-            continue
-        xv = group.multiply(z2.x, v)
-        for u in group.parabolic_elements(z1.stratum):
-            xvu = group.multiply(xv, group.inverse(u))
-            if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
-                out.append((u, v))
-    return out
+    return list(_witnesses(z1, z2))
 
 
 def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
     """True when the orbit of z1 lies in the closure of the orbit of z2."""
-    group = z1.group
-    if group is not z2.group:
-        raise ValueError("labels from different Weyl groups")
-    if not z1.stratum <= z2.stratum:
-        return False
-    for v in group.parabolic_min_reps(z2.stratum, z1.stratum):
-        wv = group.multiply(z2.w, v)
-        if wv.length != z2.w.length + v.length:
-            continue
-        xv = group.multiply(z2.x, v)
-        for u in group.parabolic_elements(z1.stratum):
-            xvu = group.multiply(xv, group.inverse(u))
-            if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
-                return True
-    return False
+    return any(True for _ in _witnesses(z1, z2))
 
 
 def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
@@ -159,6 +147,7 @@ class OrbitPoset:
         self._base = base
         self._dims = dims
         self._covers: list[tuple[int, ...]] | None = None
+        self._per_label: dict = {}
 
     @classmethod
     def build(cls, group: WeylGroup, max_labels: int | None = None) -> "OrbitPoset":
@@ -255,6 +244,13 @@ class OrbitPoset:
     def down_masks(self) -> list[int]:
         """Down-set bitmasks indexed like labels."""
         return list(self._down)
+
+    def per_label(self, fn) -> tuple:
+        """fn(z) for every label, in label order, computed once per fn and kept with the poset."""
+        got = self._per_label.get(fn)
+        if got is None:
+            got = self._per_label[fn] = tuple(fn(z) for z in self.labels)
+        return got
 
     def below(self, z: OrbitLabel) -> list[OrbitLabel]:
         return self._from_mask(self._down[self.index[z]])

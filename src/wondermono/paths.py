@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 
 from .rootsys import RootSystem, Weight, is_dominant, sub_weights
 from .weyl import WeylElement, WeylGroup
@@ -126,7 +126,22 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     return LSPath(canonical_segments(segs), path.shape)
 
 
-@cache
+def _cache_by_weight(fn):
+    """functools.cache keyed on the weight as a tuple, so a list is accepted too.
+
+    The cache statistics stay readable through cache_info.
+    """
+    cached = cache(fn)
+
+    @wraps(fn)
+    def wrapper(owner, lam):
+        return cached(owner, tuple(lam))
+
+    wrapper.cache_info = cached.cache_info
+    return wrapper
+
+
+@_cache_by_weight
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """Close the straight path under all lowering operators, sorted canonically."""
     start = straight_path(rs, lam)
@@ -178,12 +193,29 @@ class PathPair:
     mu: Weight
 
 
-@cache
+@_cache_by_weight
 def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     """All path pairs of a dominant weight, in left-major product order."""
     lefts = generate_paths(group.rs, group.dual_weight(mu))
     rights = generate_paths(group.rs, mu)
-    return tuple(PathPair(l, r, tuple(mu)) for l in lefts for r in rights)
+    return tuple(PathPair(l, r, mu) for l in lefts for r in rights)
+
+
+def direction_indices(group: WeylGroup, pair: PathPair) -> tuple[int, int]:
+    """Element indices of the initial directions of both paths of a pair."""
+    return initial_direction(group, pair.left).index, initial_direction(group, pair.right).index
+
+
+def pair_directions(group: WeylGroup, mu: Weight) -> tuple[tuple[int, int], ...]:
+    """direction_indices of every pair of shape mu, aligned with generate_pairs.
+
+    Computed once per shape and memoized on the group.
+    """
+    mu = tuple(mu)
+    got = group._pair_dirs.get(mu)
+    if got is None:
+        got = group._pair_dirs[mu] = tuple(direction_indices(group, p) for p in generate_pairs(group, mu))
+    return got
 
 
 def pair_weight(pair: PathPair) -> tuple[Weight, Weight]:

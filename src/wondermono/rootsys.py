@@ -199,12 +199,6 @@ def from_name(name: str) -> RootSystem:
     return build(name[0].upper(), int(name[1:]))
 
 
-def pairing(lam: Weight, i: int) -> int:
-    """Pair a weight against the i-th simple coroot: just coordinate i."""
-    _require(1 <= i <= len(lam), f"simple root index {i} out of range 1..{len(lam)}")
-    return lam[i - 1]
-
-
 def is_dominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
 

@@ -18,9 +18,9 @@ from .monomials import (
     basis_indices,
     graded_counts,
     has_schubert_sections,
-    is_standard_on_closure,
     is_standard_on_components,
     nonstandard_components,
+    standard_rows,
 )
 from .orbits import (
     OrbitLabel,
@@ -30,7 +30,7 @@ from .orbits import (
     schubert_pairs,
     stratum_components,
 )
-from .paths import generate_pairs, generate_paths, initial_direction
+from .paths import generate_pairs, generate_paths, initial_direction, pair_directions
 from .rootsys import (
     build,
     dominance_diff,
@@ -85,6 +85,8 @@ def _stride(seq, cap: int) -> list:
 
 
 def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
+    if max_weight < 0:
+        raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     rs = build(letter, rank)
     group = WeylGroup(rs)
     grid = [tuple(t) for t in product(range(max_weight + 1), repeat=rank)]
@@ -110,11 +112,12 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     cand_cache: dict[tuple, list] = {}
 
     def candidates(lam):
+        """(exponent support, direction indices) of every candidate pair below lam."""
         if lam not in cand_cache:
             out = []
             for mu, nvec in dominant_below(rs, lam):
-                for pair in generate_pairs(group, mu):
-                    out.append((nvec, mu, pair))
+                supp = support(nvec)
+                out.extend((supp, a, b) for a, b in pair_directions(group, mu))
             cand_cache[lam] = out
         return cand_cache[lam]
 
@@ -392,11 +395,10 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 continue
             cands = candidates(lam)
             masks = []
-            for z in p.labels:
-                comps = schubert_pairs(z)
+            for z, rows in zip(p.labels, p.per_label(standard_rows)):
                 m = 0
-                for k, (nvec, _mu, pair) in enumerate(cands):
-                    if support(nvec) <= z.stratum and is_standard_on_components(group, pair, comps):
+                for k, (supp, a, b) in enumerate(cands):
+                    if rows[a] >> b & 1 and supp <= z.stratum:
                         m |= 1 << k
                 masks.append(m)
             for i2 in range(len(p)):
@@ -424,11 +426,13 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         if not shapes:
             raise SkipCheck("all shapes beyond the pair budget")
         pairs_seen = 0
+        # the reference route scans components, independent of the table behind nonstandard_components
+        label_comps = [schubert_pairs(z) for z in p.labels]
         for mu in shapes:
             for pair in generate_pairs(group, mu):
                 std = 0
-                for k, z in enumerate(p.labels):
-                    if is_standard_on_closure(pair, z):
+                for k, comps in enumerate(label_comps):
+                    if is_standard_on_components(group, pair, comps):
                         std |= 1 << k
                 locus = full & ~std
                 comps = nonstandard_components(pair, p)
@@ -467,14 +471,15 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         relevant = set(sample)
         for _, _, comps in meets:
             relevant.update(comps)
+        tables = dict(zip(p.labels, p.per_label(standard_rows)))
         for mu in shapes:
-            prs = generate_pairs(group, mu)
+            dirs = pair_directions(group, mu)
             std = {}
             for z in relevant:
-                zcomps = schubert_pairs(z)
+                rows = tables[z]
                 m = 0
-                for k, pair in enumerate(prs):
-                    if is_standard_on_components(group, pair, zcomps):
+                for k, (a, b) in enumerate(dirs):
+                    if rows[a] >> b & 1:
                         m |= 1 << k
                 std[z] = m
             for z1, z2, comps in meets:

@@ -6,13 +6,16 @@ lines.  Every grid below is exhaustive; nothing is sampled.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 from conftest import group_of, poset_of, weight_grid
 
+import wondermono
 from wondermono.demazure import char_dim, demazure_character, weyl_dim
 from wondermono.monomials import (
     basis_indices,
@@ -229,12 +232,16 @@ def test_criterion_9():
             ["monomials", "--group", "A2", "--weight", "1 1", "--orbit", "I=1,2;x=e;w=w0"],
             ["verify", "--group", "A1", "--max-weight", "2"],
         ]
+        # the child imports the same copy of the package as this process
+        src = str(Path(wondermono.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for argv in commands:
             runs = [
                 subprocess.run(
                     [sys.executable, "-m", "wondermono", *argv],
                     capture_output=True,
                     timeout=120,
+                    env=env,
                 )
                 for _ in range(2)
             ]

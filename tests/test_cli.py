@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from wondermono.cli import main
+from wondermono.verify import run_suite
 
 
 def run(capsys, *argv):
@@ -182,6 +185,15 @@ def test_verify_clean(capsys):
     assert len(lines) == 18
     assert all(line.startswith("[PASS]") for line in lines[:-1])
     assert lines[-1] == "17 checks: 17 passed, 0 failed, 0 skipped"
+
+
+def test_verify_rejects_negative_max_weight(capsys):
+    rc, out, err = run(capsys, "verify", "--group", "A2", "--max-weight", "-1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "-1" in err
+    with pytest.raises(ValueError, match="-1"):
+        run_suite("A", 2, -1)
 
 
 def test_verify_skips_oversized_poset(capsys):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from conftest import group_of, poset_of
+from conftest import group_of, poset_of, weight_grid
 
 from wondermono.monomials import (
     GradedTable,
@@ -16,9 +18,10 @@ from wondermono.monomials import (
     is_standard_on_components,
     nonstandard_components,
     nonstandard_orbits,
+    standard_rows,
 )
 from wondermono.orbits import OrbitLabel, schubert_pairs
-from wondermono.paths import generate_pairs, pair_weight
+from wondermono.paths import generate_pairs, initial_direction, pair_weight
 
 
 def lab(g, stratum, xword, wword):
@@ -102,14 +105,72 @@ def test_empty_components_admit_nothing():
     assert is_standard_on_components(g, pair, ()) is False
 
 
+def scan_pairs(g, mu, cap=300):
+    """Every pair of shape mu, or one pair per initial-direction class above cap.
+
+    Both standardness routes read a pair only through its two initial
+    directions, so one pair per class still reaches every entry of the table
+    that the shape can.
+    """
+    pairs = generate_pairs(g, mu)
+    if len(pairs) <= cap:
+        return pairs
+    seen = {}
+    for p in pairs:
+        seen.setdefault((initial_direction(g, p.left), initial_direction(g, p.right)), p)
+    return tuple(seen.values())
+
+
+def check_against_scan(g, labels, shapes):
+    for mu in shapes:
+        pairs = scan_pairs(g, mu)
+        for z in labels:
+            comps = schubert_pairs(z)
+            for pair in pairs:
+                assert is_standard_on_closure(pair, z) == is_standard_on_components(g, pair, comps)
+            basis = basis_indices(z, mu)
+            recount = Counter(idx.degree for idx in basis)
+            table = graded_counts(z, mu)
+            assert [d for d, _ in table.rows] == list(range(len(table.rows)))
+            assert set(recount) <= set(range(len(table.rows)))
+            assert dict(table.rows) == {d: recount[d] for d in range(len(table.rows))}
+
+
 def test_standard_matches_component_scan():
     g = group_of("A1")
-    poset = poset_of("A1")
-    for pair in generate_pairs(g, (2,)):
-        for z in poset.labels:
-            assert is_standard_on_closure(pair, z) == is_standard_on_components(
-                g, pair, schubert_pairs(z)
-            )
+    check_against_scan(g, poset_of("A1").labels, [(0,), (1,), (2,)])
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_standard_matches_component_scan_rank2(name):
+    g = group_of(name)
+    check_against_scan(g, poset_of(name).labels, weight_grid(2, 1))
+
+
+def test_standard_matches_component_scan_a3():
+    g = group_of("A3")
+    labels = poset_of("A3").labels
+    check_against_scan(g, labels[::37], [(1, 0, 1)])
+
+
+def test_nonstandard_locus_matches_component_scan_b2():
+    g = group_of("B2")
+    poset = poset_of("B2")
+    for mu in weight_grid(2, 1):
+        for pair in generate_pairs(g, mu):
+            locus = [z for z in poset.labels if not is_standard_on_components(g, pair, schubert_pairs(z))]
+            assert nonstandard_orbits(pair, poset) == locus
+            mask = 0
+            for z in locus:
+                mask |= 1 << poset.index[z]
+            assert nonstandard_components(pair, poset) == poset.maximal_of_mask(mask)
+
+
+def test_standard_tables_stay_with_the_poset():
+    poset = poset_of("A2")
+    tables = poset.per_label(standard_rows)
+    assert poset.per_label(standard_rows) is tables
+    assert tables == tuple(standard_rows(z) for z in poset.labels)
 
 
 def test_nonstandard_locus_a1():

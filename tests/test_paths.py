@@ -14,6 +14,7 @@ from wondermono.paths import (
     generate_pairs,
     generate_paths,
     initial_direction,
+    pair_directions,
     pair_weight,
     root_lower,
     straight_path,
@@ -148,6 +149,26 @@ def test_generate_pairs_structure():
     assert [(p.left, p.right) for p in pairs] == [(a, b) for a in lefts for b in rights]
     for p in pairs:
         assert p.mu == mu
+
+
+def test_list_weights_match_tuples():
+    g = group_of("A2")
+    assert generate_paths(g.rs, [1, 0]) == generate_paths(g.rs, (1, 0))
+    assert generate_pairs(g, [1, 0]) == generate_pairs(g, (1, 0))
+    for p in generate_pairs(g, [1, 0]):
+        assert p.mu == (1, 0)
+    assert pair_directions(g, [1, 0]) is pair_directions(g, (1, 0))
+
+
+def test_pair_directions_align_with_pairs():
+    g = group_of("B2")
+    for mu in [(0, 0), (1, 0), (1, 1)]:
+        dirs = pair_directions(g, mu)
+        pairs = generate_pairs(g, mu)
+        assert len(dirs) == len(pairs)
+        for (a, b), p in zip(dirs, pairs):
+            assert g.elements[a] == initial_direction(g, p.left)
+            assert g.elements[b] == initial_direction(g, p.right)
 
 
 def test_pair_weight_negates_endpoints():
