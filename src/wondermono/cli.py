@@ -14,7 +14,8 @@ import io
 import json
 import sys
 
-from .monomials import basis_indices
+from .demazure import weyl_dim
+from .monomials import basis_indices, candidate_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset
 from .paths import generate_paths, initial_direction, pair_weight
 from .rootsys import RootSystem, RootSystemError, from_name, is_dominant
@@ -27,9 +28,20 @@ CONVENTIONS = {
     "words": "space separated simple reflections s1..sl, e for the identity",
 }
 
+# requests are sized before anything is enumerated; at about 0.7 ms per path
+# and 0.1 ms per candidate pair (Python 3.11, one Xeon core), either budget is
+# some ten seconds of work
+PATH_BUDGET = 10_000
+PAIR_BUDGET = 100_000
+
 
 class CLIError(Exception):
     pass
+
+
+def _check_budget(what: str, size: int, budget: int) -> None:
+    if size > budget:
+        raise CLIError(f"{what} {size}, beyond the supported envelope ({budget})")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,6 +214,7 @@ def cmd_paths(args) -> int:
     group = _group(args.group)
     rs = group.rs
     lam = _weight(args.weight, rs)
+    _check_budget(f"the number of paths of {lam} on {rs.name} is", weyl_dim(rs, lam), PATH_BUDGET)
     paths = generate_paths(rs, lam)
     if args.count_only:
         _write(args.out, f"{len(paths)}\n")
@@ -241,6 +254,12 @@ def cmd_monomials(args) -> int:
     rs = group.rs
     lam = _weight(args.weight, rs)
     z = _orbit(args.orbit, group)
+    # the pairs of shape lam alone bound the search over the shapes below it
+    # before that search runs, so a huge weight is refused at once
+    what = f"the number of candidate pairs of {lam} on {rs.name} is"
+    top = weyl_dim(rs, lam) * weyl_dim(rs, group.dual_weight(lam))
+    _check_budget(f"{what} at least", top, PAIR_BUDGET)
+    _check_budget(what, candidate_count(z, lam), PAIR_BUDGET)
     indices = basis_indices(z, lam)
     if args.count_only:
         _write(args.out, f"{len(indices)}\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .demazure import weyl_dim
 from .orbits import OrbitLabel, OrbitPoset, schubert_pairs
 from .paths import (
     PathPair,
@@ -119,10 +120,28 @@ def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
 
 
 def _admissible_shapes(z: OrbitLabel, lam: Weight):
-    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
+    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum.
+
+    dominant_below runs once per weight and group; its result is kept on the
+    group next to the pair directions.
+    """
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return [(mu, nvec) for mu, nvec in dominant_below(z.group.rs, lam) if support(nvec) <= z.stratum]
+    group = z.group
+    lam = tuple(lam)
+    below = group._below.get(lam)
+    if below is None:
+        below = group._below[lam] = tuple(dominant_below(group.rs, lam))
+    return [(mu, nvec) for mu, nvec in below if support(nvec) <= z.stratum]
+
+
+def candidate_count(z: OrbitLabel, lam: Weight) -> int:
+    """Number of path pairs basis_indices(z, lam) tests: sum of dim mu * dim mu*."""
+    group = z.group
+    return sum(
+        weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
+        for mu, _ in _admissible_shapes(z, lam)
+    )
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:

@@ -7,6 +7,13 @@ The closure order is decided by an exhaustive search over the witness pairs
 relation as per-orbit bitmasks, and the standalone predicate closure_leq is
 the direct transcription of that criterion, kept around so the two routes can
 be checked against each other.
+
+Taking a closure strictly lowers orbit dimension, so maximal elements of any
+set of labels are found layer by layer in dimension, highest first: a label
+is maximal exactly when no maximal label of a higher layer lies above it.
+Covers are the maximal elements of each strict down-set.  The one assumption
+is that every strict relation lowers dimension, which the verify suite checks
+for every relation bit.
 """
 
 from __future__ import annotations
@@ -147,6 +154,7 @@ class OrbitPoset:
         self._base = base
         self._dims = dims
         self._covers: list[tuple[int, ...]] | None = None
+        self._layers: list[int] | None = None
         self._per_label: dict = {}
 
     @classmethod
@@ -270,34 +278,60 @@ class OrbitPoset:
             out.append(self.labels[i])
         return out
 
+    def _dim_layers(self) -> list[int]:
+        """One label bitmask per orbit dimension, highest dimension first."""
+        if self._layers is None:
+            by_dim: dict[int, int] = {}
+            for k, d in enumerate(self._dims):
+                by_dim[d] = by_dim.get(d, 0) | 1 << k
+            self._layers = [by_dim[d] for d in sorted(by_dim, reverse=True)]
+        return self._layers
+
+    def _maximal_bits(self, mask: int) -> int:
+        """Bitmask of the maximal labels of mask, found layer by layer in dimension.
+
+        A strict relation lowers dimension, so labels of one layer are pairwise
+        incomparable and anything above a label sits in a higher layer.  Going
+        down the layers, the labels of mask not below a maximal label already
+        found are maximal; the walk stops once their down-sets cover mask.
+        """
+        down = self._down
+        top = 0
+        covered = 0
+        for layer in self._dim_layers():
+            if not mask & ~covered:
+                break
+            fresh = mask & layer & ~covered
+            if fresh:
+                top |= fresh
+                for j in self._bits(fresh):
+                    covered |= down[j]
+        return top
+
     def maximal_of_mask(self, mask: int) -> list[OrbitLabel]:
-        """Maximal elements of an arbitrary set of labels given as a bitmask."""
-        strict_union = 0
-        rest = mask
-        while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            strict_union |= self._down[i] & ~(1 << i)
-        return self._from_mask(mask & ~strict_union)
+        """Maximal elements of an arbitrary set of labels given as a bitmask.
+
+        Walks the dimension layers from the top (see _maximal_bits), so each
+        maximal label costs one OR of its down-set; labels below them cost
+        nothing.
+        """
+        return self._from_mask(self._maximal_bits(mask))
 
     def meet_components(self, z1: OrbitLabel, z2: OrbitLabel) -> list[OrbitLabel]:
         """Maximal orbits lying in both closures (the components of the intersection)."""
         return self.maximal_of_mask(self.down_mask(z1) & self.down_mask(z2))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Transitive reduction as (upper index, lower index) pairs."""
+        """Transitive reduction as (upper index, lower index) pairs.
+
+        The covers of a label are the maximal elements of its strict down-set,
+        found by the same layer walk as maximal_of_mask; it relies on every
+        strict relation lowering dimension.
+        """
         if self._covers is None:
-            covers = []
-            for i in range(len(self.labels)):
-                strict = self._down[i] & ~(1 << i)
-                keep = strict
-                rest = strict
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    keep &= ~(self._down[j] & ~(1 << j))
-                covers.append(tuple(self._bits(keep)))
-            self._covers = covers
+            self._covers = [
+                tuple(self._bits(self._maximal_bits(d & ~(1 << i)))) for i, d in enumerate(self._down)
+            ]
         return [(i, j) for i, js in enumerate(self._covers) for j in js]
 
     @staticmethod

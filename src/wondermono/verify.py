@@ -53,6 +53,28 @@ MEET_SAMPLE = 120
 WEYL_SAMPLE = 48
 
 
+def _flat_covers(down: list[int]) -> list[tuple[int, int]]:
+    """Transitive reduction by clearing every strict down-set below each label.
+
+    The reference for OrbitPoset.cover_pairs: one AND-NOT per relation bit,
+    with no use of orbit dimension.
+    """
+    covers = []
+    for i, mask in enumerate(down):
+        strict = mask & ~(1 << i)
+        keep = strict
+        rest = strict
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            keep &= ~(down[j] & ~(1 << j))
+        while keep:
+            j = (keep & -keep).bit_length() - 1
+            keep &= keep - 1
+            covers.append((i, j))
+    return covers
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -291,7 +313,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 mask &= mask - 1
                 if dims[j] >= dims[i]:
                     raise CheckFailure(f"dimension does not drop from {p.labels[i]} to {p.labels[j]}")
-        drops = Counter(dims[i] - dims[j] for i, j in p.cover_pairs())
+        # the layered covers rely on the dimension drop asserted just above
+        covers = _flat_covers(down)
+        if covers != p.cover_pairs():
+            raise CheckFailure("cover pairs differ from the flat transitive reduction")
+        drops = Counter(dims[i] - dims[j] for i, j in covers)
         return f"extremes ok; cover drops {dict(sorted(drops.items()))}"
 
     def check_closure_crosscheck():

@@ -147,6 +147,7 @@ class WeylGroup:
         self._parmin: dict[tuple[frozenset[int], frozenset[int]], tuple[WeylElement, ...]] = {}
         self._dir_cache: dict[tuple[Weight, Weight], WeylElement] = {}
         self._pair_dirs: dict[Weight, tuple[tuple[int, int], ...]] = {}
+        self._below: dict[Weight, tuple] = {}
 
     def _reflection_matrix(self, i: int) -> Matrix:
         l = self.rs.rank

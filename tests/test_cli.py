@@ -178,6 +178,30 @@ def test_bad_inputs(capsys):
         assert err.startswith("error:"), (argv, err)
 
 
+def test_paths_over_budget_rejected_before_enumeration(capsys):
+    rc, out, err = run(capsys, "paths", "--group", "F4", "--weight", "2 2 2 2", "--count-only")
+    assert rc == 1 and out == ""
+    assert "282429536481" in err and "(10000)" in err
+
+
+def test_monomials_over_budget_rejected_before_enumeration(capsys):
+    # the shape lam alone is over budget: refused before the shapes below it are listed
+    rc, out, err = run(capsys, "monomials", "--group", "B4", "--weight", "3 3 3 3", "--orbit", "I=;x=e;w=e")
+    assert rc == 1 and out == ""
+    assert "at least 18446744073709551616" in err and "(100000)" in err
+    # the sum over all admissible shapes is over budget
+    rc, out, err = run(
+        capsys, "monomials", "--group", "A3", "--weight", "2 1 2", "--orbit", "I=1,2,3;x=e;w=w0", "--count-only"
+    )
+    assert rc == 1 and out == ""
+    assert "is 138384" in err
+    # the closed stratum admits only the shape lam itself, which fits
+    rc, out, _ = run(
+        capsys, "monomials", "--group", "A3", "--weight", "2 1 2", "--orbit", "I=;x=e;w=w0", "--count-only"
+    )
+    assert rc == 0 and int(out) > 0
+
+
 def test_verify_clean(capsys):
     rc, out, err = run(capsys, "verify", "--group", "A1", "--max-weight", "2")
     assert rc == 0 and err == ""

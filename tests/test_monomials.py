@@ -6,10 +6,12 @@ import pytest
 
 from conftest import group_of, poset_of, weight_grid
 
+from wondermono import monomials
 from wondermono.monomials import (
     GradedTable,
     MonomialIndex,
     basis_indices,
+    candidate_count,
     correction_support,
     graded_counts,
     has_schubert_sections,
@@ -22,6 +24,8 @@ from wondermono.monomials import (
 )
 from wondermono.orbits import OrbitLabel, schubert_pairs
 from wondermono.paths import generate_pairs, initial_direction, pair_weight
+from wondermono.rootsys import dominant_below, support
+from wondermono.weyl import WeylGroup
 
 
 def lab(g, stratum, xword, wword):
@@ -164,6 +168,36 @@ def test_nonstandard_locus_matches_component_scan_b2():
             for z in locus:
                 mask |= 1 << poset.index[z]
             assert nonstandard_components(pair, poset) == poset.maximal_of_mask(mask)
+
+
+def test_dominant_below_runs_once_per_weight(monkeypatch):
+    lam = (2, 1)
+    words = [((1, 2), (), (1, 2, 1)), ((1,), (), (2,)), ((), (), ())]
+    g = group_of("A2")
+    expected = [(basis_indices(lab(g, *w), lam), graded_counts(lab(g, *w), lam)) for w in words]
+    fresh = WeylGroup(g.rs)  # nothing memoized yet
+    calls = []
+    real = monomials.dominant_below
+    monkeypatch.setattr(monomials, "dominant_below", lambda rs, w: calls.append(w) or real(rs, w))
+    for w, (basis, table) in zip(words, expected):
+        z = lab(fresh, *w)
+        assert basis_indices(z, list(lam)) == basis
+        assert graded_counts(z, lam) == table
+    assert calls == [lam]
+    with pytest.raises(ValueError):
+        basis_indices(lab(fresh, *words[0]), (1, -1))
+
+
+def test_candidate_count_matches_pairs():
+    g = group_of("A2")
+    lam = (1, 1)
+    top = lab(g, (1, 2), (), (1, 2, 1))
+    assert candidate_count(top, lam) == len(basis_indices(top, lam))
+    for z in [top, lab(g, (2,), (), ()), lab(g, (), (1, 2, 1), ())]:
+        expected = sum(
+            len(generate_pairs(g, mu)) for mu, n in dominant_below(g.rs, lam) if support(n) <= z.stratum
+        )
+        assert candidate_count(z, lam) == expected
 
 
 def test_standard_tables_stay_with_the_poset():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import group_of, poset_of
@@ -235,3 +237,53 @@ def test_envelope_guard():
     assert len(small) == 6
     with pytest.raises(ValueError):
         build_poset(group_of("A2"), max_labels=10)
+
+
+def brute_maximal(poset, members) -> set[int]:
+    """Labels of members with no other member strictly above them."""
+    down = poset.down_masks()
+    return {i for i in members if not any(j != i and down[j] >> i & 1 for j in members)}
+
+
+def flat_covers(poset) -> set[tuple[int, int]]:
+    """Transitive reduction without dimensions: j < i with no k strictly between."""
+    strict = [m & ~(1 << i) for i, m in enumerate(poset.down_masks())]
+    covers = set()
+    for i, below in enumerate(strict):
+        keep = below
+        for k in poset._bits(below):
+            keep &= ~strict[k]
+        covers.update((i, j) for j in poset._bits(keep))
+    return covers
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_cover_pairs_match_flat_reduction(name):
+    poset = poset_of(name)
+    covers = poset.cover_pairs()
+    assert len(covers) == len(set(covers))
+    assert set(covers) == flat_covers(poset)
+
+
+def test_b3_covers_drop_dimension_by_one():
+    poset = build_poset(group_of("B3"), max_labels=7056)
+    covers = poset.cover_pairs()
+    assert len(covers) == 47161
+    dims = [poset.dim(z) for z in poset.labels]
+    assert all(dims[i] - dims[j] == 1 for i, j in covers)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_maximal_of_mask_matches_brute_force(name):
+    poset = poset_of(name)
+    n = len(poset)
+    labels = poset.labels
+    rng = random.Random(20260)
+    masks = [0, (1 << n) - 1]
+    masks += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
+    for _ in range(40):
+        z1, z2 = labels[rng.randrange(n)], labels[rng.randrange(n)]
+        masks.append(poset.down_mask(z1) & poset.down_mask(z2))
+    for mask in masks:
+        got = poset.maximal_of_mask(mask)
+        assert [poset.index[z] for z in got] == sorted(brute_maximal(poset, poset._bits(mask)))
