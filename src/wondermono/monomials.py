@@ -32,6 +32,7 @@ from .rootsys import (
     dominance_diff,
     dominant_below,
     is_dominant,
+    memoized,
     support,
 )
 from .weyl import WeylElement, WeylGroup
@@ -119,20 +120,17 @@ def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
     return all(mu[i - 1] >= 0 for i in w.group.right_descents(w))
 
 
-def _admissible_shapes(z: OrbitLabel, lam: Weight):
-    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum.
+@memoized(lambda group, lam: (group, lam))
+def _shapes_below(group: WeylGroup, lam: Weight) -> tuple:
+    """dominant_below(lam), run once per weight and kept on the group."""
+    return tuple(dominant_below(group.rs, lam))
 
-    dominant_below runs once per weight and group; its result is kept on the
-    group next to the pair directions.
-    """
+
+def _admissible_shapes(z: OrbitLabel, lam: Weight):
+    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    group = z.group
-    lam = tuple(lam)
-    below = group._below.get(lam)
-    if below is None:
-        below = group._below[lam] = tuple(dominant_below(group.rs, lam))
-    return [(mu, nvec) for mu, nvec in below if support(nvec) <= z.stratum]
+    return [(mu, nvec) for mu, nvec in _shapes_below(z.group, tuple(lam)) if support(nvec) <= z.stratum]
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:
@@ -195,21 +193,23 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     return GradedTable(tuple((d, counts.get(d, 0)) for d in range(max(counts) + 1)))
 
 
-def nonstandard_orbits(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
-    """All orbits on whose closure the pair fails to be standard."""
-    a, b = direction_indices(poset.group, pair)
-    tables = poset.per_label(standard_rows)
-    return [z for z, rows in zip(poset.labels, tables) if not rows[a] >> b & 1]
-
-
-def nonstandard_components(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
-    """Maximal orbits of the nonstandard locus of a pair."""
+def _nonstandard_mask(pair: PathPair, poset: OrbitPoset) -> int:
     a, b = direction_indices(poset.group, pair)
     mask = 0
     for k, rows in enumerate(poset.per_label(standard_rows)):
         if not rows[a] >> b & 1:
             mask |= 1 << k
-    return poset.maximal_of_mask(mask)
+    return mask
+
+
+def nonstandard_orbits(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
+    """All orbits on whose closure the pair fails to be standard."""
+    return poset._from_mask(_nonstandard_mask(pair, poset))
+
+
+def nonstandard_components(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
+    """Maximal orbits of the nonstandard locus of a pair."""
+    return poset.maximal_of_mask(_nonstandard_mask(pair, poset))
 
 
 def correction_support(pair: PathPair, z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:

@@ -19,8 +19,8 @@ for every relation bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
+from .rootsys import memoized
 from .weyl import WeylElement, WeylGroup
 
 
@@ -126,7 +126,7 @@ def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
     return sorted(out, key=OrbitLabel.sort_key)
 
 
-@cache
+@memoized(lambda z: (z.group, z))
 def schubert_pairs(z: OrbitLabel) -> tuple[SchubertPair, ...]:
     """Components of the closure of z inside the doubled flag variety.
 
@@ -180,10 +180,7 @@ class OrbitPoset:
         eldown = [group.down_mask(el) for el in elems]
         elup = [0] * n_w
         for x in range(n_w):
-            mask = eldown[x]
-            while mask:
-                y = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            for y in cls._bits(eldown[x]):
                 elup[y] |= 1 << x
         lengths = [el.length for el in elems]
         inv = [group.inverse(el).index for el in elems]
@@ -271,12 +268,7 @@ class OrbitPoset:
         return ((1 << size) - 1) << start
 
     def _from_mask(self, mask: int) -> list[OrbitLabel]:
-        out = []
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out.append(self.labels[i])
-        return out
+        return [self.labels[i] for i in self._bits(mask)]
 
     def _dim_layers(self) -> list[int]:
         """One label bitmask per orbit dimension, highest dimension first."""

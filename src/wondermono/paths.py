@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, wraps
 
-from .rootsys import RootSystem, Weight, is_dominant, sub_weights
+from .rootsys import RootSystem, Weight, is_dominant, memoized, sub_weights
 from .weyl import WeylElement, WeylGroup
 
 Segment = tuple[Weight, Fraction]
@@ -126,22 +125,12 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     return LSPath(canonical_segments(segs), path.shape)
 
 
-def _cache_by_weight(fn):
-    """functools.cache keyed on the weight as a tuple, so a list is accepted too.
-
-    The cache statistics stay readable through cache_info.
-    """
-    cached = cache(fn)
-
-    @wraps(fn)
-    def wrapper(owner, lam):
-        return cached(owner, tuple(lam))
-
-    wrapper.cache_info = cached.cache_info
-    return wrapper
+def _by_weight(owner, lam):
+    """Memo key of a per-weight result: the weight as a tuple, so a list is accepted too."""
+    return owner, tuple(lam)
 
 
-@_cache_by_weight
+@memoized(_by_weight)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """Close the straight path under all lowering operators, sorted canonically."""
     start = straight_path(rs, lam)
@@ -168,7 +157,9 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     if not any(path.shape):
         return group.identity
     key = (path.shape, path.first_direction())
-    got = group._dir_cache.get(key)
+    # a plain lookup in the group's table, not memoized(): this is the hottest call
+    table = group.memo["initial_direction"]
+    got = table.get(key)
     if got is None:
         target = key[1]
         for el in group.elements:  # sorted by length, first hit is minimal
@@ -177,7 +168,7 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
                 break
         else:
             raise ValueError(f"direction {target} is not in the orbit of {path.shape}")
-        group._dir_cache[key] = got
+        table[key] = got
     return got
 
 
@@ -193,9 +184,10 @@ class PathPair:
     mu: Weight
 
 
-@_cache_by_weight
+@memoized(_by_weight)
 def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     """All path pairs of a dominant weight, in left-major product order."""
+    mu = tuple(mu)
     lefts = generate_paths(group.rs, group.dual_weight(mu))
     rights = generate_paths(group.rs, mu)
     return tuple(PathPair(l, r, mu) for l in lefts for r in rights)
@@ -206,16 +198,10 @@ def direction_indices(group: WeylGroup, pair: PathPair) -> tuple[int, int]:
     return initial_direction(group, pair.left).index, initial_direction(group, pair.right).index
 
 
+@memoized(_by_weight)
 def pair_directions(group: WeylGroup, mu: Weight) -> tuple[tuple[int, int], ...]:
-    """direction_indices of every pair of shape mu, aligned with generate_pairs.
-
-    Computed once per shape and memoized on the group.
-    """
-    mu = tuple(mu)
-    got = group._pair_dirs.get(mu)
-    if got is None:
-        got = group._pair_dirs[mu] = tuple(direction_indices(group, p) for p in generate_pairs(group, mu))
-    return got
+    """direction_indices of every pair of shape mu, aligned with generate_pairs."""
+    return tuple(direction_indices(group, p) for p in generate_pairs(group, mu))
 
 
 def pair_weight(pair: PathPair) -> tuple[Weight, Weight]:

@@ -10,14 +10,22 @@ Conventions used throughout the package:
 
 All arithmetic is exact (int and fractions.Fraction); floats never appear.
 Every value is immutable, so sharing a RootSystem between computations is safe.
+
+A memoized result lives in a ``memo`` table on the object it derives from,
+never in a module-level cache, so it is freed with that object (see memoized).
+RootSystem.memo holds the path models of generate_paths, which depend on the
+root system alone; results computed per Weyl group live on the WeylGroup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial, wraps
 from itertools import product
 from math import lcm
+from types import SimpleNamespace
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]  # nonnegative simple-root coordinates
@@ -43,6 +51,34 @@ def _require(cond: bool, msg: str) -> None:
         raise RootSystemError(msg)
 
 
+def memoized(owner_key):
+    """Keep fn's results in a table on the object they are derived from.
+
+    owner_key(*args) returns (owner, key); fn(*args) is stored in
+    owner.memo[fn.__name__][key], so it is freed together with its owner.
+    cache_info() counts hits and misses over all owners, as functools does.
+    """
+
+    def decorate(fn):
+        info = SimpleNamespace(hits=0, misses=0)
+
+        @wraps(fn)
+        def wrapper(*args):
+            owner, key = owner_key(*args)
+            table = owner.memo[fn.__name__]
+            if key in table:
+                info.hits += 1
+            else:
+                info.misses += 1
+                table[key] = fn(*args)
+            return table[key]
+
+        wrapper.cache_info = lambda: SimpleNamespace(hits=info.hits, misses=info.misses)
+        return wrapper
+
+    return decorate
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A simple root system: Cartan data plus the saturated set of roots."""
@@ -53,6 +89,9 @@ class RootSystem:
     inverse_cartan: tuple[tuple[Fraction, ...], ...]
     symmetrizer: tuple[int, ...]  # d_i with d_i * C[i][j] symmetric
     positive_roots: tuple[Root, ...]
+    memo: defaultdict[str, dict] = field(
+        default_factory=partial(defaultdict, dict), compare=False, hash=False, repr=False, init=False
+    )
 
     @property
     def name(self) -> str:
@@ -235,19 +274,23 @@ def dominance_diff(rs: RootSystem, lam: Weight, mu: Weight) -> RootVector | None
     return tuple(int(x) for x in n)
 
 
-def dominant_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, RootVector]]:
-    """All dominant mu <= lam with their exponent vectors, ordered lex on n.
+def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
+    """The box n_i <= (C^-1 lam)_i of exponent vectors that dominant_below searches.
 
-    The search box n_i <= (C^-1 lam)_i is exact because the inverse Cartan
-    matrix is entrywise nonnegative.
+    The box is exact because the inverse Cartan matrix is entrywise nonnegative.
     """
     _require(is_dominant(lam), f"weight {lam} is not dominant")
     bounds = []
     for i in range(rs.rank):
         b = sum(rs.inverse_cartan[i][j] * lam[j] for j in range(rs.rank))
         bounds.append(b.numerator // b.denominator)
+    return tuple(bounds)
+
+
+def dominant_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, RootVector]]:
+    """All dominant mu <= lam with their exponent vectors, ordered lex on n."""
     out = []
-    for n in product(*(range(b + 1) for b in bounds)):
+    for n in product(*(range(b + 1) for b in exponent_bounds(rs, lam))):
         mu = sub_weights(lam, root_combination(rs, n))
         if is_dominant(mu):
             out.append((mu, n))

@@ -24,6 +24,7 @@ from .monomials import (
 )
 from .orbits import (
     OrbitLabel,
+    OrbitPoset,
     build_poset,
     closure_leq,
     dimension,
@@ -35,6 +36,7 @@ from .rootsys import (
     build,
     dominance_diff,
     dominant_below,
+    exponent_bounds,
     is_dominant,
     root_combination,
     sub_weights,
@@ -51,6 +53,9 @@ QUADRATIC_LIMIT = 150
 ORBIT_SAMPLE = 60
 MEET_SAMPLE = 120
 WEYL_SAMPLE = 48
+# exponent vectors one weight may make dominant_below enumerate; above F4's
+# largest box at max-weight 1 (38,016), so every group runs in full there
+BOX_BUDGET = 50_000
 
 
 def _flat_covers(down: list[int]) -> list[tuple[int, int]]:
@@ -63,15 +68,9 @@ def _flat_covers(down: list[int]) -> list[tuple[int, int]]:
     for i, mask in enumerate(down):
         strict = mask & ~(1 << i)
         keep = strict
-        rest = strict
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for j in OrbitPoset._bits(strict):
             keep &= ~(down[j] & ~(1 << j))
-        while keep:
-            j = (keep & -keep).bit_length() - 1
-            keep &= keep - 1
-            covers.append((i, j))
+        covers.extend((i, j) for j in OrbitPoset._bits(keep))
     return covers
 
 
@@ -125,29 +124,31 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             raise SkipCheck(poset_note)
         return poset
 
-    def candidate_total(lam) -> int:
-        return sum(
-            weyl_dim(rs, mu) * weyl_dim(rs, group.dual_weight(mu))
-            for mu, _ in dominant_below(rs, lam)
-        )
+    def box_size(lam) -> int:
+        return math.prod(b + 1 for b in exponent_bounds(rs, lam))
 
-    cand_cache: dict[tuple, list] = {}
+    def pair_count(mu) -> int:
+        return weyl_dim(rs, mu) * weyl_dim(rs, group.dual_weight(mu))
 
-    def candidates(lam):
-        """(exponent support, direction indices) of every candidate pair below lam."""
-        if lam not in cand_cache:
-            out = []
-            for mu, nvec in dominant_below(rs, lam):
-                supp = support(nvec)
-                out.extend((supp, a, b) for a, b in pair_directions(group, mu))
-            cand_cache[lam] = out
-        return cand_cache[lam]
+    def candidate_total(lam) -> float:
+        # sizing the candidates runs dominant_below, so an over-budget box is over every budget
+        if box_size(lam) > BOX_BUDGET:
+            return math.inf
+        return sum(pair_count(mu) for mu, _ in dominant_below(rs, lam))
+
+    def within_budget(size, budget: int, what: str) -> tuple[dict, int]:
+        """The grid weights whose size is within budget, with their sizes, and how many are skipped."""
+        kept = {}
+        for lam in grid:
+            n = size(lam)
+            if n <= budget:
+                kept[lam] = n
+        if not kept:
+            raise SkipCheck(f"all {len(grid)} weights beyond the {what} budget")
+        return kept, len(grid) - len(kept)
 
     def path_grid():
-        kept = [lam for lam in grid if weyl_dim(rs, lam) <= PATH_DIM_BUDGET]
-        if not kept:
-            raise SkipCheck(f"all {len(grid)} weights beyond the path budget")
-        return kept, len(grid) - len(kept)
+        return within_budget(lambda lam: weyl_dim(rs, lam), PATH_DIM_BUDGET, "path")
 
     def counted(label: str, done: int, skipped: int) -> str:
         note = f"{done} {label}"
@@ -218,6 +219,8 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         for lam in grid:
             if group.dual_weight(group.dual_weight(lam)) != lam:
                 raise CheckFailure(f"dual weight not involutive at {lam}")
+        kept, skipped = within_budget(box_size, BOX_BUDGET, "exponent box")
+        for lam in kept:
             for mu, nvec in dominant_below(rs, lam):
                 if not is_dominant(mu):
                     raise CheckFailure(f"dominant_below({lam}) produced non-dominant {mu}")
@@ -225,7 +228,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     raise CheckFailure(f"exponents {nvec} do not connect {lam} to {mu}")
                 if dominance_diff(rs, lam, mu) != nvec:
                     raise CheckFailure(f"dominance_diff disagrees at {lam} -> {mu}")
-        return f"{len(grid)} weights"
+        return counted("weights", len(kept), skipped)
 
     # -- paths against character oracles -----------------------------------
 
@@ -284,10 +287,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         for i in range(len(p)):
             if not down[i] >> i & 1:
                 raise CheckFailure(f"not reflexive at {p.labels[i]}")
-            mask = down[i] & ~(1 << i)
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            for j in OrbitPoset._bits(down[i] & ~(1 << i)):
                 if down[j] & ~down[i]:
                     raise CheckFailure(f"transitivity fails under {p.labels[i]} via {p.labels[j]}")
                 if down[j] >> i & 1:
@@ -307,10 +307,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         down = p.down_masks()
         dims = [dimension(z) for z in p.labels]
         for i in range(len(p)):
-            mask = down[i] & ~(1 << i)
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            for j in OrbitPoset._bits(down[i] & ~(1 << i)):
                 if dims[j] >= dims[i]:
                     raise CheckFailure(f"dimension does not drop from {p.labels[i]} to {p.labels[j]}")
         # the layered covers rely on the dimension drop asserted just above
@@ -356,34 +353,25 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def check_basis_counts():
         top = OrbitLabel(frozenset(range(1, rank + 1)), group.identity, group.longest)
         flag_stratum = OrbitLabel(frozenset(), group.identity, group.longest)
-        done = skipped = 0
-        for lam in grid:
-            expected = candidate_total(lam)
-            if expected > COUNT_BUDGET:
-                skipped += 1
-                continue
+        kept, skipped = within_budget(candidate_total, COUNT_BUDGET, "counting")
+        for lam, expected in kept.items():
             got = len(basis_indices(top, lam))
             if got != expected:
                 raise CheckFailure(f"{got} indices on the full space at {lam}, expected {expected}")
-            closed_expected = weyl_dim(rs, lam) * weyl_dim(rs, group.dual_weight(lam))
+            closed_expected = pair_count(lam)
             closed_got = len(basis_indices(flag_stratum, lam))
             if closed_got != closed_expected:
                 raise CheckFailure(
                     f"{closed_got} indices on the closed stratum at {lam}, expected {closed_expected}"
                 )
-            done += 1
-        if not done:
-            raise SkipCheck(f"all {skipped} weights beyond the counting budget")
-        return counted("weights", done, skipped)
+        return counted("weights", len(kept), skipped)
 
     def check_graded_tables():
         p = need_poset()
         zs = _stride(p.labels, ORBIT_SAMPLE)
-        done = skipped = 0
-        for lam in grid:
-            if candidate_total(lam) > CANDIDATE_BUDGET:
-                skipped += 1
-                continue
+        admitted = set()  # (component, shape) of every admitting component
+        kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
+        for lam in kept:
             for z in zs:
                 basis = basis_indices(z, lam)
                 table = graded_counts(z, lam)
@@ -396,30 +384,34 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 for d, count in table.rows:
                     if recount.get(d, 0) != count:
                         raise CheckFailure(f"graded row {d} of {z} at {lam} miscounts")
+                # the component scan depends on an index only through its class (a, b, mu)
                 comps = schubert_pairs(z)
-                for idx in basis:
-                    a = initial_direction(group, idx.pair.left)
-                    b = initial_direction(group, idx.pair.right)
-                    for comp in comps:
-                        if group.bruhat_leq(a, comp.left) and group.bruhat_leq(b, comp.right):
-                            if not has_schubert_sections(comp.right, idx.mu):
-                                raise CheckFailure(f"section test fails on {z} at {lam}")
-                            if not has_schubert_sections(comp.left, group.dual_weight(idx.mu)):
-                                raise CheckFailure(f"dual section test fails on {z} at {lam}")
-            done += 1
-        if not done:
-            raise SkipCheck(f"all {skipped} weights beyond the candidate budget")
-        return counted("weights", done, skipped) + f" on {len(zs)} labels"
+                classes = {
+                    (initial_direction(group, idx.pair.left), initial_direction(group, idx.pair.right), idx.mu)
+                    for idx in basis
+                }
+                for a, b, mu in classes:
+                    admitting = [c for c in comps if group.bruhat_leq(a, c.left) and group.bruhat_leq(b, c.right)]
+                    if not admitting:
+                        raise CheckFailure(f"a basis index of {z} at {lam} lies under no component")
+                    admitted.update((c, mu) for c in admitting)
+        # the section tests depend only on (component, shape)
+        for comp, mu in admitted:
+            if not has_schubert_sections(comp.right, mu):
+                raise CheckFailure(f"section test fails on {comp} at shape {mu}")
+            if not has_schubert_sections(comp.left, group.dual_weight(mu)):
+                raise CheckFailure(f"dual section test fails on {comp} at shape {mu}")
+        return counted("weights", len(kept), skipped) + f" on {len(zs)} labels"
 
     def check_index_monotonicity():
         p = need_poset()
         down = p.down_masks()
-        done = skipped = 0
-        for lam in grid:
-            if candidate_total(lam) > CANDIDATE_BUDGET:
-                skipped += 1
-                continue
-            cands = candidates(lam)
+        kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
+        for lam in kept:
+            # (exponent support, direction indices) of every candidate pair below lam
+            cands = []
+            for mu, nvec in dominant_below(rs, lam):
+                cands.extend((support(nvec), a, b) for a, b in pair_directions(group, mu))
             masks = []
             for z, rows in zip(p.labels, p.per_label(standard_rows)):
                 m = 0
@@ -428,29 +420,17 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                         m |= 1 << k
                 masks.append(m)
             for i2 in range(len(p)):
-                rest = down[i2] & ~(1 << i2)
-                while rest:
-                    i1 = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
+                for i1 in OrbitPoset._bits(down[i2] & ~(1 << i2)):
                     if masks[i1] & ~masks[i2]:
                         raise CheckFailure(
                             f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}"
                         )
-            done += 1
-        if not done:
-            raise SkipCheck(f"all {skipped} weights beyond the candidate budget")
-        return counted("weights", done, skipped)
+        return counted("weights", len(kept), skipped)
 
     def check_nonstandard_locus():
         p = need_poset()
         full = (1 << len(p)) - 1
-        shapes = [
-            mu
-            for mu in grid
-            if weyl_dim(rs, mu) * weyl_dim(rs, group.dual_weight(mu)) <= SHAPE_PAIR_BUDGET
-        ]
-        if not shapes:
-            raise SkipCheck("all shapes beyond the pair budget")
+        shapes, _ = within_budget(pair_count, SHAPE_PAIR_BUDGET, "pair")
         pairs_seen = 0
         # the reference route scans components, independent of the table behind nonstandard_components
         label_comps = [schubert_pairs(z) for z in p.labels]
@@ -487,13 +467,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     if p.leq(c1, c2) or p.leq(c2, c1):
                         raise CheckFailure(f"meet components of {z1}, {z2} are not an antichain")
                 meets.append((z1, z2, comps))
-        shapes = [
-            mu
-            for mu in grid
-            if weyl_dim(rs, mu) * weyl_dim(rs, group.dual_weight(mu)) <= SHAPE_PAIR_BUDGET
-        ]
-        if not shapes:
-            raise SkipCheck("all shapes beyond the pair budget")
+        shapes, _ = within_budget(pair_count, SHAPE_PAIR_BUDGET, "pair")
         relevant = set(sample)
         for _, _, comps in meets:
             relevant.update(comps)

@@ -5,10 +5,16 @@ coordinates.  Each element carries its canonical word, the lexicographically
 smallest reduced word, and the enumeration is sorted by (length, word), so the
 identity comes first and the longest element last.  The group object interns
 its elements; all public operations return interned instances.
+
+WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
+group, so it is freed with the group: initial directions, path pairs and their
+directions, Schubert pairs of orbit labels and dominant weights below a degree.
+The group's own tables (intervals, parabolics, coset representatives) stay private.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from .rootsys import RootSystem, Root, Weight
@@ -145,9 +151,7 @@ class WeylGroup:
         self._parab: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._minreps: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._parmin: dict[tuple[frozenset[int], frozenset[int]], tuple[WeylElement, ...]] = {}
-        self._dir_cache: dict[tuple[Weight, Weight], WeylElement] = {}
-        self._pair_dirs: dict[Weight, tuple[tuple[int, int], ...]] = {}
-        self._below: dict[Weight, tuple] = {}
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     def _reflection_matrix(self, i: int) -> Matrix:
         l = self.rs.rank

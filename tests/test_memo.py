@@ -1,0 +1,76 @@
+"""Memoized results live on the root system or Weyl group they derive from.
+
+No module of the package holds a cache, so a group and everything derived
+from it are freed together, while the public memoized functions still report
+their hits and misses through cache_info.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import pkgutil
+import weakref
+
+import wondermono
+from wondermono.monomials import basis_indices, graded_counts, nonstandard_components
+from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
+from wondermono.paths import generate_pairs, generate_paths, initial_direction
+from wondermono.rootsys import from_name
+from wondermono.weyl import WeylGroup
+
+
+def _exercise(name: str, lam) -> list[weakref.ref]:
+    group = WeylGroup(from_name(name))
+    top = OrbitLabel(frozenset(range(1, group.rank + 1)), group.identity, group.longest)
+    pairs = generate_pairs(group, lam)
+    initial_direction(group, pairs[0].left)
+    schubert_pairs(top)
+    basis_indices(top, lam)
+    graded_counts(top, lam)
+    nonstandard_components(pairs[-1], build_poset(group))
+    return [weakref.ref(group), weakref.ref(group.rs)]
+
+
+def test_groups_are_freed_with_their_memo():
+    refs = []
+    for _ in range(3):
+        refs += _exercise("A2", (1, 1))
+        refs += _exercise("A3", (1, 0, 1))
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_cache_info_counts_one_miss_then_one_hit():
+    group = WeylGroup(from_name("B2"))
+    z = OrbitLabel(frozenset({1}), group.identity, group.longest)
+    for fn, args in [(generate_pairs, (group, (1, 0))), (schubert_pairs, (z,))]:
+        before = fn.cache_info()
+        first = fn(*args)
+        mid = fn.cache_info()
+        assert (mid.hits - before.hits, mid.misses - before.misses) == (0, 1)
+        assert fn(*args) is first
+        after = fn.cache_info()
+        assert (after.hits - mid.hits, after.misses - mid.misses) == (1, 0)
+
+
+def test_memo_does_not_change_root_system_identity():
+    rs = from_name("G2")
+    generate_paths(rs, (1, 0))
+    assert rs == from_name("G2") and hash(rs) == hash(from_name("G2"))
+    assert "generate_paths" not in from_name("G2").memo
+
+
+def test_no_module_level_functools_cache():
+    modules = [wondermono] + [
+        importlib.import_module(f"wondermono.{info.name}")
+        for info in pkgutil.iter_modules(wondermono.__path__)
+        if info.name != "__main__"
+    ]
+    cached = [
+        f"{mod.__name__}.{key}"
+        for mod in modules
+        for key, value in vars(mod).items()
+        if hasattr(value, "cache_clear")
+    ]
+    assert cached == []

@@ -1,0 +1,39 @@
+"""The verify suite bounds its own precomputation and fails where it should."""
+
+from __future__ import annotations
+
+import math
+
+from conftest import weight_grid
+
+from wondermono import monomials, verify
+from wondermono.rootsys import exponent_bounds, from_name
+from wondermono.verify import run_suite, suite_passed
+
+
+def test_box_budget_skips_weights_before_enumerating(monkeypatch):
+    monkeypatch.setattr(verify, "BOX_BUDGET", 3)
+    rs = from_name("A2")
+    grid = weight_grid(2, 2)
+    over = {lam for lam in grid if math.prod(b + 1 for b in exponent_bounds(rs, lam)) > 3}
+    assert 0 < len(over) < len(grid)
+    calls = []
+    for mod in (verify, monomials):
+        real = mod.dominant_below
+        monkeypatch.setattr(
+            mod, "dominant_below", lambda rs, lam, real=real: calls.append(tuple(lam)) or real(rs, lam)
+        )
+    results = run_suite("A", 2, 2)
+    detail = {r.name: r.detail for r in results}
+    note = f"{len(grid) - len(over)} weights, {len(over)} skipped over budget"
+    assert detail["dominance-order"] == note
+    assert detail["basis-counts"] == note
+    assert calls and not over & set(calls)
+    assert suite_passed(results)
+
+
+def test_graded_tables_fails_on_index_under_no_component(monkeypatch):
+    monkeypatch.setattr(verify, "schubert_pairs", lambda z: ())
+    result = {r.name: r for r in run_suite("A", 1, 1)}["graded-tables"]
+    assert result.status == "fail"
+    assert "lies under no component" in result.detail
