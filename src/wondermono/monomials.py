@@ -8,8 +8,14 @@ admits both initial directions in its Bruhat intervals.
 
 Standardness therefore depends only on the pair's initial directions (a, b).
 Each orbit z gets one table of row masks, built once from its Schubert pairs
-(L, R): bit b of row a is set when a <= L and b <= R for some component.
-Every standardness test is then one bit lookup in that table.
+(L, R) and kept on the group: bit b of row a is set when a <= L and b <= R for
+some component.  Every standardness test is then one bit lookup in that table.
+
+Read through the closure order, the table is the closed-stratum slice of z's
+closure: since right multiplication by w0 reverses the Bruhat order, (a, b)
+is standard on z exactly when the closed orbit [0, a w0, b] lies in the
+closure of z.  A pair's nonstandard locus is therefore the set of labels
+whose closure misses one orbit, read from the poset without any table.
 """
 
 from __future__ import annotations
@@ -81,33 +87,29 @@ def is_standard_on_components(group: WeylGroup, pair: PathPair, components) -> b
     return False
 
 
-def _component_masks(z: OrbitLabel) -> list[tuple[int, int]]:
-    group = z.group
-    return [(group.down_mask(c.left), group.down_mask(c.right)) for c in schubert_pairs(z)]
-
-
-def _row(masks: list[tuple[int, int]], a: int) -> int:
-    row = 0
-    for left, right in masks:
-        if left >> a & 1:
-            row |= right
-    return row
-
-
+@memoized(lambda z: (z.group, z))
 def standard_rows(z: OrbitLabel) -> tuple[int, ...]:
     """The standard set of z's closure as one row mask per group element.
 
     Bit b of row a is set iff a <= L and b <= R for some Schubert pair (L, R)
     of z, i.e. the union of the products down(L) x down(R).
     """
-    masks = _component_masks(z)
-    return tuple(_row(masks, a) for a in range(len(z.group)))
+    group = z.group
+    masks = [(group.down_mask(c.left), group.down_mask(c.right)) for c in schubert_pairs(z)]
+    rows = []
+    for a in range(len(group)):
+        row = 0
+        for left, right in masks:
+            if left >> a & 1:
+                row |= right
+        rows.append(row)
+    return tuple(rows)
 
 
 def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
-    """One lookup in z's table; a single test builds only the row it reads."""
+    """One lookup in z's table."""
     a, b = direction_indices(z.group, pair)
-    return bool(_row(_component_masks(z), a) >> b & 1)
+    return bool(standard_rows(z)[a] >> b & 1)
 
 
 def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
@@ -121,25 +123,26 @@ def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
 
 
 @memoized(lambda group, lam: (group, lam))
-def _shapes_below(group: WeylGroup, lam: Weight) -> tuple:
+def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
     """dominant_below(lam), run once per weight and kept on the group."""
     return tuple(dominant_below(group.rs, lam))
+
+
+def pair_count(group: WeylGroup, mu: Weight) -> int:
+    """Number of path pairs of shape mu: dim mu * dim mu*."""
+    return weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
 
 
 def _admissible_shapes(z: OrbitLabel, lam: Weight):
     """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return [(mu, nvec) for mu, nvec in _shapes_below(z.group, tuple(lam)) if support(nvec) <= z.stratum]
+    return [(mu, nvec) for mu, nvec in shapes_below(z.group, tuple(lam)) if support(nvec) <= z.stratum]
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:
-    """Number of path pairs basis_indices(z, lam) tests: sum of dim mu * dim mu*."""
-    group = z.group
-    return sum(
-        weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
-        for mu, _ in _admissible_shapes(z, lam)
-    )
+    """Number of path pairs basis_indices(z, lam) tests."""
+    return sum(pair_count(z.group, mu) for mu, _ in _admissible_shapes(z, lam))
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
@@ -194,12 +197,13 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
 
 
 def _nonstandard_mask(pair: PathPair, poset: OrbitPoset) -> int:
-    a, b = direction_indices(poset.group, pair)
-    mask = 0
-    for k, rows in enumerate(poset.per_label(standard_rows)):
-        if not rows[a] >> b & 1:
-            mask |= 1 << k
-    return mask
+    """Labels whose closure misses the closed orbit [0, a w0, b] of the pair's directions."""
+    group = poset.group
+    a = initial_direction(group, pair.left)
+    b = initial_direction(group, pair.right)
+    closed = OrbitLabel(frozenset(), group.multiply(a, group.longest), b)
+    full = (1 << len(poset)) - 1
+    return full & ~poset.up_mask(closed)
 
 
 def nonstandard_orbits(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:

@@ -155,7 +155,6 @@ class OrbitPoset:
         self._dims = dims
         self._covers: list[tuple[int, ...]] | None = None
         self._layers: list[int] | None = None
-        self._per_label: dict = {}
 
     @classmethod
     def build(cls, group: WeylGroup, max_labels: int | None = None) -> "OrbitPoset":
@@ -250,12 +249,14 @@ class OrbitPoset:
         """Down-set bitmasks indexed like labels."""
         return list(self._down)
 
-    def per_label(self, fn) -> tuple:
-        """fn(z) for every label, in label order, computed once per fn and kept with the poset."""
-        got = self._per_label.get(fn)
-        if got is None:
-            got = self._per_label[fn] = tuple(fn(z) for z in self.labels)
-        return got
+    def up_mask(self, z: OrbitLabel) -> int:
+        """Bitmask of the labels whose closure contains z."""
+        i = self.index[z]
+        mask = 0
+        for k, d in enumerate(self._down):
+            if d >> i & 1:
+                mask |= 1 << k
+        return mask
 
     def below(self, z: OrbitLabel) -> list[OrbitLabel]:
         return self._from_mask(self._down[self.index[z]])

@@ -77,14 +77,12 @@ def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
     return LSPath(((tuple(lam), Fraction(1)),), tuple(lam))
 
 
-def _breakpoints(path: LSPath, coord: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Cumulative heights of one coordinate at the breakpoints, plus times."""
+def _breakpoints(path: LSPath, coord: int) -> list[Fraction]:
+    """Cumulative heights of one coordinate at the breakpoints."""
     heights = [Fraction(0)]
-    times = [Fraction(0)]
     for direction, duration in path.segments:
         heights.append(heights[-1] + duration * direction[coord])
-        times.append(times[-1] + duration)
-    return heights, times
+    return heights
 
 
 def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
@@ -99,7 +97,7 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
     coord = i - 1
-    h, _ = _breakpoints(path, coord)
+    h = _breakpoints(path, coord)
     m = min(h)
     if h[-1] - m < 1:
         return None
@@ -152,23 +150,18 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     """The minimal-length w with w(shape) equal to the first direction.
 
     This is the minimal representative of the coset of the shape stabilizer;
-    the zero shape yields the identity by convention.
+    the zero shape yields the identity.
     """
-    if not any(path.shape):
-        return group.identity
-    key = (path.shape, path.first_direction())
     # a plain lookup in the group's table, not memoized(): this is the hottest call
-    table = group.memo["initial_direction"]
-    got = table.get(key)
+    tables = group.memo["initial_direction"]
+    table = tables.get(path.shape)
+    if table is None:
+        # elements run by length, so each orbit point keeps its shortest element
+        table = tables[path.shape] = {el.act(path.shape): el for el in reversed(group.elements)}
+    target = path.first_direction()
+    got = table.get(target)
     if got is None:
-        target = key[1]
-        for el in group.elements:  # sorted by length, first hit is minimal
-            if el.act(path.shape) == target:
-                got = el
-                break
-        else:
-            raise ValueError(f"direction {target} is not in the orbit of {path.shape}")
-        table[key] = got
+        raise ValueError(f"direction {target} is not in the orbit of {path.shape}")
     return got
 
 

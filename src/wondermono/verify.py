@@ -16,10 +16,13 @@ from itertools import combinations, product
 from .demazure import char_dim, demazure_character, weyl_dim
 from .monomials import (
     basis_indices,
+    candidate_count,
     graded_counts,
     has_schubert_sections,
     is_standard_on_components,
     nonstandard_components,
+    pair_count,
+    shapes_below,
     standard_rows,
 )
 from .orbits import (
@@ -35,7 +38,6 @@ from .paths import generate_pairs, generate_paths, initial_direction, pair_direc
 from .rootsys import (
     build,
     dominance_diff,
-    dominant_below,
     exponent_bounds,
     is_dominant,
     root_combination,
@@ -111,6 +113,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     rs = build(letter, rank)
     group = WeylGroup(rs)
     grid = [tuple(t) for t in product(range(max_weight + 1), repeat=rank)]
+    top = OrbitLabel(frozenset(range(1, rank + 1)), group.identity, group.longest)
 
     poset = None
     poset_note = ""
@@ -127,14 +130,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def box_size(lam) -> int:
         return math.prod(b + 1 for b in exponent_bounds(rs, lam))
 
-    def pair_count(mu) -> int:
-        return weyl_dim(rs, mu) * weyl_dim(rs, group.dual_weight(mu))
-
     def candidate_total(lam) -> float:
         # sizing the candidates runs dominant_below, so an over-budget box is over every budget
         if box_size(lam) > BOX_BUDGET:
             return math.inf
-        return sum(pair_count(mu) for mu, _ in dominant_below(rs, lam))
+        return candidate_count(top, lam)
 
     def within_budget(size, budget: int, what: str) -> tuple[dict, int]:
         """The grid weights whose size is within budget, with their sizes, and how many are skipped."""
@@ -191,9 +191,9 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         if group.multiply(group.longest, group.longest) != group.identity:
             raise CheckFailure("longest element is not an involution")
         by_len = Counter(el.length for el in group.elements)
-        top = group.longest.length
-        for k in range(top + 1):
-            if by_len[k] != by_len[top - k]:
+        top_len = group.longest.length
+        for k in range(top_len + 1):
+            if by_len[k] != by_len[top_len - k]:
                 raise CheckFailure(f"length distribution not palindromic at {k}")
         return f"order {len(group)}"
 
@@ -221,7 +221,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 raise CheckFailure(f"dual weight not involutive at {lam}")
         kept, skipped = within_budget(box_size, BOX_BUDGET, "exponent box")
         for lam in kept:
-            for mu, nvec in dominant_below(rs, lam):
+            for mu, nvec in shapes_below(group, lam):
                 if not is_dominant(mu):
                     raise CheckFailure(f"dominant_below({lam}) produced non-dominant {mu}")
                 if root_combination(rs, nvec) != sub_weights(lam, mu):
@@ -296,7 +296,6 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
 
     def check_poset_extremes():
         p = need_poset()
-        top = OrbitLabel(frozenset(range(1, rank + 1)), group.identity, group.longest)
         if p.maximum != top:
             raise CheckFailure(f"maximum is {p.maximum}, expected {top}")
         if p.dim(top) != 2 * group.longest.length + rank:
@@ -351,14 +350,13 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     # -- standard monomials -------------------------------------------------
 
     def check_basis_counts():
-        top = OrbitLabel(frozenset(range(1, rank + 1)), group.identity, group.longest)
         flag_stratum = OrbitLabel(frozenset(), group.identity, group.longest)
         kept, skipped = within_budget(candidate_total, COUNT_BUDGET, "counting")
         for lam, expected in kept.items():
             got = len(basis_indices(top, lam))
             if got != expected:
                 raise CheckFailure(f"{got} indices on the full space at {lam}, expected {expected}")
-            closed_expected = pair_count(lam)
+            closed_expected = pair_count(group, lam)
             closed_got = len(basis_indices(flag_stratum, lam))
             if closed_got != closed_expected:
                 raise CheckFailure(
@@ -410,10 +408,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         for lam in kept:
             # (exponent support, direction indices) of every candidate pair below lam
             cands = []
-            for mu, nvec in dominant_below(rs, lam):
+            for mu, nvec in shapes_below(group, lam):
                 cands.extend((support(nvec), a, b) for a, b in pair_directions(group, mu))
             masks = []
-            for z, rows in zip(p.labels, p.per_label(standard_rows)):
+            for z in p.labels:
+                rows = standard_rows(z)
                 m = 0
                 for k, (supp, a, b) in enumerate(cands):
                     if rows[a] >> b & 1 and supp <= z.stratum:
@@ -430,9 +429,9 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def check_nonstandard_locus():
         p = need_poset()
         full = (1 << len(p)) - 1
-        shapes, _ = within_budget(pair_count, SHAPE_PAIR_BUDGET, "pair")
+        shapes, _ = within_budget(lambda mu: pair_count(group, mu), SHAPE_PAIR_BUDGET, "pair")
         pairs_seen = 0
-        # the reference route scans components, independent of the table behind nonstandard_components
+        # the reference route scans components; nonstandard_components reads the closure order
         label_comps = [schubert_pairs(z) for z in p.labels]
         for mu in shapes:
             for pair in generate_pairs(group, mu):
@@ -467,16 +466,15 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     if p.leq(c1, c2) or p.leq(c2, c1):
                         raise CheckFailure(f"meet components of {z1}, {z2} are not an antichain")
                 meets.append((z1, z2, comps))
-        shapes, _ = within_budget(pair_count, SHAPE_PAIR_BUDGET, "pair")
+        shapes, _ = within_budget(lambda mu: pair_count(group, mu), SHAPE_PAIR_BUDGET, "pair")
         relevant = set(sample)
         for _, _, comps in meets:
             relevant.update(comps)
-        tables = dict(zip(p.labels, p.per_label(standard_rows)))
         for mu in shapes:
             dirs = pair_directions(group, mu)
             std = {}
             for z in relevant:
-                rows = tables[z]
+                rows = standard_rows(z)
                 m = 0
                 for k, (a, b) in enumerate(dirs):
                     if rows[a] >> b & 1:

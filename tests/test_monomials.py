@@ -22,7 +22,7 @@ from wondermono.monomials import (
     nonstandard_orbits,
     standard_rows,
 )
-from wondermono.orbits import OrbitLabel, schubert_pairs
+from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
 from wondermono.paths import generate_pairs, initial_direction, pair_weight
 from wondermono.rootsys import dominant_below, support
 from wondermono.weyl import WeylGroup
@@ -200,11 +200,44 @@ def test_candidate_count_matches_pairs():
         assert candidate_count(z, lam) == expected
 
 
-def test_standard_tables_stay_with_the_poset():
-    poset = poset_of("A2")
-    tables = poset.per_label(standard_rows)
-    assert poset.per_label(standard_rows) is tables
-    assert tables == tuple(standard_rows(z) for z in poset.labels)
+def test_nonstandard_loci_build_no_standard_table(monkeypatch):
+    g = group_of("A2")
+    poset = build_poset(g)  # fresh, so nothing is read from an earlier poset
+
+    def refuse(z):
+        raise AssertionError(f"a nonstandard locus built the standard table of {z}")
+
+    monkeypatch.setattr(monomials, "standard_rows", refuse)
+    for pair in generate_pairs(g, (1, 1)):
+        locus = [z for z in poset.labels if not is_standard_on_components(g, pair, schubert_pairs(z))]
+        assert nonstandard_orbits(pair, poset) == locus
+        mask = 0
+        for z in locus:
+            mask |= 1 << poset.index[z]
+        assert nonstandard_components(pair, poset) == poset.maximal_of_mask(mask)
+
+
+def check_closed_orbit_identity(g, poset, labels):
+    """(a, b) is standard on z exactly when the closed orbit [0, a w0, b] lies in z's closure."""
+    rows = [standard_rows(z) for z in labels]
+    down = [poset.down_mask(z) for z in labels]
+    for a, el in enumerate(g.elements):
+        x = g.multiply(el, g.longest)
+        for b, w in enumerate(g.elements):
+            c = poset.index[OrbitLabel(frozenset(), x, w)]
+            assert [r[a] >> b & 1 for r in rows] == [d >> c & 1 for d in down], (el, w)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_standard_set_is_closed_stratum_slice(name):
+    poset = poset_of(name)
+    check_closed_orbit_identity(group_of(name), poset, poset.labels)
+
+
+def test_standard_set_is_closed_stratum_slice_b3():
+    g = group_of("B3")
+    poset = build_poset(g, max_labels=7056)
+    check_closed_orbit_identity(g, poset, poset.labels[::47])
 
 
 def test_nonstandard_locus_a1():

@@ -228,6 +228,16 @@ def test_meet_components_are_maximal():
                         assert not poset.leq(c, d)
 
 
+def test_up_mask_matches_brute_force():
+    poset = poset_of("A2")
+    for z in poset.labels:
+        brute = 0
+        for k, z2 in enumerate(poset.labels):
+            if poset.leq(z, z2):
+                brute |= 1 << k
+        assert poset.up_mask(z) == brute
+
+
 def test_envelope_guard():
     g = group_of("B3")
     with pytest.raises(ValueError, match="7056"):

@@ -129,14 +129,30 @@ def test_initial_direction_zero_shape():
     assert initial_direction(g, path) == g.identity
 
 
-def test_initial_direction_minimal():
-    g = group_of("B2")
-    for path in generate_paths(g.rs, (1, 1)):
+def check_initial_directions_minimal(g, shape):
+    for path in generate_paths(g.rs, shape):
         el = initial_direction(g, path)
-        assert el.act((1, 1)) == path.first_direction()
+        assert el.act(shape) == path.first_direction()
         for other in g.elements:
-            if other.act((1, 1)) == path.first_direction():
+            if other.act(shape) == path.first_direction():
                 assert g.bruhat_leq(el, other)
+
+
+def test_initial_direction_minimal():
+    check_initial_directions_minimal(group_of("B2"), (1, 1))
+
+
+@pytest.mark.parametrize("name, shape", [("B2", (1, 0)), ("A3", (0, 1, 0)), ("G2", (1, 0)), ("F4", (0, 0, 0, 1))])
+def test_initial_direction_minimal_singular(name, shape):
+    # a singular shape has a nontrivial stabilizer, so each direction has several preimages
+    check_initial_directions_minimal(group_of(name), shape)
+
+
+def test_initial_direction_outside_orbit():
+    g = group_of("A2")
+    path = LSPath((((2, 0), Fraction(1)),), (1, 0))
+    with pytest.raises(ValueError, match=r"direction \(2, 0\) is not in the orbit of \(1, 0\)"):
+        initial_direction(g, path)
 
 
 def test_generate_pairs_structure():
