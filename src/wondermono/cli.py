@@ -182,15 +182,9 @@ def cmd_poset(args) -> int:
             "covers": [[upper, lower] for upper, lower in sorted(poset.cover_pairs())],
         }
         if args.full_order:
-            relation = []
-            masks = poset.down_masks()
-            for i in range(len(poset)):
-                mask = masks[i] & ~(1 << i)
-                while mask:
-                    j = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    relation.append([j, i])
-            payload["relation"] = sorted(relation)
+            payload["relation"] = sorted(
+                [j, i] for i, mask in enumerate(poset.down_masks()) for j in OrbitPoset._bits(mask & ~(1 << i))
+            )
         doc = {"group": group.rs.name, "generator_conventions": CONVENTIONS}
         doc.update(payload)
         _write(args.out, json.dumps(doc, indent=2) + "\n")

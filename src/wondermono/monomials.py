@@ -16,21 +16,27 @@ closure: since right multiplication by w0 reverses the Bruhat order, (a, b)
 is standard on z exactly when the closed orbit [0, a w0, b] lies in the
 closure of z.  A pair's nonstandard locus is therefore the set of labels
 whose closure misses one orbit, read from the poset without any table.
+
+A pair's directions are its two paths' own, so with N_mu(b) the number of
+paths of shape mu starting in direction b, the pairs of shape mu standard on z
+number the sum of N_mu*(a) N_mu(b) over the set bits (a, b) of z's table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .demazure import weyl_dim
 from .orbits import OrbitLabel, OrbitPoset, schubert_pairs
 from .paths import (
     PathPair,
-    direction_indices,
     generate_pairs,
     initial_direction,
     pair_directions,
     pair_weight,
+    path_directions,
 )
 from .rootsys import (
     RootVector,
@@ -44,9 +50,8 @@ from .rootsys import (
 from .weyl import WeylElement, WeylGroup
 
 
-@dataclass(frozen=True)
-class MonomialIndex:
-    """One standard monomial: boundary exponents, shape, and path pair."""
+class MonomialIndex(NamedTuple):
+    """One standard monomial: boundary exponents, shape, and path pair, as a plain tuple."""
 
     powers: RootVector
     mu: Weight
@@ -108,7 +113,8 @@ def standard_rows(z: OrbitLabel) -> tuple[int, ...]:
 
 def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
     """One lookup in z's table."""
-    a, b = direction_indices(z.group, pair)
+    a = initial_direction(z.group, pair.left).index
+    b = initial_direction(z.group, pair.right).index
     return bool(standard_rows(z)[a] >> b & 1)
 
 
@@ -153,15 +159,12 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     """
     group = z.group
     rows = standard_rows(z)
-    out = []
-    for mu, nvec in _admissible_shapes(z, lam):
-        dirs = pair_directions(group, mu)
-        out.extend(
-            MonomialIndex(nvec, mu, pair)
-            for pair, (a, b) in zip(generate_pairs(group, mu), dirs)
-            if rows[a] >> b & 1
-        )
-    return tuple(out)
+    return tuple(
+        MonomialIndex(nvec, mu, pair)
+        for mu, nvec in _admissible_shapes(z, lam)
+        for pair, (a, b) in zip(generate_pairs(group, mu), pair_directions(group, mu))
+        if rows[a] >> b & 1
+    )
 
 
 def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
@@ -183,17 +186,17 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     """Basis counts by boundary degree, including degrees with no index.
 
     The degree range runs from 0 to the largest degree of any exponent vector
-    admissible for z's stratum, so interior zero rows survive.  Counts come
-    from the same table lookups as basis_indices, without building indices.
+    admissible for z's stratum, so interior zero rows survive.  Each shape
+    adds N_mu*(a) N_mu(b) over the direction classes (a, b) set in z's table.
     """
     group = z.group
     rows = standard_rows(z)
-    counts: dict[int, int] = {}
+    counts: Counter[int] = Counter()
     for mu, nvec in _admissible_shapes(z, lam):
-        d = sum(nvec)
-        hits = sum(rows[a] >> b & 1 for a, b in pair_directions(group, mu))
-        counts[d] = counts.get(d, 0) + hits
-    return GradedTable(tuple((d, counts.get(d, 0)) for d in range(max(counts) + 1)))
+        lefts = Counter(path_directions(group, group.dual_weight(mu)))
+        rights = Counter(path_directions(group, mu))
+        counts[sum(nvec)] += sum(n * m for a, n in lefts.items() for b, m in rights.items() if rows[a] >> b & 1)
+    return GradedTable(tuple((d, counts[d]) for d in range(max(counts) + 1)))
 
 
 def _nonstandard_mask(pair: PathPair, poset: OrbitPoset) -> int:

@@ -10,8 +10,10 @@ minimal height, reflect up to the next unit rise, translate the rest.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .rootsys import RootSystem, Weight, is_dominant, memoized, sub_weights
 from .weyl import WeylElement, WeylGroup
@@ -186,15 +188,15 @@ def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     return tuple(PathPair(l, r, mu) for l in lefts for r in rights)
 
 
-def direction_indices(group: WeylGroup, pair: PathPair) -> tuple[int, int]:
-    """Element indices of the initial directions of both paths of a pair."""
-    return initial_direction(group, pair.left).index, initial_direction(group, pair.right).index
-
-
 @memoized(_by_weight)
-def pair_directions(group: WeylGroup, mu: Weight) -> tuple[tuple[int, int], ...]:
-    """direction_indices of every pair of shape mu, aligned with generate_pairs."""
-    return tuple(direction_indices(group, p) for p in generate_pairs(group, mu))
+def path_directions(group: WeylGroup, lam: Weight) -> tuple[int, ...]:
+    """Element index of each path's initial direction, aligned with generate_paths."""
+    return tuple(initial_direction(group, p).index for p in generate_paths(group.rs, lam))
+
+
+def pair_directions(group: WeylGroup, mu: Weight) -> Iterator[tuple[int, int]]:
+    """Direction indices (a, b) of each pair of shape mu, in generate_pairs order: both path tables' product."""
+    return product(path_directions(group, group.dual_weight(mu)), path_directions(group, mu))
 
 
 def pair_weight(pair: PathPair) -> tuple[Weight, Weight]:

@@ -150,6 +150,18 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def path_grid():
         return within_budget(lambda lam: weyl_dim(rs, lam), PATH_DIM_BUDGET, "path")
 
+    def class_masks(labels, classes) -> list[int]:
+        """Each label's bitmask over (support, a, b) classes: bit k when class k is standard there."""
+        masks = []
+        for z in labels:
+            rows = standard_rows(z)
+            m = 0
+            for k, (supp, a, b) in enumerate(classes):
+                if supp <= z.stratum and rows[a] >> b & 1:
+                    m |= 1 << k
+            masks.append(m)
+        return masks
+
     def counted(label: str, done: int, skipped: int) -> str:
         note = f"{done} {label}"
         if skipped:
@@ -406,18 +418,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         down = p.down_masks()
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
         for lam in kept:
-            # (exponent support, direction indices) of every candidate pair below lam
-            cands = []
-            for mu, nvec in shapes_below(group, lam):
-                cands.extend((support(nvec), a, b) for a, b in pair_directions(group, mu))
-            masks = []
-            for z in p.labels:
-                rows = standard_rows(z)
-                m = 0
-                for k, (supp, a, b) in enumerate(cands):
-                    if rows[a] >> b & 1 and supp <= z.stratum:
-                        m |= 1 << k
-                masks.append(m)
+            # a candidate pair below lam is standard exactly when its class (support, a, b) is
+            classes = dict.fromkeys(
+                (support(nvec), a, b) for mu, nvec in shapes_below(group, lam) for a, b in pair_directions(group, mu)
+            )
+            masks = class_masks(p.labels, classes)
             for i2 in range(len(p)):
                 for i1 in OrbitPoset._bits(down[i2] & ~(1 << i2)):
                     if masks[i1] & ~masks[i2]:
@@ -430,26 +435,30 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         p = need_poset()
         full = (1 << len(p)) - 1
         shapes, _ = within_budget(lambda mu: pair_count(group, mu), SHAPE_PAIR_BUDGET, "pair")
+        # both routes read a pair only through (a, b), so one pair decides its class, whatever its shape
+        reps = {}
         pairs_seen = 0
+        for mu in shapes:
+            pairs = generate_pairs(group, mu)
+            reps.update(zip(pair_directions(group, mu), pairs))
+            pairs_seen += len(pairs)
         # the reference route scans components; nonstandard_components reads the closure order
         label_comps = [schubert_pairs(z) for z in p.labels]
-        for mu in shapes:
-            for pair in generate_pairs(group, mu):
-                std = 0
-                for k, comps in enumerate(label_comps):
-                    if is_standard_on_components(group, pair, comps):
-                        std |= 1 << k
-                locus = full & ~std
-                comps = nonstandard_components(pair, p)
-                union = 0
-                for c in comps:
-                    union |= p.down_mask(c)
-                if union != locus:
-                    raise CheckFailure(f"nonstandard locus at shape {mu} is not the union of its components")
-                for c1, c2 in combinations(comps, 2):
-                    if p.leq(c1, c2) or p.leq(c2, c1):
-                        raise CheckFailure(f"nonstandard components at shape {mu} are not an antichain")
-                pairs_seen += 1
+        for pair in reps.values():
+            std = 0
+            for k, comps in enumerate(label_comps):
+                if is_standard_on_components(group, pair, comps):
+                    std |= 1 << k
+            locus = full & ~std
+            comps = nonstandard_components(pair, p)
+            union = 0
+            for c in comps:
+                union |= p.down_mask(c)
+            if union != locus:
+                raise CheckFailure(f"nonstandard locus at shape {pair.mu} is not the union of its components")
+            for c1, c2 in combinations(comps, 2):
+                if p.leq(c1, c2) or p.leq(c2, c1):
+                    raise CheckFailure(f"nonstandard components at shape {pair.mu} are not an antichain")
         return f"{pairs_seen} pairs over {len(shapes)} shapes"
 
     def check_standard_intersection():
@@ -467,19 +476,10 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                         raise CheckFailure(f"meet components of {z1}, {z2} are not an antichain")
                 meets.append((z1, z2, comps))
         shapes, _ = within_budget(lambda mu: pair_count(group, mu), SHAPE_PAIR_BUDGET, "pair")
-        relevant = set(sample)
-        for _, _, comps in meets:
-            relevant.update(comps)
+        relevant = list(set(sample).union(*(comps for _, _, comps in meets)))
         for mu in shapes:
-            dirs = pair_directions(group, mu)
-            std = {}
-            for z in relevant:
-                rows = standard_rows(z)
-                m = 0
-                for k, (a, b) in enumerate(dirs):
-                    if rows[a] >> b & 1:
-                        m |= 1 << k
-                std[z] = m
+            classes = [(frozenset(), a, b) for a, b in dict.fromkeys(pair_directions(group, mu))]
+            std = dict(zip(relevant, class_masks(relevant, classes)))
             for z1, z2, comps in meets:
                 lhs = std[z1] & std[z2]
                 rhs = 0

@@ -8,10 +8,10 @@ its elements; all public operations return interned instances.
 
 WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
 group, so it is freed with the group: one orbit table per shape (each point of
-the orbit with its shortest element, read by initial_direction), path pairs and
-their directions, the Schubert pairs and the standard table of each orbit label,
-and the dominant weights below a degree.  The group's own tables (intervals,
-parabolics, coset representatives) stay private.
+the orbit with its shortest element, read by initial_direction), path pairs,
+each path's initial direction, the Schubert pairs and the standard table of
+each orbit label, and the dominant weights below a degree.  The group's own
+tables (intervals, parabolics, coset representatives) stay private.
 """
 
 from __future__ import annotations

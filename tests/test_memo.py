@@ -15,7 +15,7 @@ import weakref
 import wondermono
 from wondermono.monomials import basis_indices, graded_counts, nonstandard_components, standard_rows
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
-from wondermono.paths import generate_pairs, generate_paths, initial_direction
+from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
 from wondermono.rootsys import from_name
 from wondermono.weyl import WeylGroup
 
@@ -44,7 +44,12 @@ def test_groups_are_freed_with_their_memo():
 def test_cache_info_counts_one_miss_then_one_hit():
     group = WeylGroup(from_name("B2"))
     z = OrbitLabel(frozenset({1}), group.identity, group.longest)
-    for fn, args in [(generate_pairs, (group, (1, 0))), (schubert_pairs, (z,)), (standard_rows, (z,))]:
+    for fn, args in [
+        (generate_pairs, (group, (1, 0))),
+        (path_directions, (group, (1, 0))),
+        (schubert_pairs, (z,)),
+        (standard_rows, (z,)),
+    ]:
         before = fn.cache_info()
         first = fn(*args)
         mid = fn.cache_info()

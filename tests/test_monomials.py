@@ -338,3 +338,33 @@ def test_basis_monotone_under_closure():
     for z2 in poset.labels:
         for z1 in poset.below(z2):
             assert sets[z1] <= sets[z2]
+
+
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_pair_class_decides_both_standardness_routes(name):
+    # verify scans one pair per class (a, b); this is what makes that sound
+    g = group_of(name)
+    poset = poset_of(name)
+    label_comps = [schubert_pairs(z) for z in poset.labels]
+    pairs = generate_pairs(g, (1, 1))
+    by_class = {}  # what the class's first pair gave on both routes
+    for pair in pairs:
+        got = (
+            nonstandard_components(pair, poset),
+            [is_standard_on_components(g, pair, comps) for comps in label_comps],
+        )
+        assert by_class.setdefault((initial_direction(g, pair.left), initial_direction(g, pair.right)), got) == got
+    assert len(by_class) < len(pairs)
+
+
+def test_graded_counts_build_no_pair(monkeypatch):
+    g = WeylGroup(group_of("A3").rs)  # fresh, so nothing is read from an earlier memo
+
+    def refuse(group, mu):
+        raise AssertionError(f"graded_counts built the pairs of shape {mu}")
+
+    monkeypatch.setattr(monomials, "generate_pairs", refuse)
+    lam = (1, 1, 1)
+    assert graded_counts(lab(g, (1, 2, 3), (), g.longest.word), lam).rows == ((0, 4096), (1, 0), (2, 200), (3, 36))
+    assert graded_counts(lab(g, (2,), (), (1, 3)), lam).rows == ((0, 697),)
+    assert graded_counts(lab(g, (), (), (2, 1)), lam).rows == ((0, 320),)

@@ -16,6 +16,7 @@ from wondermono.paths import (
     initial_direction,
     pair_directions,
     pair_weight,
+    path_directions,
     root_lower,
     straight_path,
 )
@@ -173,18 +174,29 @@ def test_list_weights_match_tuples():
     assert generate_pairs(g, [1, 0]) == generate_pairs(g, (1, 0))
     for p in generate_pairs(g, [1, 0]):
         assert p.mu == (1, 0)
-    assert pair_directions(g, [1, 0]) is pair_directions(g, (1, 0))
+    assert path_directions(g, [1, 0]) is path_directions(g, (1, 0))
+    assert list(pair_directions(g, [1, 0])) == list(pair_directions(g, (1, 0)))
 
 
 def test_pair_directions_align_with_pairs():
     g = group_of("B2")
     for mu in [(0, 0), (1, 0), (1, 1)]:
-        dirs = pair_directions(g, mu)
+        dirs = list(pair_directions(g, mu))
         pairs = generate_pairs(g, mu)
         assert len(dirs) == len(pairs)
         for (a, b), p in zip(dirs, pairs):
             assert g.elements[a] == initial_direction(g, p.left)
             assert g.elements[b] == initial_direction(g, p.right)
+
+
+@pytest.mark.parametrize("name, shape", [("B2", (1, 1)), ("F4", (0, 0, 0, 1))])
+def test_path_directions_align_with_paths(name, shape):
+    g = group_of(name)
+    dirs = path_directions(g, shape)
+    paths = generate_paths(g.rs, shape)
+    assert len(dirs) == len(paths)
+    for a, p in zip(dirs, paths):
+        assert g.elements[a] == initial_direction(g, p)
 
 
 def test_pair_weight_negates_endpoints():
