@@ -167,6 +167,20 @@ def _poset_dot(poset: OrbitPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _relation_json(poset: OrbitPoset) -> str:
+    """The strict order as json.dumps(indent=2) writes the sorted [j, i] pairs (j below i) at depth 1.
+
+    The down-sets are transposed into the labels above each j, in ascending
+    order, so the pairs come out sorted without a sort.
+    """
+    above: list[list[int]] = [[] for _ in range(len(poset))]
+    for i, mask in enumerate(poset.down_masks()):
+        for j in OrbitPoset._bits(mask & ~(1 << i)):
+            above[j].append(i)
+    items = [f"    [\n      {j},\n      {i}\n    ]" for j, ups in enumerate(above) for i in ups]
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def cmd_poset(args) -> int:
     group = _group(args.group)
     try:
@@ -181,13 +195,13 @@ def cmd_poset(args) -> int:
             "orbits": [_orbit_entry(poset, z) for z in poset.labels],
             "covers": [[upper, lower] for upper, lower in sorted(poset.cover_pairs())],
         }
-        if args.full_order:
-            payload["relation"] = sorted(
-                [j, i] for i, mask in enumerate(poset.down_masks()) for j in OrbitPoset._bits(mask & ~(1 << i))
-            )
         doc = {"group": group.rs.name, "generator_conventions": CONVENTIONS}
         doc.update(payload)
-        _write(args.out, json.dumps(doc, indent=2) + "\n")
+        text = json.dumps(doc, indent=2)
+        if args.full_order:
+            # the relation is the last key, written directly: json.dumps of about 1M pairs is most of the time
+            text = text[: -len("\n}")] + ',\n  "relation": ' + _relation_json(poset) + "\n}"
+        _write(args.out, text + "\n")
     elif args.format == "csv":
         rows = [
             [_ints(sorted(z.stratum)), z.x.word_str, z.w.word_str, poset.dim(z)]

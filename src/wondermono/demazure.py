@@ -8,8 +8,6 @@ Demazure characters from the string-sum recursion, never from the paths.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rootsys import RootSystem, Weight, coroot_pairing
 from .weyl import WeylElement, WeylGroup
 
@@ -84,8 +82,10 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         raise ValueError(f"weight {lam} is not dominant")
     rho = rs.rho()
     shifted = tuple(x + 1 for x in lam)
-    total = Fraction(1)
+    num = den = 1
     for beta in rs.positive_roots:
-        total *= coroot_pairing(rs, shifted, beta) / coroot_pairing(rs, rho, beta)
-    assert total.denominator == 1
-    return int(total)
+        num *= coroot_pairing(rs, shifted, beta)
+        den *= coroot_pairing(rs, rho, beta)
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim

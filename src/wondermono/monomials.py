@@ -84,8 +84,13 @@ def is_standard_on_components(group: WeylGroup, pair: PathPair, components) -> b
     The direct scan over components, kept as the reference for the table.
     An empty component list admits nothing.
     """
-    a = initial_direction(group, pair.left)
-    b = initial_direction(group, pair.right)
+    return directions_standard_on_components(
+        group, initial_direction(group, pair.left), initial_direction(group, pair.right), components
+    )
+
+
+def directions_standard_on_components(group: WeylGroup, a: WeylElement, b: WeylElement, components) -> bool:
+    """The direction-level test behind is_standard_on_components: some component has a <= L and b <= R."""
     for comp in components:
         if group.bruhat_leq(a, comp.left) and group.bruhat_leq(b, comp.right):
             return True

@@ -1,11 +1,21 @@
 """Piecewise-linear paths in the weight lattice and their root operators.
 
-A path is stored as (direction, duration) segments: directions are integer
-weight vectors lying in one Weyl orbit, durations are positive rationals
-summing to 1.  Adjacent segments never share a direction (canonical merged
-form), so equal paths have equal segment tuples.  The lowering operator
-follows the usual path model recipe: locate the last attainment of the
-minimal height, reflect up to the next unit rise, translate the rest.
+A path is a sequence of directions (integer weight vectors lying in one Weyl
+orbit, adjacent ones distinct) with positive durations summing to 1.  Each
+duration is stored as an integer numerator over one positive denominator,
+the path's, in lowest terms, so equal paths have equal fields however they
+were built, and all path arithmetic runs on ints.  ``segments`` rebuilds the
+(direction, Fraction) pairs on demand, for output and for callers that build
+paths from fractions.
+
+For a path of shape lam every breakpoint lies in (1/<lam, beta^vee>)Z for some
+positive root beta, so D_lam, the lcm of the nonzero |<lam, beta^vee>|, is a
+common denominator of the whole path model (shape_denominator).  Numerators
+scaled to D_lam compare exactly as the durations do, which gives the
+canonical sort order.  The lowering operator follows the usual path model
+recipe: locate the last attainment of the minimal height, reflect up to the
+next unit rise, translate the rest.  It builds its result over D_lam and
+raises when the cut point does not land on it; it never rounds.
 """
 
 from __future__ import annotations
@@ -13,9 +23,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from math import gcd, lcm
+from operator import mul
 
-from .rootsys import RootSystem, Weight, is_dominant, memoized, sub_weights
+from .rootsys import RootSystem, Weight, coroot_pairing, is_dominant, memoized, sub_weights
 from .weyl import WeylElement, WeylGroup
 
 Segment = tuple[Weight, Fraction]
@@ -38,36 +50,71 @@ def canonical_segments(segments) -> tuple[Segment, ...]:
     return tuple((d, t) for d, t in out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LSPath:
-    """A path of some dominant shape, in canonical segment form."""
+    """A path of some dominant shape: directions, and durations steps[k] / den in lowest terms."""
 
-    segments: tuple[Segment, ...]
+    dirs: tuple[Weight, ...]
+    steps: tuple[int, ...]
+    den: int
     shape: Weight
 
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("a path needs at least one segment")
-        total = sum(t for _, t in self.segments)
-        if total != 1:
-            raise ValueError(f"durations must sum to 1, got {total}")
-        for (d1, _), (d2, _) in zip(self.segments, self.segments[1:]):
-            if d1 == d2:
-                raise ValueError("adjacent segments must have distinct directions")
-        self.endpoint()  # integrality check
+    def __init__(self, segments, shape):
+        """A path from (direction, duration) segments, durations being rationals."""
+        segments = tuple(segments)
+        durations = [Fraction(t) for _, t in segments]
+        den = lcm(*(t.denominator for t in durations))
+        steps = tuple(t.numerator * (den // t.denominator) for t in durations)
+        _fill(self, tuple(tuple(d) for d, _ in segments), steps, den, tuple(shape))
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """(direction, duration) pairs with Fraction durations, built on each call."""
+        den = self.den
+        return tuple((d, Fraction(s, den)) for d, s in zip(self.dirs, self.steps))
 
     def endpoint(self) -> Weight:
         """The final point, always a lattice weight."""
-        acc = [Fraction(0)] * len(self.shape)
-        for direction, duration in self.segments:
-            for k, c in enumerate(direction):
-                acc[k] += duration * c
-        if any(x.denominator != 1 for x in acc):
-            raise ValueError("path endpoint is not a lattice weight")
-        return tuple(int(x) for x in acc)
+        out = []
+        for column in zip(*self.dirs):
+            q, r = divmod(sum(map(mul, column, self.steps)), self.den)
+            if r:
+                raise ValueError("path endpoint is not a lattice weight")
+            out.append(q)
+        return tuple(out)
 
     def first_direction(self) -> Weight:
-        return self.segments[0][0]
+        return self.dirs[0]
+
+
+def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> None:
+    """Set a path's fields in lowest terms and check them: the one way a path gets its fields."""
+    if not steps:
+        raise ValueError("a path needs at least one segment")
+    if min(steps) <= 0:
+        raise ValueError("segment durations must be positive")
+    total = sum(steps)
+    if total != den:
+        raise ValueError(f"durations must sum to 1, got {Fraction(total, den)}")
+    for d1, d2 in zip(dirs, dirs[1:]):
+        if d1 == d2:
+            raise ValueError("adjacent segments must have distinct directions")
+    g = gcd(den, *steps)
+    if g > 1:
+        steps = tuple(s // g for s in steps)
+        den //= g
+    object.__setattr__(path, "dirs", dirs)
+    object.__setattr__(path, "steps", steps)
+    object.__setattr__(path, "den", den)
+    object.__setattr__(path, "shape", shape)
+    path.endpoint()  # integrality check
+
+
+def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> LSPath:
+    """A path from integer numerators over den, with no Fraction on the way."""
+    path = object.__new__(LSPath)
+    _fill(path, dirs, steps, den, shape)
+    return path
 
 
 def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
@@ -76,53 +123,7 @@ def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
         raise ValueError("weight length must equal the rank")
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return LSPath(((tuple(lam), Fraction(1)),), tuple(lam))
-
-
-def _breakpoints(path: LSPath, coord: int) -> list[Fraction]:
-    """Cumulative heights of one coordinate at the breakpoints."""
-    heights = [Fraction(0)]
-    for direction, duration in path.segments:
-        heights.append(heights[-1] + duration * direction[coord])
-    return heights
-
-
-def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
-    """Apply the i-th lowering operator, or return None when it is undefined.
-
-    Heights are the pairings against the i-th simple coroot, read off the
-    fundamental-weight coordinate.  With m the minimal height, the operator
-    exists iff the final height exceeds m by at least 1; the path is reflected
-    between the last minimum and the first subsequent rise to m + 1, and
-    translated by -alpha_i afterwards.
-    """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    coord = i - 1
-    h = _breakpoints(path, coord)
-    m = min(h)
-    if h[-1] - m < 1:
-        return None
-    j1 = max(j for j, x in enumerate(h) if x == m)
-    target = m + 1
-    j2 = next(j for j in range(j1 + 1, len(h)) if h[j] >= target)
-    theta = (target - h[j2 - 1]) / (h[j2] - h[j2 - 1])
-
-    alpha = rs.simple_root(i)
-
-    def reflect(d: Weight) -> Weight:
-        return tuple(x - d[coord] * a for x, a in zip(d, alpha))
-
-    segs = list(path.segments[:j1])
-    for k in range(j1, j2 - 1):
-        d, t = path.segments[k]
-        segs.append((reflect(d), t))
-    d, t = path.segments[j2 - 1]
-    segs.append((reflect(d), theta * t))
-    if theta != 1:
-        segs.append((d, (1 - theta) * t))
-    segs.extend(path.segments[j2:])
-    return LSPath(canonical_segments(segs), path.shape)
+    return _path((tuple(lam),), (1,), 1, tuple(lam))
 
 
 def _by_weight(owner, lam):
@@ -131,21 +132,85 @@ def _by_weight(owner, lam):
 
 
 @memoized(_by_weight)
+def shape_denominator(rs: RootSystem, lam: Weight) -> int:
+    """D_lam: the lcm of the nonzero |<lam, beta^vee>| over the positive roots beta.
+
+    Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.
+    """
+    return lcm(*filter(None, (abs(coroot_pairing(rs, lam, beta)) for beta in rs.positive_roots)))
+
+
+def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
+    """Apply the i-th lowering operator, or return None when it is undefined.
+
+    Heights are the pairings against the i-th simple coroot, read off the
+    fundamental-weight coordinate, in units of 1/path.den.  With m the minimal
+    height, the operator exists iff the final height exceeds m by at least 1;
+    the path is reflected between the last minimum and the first subsequent
+    rise to m + 1, and translated by -alpha_i afterwards.  The result is built
+    over D_lam, where the cut point must land.
+    """
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
+    coord = i - 1
+    dirs, steps, den = path.dirs, path.steps, path.den
+    rises = [d[coord] for d in dirs]
+    h = list(accumulate(map(mul, rises, steps), initial=0))
+    m = min(h)
+    if h[-1] - m < den:
+        return None
+    j1 = len(h) - 1 - h[::-1].index(m)
+    target = m + den
+    j2 = next(j for j in range(j1 + 1, len(h)) if h[j] >= target)
+
+    big = shape_denominator(rs, path.shape)
+    scale, rem = divmod(big, den)
+    if rem:
+        raise ValueError(f"path denominator {den} does not divide D = {big} of shape {path.shape}")
+    cut, rem = divmod((target - h[j2 - 1]) * scale, rises[j2 - 1])
+    if rem:
+        raise ValueError(f"lowering cut point is not a multiple of 1/{big}")
+
+    alpha = [row[coord] for row in rs.cartan]  # rs.simple_root(i), without its range check
+    new = [(d, s * scale) for d, s in zip(dirs[:j1], steps[:j1])]
+    reflected = zip(dirs[j1:j2], rises[j1:j2], steps[j1:j2])
+    new += [(tuple(x - c * a for x, a in zip(d, alpha)), s * scale) for d, c, s in reflected]
+    # the last reflected segment runs only up to the cut; the rest keeps its direction
+    new[-1] = (new[-1][0], cut)
+    rest = steps[j2 - 1] * scale - cut
+    if rest:
+        new.append((dirs[j2 - 1], rest))
+    new += [(d, s * scale) for d, s in zip(dirs[j2:], steps[j2:])]
+
+    out_dirs: list[Weight] = []
+    out_steps: list[int] = []
+    for d, s in new:
+        if out_dirs and out_dirs[-1] == d:
+            out_steps[-1] += s
+        else:
+            out_dirs.append(d)
+            out_steps.append(s)
+    return _path(tuple(out_dirs), tuple(out_steps), big, path.shape)
+
+
+@memoized(_by_weight)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """Close the straight path under all lowering operators, sorted canonically."""
     start = straight_path(rs, lam)
-    seen = {start.segments: start}
+    seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
             for i in range(1, rs.rank + 1):
                 q = root_lower(rs, i, p)
-                if q is not None and q.segments not in seen:
-                    seen[q.segments] = q
+                if q is not None and q not in seen:
+                    seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda p: p.segments))
+    # canonical order: (direction, duration) pairs compared lexicographically, durations as numerators over D_lam
+    big = shape_denominator(rs, start.shape)
+    return tuple(sorted(seen, key=lambda p: tuple(zip(p.dirs, [s * (big // p.den) for s in p.steps]))))
 
 
 def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
@@ -160,7 +225,7 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     if table is None:
         # elements run by length, so each orbit point keeps its shortest element
         table = tables[path.shape] = {el.act(path.shape): el for el in reversed(group.elements)}
-    target = path.first_direction()
+    target = path.dirs[0]
     got = table.get(target)
     if got is None:
         raise ValueError(f"direction {target} is not in the orbit of {path.shape}")

@@ -297,12 +297,16 @@ def dominant_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, RootVector
     return out
 
 
-def coroot_pairing(rs: RootSystem, lam: Weight, root: Root) -> Fraction:
-    """Pair a weight against the coroot of an arbitrary root, exactly."""
+def coroot_pairing(rs: RootSystem, lam: Weight, root: Root) -> int:
+    """Pair a weight against the coroot of an arbitrary root, exactly.
+
+    With (alpha_j, alpha_j) = 2 d_j, <lam, beta^vee> = 2 (lam, beta) / (beta, beta),
+    an integer for every integral weight.
+    """
     d = rs.symmetrizer
-    num = sum(c * d[j] * lam[j] for j, c in enumerate(root))
-    # (beta, beta)/2 in the same normalization
-    dbeta = Fraction(
-        sum(root[i] * root[j] * d[i] * rs.cartan[i][j] for i in range(rs.rank) for j in range(rs.rank)), 2
-    )
-    return Fraction(num) / dbeta
+    num = 2 * sum(c * d[j] * lam[j] for j, c in enumerate(root))
+    norm = sum(root[i] * root[j] * d[i] * rs.cartan[i][j] for i in range(rs.rank) for j in range(rs.rank))
+    out, rem = divmod(num, norm)
+    if rem:
+        raise RootSystemError(f"weight {lam} pairs non-integrally with the coroot of {root}")
+    return out

@@ -17,9 +17,9 @@ from .demazure import char_dim, demazure_character, weyl_dim
 from .monomials import (
     basis_indices,
     candidate_count,
+    directions_standard_on_components,
     graded_counts,
     has_schubert_sections,
-    is_standard_on_components,
     nonstandard_components,
     pair_count,
     shapes_below,
@@ -417,18 +417,26 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         p = need_poset()
         down = p.down_masks()
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
+        # a candidate pair below lam is standard exactly when its class (support, a, b) is;
+        # classes do not depend on lam, so the relation is walked once over their union
+        classes: dict[tuple, int] = {}
+        of_weight = {}  # each weight's classes as a bitmask, read only to name a failing weight
         for lam in kept:
-            # a candidate pair below lam is standard exactly when its class (support, a, b) is
-            classes = dict.fromkeys(
-                (support(nvec), a, b) for mu, nvec in shapes_below(group, lam) for a, b in pair_directions(group, mu)
-            )
-            masks = class_masks(p.labels, classes)
-            for i2 in range(len(p)):
-                for i1 in OrbitPoset._bits(down[i2] & ~(1 << i2)):
-                    if masks[i1] & ~masks[i2]:
-                        raise CheckFailure(
-                            f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}"
-                        )
+            bits = 0
+            for mu, nvec in shapes_below(group, lam):
+                supp = support(nvec)
+                for a, b in pair_directions(group, mu):
+                    bits |= 1 << classes.setdefault((supp, a, b), len(classes))
+            of_weight[lam] = bits
+        masks = class_masks(p.labels, classes)
+        for i2 in range(len(p)):
+            outside = ~masks[i2]
+            for i1 in OrbitPoset._bits(down[i2] & ~(1 << i2)):
+                if masks[i1] & outside:
+                    lam = next(lam for lam, bits in of_weight.items() if bits & masks[i1] & outside)
+                    raise CheckFailure(
+                        f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}"
+                    )
         return counted("weights", len(kept), skipped)
 
     def check_nonstandard_locus():
@@ -444,10 +452,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             pairs_seen += len(pairs)
         # the reference route scans components; nonstandard_components reads the closure order
         label_comps = [schubert_pairs(z) for z in p.labels]
-        for pair in reps.values():
+        for (a, b), pair in reps.items():
+            left, right = group.elements[a], group.elements[b]
             std = 0
             for k, comps in enumerate(label_comps):
-                if is_standard_on_components(group, pair, comps):
+                if directions_standard_on_components(group, left, right, comps):
                     std |= 1 << k
             locus = full & ~std
             comps = nonstandard_components(pair, p)

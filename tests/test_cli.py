@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,20 @@ def test_paths_csv_and_count(capsys):
     rc, out, _ = run(capsys, "paths", "--group", "G2", "--weight", "1 0", "--count-only")
     assert rc == 0
     assert out == "7\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, sha256",
+    [
+        ("json", "1dc789af153a39360a18d2a9a432c780a12a4db8df0c450af4f2f7e7c4851857"),
+        ("csv", "34977740240431396b65cd98d9b0492d8acfe7072d49967d4d35bbd039084ae9"),
+    ],
+)
+def test_paths_g2_bytes_frozen(capsys, fmt, sha256):
+    # G2 (2,1) has durations 1/7, 3/28 and 3/20: the duration strings come from integer numerators
+    rc, out, err = run(capsys, "paths", "--group", "G2", "--weight", "2 1", "--format", fmt)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_monomials_csv_frozen(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import group_of, root_raise, weight_grid
 
+from wondermono import paths, rootsys
 from wondermono.demazure import weyl_dim
 from wondermono.paths import (
     LSPath,
@@ -20,6 +21,8 @@ from wondermono.paths import (
     root_lower,
     straight_path,
 )
+from wondermono.rootsys import from_name
+from wondermono.weyl import WeylGroup
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -219,3 +222,69 @@ def test_paths_stay_integral_on_walls(name, data):
     for path in generate_paths(g.rs, lam):
         for c in path.endpoint():
             assert c == int(c)
+
+
+def test_shape_denominator():
+    g = group_of("G2")
+    # G2 (2,1) pairs to 1, 2, 5, 7, 3 and 4 against the positive coroots
+    assert paths.shape_denominator(g.rs, (2, 1)) == 420
+    # its durations 1/7, 3/28 and 3/20 all lie in (1/420)Z
+    assert all(420 % p.den == 0 for p in generate_paths(g.rs, (2, 1)))
+    assert paths.shape_denominator(g.rs, (0, 0)) == 1
+    assert paths.shape_denominator(group_of("A1").rs, (3,)) == 3
+
+
+@pytest.mark.parametrize("name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("F4", (0, 0, 0, 1))])
+def test_path_arithmetic_builds_no_fraction(monkeypatch, name, lam):
+    # a fresh group, so no memoized path model is reused
+    g = WeylGroup(from_name(name))
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built in path arithmetic")
+
+    monkeypatch.setattr(paths, "Fraction", no_fraction)
+    monkeypatch.setattr(rootsys, "Fraction", no_fraction)
+    found = generate_paths(g.rs, lam)
+    assert len(found) == weyl_dim(g.rs, lam)
+    members = set(found)
+    for path in found:
+        initial_direction(g, path)
+        end = path.endpoint()
+        for i in range(1, g.rank + 1):
+            low = root_lower(g.rs, i, path)
+            if low is not None:
+                assert low in members
+                assert low.endpoint() == tuple(a - b for a, b in zip(end, g.rs.simple_root(i)))
+
+
+def test_fraction_built_paths_equal_generated():
+    g = group_of("G2")
+    for path in generate_paths(g.rs, (1, 1)):
+        built = LSPath(path.segments, path.shape)
+        assert built == path and hash(built) == hash(path)
+        assert LSPath(segments=list(path.segments), shape=list(path.shape)) == path
+        # durations over a larger denominator reduce to the same path
+        doubled = [(d, t / 2) for d, t in path.segments for _ in range(2)]
+        assert LSPath(canonical_segments(doubled), path.shape) == path
+        assert built.segments == path.segments
+
+
+def test_lowering_never_rounds():
+    # neither path is an LS path: one is not over D = 2, one cuts between multiples of 1/6
+    a2 = group_of("A2").rs
+    off_denominator = LSPath([((1, 1), Fraction(1, 3)), ((1, -2), Fraction(2, 3))], (1, 1))
+    with pytest.raises(ValueError, match="does not divide D = 2"):
+        root_lower(a2, 1, off_denominator)
+    g2 = group_of("G2").rs
+    off_cut = LSPath([((-3, 1), HALF), ((-3, 2), Fraction(1, 3)), ((3, -1), Fraction(1, 6))], (0, 1))
+    with pytest.raises(ValueError, match="not a multiple of 1/6"):
+        root_lower(g2, 2, off_cut)
+
+
+def test_path_checks_on_ints():
+    with pytest.raises(ValueError, match="positive"):
+        LSPath([((2,), Fraction(3, 2)), ((-2,), Fraction(-1, 2))], (2,))
+    with pytest.raises(ValueError, match="distinct"):
+        LSPath([((2,), HALF), ((2,), HALF)], (2,))
+    with pytest.raises(ValueError, match="lattice weight"):
+        LSPath([((1,), Fraction(1, 3)), ((-1,), Fraction(2, 3))], (1,))
