@@ -41,6 +41,7 @@ from .paths import (
 from .rootsys import (
     RootVector,
     Weight,
+    by_weight,
     dominance_diff,
     dominant_below,
     is_dominant,
@@ -133,10 +134,10 @@ def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
     return all(mu[i - 1] >= 0 for i in w.group.right_descents(w))
 
 
-@memoized(lambda group, lam: (group, lam))
+@memoized(by_weight)
 def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
     """dominant_below(lam), run once per weight and kept on the group."""
-    return tuple(dominant_below(group.rs, lam))
+    return tuple(dominant_below(group.rs, tuple(lam)))
 
 
 def pair_count(group: WeylGroup, mu: Weight) -> int:
@@ -148,7 +149,7 @@ def _admissible_shapes(z: OrbitLabel, lam: Weight):
     """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return [(mu, nvec) for mu, nvec in shapes_below(z.group, tuple(lam)) if support(nvec) <= z.stratum]
+    return [(mu, nvec) for mu, nvec in shapes_below(z.group, lam) if support(nvec) <= z.stratum]
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:

@@ -33,6 +33,8 @@ class OrbitLabel:
     w: WeylElement
 
     def __post_init__(self):
+        # any iterable of indices is accepted; stored as a frozenset, so every form equals and hashes alike
+        object.__setattr__(self, "stratum", frozenset(self.stratum))
         group = self.x.group
         if group is not self.w.group:
             raise ValueError("x and w must come from the same Weyl group")

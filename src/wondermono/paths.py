@@ -27,7 +27,7 @@ from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 
-from .rootsys import RootSystem, Weight, coroot_pairing, is_dominant, memoized, sub_weights
+from .rootsys import RootSystem, Weight, by_weight, coroot_pairing, is_dominant, memoized, sub_weights
 from .weyl import WeylElement, WeylGroup
 
 Segment = tuple[Weight, Fraction]
@@ -126,12 +126,7 @@ def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
     return _path((tuple(lam),), (1,), 1, tuple(lam))
 
 
-def _by_weight(owner, lam):
-    """Memo key of a per-weight result: the weight as a tuple, so a list is accepted too."""
-    return owner, tuple(lam)
-
-
-@memoized(_by_weight)
+@memoized(by_weight)
 def shape_denominator(rs: RootSystem, lam: Weight) -> int:
     """D_lam: the lcm of the nonzero |<lam, beta^vee>| over the positive roots beta.
 
@@ -193,7 +188,7 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     return _path(tuple(out_dirs), tuple(out_steps), big, path.shape)
 
 
-@memoized(_by_weight)
+@memoized(by_weight)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """Close the straight path under all lowering operators, sorted canonically."""
     start = straight_path(rs, lam)
@@ -244,7 +239,7 @@ class PathPair:
     mu: Weight
 
 
-@memoized(_by_weight)
+@memoized(by_weight)
 def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     """All path pairs of a dominant weight, in left-major product order."""
     mu = tuple(mu)
@@ -253,7 +248,7 @@ def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     return tuple(PathPair(l, r, mu) for l in lefts for r in rights)
 
 
-@memoized(_by_weight)
+@memoized(by_weight)
 def path_directions(group: WeylGroup, lam: Weight) -> tuple[int, ...]:
     """Element index of each path's initial direction, aligned with generate_paths."""
     return tuple(initial_direction(group, p).index for p in generate_paths(group.rs, lam))

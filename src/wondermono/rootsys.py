@@ -79,6 +79,11 @@ def memoized(owner_key):
     return decorate
 
 
+def by_weight(owner, lam):
+    """Memo key of a per-weight result: the weight as a tuple, so a list is accepted too."""
+    return owner, tuple(lam)
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """A simple root system: Cartan data plus the saturated set of roots."""

@@ -58,6 +58,9 @@ WEYL_SAMPLE = 48
 # exponent vectors one weight may make dominant_below enumerate; above F4's
 # largest box at max-weight 1 (38,016), so every group runs in full there
 BOX_BUDGET = 50_000
+# weights in the (max_weight + 1) ** rank grid, sized before it is built;
+# F4 at max-weight 4 has 625
+GRID_BUDGET = 10_000
 
 
 def _flat_covers(down: list[int]) -> list[tuple[int, int]]:
@@ -111,6 +114,12 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     if max_weight < 0:
         raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     rs = build(letter, rank)
+    grid_size = (max_weight + 1) ** rank
+    if grid_size > GRID_BUDGET:
+        raise ValueError(
+            f"the weight grid of {rs.name} at max weight {max_weight} has {grid_size} weights,"
+            f" over the budget of {GRID_BUDGET}"
+        )
     group = WeylGroup(rs)
     grid = [tuple(t) for t in product(range(max_weight + 1), repeat=rank)]
     top = OrbitLabel(frozenset(range(1, rank + 1)), group.identity, group.longest)
@@ -379,7 +388,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def check_graded_tables():
         p = need_poset()
         zs = _stride(p.labels, ORBIT_SAMPLE)
-        admitted = set()  # (component, shape) of every admitting component
+        admitted = {}  # (component, shape) of every admitting component, in the order found
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
         for lam in kept:
             for z in zs:
@@ -396,15 +405,15 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                         raise CheckFailure(f"graded row {d} of {z} at {lam} miscounts")
                 # the component scan depends on an index only through its class (a, b, mu)
                 comps = schubert_pairs(z)
-                classes = {
+                classes = dict.fromkeys(
                     (initial_direction(group, idx.pair.left), initial_direction(group, idx.pair.right), idx.mu)
                     for idx in basis
-                }
+                )
                 for a, b, mu in classes:
                     admitting = [c for c in comps if group.bruhat_leq(a, c.left) and group.bruhat_leq(b, c.right)]
                     if not admitting:
                         raise CheckFailure(f"a basis index of {z} at {lam} lies under no component")
-                    admitted.update((c, mu) for c in admitting)
+                    admitted.update(dict.fromkeys((c, mu) for c in admitting))
         # the section tests depend only on (component, shape)
         for comp, mu in admitted:
             if not has_schubert_sections(comp.right, mu):
@@ -485,7 +494,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                         raise CheckFailure(f"meet components of {z1}, {z2} are not an antichain")
                 meets.append((z1, z2, comps))
         shapes, _ = within_budget(lambda mu: pair_count(group, mu), SHAPE_PAIR_BUDGET, "pair")
-        relevant = list(set(sample).union(*(comps for _, _, comps in meets)))
+        relevant = list(dict.fromkeys(sample + [c for _, _, comps in meets for c in comps]))
         for mu in shapes:
             classes = [(frozenset(), a, b) for a, b in dict.fromkeys(pair_directions(group, mu))]
             std = dict(zip(relevant, class_masks(relevant, classes)))

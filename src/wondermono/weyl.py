@@ -2,9 +2,19 @@
 
 An element is identified with its integer action matrix on fundamental-weight
 coordinates.  Each element carries its canonical word, the lexicographically
-smallest reduced word, and the enumeration is sorted by (length, word), so the
-identity comes first and the longest element last.  The group object interns
-its elements; all public operations return interned instances.
+smallest reduced word, and the elements are listed in (length, word) order, so
+the identity comes first and the longest element last.
+
+One breadth-first pass builds the group in that order.  Elements are processed
+in index order and generators in order; the first parent u to reach a new
+element v = u s_p gives it the next index and the word of u followed by p.
+A prefix of a lexicographically smallest reduced word is itself one, so the
+smallest word of v is the smallest word of some parent followed by one letter;
+the parents are processed in (length, word) order, so the first one found
+gives it, and the order of discovery is (length, word) order.
+
+The group interns its elements: each is constructed once, and every public
+operation returns one of them, so elements compare and hash by identity.
 
 WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
 group, so it is freed with the group: one orbit table per shape (each point of
@@ -34,17 +44,16 @@ def _matvec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class WeylElement:
-    """One group element: action matrix plus derived canonical word and length."""
+    """One interned group element: action matrix plus its canonical word and length."""
 
-    __slots__ = ("group", "index", "matrix", "word", "length", "_hash")
+    __slots__ = ("group", "index", "matrix", "word", "length")
 
-    def __init__(self, group: "WeylGroup", index: int, matrix: Matrix, word: tuple[int, ...], length: int):
+    def __init__(self, group: "WeylGroup", index: int, matrix: Matrix, word: tuple[int, ...]):
         self.group = group
         self.index = index
         self.matrix = matrix
         self.word = word
-        self.length = length
-        self._hash = hash(matrix)
+        self.length = len(word)
 
     def act(self, weight: Weight) -> Weight:
         return _matvec(self.matrix, weight)
@@ -52,18 +61,6 @@ class WeylElement:
     @property
     def word_str(self) -> str:
         return " ".join(f"s{i}" for i in self.word) if self.word else "e"
-
-    def inverse(self) -> "WeylElement":
-        return self.group.inverse(self)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.group.multiply(self, other)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.group is other.group and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"<{self.word_str}>"
@@ -85,49 +82,28 @@ class WeylGroup:
 
         ident: Matrix = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
         mats: list[Matrix] = [ident]
-        lengths: list[int] = [0]
+        words: list[tuple[int, ...]] = [()]
         by_mat: dict[Matrix, int] = {ident: 0}
-        redge: dict[tuple[int, int], int] = {}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for gi in frontier:
-                for p, s in enumerate(gens):
-                    m2 = _matmul(mats[gi], s)
-                    j = by_mat.get(m2)
-                    if j is None:
-                        j = len(mats)
-                        if j >= max_order:
-                            raise ValueError(f"Weyl group of {rs.name} exceeds the supported order {max_order}")
-                        mats.append(m2)
-                        lengths.append(lengths[gi] + 1)
-                        by_mat[m2] = j
-                        nxt.append(j)
-                    redge[(gi, p)] = j
-            frontier = nxt
+        self._rmult: list[list[int]] = []
+        for k, mat in enumerate(mats):  # mats grows while it is walked: a breadth-first queue
+            row = []
+            for p, s in enumerate(gens):
+                m2 = _matmul(mat, s)
+                j = by_mat.get(m2)
+                if j is None:
+                    j = len(mats)
+                    if j >= max_order:
+                        raise ValueError(f"Weyl group of {rs.name} exceeds the supported order {max_order}")
+                    mats.append(m2)
+                    words.append(words[k] + (p + 1,))
+                    by_mat[m2] = j
+                row.append(j)
+            self._rmult.append(row)
 
-        # canonical word: greedily take the smallest left descent
-        n = len(mats)
-        words: list[tuple[int, ...] | None] = [None] * n
-        words[0] = ()
-        for gi in sorted(range(n), key=lengths.__getitem__):
-            if words[gi] is not None:
-                continue
-            for g, s in enumerate(gens):
-                j = by_mat[_matmul(s, mats[gi])]
-                if lengths[j] == lengths[gi] - 1:
-                    words[gi] = (g + 1,) + words[j]
-                    break
-
-        order = sorted(range(n), key=lambda i: (lengths[i], words[i]))
-        newpos = {old: new for new, old in enumerate(order)}
-        self._lengths = [lengths[i] for i in order]
-        self._words: list[tuple[int, ...]] = [words[i] for i in order]
-        self._rmult = [[newpos[redge[(old, p)]] for p in range(rs.rank)] for old in order]
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, new, mats[old], self._words[new], self._lengths[new]) for new, old in enumerate(order)
+            WeylElement(self, k, mat, word) for k, (mat, word) in enumerate(zip(mats, words))
         )
-        self._by_matrix = {el.matrix: el for el in self.elements}
+        self._lengths = [el.length for el in self.elements]
         self.identity = self.elements[0]
         self.longest = self.elements[-1]
         if len(self.elements) > 1 and self.elements[-2].length == self.longest.length:

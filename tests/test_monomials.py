@@ -188,6 +188,15 @@ def test_dominant_below_runs_once_per_weight(monkeypatch):
         basis_indices(lab(fresh, *words[0]), (1, -1))
 
 
+def test_library_accepts_list_and_set_inputs():
+    g = group_of("A2")
+    lam = (1, 1)
+    expected = basis_indices(OrbitLabel(frozenset({1}), g.identity, g.longest), lam)
+    for stratum in ({1}, [1], (1,)):
+        assert basis_indices(OrbitLabel(stratum, g.identity, g.longest), lam) == expected
+    assert monomials.shapes_below(g, [1, 1]) is monomials.shapes_below(g, (1, 1))
+
+
 def test_candidate_count_matches_pairs():
     g = group_of("A2")
     lam = (1, 1)

@@ -34,6 +34,15 @@ def test_box_budget_skips_weights_before_enumerating(monkeypatch):
     assert suite_passed(results)
 
 
+def test_grid_budget_refuses_before_building_the_grid(capsys):
+    with pytest.raises(ValueError, match="100000000 weights"):
+        run_suite("F", 4, 99)
+    assert cli.main(["verify", "--group", "F4", "--max-weight", "99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "100000000 weights" in captured.err
+
+
 def test_graded_tables_fails_on_index_under_no_component(monkeypatch):
     monkeypatch.setattr(verify, "schubert_pairs", lambda z: ())
     result = {r.name: r for r in run_suite("A", 1, 1)}["graded-tables"]

@@ -8,6 +8,8 @@ from conftest import all_reduced_words, brute_bruhat_down, group_of
 from wondermono.weyl import WeylGroup
 from wondermono.rootsys import from_name
 
+SUPPORTED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+
 
 def test_orders():
     for name, order in [("A1", 2), ("A2", 6), ("A3", 24), ("B2", 8), ("C2", 8), ("G2", 12), ("B3", 48), ("D4", 192)]:
@@ -30,12 +32,33 @@ def test_identity_and_longest():
 
 
 def test_canonical_words():
-    for name in ["A2", "B2", "G2"]:
+    for name in ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"]:
         g = group_of(name)
         for el in g.elements:
             assert len(el.word) == el.length
             assert g.from_word(el.word) == el
             assert el.word == min(all_reduced_words(g, el))
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_elements_in_canonical_order(name):
+    g = group_of(name)
+    keys = [(el.length, el.word) for el in g.elements]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for k, el in enumerate(g.elements):
+        assert el.index == k
+        assert g.from_word(el.word) is el
+
+
+def test_elements_compare_by_identity():
+    g, h = WeylGroup(from_name("A2")), WeylGroup(from_name("A2"))
+    for u, v in zip(g.elements, h.elements):
+        assert u.matrix == v.matrix and u != v
+    table = {el: "g" for el in g.elements} | {el: "h" for el in h.elements}
+    assert len(table) == 2 * len(g)
+    for u in g.elements:
+        for v in g.elements:
+            assert g.multiply(u, v) is g.from_word(u.word + v.word)
 
 
 def test_from_word_unreduced():
