@@ -20,12 +20,28 @@ whose closure misses one orbit, read from the poset without any table.
 A pair's directions are its two paths' own, so with N_mu(b) the number of
 paths of shape mu starting in direction b, the pairs of shape mu standard on z
 number the sum of N_mu*(a) N_mu(b) over the set bits (a, b) of z's table.
+
+The basis of every closure is a subset of one set of candidates, the basis of
+the open orbit's closure, so a degree lam has one candidate table, kept on the
+group and filled at the first query that admits a shape: per shape mu below
+lam, a block holding every pair of shape mu as a MonomialIndex, left-major
+like generate_pairs (candidate_block), and the shape's direction classes,
+shared by every degree above mu (shape_classes).  A basis is a selection from
+that table: row a of z's standard table, read at the right paths' directions,
+selects the block of each left path starting in direction a, in one C-level
+compress over the shape.  The indices are shared, immutable objects; a query
+builds none, and a block is built only for a shape some queried orbit admits,
+so candidate_count bounds what a first query builds.  Graded counts read only
+the direction classes and their counts, and build no pair.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .demazure import weyl_dim
@@ -34,7 +50,6 @@ from .paths import (
     PathPair,
     generate_pairs,
     initial_direction,
-    pair_directions,
     pair_weight,
     path_directions,
 )
@@ -140,6 +155,57 @@ def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
     return tuple(dominant_below(group.rs, tuple(lam)))
 
 
+class ShapeClasses(NamedTuple):
+    """The paths of a shape mu (right) and of mu* (left), read by initial direction (element index)."""
+
+    lefts: tuple[int, ...]  # direction of each path of shape mu*, aligned with generate_paths
+    left_counts: tuple[tuple[int, int], ...]  # (a, N_mu*(a)) for each left direction a
+    right_counts: tuple[int, ...]  # N_mu(b) for each right direction b, in the order read_classes reads
+    read_classes: Callable[[bytes], Sequence[int]]  # row bits -> bits at the right directions
+    read_rights: Callable[[bytes], Sequence[int]]  # row bits -> bits at each right path's direction
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _row_bits(row: int, width: int) -> bytes:
+    """Byte b is bit b of row (0 or 1), for b < width: a row mask in a form itemgetter reads."""
+    return bin(row | 1 << width)[:2:-1].encode().translate(_BIT_VALUES)
+
+
+def _bit_reader(positions: tuple[int, ...]) -> Callable[[bytes], Sequence[int]]:
+    """Read the bytes at positions in one C call, always as a sequence.
+
+    A one-argument itemgetter returns a scalar, so a single position reads a
+    one-byte slice instead.
+    """
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+@memoized(by_weight)
+def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
+    """The direction classes of shape mu's pairs, shared by every degree above mu."""
+    lefts = path_directions(group, group.dual_weight(mu))
+    rights = path_directions(group, mu)
+    right_counts = Counter(rights)
+    return ShapeClasses(
+        lefts,
+        tuple(Counter(lefts).items()),
+        tuple(right_counts.values()),
+        _bit_reader(tuple(right_counts)),
+        _bit_reader(rights),
+    )
+
+
+@memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
+def candidate_block(group: WeylGroup, mu: Weight, nvec: RootVector) -> tuple[MonomialIndex, ...]:
+    """Every pair of shape mu as a basis index with exponents nvec, aligned with generate_pairs."""
+    mu, nvec = tuple(mu), tuple(nvec)
+    return tuple(MonomialIndex(nvec, mu, pair) for pair in generate_pairs(group, mu))
+
+
 def pair_count(group: WeylGroup, mu: Weight) -> int:
     """Number of path pairs of shape mu: dim mu * dim mu*."""
     return weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
@@ -158,19 +224,21 @@ def candidate_count(z: OrbitLabel, lam: Weight) -> int:
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
-    """All basis indices for the closure of z in degree lam.
+    """All basis indices for the closure of z in degree lam, selected from lam's candidate blocks.
 
     Ordered by exponent vector (lexicographic, ascending) and then by the
     enumeration order of the path pairs of each shape.
     """
     group = z.group
     rows = standard_rows(z)
-    return tuple(
-        MonomialIndex(nvec, mu, pair)
-        for mu, nvec in _admissible_shapes(z, lam)
-        for pair, (a, b) in zip(generate_pairs(group, mu), pair_directions(group, mu))
-        if rows[a] >> b & 1
-    )
+    width = len(group)
+    out: list[MonomialIndex] = []
+    for mu, nvec in _admissible_shapes(z, lam):
+        sc = shape_classes(group, mu)
+        # per left direction a, row a's bits at the right paths' directions select a left path's block
+        selectors = {a: bytes(sc.read_rights(_row_bits(rows[a], width))) for a, _ in sc.left_counts}
+        out.extend(compress(candidate_block(group, mu, nvec), b"".join(map(selectors.__getitem__, sc.lefts))))
+    return tuple(out)
 
 
 def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
@@ -193,15 +261,20 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
 
     The degree range runs from 0 to the largest degree of any exponent vector
     admissible for z's stratum, so interior zero rows survive.  Each shape
-    adds N_mu*(a) N_mu(b) over the direction classes (a, b) set in z's table.
+    adds N_mu*(a) N_mu(b) over the direction classes (a, b) set in z's table,
+    read from shape_classes with one C-level pass over the right classes per a.
     """
     group = z.group
     rows = standard_rows(z)
+    width = len(group)
     counts: Counter[int] = Counter()
     for mu, nvec in _admissible_shapes(z, lam):
-        lefts = Counter(path_directions(group, group.dual_weight(mu)))
-        rights = Counter(path_directions(group, mu))
-        counts[sum(nvec)] += sum(n * m for a, n in lefts.items() for b, m in rights.items() if rows[a] >> b & 1)
+        sc = shape_classes(group, mu)
+        counts[sum(nvec)] += sum(
+            n * sum(compress(sc.right_counts, sc.read_classes(_row_bits(rows[a], width))))
+            for a, n in sc.left_counts
+            if rows[a]
+        )
     return GradedTable(tuple((d, counts[d]) for d in range(max(counts) + 1)))
 
 

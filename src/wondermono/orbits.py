@@ -189,6 +189,10 @@ class OrbitPoset:
 
         minrep_idx = {I: [el.index for el in group.min_coset_reps(I)] for I in subsets}
         parab_idx = {I: [el.index for el in group.parabolic_elements(I)] for I in subsets}
+        # for each stratum J, its subsets I with the elements of W_J minimal for W / W_I
+        parmin_idx = {
+            J: [(I, [v.index for v in group.parabolic_min_reps(J, I)]) for I in subsets if I <= J] for J in subsets
+        }
 
         wmask_cache: dict[tuple[int, int], int] = {}
 
@@ -207,17 +211,13 @@ class OrbitPoset:
 
         down = []
         for z2 in labels:
-            big_j = z2.stratum
             x_i = z2.x.index
             w_i = z2.w.index
             acc = 0
-            for I in subsets:
-                if not I <= big_j:
-                    continue
+            for I, min_reps in parmin_idx[z2.stratum]:
                 reps = minrep_idx[I]
                 offset = base[I]
-                for v in group.parabolic_min_reps(big_j, I):
-                    v_i = v.index
+                for v_i in min_reps:
                     wv = mult[w_i][v_i]
                     if lengths[wv] != lengths[w_i] + lengths[v_i]:
                         continue

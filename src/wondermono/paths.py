@@ -33,23 +33,6 @@ from .weyl import WeylElement, WeylGroup
 Segment = tuple[Weight, Fraction]
 
 
-def canonical_segments(segments) -> tuple[Segment, ...]:
-    """Merge adjacent segments with equal directions and drop zero durations."""
-    out: list[list] = []
-    for direction, duration in segments:
-        direction = tuple(direction)
-        duration = Fraction(duration)
-        if duration == 0:
-            continue
-        if duration < 0:
-            raise ValueError("segment durations must be positive")
-        if out and out[-1][0] == direction:
-            out[-1][1] += duration
-        else:
-            out.append([direction, duration])
-    return tuple((d, t) for d, t in out)
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class LSPath:
     """A path of some dominant shape: directions, and durations steps[k] / den in lowest terms."""
@@ -82,9 +65,6 @@ class LSPath:
                 raise ValueError("path endpoint is not a lattice weight")
             out.append(q)
         return tuple(out)
-
-    def first_direction(self) -> Weight:
-        return self.dirs[0]
 
 
 def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> None:
@@ -227,7 +207,7 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     return got
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathPair:
     """A pair of paths indexing a section on the doubled flag variety.
 

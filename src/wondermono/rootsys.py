@@ -51,27 +51,33 @@ def _require(cond: bool, msg: str) -> None:
         raise RootSystemError(msg)
 
 
+_MISSING = object()
+
+
 def memoized(owner_key):
     """Keep fn's results in a table on the object they are derived from.
 
     owner_key(*args) returns (owner, key); fn(*args) is stored in
     owner.memo[fn.__name__][key], so it is freed together with its owner.
     cache_info() counts hits and misses over all owners, as functools does.
+    A hit is one dict lookup; a sentinel tells a miss from a cached None.
     """
 
     def decorate(fn):
         info = SimpleNamespace(hits=0, misses=0)
+        name = fn.__name__
 
         @wraps(fn)
         def wrapper(*args):
             owner, key = owner_key(*args)
-            table = owner.memo[fn.__name__]
-            if key in table:
-                info.hits += 1
-            else:
+            table = owner.memo[name]
+            got = table.get(key, _MISSING)
+            if got is _MISSING:
                 info.misses += 1
-                table[key] = fn(*args)
-            return table[key]
+                got = table[key] = fn(*args)
+            else:
+                info.hits += 1
+            return got
 
         wrapper.cache_info = lambda: SimpleNamespace(hits=info.hits, misses=info.misses)
         return wrapper

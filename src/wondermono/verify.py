@@ -542,4 +542,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             results.append(CheckResult(name, "fail", f"unexpected {type(exc).__name__}: {exc}"))
         else:
             results.append(CheckResult(name, "pass", detail or ""))
+    # each element points back at the group, so only the cycle collector frees it; its tables go now
+    group.memo.clear()
+    rs.memo.clear()
     return results

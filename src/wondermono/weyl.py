@@ -20,8 +20,12 @@ WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
 group, so it is freed with the group: one orbit table per shape (each point of
 the orbit with its shortest element, read by initial_direction), path pairs,
 each path's initial direction, the Schubert pairs and the standard table of
-each orbit label, and the dominant weights below a degree.  The group's own
-tables (intervals, parabolics, coset representatives) stay private.
+each orbit label, the dominant weights below a degree, each shape's direction
+classes, and each degree's candidate table (every candidate basis index, one
+block per shape).  Elements point back at their group, so a dropped group
+waits for the cycle collector; verify.run_suite therefore clears its group's
+memo, and its root system's, before it returns.  The group's own tables
+(intervals, parabolics, coset representatives) stay private.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from wondermono.orbits import OrbitPoset
-from wondermono.paths import LSPath, canonical_segments
+from wondermono.paths import LSPath, Segment
 from wondermono.rootsys import RootSystem, Weight, from_name
 from wondermono.weyl import WeylElement, WeylGroup
 
@@ -33,6 +33,23 @@ def poset_of(name: str) -> OrbitPoset:
 
 def weight_grid(rank: int, bound: int) -> list[Weight]:
     return [tuple(t) for t in product(range(bound + 1), repeat=rank)]
+
+
+def canonical_segments(segments) -> tuple[Segment, ...]:
+    """Merge adjacent segments with equal directions and drop zero durations."""
+    out: list[list] = []
+    for direction, duration in segments:
+        direction = tuple(direction)
+        duration = Fraction(duration)
+        if duration == 0:
+            continue
+        if duration < 0:
+            raise ValueError("segment durations must be positive")
+        if out and out[-1][0] == direction:
+            out[-1][1] += duration
+        else:
+            out.append([direction, duration])
+    return tuple((d, t) for d, t in out)
 
 
 def root_raise(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:

@@ -11,12 +11,21 @@ import gc
 import importlib
 import pkgutil
 import weakref
+from collections import defaultdict
+from types import SimpleNamespace
 
 import wondermono
-from wondermono.monomials import basis_indices, graded_counts, nonstandard_components, standard_rows
+from wondermono.monomials import (
+    basis_indices,
+    candidate_block,
+    graded_counts,
+    nonstandard_components,
+    shape_classes,
+    standard_rows,
+)
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
 from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
-from wondermono.rootsys import from_name
+from wondermono.rootsys import from_name, memoized
 from wondermono.weyl import WeylGroup
 
 
@@ -49,6 +58,8 @@ def test_cache_info_counts_one_miss_then_one_hit():
         (path_directions, (group, (1, 0))),
         (schubert_pairs, (z,)),
         (standard_rows, (z,)),
+        (shape_classes, (group, (1, 0))),
+        (candidate_block, (group, (1, 0), (0, 1))),
     ]:
         before = fn.cache_info()
         first = fn(*args)
@@ -57,6 +68,20 @@ def test_cache_info_counts_one_miss_then_one_hit():
         assert fn(*args) is first
         after = fn.cache_info()
         assert (after.hits - mid.hits, after.misses - mid.misses) == (1, 0)
+
+
+def test_a_cached_none_is_a_hit():
+    calls = []
+
+    @memoized(lambda owner, key: (owner, key))
+    def nothing(owner, key):
+        calls.append(key)
+
+    owner = SimpleNamespace(memo=defaultdict(dict))
+    assert nothing(owner, 1) is None and nothing(owner, 1) is None
+    assert calls == [1]
+    info = nothing.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_memo_does_not_change_root_system_identity():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import group_of, poset_of, weight_grid
 
-from wondermono import monomials
+from wondermono import monomials, verify
 from wondermono.monomials import (
     GradedTable,
     MonomialIndex,
@@ -23,7 +23,7 @@ from wondermono.monomials import (
     standard_rows,
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
-from wondermono.paths import generate_pairs, initial_direction, pair_weight
+from wondermono.paths import generate_pairs, initial_direction, pair_directions, pair_weight
 from wondermono.rootsys import dominant_below, support
 from wondermono.weyl import WeylGroup
 
@@ -377,3 +377,80 @@ def test_graded_counts_build_no_pair(monkeypatch):
     assert graded_counts(lab(g, (1, 2, 3), (), g.longest.word), lam).rows == ((0, 4096), (1, 0), (2, 200), (3, 36))
     assert graded_counts(lab(g, (2,), (), (1, 3)), lam).rows == ((0, 697),)
     assert graded_counts(lab(g, (), (), (2, 1)), lam).rows == ((0, 320),)
+
+
+def direct_filter(z, lam):
+    """basis_indices as one Python test per candidate pair, building each index anew."""
+    g = z.group
+    rows = standard_rows(z)
+    return tuple(
+        MonomialIndex(nvec, mu, p)
+        for mu, nvec in dominant_below(g.rs, lam)
+        if support(nvec) <= z.stratum
+        for p, (a, b) in zip(generate_pairs(g, mu), pair_directions(g, mu))
+        if rows[a] >> b & 1
+    )
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+def test_selection_matches_direct_filter(name):
+    # the grid includes the zero weight, where each side has a single path
+    g = group_of(name)
+    for lam in weight_grid(g.rank, 1):
+        for z in poset_of(name).labels:
+            assert basis_indices(z, lam) == direct_filter(z, lam), (z, lam)
+
+
+def test_selection_matches_direct_filter_a3():
+    g = group_of("A3")
+    labels = [OrbitLabel(I, x, w) for I in g.subsets() for x in g.min_coset_reps(I) for w in g.elements]
+    for z in labels[::37]:
+        assert basis_indices(z, (1, 1, 1)) == direct_filter(z, (1, 1, 1)), z
+
+
+def test_labels_share_their_indices():
+    g = group_of("B2")
+    lam = (1, 1)
+    top = poset_of("B2").maximum
+    shared = {idx: idx for idx in basis_indices(top, lam)}
+    for z in [lab(g, (1,), (), (1, 2)), lab(g, (), (1,), (2, 1)), lab(g, (2,), (), ())]:
+        basis = basis_indices(z, lam)
+        assert basis and all(shared[idx] is idx for idx in basis)
+        assert all(a is b for a, b in zip(basis, basis_indices(z, lam)))
+
+
+def test_second_query_builds_no_index(monkeypatch):
+    lam = (1, 1)
+    words = [((1, 2), (), (1, 2, 1)), ((1,), (), (2,)), ((), (1,), (2, 1)), ((2,), (), ())]
+    expected = [basis_indices(lab(group_of("A2"), *w), lam) for w in words]
+    fresh = WeylGroup(group_of("A2").rs)  # nothing memoized yet
+    assert basis_indices(lab(fresh, *words[0]), lam) == expected[0]
+
+    def refuse(*args):
+        raise AssertionError("a query built a MonomialIndex")
+
+    monkeypatch.setattr(monomials, "MonomialIndex", refuse)
+    for w, basis in zip(words, expected):
+        assert basis_indices(lab(fresh, *w), lam) == basis
+
+
+def test_first_query_builds_only_admitted_blocks():
+    # the closed orbit admits shape lam alone, so candidate_count bounds what it builds
+    g = WeylGroup(group_of("A1").rs)  # nothing memoized yet
+    z = lab(g, (), (), ())
+    basis_indices(z, (4,))
+    assert list(g.memo["candidate_block"]) == [((4,), (0,))]
+    assert len(g.memo["candidate_block"][(4,), (0,)]) == candidate_count(z, (4,)) == 25
+
+
+def test_run_suite_releases_its_memo(monkeypatch):
+    built = []
+
+    def record(rs):
+        built.append(WeylGroup(rs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "WeylGroup", record)
+    assert verify.suite_passed(verify.run_suite("G", 2, 2))
+    (group,) = built
+    assert not group.memo and not group.rs.memo
