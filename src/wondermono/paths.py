@@ -12,10 +12,18 @@ For a path of shape lam every breakpoint lies in (1/<lam, beta^vee>)Z for some
 positive root beta, so D_lam, the lcm of the nonzero |<lam, beta^vee>|, is a
 common denominator of the whole path model (shape_denominator).  Numerators
 scaled to D_lam compare exactly as the durations do, which gives the
-canonical sort order.  The lowering operator follows the usual path model
-recipe: locate the last attainment of the minimal height, reflect up to the
-next unit rise, translate the rest.  It builds its result over D_lam and
-raises when the cut point does not land on it; it never rounds.
+canonical sort order.
+
+Lowering runs in orbit form: a direction is its index in the shape's W-orbit
+(orbit_table) and the durations are numerators over D_lam.  The orbit table
+gives each point's coordinate against every simple coroot and its image under
+every simple reflection, so lowering reads tables and adds ints, and builds no
+weight.  One kernel (_lower) follows the usual path model recipe: locate the
+last attainment of the minimal height, reflect up to the next unit rise,
+translate the rest.  It raises when the cut point does not land on 1/D_lam; it
+never rounds.  generate_paths closes the straight path under it in orbit form
+and builds each distinct path once; root_lower converts one path to orbit form
+and back around the same kernel.
 """
 
 from __future__ import annotations
@@ -97,13 +105,19 @@ def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Wei
     return path
 
 
-def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
-    """The straight-line path to a dominant weight (a single segment)."""
+def _shape(rs: RootSystem, lam) -> Weight:
+    """lam as a tuple, once it is checked to be a dominant weight of rs."""
     if len(lam) != rs.rank:
         raise ValueError("weight length must equal the rank")
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return _path((tuple(lam),), (1,), 1, tuple(lam))
+    return tuple(lam)
+
+
+def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
+    """The straight-line path to a dominant weight (a single segment)."""
+    lam = _shape(rs, lam)
+    return _path((lam,), (1,), 1, lam)
 
 
 @memoized(by_weight)
@@ -115,77 +129,153 @@ def shape_denominator(rs: RootSystem, lam: Weight) -> int:
     return lcm(*filter(None, (abs(coroot_pairing(rs, lam, beta)) for beta in rs.positive_roots)))
 
 
-def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
-    """Apply the i-th lowering operator, or return None when it is undefined.
+class OrbitTable:
+    """The W-orbit of a shape, the index space of directions in orbit form.
 
-    Heights are the pairings against the i-th simple coroot, read off the
-    fundamental-weight coordinate, in units of 1/path.den.  With m the minimal
-    height, the operator exists iff the final height exceeds m by at least 1;
-    the path is reflected between the last minimum and the first subsequent
-    rise to m + 1, and translated by -alpha_i afterwards.  The result is built
-    over D_lam, where the cut point must land.
+    points lists the orbit breadth-first from the shape (points[0]) over the
+    simple reflections, and index inverts it.  For the simple root alpha_{c+1},
+    refl[c][k] is the index of s_{c+1}(points[k]) and pair[c][k] is
+    points[k][c], the pairing of points[k] with that simple coroot.
     """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    coord = i - 1
-    dirs, steps, den = path.dirs, path.steps, path.den
-    rises = [d[coord] for d in dirs]
+
+    __slots__ = ("points", "index", "refl", "pair")
+
+    def __init__(
+        self,
+        points: tuple[Weight, ...],
+        index: dict[Weight, int],
+        refl: tuple[tuple[int, ...], ...],
+        pair: tuple[tuple[int, ...], ...],
+    ):
+        self.points = points
+        self.index = index
+        self.refl = refl
+        self.pair = pair
+
+
+@memoized(by_weight)
+def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
+    """The orbit table of shape lam: |W/W_lam| points, found from lam by simple reflections."""
+    lam = tuple(lam)
+    alphas = [rs.simple_root(c) for c in range(1, rs.rank + 1)]
+    points = [lam]
+    index = {lam: 0}
+    refl: list[list[int]] = [[] for _ in alphas]
+    for k, point in enumerate(points):  # points grows while it is walked: a breadth-first queue
+        for c, alpha in enumerate(alphas):
+            n = point[c]
+            image = k
+            if n:
+                moved = tuple(x - n * a for x, a in zip(point, alpha))
+                image = index.get(moved)
+                if image is None:
+                    image = index[moved] = len(points)
+                    points.append(moved)
+            refl[c].append(image)
+    pair = tuple(tuple(point[c] for point in points) for c in range(rs.rank))
+    return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), pair)
+
+
+def _lower(
+    table: OrbitTable, c: int, dirs: tuple[int, ...], steps: tuple[int, ...], den: int, big: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The lowering operator f_{c+1} in orbit form, or None when it is undefined.
+
+    dirs are orbit indices into table and steps numerators over den; the
+    result, merged, is over big = D_lam.  Heights are the pairings against the
+    simple coroot, in units of 1/den.  With m the minimal height, the operator
+    exists iff the final height exceeds m by at least 1; the path is reflected
+    between the last minimum and the first subsequent rise to m + 1, and
+    translated by -alpha afterwards, which leaves its directions unchanged.
+    """
+    rises = list(map(table.pair[c].__getitem__, dirs))
     h = list(accumulate(map(mul, rises, steps), initial=0))
     m = min(h)
     if h[-1] - m < den:
         return None
     j1 = len(h) - 1 - h[::-1].index(m)
     target = m + den
-    j2 = next(j for j in range(j1 + 1, len(h)) if h[j] >= target)
+    j2 = j1 + 1
+    while h[j2] < target:
+        j2 += 1
 
-    big = shape_denominator(rs, path.shape)
     scale, rem = divmod(big, den)
     if rem:
-        raise ValueError(f"path denominator {den} does not divide D = {big} of shape {path.shape}")
+        raise ValueError(f"path denominator {den} does not divide D = {big} of shape {table.points[0]}")
     cut, rem = divmod((target - h[j2 - 1]) * scale, rises[j2 - 1])
     if rem:
         raise ValueError(f"lowering cut point is not a multiple of 1/{big}")
+    if scale > 1:
+        steps = [s * scale for s in steps]
 
-    alpha = [row[coord] for row in rs.cartan]  # rs.simple_root(i), without its range check
-    new = [(d, s * scale) for d, s in zip(dirs[:j1], steps[:j1])]
-    reflected = zip(dirs[j1:j2], rises[j1:j2], steps[j1:j2])
-    new += [(tuple(x - c * a for x, a in zip(d, alpha)), s * scale) for d, c, s in reflected]
+    refl = table.refl[c]
+    new_dirs = [*dirs[:j1], *map(refl.__getitem__, dirs[j1:j2])]
+    new_steps = [*steps[:j2]]
     # the last reflected segment runs only up to the cut; the rest keeps its direction
-    new[-1] = (new[-1][0], cut)
-    rest = steps[j2 - 1] * scale - cut
+    new_steps[-1] = cut
+    rest = steps[j2 - 1] - cut
     if rest:
-        new.append((dirs[j2 - 1], rest))
-    new += [(d, s * scale) for d, s in zip(dirs[j2:], steps[j2:])]
+        new_dirs.append(dirs[j2 - 1])
+        new_steps.append(rest)
+    new_dirs += dirs[j2:]
+    new_steps += steps[j2:]
+    # reflection keeps adjacent directions distinct, and a segment that rises is not fixed by it, so
+    # equal neighbours can only meet where the reflected run starts, and where it ends if no rest is left
+    if not rest and j2 < len(dirs) and new_dirs[j2 - 1] == new_dirs[j2]:
+        del new_dirs[j2]
+        new_steps[j2 - 1] += new_steps.pop(j2)
+    if j1 and new_dirs[j1 - 1] == new_dirs[j1]:
+        del new_dirs[j1]
+        new_steps[j1 - 1] += new_steps.pop(j1)
+    return tuple(new_dirs), tuple(new_steps)
 
-    out_dirs: list[Weight] = []
-    out_steps: list[int] = []
-    for d, s in new:
-        if out_dirs and out_dirs[-1] == d:
-            out_steps[-1] += s
-        else:
-            out_dirs.append(d)
-            out_steps.append(s)
-    return _path(tuple(out_dirs), tuple(out_steps), big, path.shape)
+
+def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
+    """Apply the i-th lowering operator, or return None when it is undefined.
+
+    The path goes to orbit form and back around the lowering kernel; the
+    result is built over D_lam, where the cut point must land.
+    """
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
+    table = orbit_table(rs, path.shape)
+    try:
+        dirs = tuple(table.index[d] for d in path.dirs)
+    except KeyError as exc:
+        raise ValueError(f"direction {exc.args[0]} is not in the orbit of {path.shape}") from None
+    big = shape_denominator(rs, path.shape)
+    low = _lower(table, i - 1, dirs, path.steps, path.den, big)
+    if low is None:
+        return None
+    return _path(tuple(table.points[d] for d in low[0]), low[1], big, path.shape)
 
 
 @memoized(by_weight)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
-    """Close the straight path under all lowering operators, sorted canonically."""
-    start = straight_path(rs, lam)
+    """Close the straight path under all lowering operators, sorted canonically.
+
+    The closure runs on (dirs, steps) in orbit form over D_lam, where equal
+    paths have equal ints, so each distinct path is built and checked once.
+    """
+    lam = _shape(rs, lam)
+    table = orbit_table(rs, lam)
+    big = shape_denominator(rs, lam)
+    start = ((0,), (big,))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for p in frontier:
-            for i in range(1, rs.rank + 1):
-                q = root_lower(rs, i, p)
+        for dirs, steps in frontier:
+            for c in range(rs.rank):
+                q = _lower(table, c, dirs, steps, big, big)
                 if q is not None and q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
     # canonical order: (direction, duration) pairs compared lexicographically, durations as numerators over D_lam
-    big = shape_denominator(rs, start.shape)
-    return tuple(sorted(seen, key=lambda p: tuple(zip(p.dirs, [s * (big // p.den) for s in p.steps]))))
+    points = table.points
+    model = sorted(tuple(zip([points[d] for d in dirs], steps)) for dirs, steps in seen)
+    return tuple(_path(tuple(d for d, _ in segs), tuple(s for _, s in segs), big, lam) for segs in model)
 
 
 def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
@@ -198,8 +288,9 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     tables = group.memo["initial_direction"]
     table = tables.get(path.shape)
     if table is None:
-        # elements run by length, so each orbit point keeps its shortest element
-        table = tables[path.shape] = {el.act(path.shape): el for el in reversed(group.elements)}
+        # each orbit point has one minimal coset representative, its shortest preimage
+        stabilizer = [c for c, x in enumerate(path.shape, 1) if x == 0]
+        table = tables[path.shape] = {x.act(path.shape): x for x in group.min_coset_reps(stabilizer)}
     target = path.dirs[0]
     got = table.get(target)
     if got is None:

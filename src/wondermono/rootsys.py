@@ -13,8 +13,9 @@ Every value is immutable, so sharing a RootSystem between computations is safe.
 
 A memoized result lives in a ``memo`` table on the object it derives from,
 never in a module-level cache, so it is freed with that object (see memoized).
-RootSystem.memo holds the path models of generate_paths, which depend on the
-root system alone; results computed per Weyl group live on the WeylGroup.
+RootSystem.memo holds what the path model derives from the root system alone:
+the path models of generate_paths, each shape's orbit table and its common
+denominator; results computed per Weyl group live on the WeylGroup.
 """
 
 from __future__ import annotations

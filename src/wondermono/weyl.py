@@ -18,7 +18,8 @@ operation returns one of them, so elements compare and hash by identity.
 
 WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
 group, so it is freed with the group: one orbit table per shape (each point of
-the orbit with its shortest element, read by initial_direction), path pairs,
+the orbit with its minimal coset representative, the shortest element sending
+the shape there, read by initial_direction), path pairs,
 each path's initial direction, the Schubert pairs and the standard table of
 each orbit label, the dominant weights below a degree, each shape's direction
 classes, and each degree's candidate table (every candidate basis index, one

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,21 @@ def test_poset_full_order(capsys):
         for c, d in rel:
             if b == c:
                 assert (a, d) in rel
+
+
+def test_poset_full_order_a2_bytes_frozen(capsys):
+    rc, out, err = run(capsys, "poset", "--group", "A2", "--full-order")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == "5be4058159396133015931a1a170dd93d324bc903a3295d424d01be621929f17"
+
+
+def test_poset_full_order_a3_matches_benchmark_reference(capsys):
+    # read-only: the benchmark's digest of the same command, the first 20 hex digits of its sha256
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["poset-b3"]["cli"]
+    rc, out, err = run(capsys, "poset", "--group", "A3", "--full-order")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:20] == expected
 
 
 def test_poset_csv(capsys):

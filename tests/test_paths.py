@@ -287,3 +287,67 @@ def test_path_checks_on_ints():
         LSPath([((2,), HALF), ((2,), HALF)], (2,))
     with pytest.raises(ValueError, match="lattice weight"):
         LSPath([((1,), Fraction(1, 3)), ((-1,), Fraction(2, 3))], (1,))
+
+
+@pytest.mark.parametrize(
+    "name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1))]
+)
+def test_model_is_closure_under_public_lowering(name, lam):
+    # the orbit-form closure against a plain breadth-first search on LSPath objects
+    rs = group_of(name).rs
+    start = straight_path(rs, lam)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        lowered = {root_lower(rs, i, p) for p in frontier for i in range(1, rs.rank + 1)} - {None}
+        frontier = lowered - seen
+        seen |= frontier
+    model = generate_paths(rs, lam)
+    assert len(model) == len(set(model))
+    assert set(model) == seen
+
+
+def test_generate_paths_builds_each_path_once(monkeypatch):
+    rs = from_name("B3")  # a fresh root system, so no memoized model is reused
+    calls = []
+    fill = paths._fill
+
+    def counting_fill(*args):
+        calls.append(args)
+        fill(*args)
+
+    monkeypatch.setattr(paths, "_fill", counting_fill)
+    model = generate_paths(rs, (1, 0, 1))
+    assert len(calls) == len(model) == weyl_dim(rs, (1, 0, 1))
+
+
+def test_root_lower_names_direction_outside_orbit():
+    rs = group_of("A2").rs
+    # the orbit of (1, 0) is (1, 0), (-1, 1), (0, -1); the path still ends on a lattice weight
+    path = LSPath([((-1, 1), HALF), ((3, -1), HALF)], (1, 0))
+    with pytest.raises(ValueError, match=r"direction \(3, -1\) is not in the orbit of \(1, 0\)"):
+        root_lower(rs, 1, path)
+
+
+def test_orbit_table_reflects_and_pairs():
+    rs = group_of("B2").rs
+    table = paths.orbit_table(rs, (1, 1))
+    assert table.points[0] == (1, 1) and len(table.points) == 8
+    assert all(table.index[p] == k for k, p in enumerate(table.points))
+    for c in range(rs.rank):
+        alpha = rs.simple_root(c + 1)
+        for k, p in enumerate(table.points):
+            assert table.pair[c][k] == p[c]
+            reflected = tuple(x - p[c] * a for x, a in zip(p, alpha))
+            assert table.points[table.refl[c][k]] == reflected
+
+
+def test_initial_direction_table_has_one_entry_per_coset():
+    g = WeylGroup(from_name("F4"))
+    shape = (0, 0, 0, 1)
+    for path in generate_paths(g.rs, shape):
+        initial_direction(g, path)
+    # |W / W_lam| = 1152 / 48, the stabilizer of omega_4 being of type B3
+    table = g.memo["initial_direction"][shape]
+    assert len(table) == 24
+    assert set(table.values()) == set(g.min_coset_reps({1, 2, 3}))
