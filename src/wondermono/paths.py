@@ -15,27 +15,38 @@ scaled to D_lam compare exactly as the durations do, which gives the
 canonical sort order.
 
 Lowering runs in orbit form: a direction is its index in the shape's W-orbit
-(orbit_table) and the durations are numerators over D_lam.  The orbit table
-gives each point's coordinate against every simple coroot and its image under
-every simple reflection, so lowering reads tables and adds ints, and builds no
-weight.  One kernel (_lower) follows the usual path model recipe: locate the
-last attainment of the minimal height, reflect up to the next unit rise,
-translate the rest.  It raises when the cut point does not land on 1/D_lam; it
-never rounds.  generate_paths closes the straight path under it in orbit form
-and builds each distinct path once; root_lower converts one path to orbit form
-and back around the same kernel.
+(rootsys.orbit_table) and the durations are numerators over D_lam.  The orbit
+table gives each point's coordinate against every simple coroot and its image
+under every simple reflection, so lowering reads tables and adds ints, and
+builds no weight.  One kernel (_lower) follows the usual path model recipe:
+locate the last attainment of the minimal height, reflect up to the next unit
+rise, translate the rest.  It raises when the cut point does not land on
+1/D_lam; it never rounds.  generate_paths closes the straight path under it in
+orbit form and builds each distinct path once; root_lower converts one path to
+orbit form and back around the same kernel.  The same table gives each
+direction's initial direction in the Weyl group: the word of its point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
 from operator import mul
 
-from .rootsys import RootSystem, Weight, by_weight, coroot_pairing, is_dominant, memoized, sub_weights
+from .rootsys import (
+    OrbitTable,
+    RootSystem,
+    Weight,
+    by_weight,
+    coroot_pairing,
+    is_dominant,
+    memoized,
+    orbit_table,
+    sub_weights,
+)
 from .weyl import WeylElement, WeylGroup
 
 Segment = tuple[Weight, Fraction]
@@ -43,12 +54,17 @@ Segment = tuple[Weight, Fraction]
 
 @dataclass(frozen=True, slots=True, init=False)
 class LSPath:
-    """A path of some dominant shape: directions, and durations steps[k] / den in lowest terms."""
+    """A path of some dominant shape: directions, and durations steps[k] / den in lowest terms.
+
+    end, the final point, is derived from the other fields when they are set
+    and takes no part in comparison, hashing or repr.
+    """
 
     dirs: tuple[Weight, ...]
     steps: tuple[int, ...]
     den: int
     shape: Weight
+    end: Weight = field(compare=False, repr=False)
 
     def __init__(self, segments, shape):
         """A path from (direction, duration) segments, durations being rationals."""
@@ -66,13 +82,7 @@ class LSPath:
 
     def endpoint(self) -> Weight:
         """The final point, always a lattice weight."""
-        out = []
-        for column in zip(*self.dirs):
-            q, r = divmod(sum(map(mul, column, self.steps)), self.den)
-            if r:
-                raise ValueError("path endpoint is not a lattice weight")
-            out.append(q)
-        return tuple(out)
+        return self.end
 
 
 def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> None:
@@ -91,11 +101,17 @@ def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: i
     if g > 1:
         steps = tuple(s // g for s in steps)
         den //= g
+    end = []
+    for column in zip(*dirs):
+        q, r = divmod(sum(map(mul, column, steps)), den)
+        if r:
+            raise ValueError("path endpoint is not a lattice weight")
+        end.append(q)
     object.__setattr__(path, "dirs", dirs)
     object.__setattr__(path, "steps", steps)
     object.__setattr__(path, "den", den)
     object.__setattr__(path, "shape", shape)
-    path.endpoint()  # integrality check
+    object.__setattr__(path, "end", tuple(end))
 
 
 def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> LSPath:
@@ -127,53 +143,6 @@ def shape_denominator(rs: RootSystem, lam: Weight) -> int:
     Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.
     """
     return lcm(*filter(None, (abs(coroot_pairing(rs, lam, beta)) for beta in rs.positive_roots)))
-
-
-class OrbitTable:
-    """The W-orbit of a shape, the index space of directions in orbit form.
-
-    points lists the orbit breadth-first from the shape (points[0]) over the
-    simple reflections, and index inverts it.  For the simple root alpha_{c+1},
-    refl[c][k] is the index of s_{c+1}(points[k]) and pair[c][k] is
-    points[k][c], the pairing of points[k] with that simple coroot.
-    """
-
-    __slots__ = ("points", "index", "refl", "pair")
-
-    def __init__(
-        self,
-        points: tuple[Weight, ...],
-        index: dict[Weight, int],
-        refl: tuple[tuple[int, ...], ...],
-        pair: tuple[tuple[int, ...], ...],
-    ):
-        self.points = points
-        self.index = index
-        self.refl = refl
-        self.pair = pair
-
-
-@memoized(by_weight)
-def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
-    """The orbit table of shape lam: |W/W_lam| points, found from lam by simple reflections."""
-    lam = tuple(lam)
-    alphas = [rs.simple_root(c) for c in range(1, rs.rank + 1)]
-    points = [lam]
-    index = {lam: 0}
-    refl: list[list[int]] = [[] for _ in alphas]
-    for k, point in enumerate(points):  # points grows while it is walked: a breadth-first queue
-        for c, alpha in enumerate(alphas):
-            n = point[c]
-            image = k
-            if n:
-                moved = tuple(x - n * a for x, a in zip(point, alpha))
-                image = index.get(moved)
-                if image is None:
-                    image = index[moved] = len(points)
-                    points.append(moved)
-            refl[c].append(image)
-    pair = tuple(tuple(point[c] for point in points) for c in range(rs.rank))
-    return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), pair)
 
 
 def _lower(
@@ -288,9 +257,9 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     tables = group.memo["initial_direction"]
     table = tables.get(path.shape)
     if table is None:
-        # each orbit point has one minimal coset representative, its shortest preimage
-        stabilizer = [c for c, x in enumerate(path.shape, 1) if x == 0]
-        table = tables[path.shape] = {x.act(path.shape): x for x in group.min_coset_reps(stabilizer)}
+        # each point's word spells its minimal coset representative, the shortest element sending the shape there
+        orbit = orbit_table(group.rs, path.shape)
+        table = tables[path.shape] = {p: group.from_word(word) for p, word in zip(orbit.points, orbit.words)}
     target = path.dirs[0]
     got = table.get(target)
     if got is None:

@@ -13,8 +13,10 @@ Every value is immutable, so sharing a RootSystem between computations is safe.
 
 A memoized result lives in a ``memo`` table on the object it derives from,
 never in a module-level cache, so it is freed with that object (see memoized).
-RootSystem.memo holds what the path model derives from the root system alone:
-the path models of generate_paths, each shape's orbit table and its common
+RootSystem.memo holds what is derived from the root system alone: the orbit
+tables of orbit_table (the package's one breadth-first walk of the W-orbit of
+a weight, which gives the Weyl group as the orbit of rho and each path model
+its directions), the path models of generate_paths and each shape's common
 denominator; results computed per Weyl group live on the WeylGroup.
 """
 
@@ -27,6 +29,7 @@ from functools import partial, wraps
 from itertools import product
 from math import lcm
 from types import SimpleNamespace
+from typing import NamedTuple
 
 Weight = tuple[int, ...]
 RootVector = tuple[int, ...]  # nonnegative simple-root coordinates
@@ -291,6 +294,7 @@ def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
 
     The box is exact because the inverse Cartan matrix is entrywise nonnegative.
     """
+    _require(len(lam) == rs.rank, "weight length must equal the rank")
     _require(is_dominant(lam), f"weight {lam} is not dominant")
     bounds = []
     for i in range(rs.rank):
@@ -322,3 +326,47 @@ def coroot_pairing(rs: RootSystem, lam: Weight, root: Root) -> int:
     if rem:
         raise RootSystemError(f"weight {lam} pairs non-integrally with the coroot of {root}")
     return out
+
+
+class OrbitTable(NamedTuple):
+    """The W-orbit of a weight, walked breadth-first from it over the simple reflections.
+
+    points lists the orbit from the start (points[0]) and index inverts it.
+    For the simple root alpha_{c+1}, refl[c][k] is the index of
+    s_{c+1}(points[k]) and pair[c][k] is points[k][c], the pairing of
+    points[k] with that simple coroot.  words[k] is the word of the point
+    points[k] was first reached from, with that reflection put in front: for
+    a dominant start, the reduced word of the shortest element sending
+    points[0] to points[k], whose length is the breadth-first distance.
+    """
+
+    points: tuple[Weight, ...]
+    index: dict[Weight, int]
+    refl: tuple[tuple[int, ...], ...]
+    pair: tuple[tuple[int, ...], ...]
+    words: tuple[tuple[int, ...], ...]
+
+
+@memoized(by_weight)
+def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
+    """The orbit table of lam: |W/W_lam| points for a dominant lam, found by simple reflections."""
+    lam = tuple(lam)
+    alphas = [rs.simple_root(c) for c in range(1, rs.rank + 1)]
+    points = [lam]
+    index = {lam: 0}
+    words: list[tuple[int, ...]] = [()]
+    refl: list[list[int]] = [[] for _ in alphas]
+    for k, point in enumerate(points):  # points grows while it is walked: a breadth-first queue
+        for c, alpha in enumerate(alphas):
+            n = point[c]
+            image = k
+            if n:
+                moved = tuple(x - n * a for x, a in zip(point, alpha))
+                image = index.get(moved)
+                if image is None:
+                    image = index[moved] = len(points)
+                    points.append(moved)
+                    words.append((c + 1,) + words[k])
+            refl[c].append(image)
+    pair = tuple(tuple(point[c] for point in points) for c in range(rs.rank))
+    return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), pair, tuple(words))

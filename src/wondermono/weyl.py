@@ -1,32 +1,36 @@
 """Finite Weyl groups: enumeration, Bruhat order, parabolic coset combinatorics.
 
-An element is identified with its integer action matrix on fundamental-weight
-coordinates.  Each element carries its canonical word, the lexicographically
-smallest reduced word, and the elements are listed in (length, word) order, so
-the identity comes first and the longest element last.
+An element is identified by its canonical word, the lexicographically
+smallest reduced word, and acts on weights through it, one simple reflection
+per letter.  The elements are listed in (length, word) order, so the identity
+comes first and the longest element last.
 
-One breadth-first pass builds the group in that order.  Elements are processed
-in index order and generators in order; the first parent u to reach a new
-element v = u s_p gives it the next index and the word of u followed by p.
-A prefix of a lexicographically smallest reduced word is itself one, so the
-smallest word of v is the smallest word of some parent followed by one letter;
-the parents are processed in (length, word) order, so the first one found
-gives it, and the order of discovery is (length, word) order.
+The group is the W-orbit of rho = (1, ..., 1), walked once by
+rootsys.orbit_table.  rho is regular, so w -> w^-1(rho) is a bijection from W
+onto its orbit, and s_p sends the point of w to the point of w s_p: the
+orbit's reflection table is the right multiplication table, and the word that
+first reaches the point of w, read backwards, is a word of w.  The walk takes
+points in index order and generators in order, so the first parent u to reach
+a new element v = u s_p gives it the next index and the word of u followed by
+p.  A prefix of a lexicographically smallest reduced word is itself one, so
+the smallest word of v is the smallest word of some parent followed by one
+letter; the parents are processed in (length, word) order, so the first one
+found gives it, and the order of discovery is (length, word) order.
 
 The group interns its elements: each is constructed once, and every public
 operation returns one of them, so elements compare and hash by identity.
 
 WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
-group, so it is freed with the group: one orbit table per shape (each point of
-the orbit with its minimal coset representative, the shortest element sending
-the shape there, read by initial_direction), path pairs,
-each path's initial direction, the Schubert pairs and the standard table of
-each orbit label, the dominant weights below a degree, each shape's direction
-classes, and each degree's candidate table (every candidate basis index, one
-block per shape).  Elements point back at their group, so a dropped group
-waits for the cycle collector; verify.run_suite therefore clears its group's
-memo, and its root system's, before it returns.  The group's own tables
-(intervals, parabolics, coset representatives) stay private.
+group, so it is freed with the group: one direction table per shape (each
+point of the shape's orbit with its minimal coset representative, the element
+of the point's word in the orbit table, read by initial_direction), path
+pairs, each path's initial direction, the Schubert pairs and the standard
+table of each orbit label, the dominant weights below a degree, each shape's
+direction classes, and each degree's candidate table (every candidate basis
+index, one block per shape).  Elements point back at their group, so a
+dropped group waits for the cycle collector; verify.run_suite therefore clears
+its group's memo, and its root system's, before it returns.  The group's own
+tables (intervals, parabolics, coset representatives) stay private.
 """
 
 from __future__ import annotations
@@ -34,34 +38,29 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
-from .rootsys import RootSystem, Root, Weight
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-
-
-def _matvec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+from .rootsys import RootSystem, Weight, orbit_table
 
 
 class WeylElement:
-    """One interned group element: action matrix plus its canonical word and length."""
+    """One interned group element: its canonical word and length."""
 
-    __slots__ = ("group", "index", "matrix", "word", "length")
+    __slots__ = ("group", "index", "word", "length")
 
-    def __init__(self, group: "WeylGroup", index: int, matrix: Matrix, word: tuple[int, ...]):
+    def __init__(self, group: "WeylGroup", index: int, word: tuple[int, ...]):
         self.group = group
         self.index = index
-        self.matrix = matrix
         self.word = word
         self.length = len(word)
 
     def act(self, weight: Weight) -> Weight:
-        return _matvec(self.matrix, weight)
+        """Apply the word to a weight, one simple reflection per letter, right to left."""
+        alphas = self.group._alphas
+        weight = tuple(weight)
+        for letter in reversed(self.word):
+            n = weight[letter - 1]
+            if n:
+                weight = tuple(x - n * a for x, a in zip(weight, alphas[letter - 1]))
+        return weight
 
     @property
     def word_str(self) -> str:
@@ -80,33 +79,15 @@ class WeylGroup:
     ['e', 's1', 's2', 's1 s2', 's2 s1', 's1 s2 s1']
     """
 
-    def __init__(self, rs: RootSystem, max_order: int = 1200):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
-        gens = [self._reflection_matrix(i) for i in range(1, rs.rank + 1)]
-
-        ident: Matrix = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
-        mats: list[Matrix] = [ident]
-        words: list[tuple[int, ...]] = [()]
-        by_mat: dict[Matrix, int] = {ident: 0}
-        self._rmult: list[list[int]] = []
-        for k, mat in enumerate(mats):  # mats grows while it is walked: a breadth-first queue
-            row = []
-            for p, s in enumerate(gens):
-                m2 = _matmul(mat, s)
-                j = by_mat.get(m2)
-                if j is None:
-                    j = len(mats)
-                    if j >= max_order:
-                        raise ValueError(f"Weyl group of {rs.name} exceeds the supported order {max_order}")
-                    mats.append(m2)
-                    words.append(words[k] + (p + 1,))
-                    by_mat[m2] = j
-                row.append(j)
-            self._rmult.append(row)
-
+        self._alphas = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
+        # the point of w is w^-1(rho), and s_p sends it to the point of w s_p
+        table = orbit_table(rs, rs.rho())
+        self._rmult: list[tuple[int, ...]] = list(zip(*table.refl))
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, k, mat, word) for k, (mat, word) in enumerate(zip(mats, words))
+            WeylElement(self, k, word[::-1]) for k, word in enumerate(table.words)
         )
         self._lengths = [el.length for el in self.elements]
         self.identity = self.elements[0]
@@ -123,23 +104,11 @@ class WeylGroup:
             inv.append(j)
         self._inv = inv
 
-        # weight coordinates of each root, for sign tests of root images
-        cart = rs.cartan
-        self._root_by_wc: dict[tuple[int, ...], Root] = {}
-        for root in rs.roots:
-            wc = tuple(sum(cart[i][j] * root[j] for j in range(rs.rank)) for i in range(rs.rank))
-            self._root_by_wc[wc] = root
-
         self._down: dict[int, int] = {}
         self._parab: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._minreps: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._parmin: dict[tuple[frozenset[int], frozenset[int]], tuple[WeylElement, ...]] = {}
         self.memo: defaultdict[str, dict] = defaultdict(dict)
-
-    def _reflection_matrix(self, i: int) -> Matrix:
-        l = self.rs.rank
-        col = self.rs.simple_root(i)
-        return tuple(tuple(int(r == c) - (col[r] if c == i - 1 else 0) for c in range(l)) for r in range(l))
 
     # -- basic operations ---------------------------------------------------
 
@@ -176,12 +145,6 @@ class WeylGroup:
 
     def left_descents(self, u: WeylElement) -> tuple[int, ...]:
         return self.right_descents(self.inverse(u))
-
-    def simple_root_negated(self, u: WeylElement, i: int) -> bool:
-        """True when u sends alpha_i to a negative root."""
-        image = u.act(self.rs.simple_root(i))
-        root = self._root_by_wc[image]
-        return any(c < 0 for c in root)
 
     # -- Bruhat order -------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Shared helpers: cached groups and independent combinatorial oracles.
 
-The raising operator and the brute-force Bruhat oracle live here, not in the
-package, so the tests exercise the shipped lowering operator and subword
-order against genuinely separate implementations.
+The raising operator, the brute-force Bruhat oracle and the root-sign test
+for descents live here, not in the package, so the tests exercise the shipped
+lowering operator, subword order and descent sets against genuinely separate
+implementations.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import product
 
 from wondermono.orbits import OrbitPoset
 from wondermono.paths import LSPath, Segment
-from wondermono.rootsys import RootSystem, Weight, from_name
+from wondermono.rootsys import RootSystem, Weight, from_name, root_combination
 from wondermono.weyl import WeylElement, WeylGroup
 
 _GROUPS: dict[str, WeylGroup] = {}
@@ -106,3 +107,11 @@ def all_reduced_words(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]
         shorter = group.multiply(group.simple(i), w)
         out.extend((i,) + rest for rest in all_reduced_words(group, shorter))
     return sorted(out)
+
+
+def simple_root_negated(group: WeylGroup, u: WeylElement, i: int) -> bool:
+    """True when u sends alpha_i to a negative root, read off the roots in weight coordinates."""
+    rs = group.rs
+    root_by_weight = {root_combination(rs, root): root for root in rs.roots}
+    image = root_by_weight[u.act(rs.simple_root(i))]
+    return any(c < 0 for c in image)

@@ -24,7 +24,7 @@ from wondermono.monomials import (
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
 from wondermono.paths import generate_pairs, initial_direction, pair_directions, pair_weight
-from wondermono.rootsys import dominant_below, support
+from wondermono.rootsys import RootSystemError, dominant_below, support
 from wondermono.weyl import WeylGroup
 
 
@@ -454,3 +454,12 @@ def test_run_suite_releases_its_memo(monkeypatch):
     assert verify.suite_passed(verify.run_suite("G", 2, 2))
     (group,) = built
     assert not group.memo and not group.rs.memo
+
+
+@pytest.mark.parametrize("lam", [(1, 1, 5), (1,)])
+def test_weights_of_the_wrong_length_are_refused(lam):
+    g = group_of("A2")
+    top = OrbitLabel(frozenset({1, 2}), g.identity, g.longest)
+    for call in (lambda: basis_indices(top, lam), lambda: graded_counts(top, lam), lambda: dominant_below(g.rs, lam)):
+        with pytest.raises(RootSystemError, match="weight length must equal the rank"):
+            call()

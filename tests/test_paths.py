@@ -331,7 +331,7 @@ def test_root_lower_names_direction_outside_orbit():
 
 def test_orbit_table_reflects_and_pairs():
     rs = group_of("B2").rs
-    table = paths.orbit_table(rs, (1, 1))
+    table = rootsys.orbit_table(rs, (1, 1))
     assert table.points[0] == (1, 1) and len(table.points) == 8
     assert all(table.index[p] == k for k, p in enumerate(table.points))
     for c in range(rs.rank):
@@ -340,6 +340,19 @@ def test_orbit_table_reflects_and_pairs():
             assert table.pair[c][k] == p[c]
             reflected = tuple(x - p[c] * a for x, a in zip(p, alpha))
             assert table.points[table.refl[c][k]] == reflected
+
+
+@pytest.mark.parametrize("name, shape", [("B2", (0, 1)), ("G2", (1, 0)), ("A3", (1, 0, 1)), ("C3", (0, 2, 0))])
+def test_orbit_table_words_are_shortest(name, shape):
+    g = group_of(name)
+    table = rootsys.orbit_table(g.rs, shape)
+    for point, word in zip(table.points, table.words):
+        image = shape
+        for letter in reversed(word):
+            alpha = g.rs.simple_root(letter)
+            image = tuple(x - image[letter - 1] * a for x, a in zip(image, alpha))
+        assert image == point
+        assert min(w.length for w in g.elements if w.act(shape) == point) == len(word)
 
 
 def test_initial_direction_table_has_one_entry_per_coset():

@@ -10,9 +10,11 @@ import pytest
 
 from conftest import weight_grid
 
-from wondermono import cli, monomials, verify
+from wondermono import cli, monomials, orbits, verify
+from wondermono.orbits import build_poset
 from wondermono.rootsys import exponent_bounds, from_name
 from wondermono.verify import run_suite, suite_passed
+from wondermono.weyl import WeylGroup
 
 
 def test_box_budget_skips_weights_before_enumerating(monkeypatch):
@@ -73,6 +75,44 @@ def test_standard_table_checks_fail_on_a_cleared_bit(monkeypatch):
     assert "escapes the larger closure" in results["index-monotonicity"].detail
     assert results["standard-intersection"].status == "fail"
     assert "differ from their intersection" in results["standard-intersection"].detail
+
+
+def test_poset_axioms_fail_on_a_cleared_transitive_bit(monkeypatch):
+    real = verify.build_poset
+
+    def without_bottom_under_top(group):
+        p = real(group)
+        top, bottom = p.index[p.maximum], p.index[p.minimum]
+        # bottom lies under every label under top, so the bit is implied by transitivity
+        p._down[top] &= ~(1 << bottom)
+        return p
+
+    monkeypatch.setattr(verify, "build_poset", without_bottom_under_top)
+    result = {r.name: r for r in run_suite("A", 2, 1)}["poset-axioms"]
+    assert result.status == "fail"
+    assert "transitivity fails under" in result.detail and " via " in result.detail
+
+
+def test_poset_extremes_fail_when_a_relation_keeps_its_dimension(monkeypatch):
+    real = verify.dimension
+    p = build_poset(WeylGroup(from_name("A2")))
+    bottom = p.index[p.minimum]
+    # a label whose only strict relation is to the bottom: dimension 0 keeps exactly that relation flat;
+    # run_suite builds its own group, so the label is matched by its words
+    flat = next(z for i, z in enumerate(p.labels) if p.down_mask(z) == 1 << i | 1 << bottom)
+    key = (flat.stratum, flat.x.word, flat.w.word)
+    monkeypatch.setattr(verify, "dimension", lambda z: 0 if (z.stratum, z.x.word, z.w.word) == key else real(z))
+    result = {r.name: r for r in run_suite("A", 2, 1)}["poset-extremes"]
+    assert result.status == "fail"
+    assert "dimension does not drop" in result.detail
+
+
+def test_poset_extremes_fail_on_a_missing_cover_pair(monkeypatch):
+    real = orbits.OrbitPoset.cover_pairs
+    monkeypatch.setattr(orbits.OrbitPoset, "cover_pairs", lambda self: real(self)[:-1])
+    result = {r.name: r for r in run_suite("A", 2, 1)}["poset-extremes"]
+    assert result.status == "fail"
+    assert "cover pairs differ" in result.detail
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

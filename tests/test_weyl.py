@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_reduced_words, brute_bruhat_down, group_of
+from conftest import all_reduced_words, brute_bruhat_down, group_of, simple_root_negated
 
 from wondermono.weyl import WeylGroup
-from wondermono.rootsys import from_name
+from wondermono.rootsys import from_name, orbit_table
 
 SUPPORTED = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
 
@@ -53,12 +53,19 @@ def test_elements_in_canonical_order(name):
 def test_elements_compare_by_identity():
     g, h = WeylGroup(from_name("A2")), WeylGroup(from_name("A2"))
     for u, v in zip(g.elements, h.elements):
-        assert u.matrix == v.matrix and u != v
+        assert u.word == v.word and u != v
     table = {el: "g" for el in g.elements} | {el: "h" for el in h.elements}
     assert len(table) == 2 * len(g)
     for u in g.elements:
         for v in g.elements:
             assert g.multiply(u, v) is g.from_word(u.word + v.word)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_elements_are_the_orbit_of_rho(name):
+    g = group_of(name)
+    table = orbit_table(g.rs, g.rs.rho())
+    assert [g.inverse(el).act(g.rs.rho()) for el in g.elements] == list(table.points)
 
 
 def test_from_word_unreduced():
@@ -110,7 +117,7 @@ def test_simple_root_negated_matches_descents():
     for name in ["A2", "B2", "G2"]:
         g = group_of(name)
         for el in g.elements:
-            negated = tuple(i for i in range(1, g.rank + 1) if g.simple_root_negated(el, i))
+            negated = tuple(i for i in range(1, g.rank + 1) if simple_root_negated(g, el, i))
             assert negated == g.right_descents(el)
 
 
@@ -200,11 +207,6 @@ def test_dual_weight():
 def test_subsets_order():
     g = group_of("A2")
     assert g.subsets() == [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
-
-
-def test_max_order_guard():
-    with pytest.raises(ValueError):
-        WeylGroup(from_name("F4"), max_order=100)
 
 
 @settings(deadline=None)
