@@ -251,9 +251,10 @@ def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
         return False
     if not support(idx.powers) <= z.stratum:
         return False
-    if idx.pair.mu != idx.mu:
+    pair = idx.pair
+    if pair.mu != idx.mu or pair.right.shape != idx.mu or pair.left.shape != z.group.dual_weight(idx.mu):
         return False
-    return is_standard_on_closure(idx.pair, z)
+    return is_standard_on_closure(pair, z)
 
 
 def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:

@@ -71,17 +71,22 @@ def dimension(z: OrbitLabel) -> int:
     return z.group.longest.length - z.x.length + z.w.length + len(z.stratum)
 
 
+def _lifts(z: OrbitLabel, J):
+    """(v, xv, wv) for each v in W_I minimal for W / W_J with l(wv) = l(w) + l(v), I being z's stratum."""
+    group = z.group
+    for v in group.parabolic_min_reps(z.stratum, J):
+        wv = group.multiply(z.w, v)
+        if wv.length == z.w.length + v.length:
+            yield v, group.multiply(z.x, v), wv
+
+
 def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
     group = z1.group
     if group is not z2.group:
         raise ValueError("labels from different Weyl groups")
     if not z1.stratum <= z2.stratum:
         return
-    for v in group.parabolic_min_reps(z2.stratum, z1.stratum):
-        wv = group.multiply(z2.w, v)
-        if wv.length != z2.w.length + v.length:
-            continue
-        xv = group.multiply(z2.x, v)
+    for v, xv, wv in _lifts(z2, z1.stratum):
         for u in group.parabolic_elements(z1.stratum):
             xvu = group.multiply(xv, group.inverse(u))
             if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
@@ -116,11 +121,7 @@ def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
     if not J <= z.stratum:
         raise ValueError(f"target stratum {sorted(J)} is not contained in {sorted(z.stratum)}")
     out = []
-    for v in group.parabolic_min_reps(z.stratum, J):
-        wv = group.multiply(z.w, v)
-        if wv.length != z.w.length + v.length:
-            continue
-        xv = group.multiply(z.x, v)
+    for _, xv, wv in _lifts(z, J):
         xmin, rest = group.coset_decompose(xv, J)
         if rest.length != 0:
             raise RuntimeError(f"component representative {xv.word_str} is not minimal for {sorted(J)}")

@@ -23,8 +23,9 @@ locate the last attainment of the minimal height, reflect up to the next unit
 rise, translate the rest.  It raises when the cut point does not land on
 1/D_lam; it never rounds.  generate_paths closes the straight path under it in
 orbit form and builds each distinct path once; root_lower converts one path to
-orbit form and back around the same kernel.  The same table gives each
-direction's initial direction in the Weyl group: the word of its point.
+orbit form and back around the same kernel.  A path's initial direction is
+read from the shape's coset table (WeylGroup.coset_table), which gives each
+point of the orbit the element of its word there.
 """
 
 from __future__ import annotations
@@ -253,15 +254,8 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     This is the minimal representative of the coset of the shape stabilizer;
     the zero shape yields the identity.
     """
-    # a plain lookup in the group's table, not memoized(): this is the hottest call
-    tables = group.memo["initial_direction"]
-    table = tables.get(path.shape)
-    if table is None:
-        # each point's word spells its minimal coset representative, the shortest element sending the shape there
-        orbit = orbit_table(group.rs, path.shape)
-        table = tables[path.shape] = {p: group.from_word(word) for p, word in zip(orbit.points, orbit.words)}
     target = path.dirs[0]
-    got = table.get(target)
+    got = group.coset_table(path.shape).get(target)
     if got is None:
         raise ValueError(f"direction {target} is not in the orbit of {path.shape}")
     return got

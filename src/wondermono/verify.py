@@ -226,6 +226,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             if len(para) * len(reps) != len(group):
                 raise CheckFailure(f"coset count broken for I={sorted(subset)}")
             for w in group.elements:
+                # x is read off the orbit table of lam_I, so its descents are an independent route
                 x, y = group.coset_decompose(w, subset)
                 if set(y.word) - subset:
                     raise CheckFailure(f"parabolic part of {w.word_str} leaves I={sorted(subset)}")

@@ -20,25 +20,35 @@ found gives it, and the order of discovery is (length, word) order.
 The group interns its elements: each is constructed once, and every public
 operation returns one of them, so elements compare and hash by identity.
 
-WeylGroup.memo (see rootsys.memoized) holds what other modules derive from the
-group, so it is freed with the group: one direction table per shape (each
-point of the shape's orbit with its minimal coset representative, the element
-of the point's word in the orbit table, read by initial_direction), path
-pairs, each path's initial direction, the Schubert pairs and the standard
-table of each orbit label, the dominant weights below a degree, each shape's
-direction classes, and each degree's candidate table (every candidate basis
-index, one block per shape).  Elements point back at their group, so a
+Every minimal coset representative is read off one table per dominant
+weight lam (coset_table): each point of the W-orbit of lam with the element of
+its word in rootsys.orbit_table, the shortest element sending lam there.  Its
+values are W^lam, the minimal representatives for W / W_lam.  For a subset J,
+lam_J (0 at the indices in J, 1 elsewhere) has stabilizer W_J, so the table
+of lam_J gives W^J.  The elements of W^J spelled in letters of I are those
+lying in W_I; with J empty, lam_J = rho and they are all of W_I.  The
+representative of w W_J is the table's entry at w(lam_J), reached by walking
+w's word right to left through the orbit's reflection table, on indices.
+Descents decide no coset; only checks read them.
+
+WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
+it is freed with the group: the coset tables and the coset lists read off
+them, path pairs, each path's initial direction, the Schubert pairs and the
+standard table of each orbit label, the dominant weights below a degree, each
+shape's direction classes, and each degree's candidate table (every candidate
+basis index, one block per shape).  Elements point back at their group, so a
 dropped group waits for the cycle collector; verify.run_suite therefore clears
-its group's memo, and its root system's, before it returns.  The group's own
-tables (intervals, parabolics, coset representatives) stay private.
+its group's memo, and its root system's, before it returns.  The group's only
+private table holds its lower Bruhat intervals.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
+from operator import attrgetter
 
-from .rootsys import RootSystem, Weight, orbit_table
+from .rootsys import RootSystem, Weight, is_dominant, memoized, orbit_table
 
 
 class WeylElement:
@@ -105,9 +115,6 @@ class WeylGroup:
         self._inv = inv
 
         self._down: dict[int, int] = {}
-        self._parab: dict[frozenset[int], tuple[WeylElement, ...]] = {}
-        self._minreps: dict[frozenset[int], tuple[WeylElement, ...]] = {}
-        self._parmin: dict[tuple[frozenset[int], frozenset[int]], tuple[WeylElement, ...]] = {}
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     # -- basic operations ---------------------------------------------------
@@ -143,9 +150,6 @@ class WeylGroup:
             i for i in range(1, self.rank + 1) if self._lengths[self._rmult[u.index][i - 1]] < u.length
         )
 
-    def left_descents(self, u: WeylElement) -> tuple[int, ...]:
-        return self.right_descents(self.inverse(u))
-
     # -- Bruhat order -------------------------------------------------------
 
     def down_mask(self, w: WeylElement) -> int:
@@ -179,26 +183,45 @@ class WeylGroup:
 
     # -- parabolic and coset combinatorics ----------------------------------
 
+    def coset_table(self, lam) -> dict[Weight, WeylElement]:
+        """Each point of the W-orbit of a dominant lam, with its minimal representative for W / W_lam.
+
+        A point's representative is the element of its word in the orbit
+        table, the shortest one sending lam there.  A hit is one dict lookup:
+        initial_direction, the hottest call, reads this table.
+        """
+        tables = self.memo["coset_table"]
+        try:
+            return tables[lam]
+        except (KeyError, TypeError):  # not built yet, or a list weight
+            lam = tuple(lam)
+        if lam not in tables:
+            if len(lam) != self.rank or not is_dominant(lam):
+                raise ValueError(f"weight {lam} is not a dominant weight of rank {self.rank}")
+            orbit = orbit_table(self.rs, lam)
+            tables[lam] = {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
+        return tables[lam]
+
     def _check_subset(self, I) -> frozenset[int]:
         I = frozenset(I)
         if not I <= set(range(1, self.rank + 1)):
             raise ValueError(f"subset {sorted(I)} is not contained in 1..{self.rank}")
         return I
 
-    def min_coset_rep(self, w: WeylElement, I) -> WeylElement:
-        """The minimal representative of the left coset w W_I (strip right descents in I)."""
-        I = self._check_subset(I)
-        cur = w.index
-        stripped = True
-        while stripped:
-            stripped = False
-            for i in sorted(I):
-                j = self._rmult[cur][i - 1]
-                if self._lengths[j] < self._lengths[cur]:
-                    cur = j
-                    stripped = True
-                    break
-        return self.elements[cur]
+    @memoized(lambda group, J: (group, frozenset(J)))
+    def _subset_weight(self, J) -> Weight:
+        """lam_J, 0 at the indices in J and 1 elsewhere: its stabilizer is W_J."""
+        J = self._check_subset(J)
+        return tuple(0 if i in J else 1 for i in range(1, self.rank + 1))
+
+    def min_coset_rep(self, w: WeylElement, J) -> WeylElement:
+        """The minimal representative of the left coset w W_J: the coset table of lam_J at w(lam_J)."""
+        lam = self._subset_weight(J)
+        orbit = orbit_table(self.rs, lam)
+        k = 0
+        for letter in reversed(w.word):
+            k = orbit.refl[letter - 1][k]
+        return self.coset_table(lam)[orbit.points[k]]
 
     def coset_decompose(self, w: WeylElement, I) -> tuple[WeylElement, WeylElement]:
         """Split w = x y with x minimal in w W_I and y in W_I; lengths add."""
@@ -207,42 +230,20 @@ class WeylGroup:
         assert x.length + y.length == w.length
         return x, y
 
+    @memoized(lambda group, J: (group, frozenset(J)))
+    def min_coset_reps(self, J) -> tuple[WeylElement, ...]:
+        """W^J, the minimal representatives for W / W_J in enumeration order: the coset table of lam_J."""
+        return tuple(sorted(self.coset_table(self._subset_weight(J)).values(), key=attrgetter("index")))
+
+    @memoized(lambda group, I, J: (group, (frozenset(I), frozenset(J))))
+    def parabolic_min_reps(self, I, J) -> tuple[WeylElement, ...]:
+        """Elements of W_I that are minimal representatives for W / W_J: those of W^J spelled in I."""
+        I = self._check_subset(I)
+        return tuple(el for el in self.min_coset_reps(J) if I.issuperset(el.word))
+
     def parabolic_elements(self, I) -> tuple[WeylElement, ...]:
         """All of W_I, in enumeration order."""
-        I = self._check_subset(I)
-        got = self._parab.get(I)
-        if got is None:
-            got = tuple(el for el in self.elements if set(el.word) <= I)
-            self._parab[I] = got
-        return got
-
-    def min_coset_reps(self, I) -> tuple[WeylElement, ...]:
-        """All minimal representatives for W / W_I (no right descent inside I)."""
-        I = self._check_subset(I)
-        got = self._minreps.get(I)
-        if got is None:
-            got = tuple(
-                el
-                for el in self.elements
-                if all(self._lengths[self._rmult[el.index][i - 1]] > el.length for i in I)
-            )
-            self._minreps[I] = got
-        return got
-
-    def parabolic_min_reps(self, I, J) -> tuple[WeylElement, ...]:
-        """Elements of W_I that are minimal representatives for W / W_J."""
-        I = self._check_subset(I)
-        J = self._check_subset(J)
-        key = (I, J)
-        got = self._parmin.get(key)
-        if got is None:
-            got = tuple(
-                el
-                for el in self.parabolic_elements(I)
-                if all(self._lengths[self._rmult[el.index][j - 1]] > el.length for j in J)
-            )
-            self._parmin[key] = got
-        return got
+        return self.parabolic_min_reps(I, ())
 
     def dual_weight(self, lam: Weight) -> Weight:
         """-w0(lam): dominant for dominant input, an involution on weights."""
@@ -250,15 +251,9 @@ class WeylGroup:
 
     def subsets(self) -> list[frozenset[int]]:
         """All subsets of {1..rank} ordered by (size, sorted members)."""
-        base = list(range(1, self.rank + 1))
-        out = []
-        for size in range(self.rank + 1):
-            out.extend(_k_subsets(base, size))
-        return out
+        base = range(1, self.rank + 1)
+        return [frozenset(c) for size in range(self.rank + 1) for c in combinations(base, size)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeylGroup({self.rs.name}, order={len(self.elements)})"
 
-
-def _k_subsets(base: list[int], size: int) -> list[frozenset[int]]:
-    return [frozenset(c) for c in combinations(base, size)]

@@ -1,9 +1,9 @@
 """Shared helpers: cached groups and independent combinatorial oracles.
 
-The raising operator, the brute-force Bruhat oracle and the root-sign test
-for descents live here, not in the package, so the tests exercise the shipped
-lowering operator, subword order and descent sets against genuinely separate
-implementations.
+The raising operator, the brute-force Bruhat oracle, the root-sign test for
+descents and the descent-based coset oracles live here, not in the package,
+so the tests exercise the shipped lowering operator, subword order, descent
+sets and orbit-table cosets against genuinely separate implementations.
 """
 
 from __future__ import annotations
@@ -99,11 +99,19 @@ def brute_bruhat_down(group: WeylGroup, w: WeylElement) -> set[WeylElement]:
     return out
 
 
+def add_weights(a: Weight, b: Weight) -> Weight:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def left_descents(group: WeylGroup, u: WeylElement) -> tuple[int, ...]:
+    return group.right_descents(group.inverse(u))
+
+
 def all_reduced_words(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]:
     if w.length == 0:
         return [()]
     out = []
-    for i in group.left_descents(w):
+    for i in left_descents(group, w):
         shorter = group.multiply(group.simple(i), w)
         out.extend((i,) + rest for rest in all_reduced_words(group, shorter))
     return sorted(out)
@@ -115,3 +123,31 @@ def simple_root_negated(group: WeylGroup, u: WeylElement, i: int) -> bool:
     root_by_weight = {root_combination(rs, root): root for root in rs.roots}
     image = root_by_weight[u.act(rs.simple_root(i))]
     return any(c < 0 for c in image)
+
+
+def generated_parabolic(group: WeylGroup, I) -> list[WeylElement]:
+    """W_I closed from the identity under right multiplication by s_i, i in I, in enumeration order."""
+    found = {group.identity}
+    stack = [group.identity]
+    while stack:
+        u = stack.pop()
+        for i in I:
+            v = group.multiply(u, group.simple(i))
+            if v not in found:
+                found.add(v)
+                stack.append(v)
+    return sorted(found, key=lambda el: el.index)
+
+
+def descent_min_reps(group: WeylGroup, J, among=None) -> list[WeylElement]:
+    """The elements (of among, or of W) with no right descent in J: a descent scan."""
+    return [el for el in (group.elements if among is None else among) if not set(group.right_descents(el)) & set(J)]
+
+
+def stripped_coset_rep(group: WeylGroup, w: WeylElement, J) -> WeylElement:
+    """The minimal representative of w W_J, found by stripping right descents in J until none is left."""
+    while True:
+        inside = [i for i in group.right_descents(w) if i in J]
+        if not inside:
+            return w
+        w = group.multiply(w, group.simple(inside[0]))

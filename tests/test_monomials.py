@@ -23,7 +23,7 @@ from wondermono.monomials import (
     standard_rows,
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
-from wondermono.paths import generate_pairs, initial_direction, pair_directions, pair_weight
+from wondermono.paths import PathPair, generate_pairs, generate_paths, initial_direction, pair_directions, pair_weight
 from wondermono.rootsys import RootSystemError, dominant_below, support
 from wondermono.weyl import WeylGroup
 
@@ -319,6 +319,16 @@ def test_is_basis_index():
     for idx in basis_indices(boundary, lam):
         assert is_basis_index(boundary, lam, idx)
         assert idx.powers == (0,)
+    # paths of the wrong shapes, on the open orbit of A2: the left path must have shape -w0(mu), the right mu
+    g = group_of("A2")
+    top = lab(g, (1, 2), (), (1, 2, 1))
+    lam = (1, 1)
+    p = generate_paths(g.rs, (1, 0))[0]
+    q = generate_paths(g.rs, lam)[0]
+    for left, right in [(p, p), (q, p), (p, q)]:
+        wrong = MonomialIndex((0, 0), lam, PathPair(left, right, lam))
+        assert wrong not in basis_indices(top, lam)
+        assert not is_basis_index(top, lam, wrong)
 
 
 def test_stratum_restricts_exponents():

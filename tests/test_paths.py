@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import canonical_segments, group_of, root_raise, weight_grid
+from conftest import canonical_segments, descent_min_reps, group_of, root_raise, weight_grid
 
 from wondermono import paths, rootsys
 from wondermono.demazure import weyl_dim
@@ -358,9 +358,10 @@ def test_orbit_table_words_are_shortest(name, shape):
 def test_initial_direction_table_has_one_entry_per_coset():
     g = WeylGroup(from_name("F4"))
     shape = (0, 0, 0, 1)
+    table = g.coset_table(shape)
     for path in generate_paths(g.rs, shape):
-        initial_direction(g, path)
+        assert initial_direction(g, path) is table[path.dirs[0]]
+    assert g.coset_table(list(shape)) is table
     # |W / W_lam| = 1152 / 48, the stabilizer of omega_4 being of type B3
-    table = g.memo["initial_direction"][shape]
     assert len(table) == 24
-    assert set(table.values()) == set(g.min_coset_reps({1, 2, 3}))
+    assert set(table.values()) == set(descent_min_reps(g, {1, 2, 3}))

@@ -6,9 +6,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import add_weights
+
 from wondermono.rootsys import (
     RootSystemError,
-    add_weights,
     build,
     coroot_pairing,
     dominance_diff,

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import weight_grid
 
-from wondermono import cli, monomials, orbits, verify
+from wondermono import cli, monomials, orbits, verify, weyl
 from wondermono.orbits import build_poset
 from wondermono.rootsys import exponent_bounds, from_name
 from wondermono.verify import run_suite, suite_passed
@@ -75,6 +75,13 @@ def test_standard_table_checks_fail_on_a_cleared_bit(monkeypatch):
     assert "escapes the larger closure" in results["index-monotonicity"].detail
     assert results["standard-intersection"].status == "fail"
     assert "differ from their intersection" in results["standard-intersection"].detail
+
+
+def test_coset_structure_fails_when_min_coset_rep_returns_its_input(monkeypatch):
+    monkeypatch.setattr(weyl.WeylGroup, "min_coset_rep", lambda self, w, J: w)
+    result = {r.name: r for r in run_suite("A", 2, 1)}["coset-structure"]
+    assert result.status == "fail"
+    assert "has a descent in I" in result.detail
 
 
 def test_poset_axioms_fail_on_a_cleared_transitive_bit(monkeypatch):

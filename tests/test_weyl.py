@@ -3,7 +3,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_reduced_words, brute_bruhat_down, group_of, simple_root_negated
+from conftest import (
+    all_reduced_words,
+    brute_bruhat_down,
+    descent_min_reps,
+    generated_parabolic,
+    group_of,
+    left_descents,
+    simple_root_negated,
+    stripped_coset_rep,
+)
 
 from wondermono.weyl import WeylGroup
 from wondermono.rootsys import from_name, orbit_table
@@ -106,10 +115,10 @@ def test_descents():
     g = group_of("A2")
     w0 = g.longest
     assert g.right_descents(w0) == (1, 2)
-    assert g.left_descents(w0) == (1, 2)
+    assert left_descents(g, w0) == (1, 2)
     s1 = g.simple(1)
     assert g.right_descents(s1) == (1,)
-    assert g.left_descents(g.from_word((1, 2))) == (1,)
+    assert left_descents(g, g.from_word((1, 2))) == (1,)
     assert g.right_descents(g.from_word((1, 2))) == (2,)
 
 
@@ -193,6 +202,44 @@ def test_parabolic_min_reps():
                     if not set(h.right_descents(el)) & set(small)
                 ]
                 assert list(sel) == manual
+
+
+ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_cosets_match_descent_oracles(name):
+    g = group_of(name)
+    parabolic = {I: generated_parabolic(g, I) for I in g.subsets()}
+    for J in g.subsets():
+        assert list(g.min_coset_reps(J)) == descent_min_reps(g, J)
+        assert list(g.parabolic_elements(J)) == parabolic[J]
+        for I in g.subsets():
+            assert list(g.parabolic_min_reps(I, J)) == descent_min_reps(g, J, parabolic[I])
+        for w in g.elements:
+            assert g.min_coset_rep(w, J) is stripped_coset_rep(g, w, J)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_coset_entry_points_reject_a_subset_out_of_range(name):
+    g = group_of(name)
+    entry_points = [
+        g.min_coset_reps,
+        g.parabolic_elements,
+        lambda J: g.parabolic_min_reps(J, ()),
+        lambda J: g.parabolic_min_reps((), J),
+        lambda J: g.min_coset_rep(g.longest, J),
+        lambda J: g.coset_decompose(g.longest, J),
+    ]
+    for call in entry_points:
+        call({1})  # a valid call first: a refusal must not depend on what is cached
+        for bad in (0, g.rank + 1):
+            with pytest.raises(ValueError, match=rf"subset \[{bad}\] is not contained in 1\.\.{g.rank}"):
+                call({bad})
+    with pytest.raises(ValueError, match="is not a dominant weight"):
+        g.coset_table((-1,) + (0,) * (g.rank - 1))
+    with pytest.raises(ValueError, match="is not a dominant weight"):
+        g.coset_table((1,) * (g.rank + 1))
 
 
 def test_dual_weight():
