@@ -17,7 +17,7 @@ from itertools import compress
 
 from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, pair_count
-from .orbits import OrbitLabel, OrbitPoset, build_poset
+from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
 from .paths import generate_paths, initial_direction, pair_weight
 from .rootsys import RootSystem, RootSystemError, from_name, is_dominant
 from .verify import run_suite
@@ -176,14 +176,10 @@ def _relation_json(poset: OrbitPoset) -> str:
     Row i of an n-by-n 0/1 byte matrix is the strict down-set of label i, so
     column j, read as rows[j::n], marks the labels above j in ascending order
     and the pairs come out sorted without a sort.  The matrix takes n^2 bytes,
-    4 MB under the 2,000-label cap.
+    about 50 MB at the 7,056-label cap.
     """
     n = len(poset)
-    to_bytes = bytes.maketrans(b"01", b"\0\1")
-    rows = b"".join(
-        format(mask & ~(1 << i), f"0{n}b")[::-1].encode().translate(to_bytes)
-        for i, mask in enumerate(poset.down_masks())
-    )
+    rows = b"".join(mask_bytes(mask & ~(1 << i), n) for i, mask in enumerate(poset.down_masks()))
     tails = [f"      {i}\n    ]" for i in range(n)]
     columns = []
     for j in range(n):

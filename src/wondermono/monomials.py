@@ -45,10 +45,11 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .demazure import weyl_dim
-from .orbits import OrbitLabel, OrbitPoset, schubert_pairs
+from .orbits import OrbitLabel, OrbitPoset, mask_bytes, schubert_pairs
 from .paths import (
     PathPair,
     generate_pairs,
+    generate_paths,
     initial_direction,
     pair_weight,
     path_directions,
@@ -165,14 +166,6 @@ class ShapeClasses(NamedTuple):
     read_rights: Callable[[bytes], Sequence[int]]  # row bits -> bits at each right path's direction
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _row_bits(row: int, width: int) -> bytes:
-    """Byte b is bit b of row (0 or 1), for b < width: a row mask in a form itemgetter reads."""
-    return bin(row | 1 << width)[:2:-1].encode().translate(_BIT_VALUES)
-
-
 def _bit_reader(positions: tuple[int, ...]) -> Callable[[bytes], Sequence[int]]:
     """Read the bytes at positions in one C call, always as a sequence.
 
@@ -236,7 +229,7 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     for mu, nvec in _admissible_shapes(z, lam):
         sc = shape_classes(group, mu)
         # per left direction a, row a's bits at the right paths' directions select a left path's block
-        selectors = {a: bytes(sc.read_rights(_row_bits(rows[a], width))) for a, _ in sc.left_counts}
+        selectors = {a: bytes(sc.read_rights(mask_bytes(rows[a], width))) for a, _ in sc.left_counts}
         out.extend(compress(candidate_block(group, mu, nvec), b"".join(map(selectors.__getitem__, sc.lefts))))
     return tuple(out)
 
@@ -246,15 +239,15 @@ def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
     rs = z.group.rs
     if not is_dominant(lam) or not is_dominant(idx.mu):
         return False
-    diff = dominance_diff(rs, lam, idx.mu)
-    if diff is None or diff != idx.powers:
+    if dominance_diff(rs, lam, idx.mu) != idx.powers:
         return False
     if not support(idx.powers) <= z.stratum:
         return False
     pair = idx.pair
-    if pair.mu != idx.mu or pair.right.shape != idx.mu or pair.left.shape != z.group.dual_weight(idx.mu):
+    # membership in the path model implies the shape
+    if pair.mu != idx.mu or pair.right not in generate_paths(rs, idx.mu):
         return False
-    return is_standard_on_closure(pair, z)
+    return pair.left in generate_paths(rs, z.group.dual_weight(idx.mu)) and is_standard_on_closure(pair, z)
 
 
 def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
@@ -272,7 +265,7 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     for mu, nvec in _admissible_shapes(z, lam):
         sc = shape_classes(group, mu)
         counts[sum(nvec)] += sum(
-            n * sum(compress(sc.right_counts, sc.read_classes(_row_bits(rows[a], width))))
+            n * sum(compress(sc.right_counts, sc.read_classes(mask_bytes(rows[a], width))))
             for a, n in sc.left_counts
             if rows[a]
         )

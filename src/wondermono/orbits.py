@@ -24,6 +24,14 @@ from .rootsys import memoized
 from .weyl import WeylElement, WeylGroup
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_bytes(mask: int, width: int) -> bytes:
+    """Byte k is bit k of mask (0 or 1), for k < width: a bitmask in the form compress and itemgetter read in C."""
+    return bin(mask | 1 << width)[:2:-1].encode().translate(_BIT_VALUES)
+
+
 @dataclass(frozen=True)
 class OrbitLabel:
     """One orbit: stratum subset I, minimal representative x, and w."""
@@ -147,7 +155,7 @@ def schubert_pairs(z: OrbitLabel) -> tuple[SchubertPair, ...]:
 class OrbitPoset:
     """All orbit labels of one group with the full closure order as bitmasks."""
 
-    MAX_LABELS = 2000
+    MAX_LABELS = 7056
 
     def __init__(self, group: WeylGroup, labels, down, base, dims):
         self.group = group
@@ -341,16 +349,17 @@ class OrbitPoset:
 
     @property
     def maximum(self) -> OrbitLabel:
-        full = (1 << len(self.labels)) - 1
-        tops = self.maximal_of_mask(full)
-        assert len(tops) == 1
+        tops = self.maximal_of_mask((1 << len(self.labels)) - 1)
+        if len(tops) != 1:
+            raise ValueError(f"the closure order has {len(tops)} maximal labels, not one")
         return tops[0]
 
     @property
     def minimum(self) -> OrbitLabel:
-        candidates = [i for i in range(len(self.labels)) if self._down[i] == 1 << i]
-        assert len(candidates) == 1
-        return self.labels[candidates[0]]
+        bottoms = [i for i, d in enumerate(self._down) if d == 1 << i]
+        if len(bottoms) != 1:
+            raise ValueError(f"the closure order has {len(bottoms)} minimal labels, not one")
+        return self.labels[bottoms[0]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OrbitPoset({self.group.rs.name}, {len(self.labels)} orbits)"

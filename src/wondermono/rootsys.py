@@ -257,10 +257,6 @@ def is_dominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
 
 
-def add_weights(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def sub_weights(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 

@@ -4,6 +4,12 @@ Every check recomputes one fact along two routes that share as little code
 as possible and compares the outcomes.  The suite adapts to the requested
 group and weight bound; work that would blow past the built-in budgets is
 skipped and reported as skipped, never silently dropped.
+
+The closure-order checks read the relation one label at a time: a label's
+strict down-set, as bytes, selects the values ORed together for it in one
+C-level pass.  The union of the strict down-sets below each label decides
+transitivity, antisymmetry and the flat covers at once; only a failure walks
+single bits, to name the witness a bit-by-bit scan would meet first.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cache, reduce
+from itertools import accumulate, combinations, compress, product
+from operator import or_
 
 from .demazure import char_dim, demazure_character, weyl_dim
 from .monomials import (
@@ -31,6 +39,7 @@ from .orbits import (
     build_poset,
     closure_leq,
     dimension,
+    mask_bytes,
     schubert_pairs,
     stratum_components,
 )
@@ -61,22 +70,6 @@ BOX_BUDGET = 50_000
 # weights in the (max_weight + 1) ** rank grid, sized before it is built;
 # F4 at max-weight 4 has 625
 GRID_BUDGET = 10_000
-
-
-def _flat_covers(down: list[int]) -> list[tuple[int, int]]:
-    """Transitive reduction by clearing every strict down-set below each label.
-
-    The reference for OrbitPoset.cover_pairs: one AND-NOT per relation bit,
-    with no use of orbit dimension.
-    """
-    covers = []
-    for i, mask in enumerate(down):
-        strict = mask & ~(1 << i)
-        keep = strict
-        for j in OrbitPoset._bits(strict):
-            keep &= ~(down[j] & ~(1 << j))
-        covers.extend((i, j) for j in OrbitPoset._bits(keep))
-    return covers
 
 
 @dataclass
@@ -170,6 +163,21 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     m |= 1 << k
             masks.append(m)
         return masks
+
+    @cache
+    def strict_down() -> list[int]:
+        """Each label's down-set without the label itself."""
+        return [d & ~(1 << i) for i, d in enumerate(need_poset().down_masks())]
+
+    def union_below(values) -> list[int]:
+        """values ORed over each label's strict down-set, one C-level reduce per label."""
+        n = len(values)
+        return [reduce(or_, compress(values, mask_bytes(s, n)), 0) for s in strict_down()]
+
+    @cache
+    def beneath() -> list[int]:
+        """The labels strictly below some label strictly below each label."""
+        return union_below(strict_down())
 
     def counted(label: str, done: int, skipped: int) -> str:
         note = f"{done} {label}"
@@ -305,15 +313,17 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
 
     def check_poset_axioms():
         p = need_poset()
-        down = p.down_masks()
-        for i in range(len(p)):
-            if not down[i] >> i & 1:
+        strict = strict_down()
+        for i, (d, below) in enumerate(zip(p.down_masks(), beneath())):
+            if not d >> i & 1:
                 raise CheckFailure(f"not reflexive at {p.labels[i]}")
-            for j in OrbitPoset._bits(down[i] & ~(1 << i)):
-                if down[j] & ~down[i]:
-                    raise CheckFailure(f"transitivity fails under {p.labels[i]} via {p.labels[j]}")
-                if down[j] >> i & 1:
-                    raise CheckFailure(f"antisymmetry fails between {p.labels[i]} and {p.labels[j]}")
+            if below & ~d or below >> i & 1:
+                # name the first j whose down-set breaks transitivity or antisymmetry at i
+                for j in OrbitPoset._bits(strict[i]):
+                    if strict[j] & ~d:
+                        raise CheckFailure(f"transitivity fails under {p.labels[i]} via {p.labels[j]}")
+                    if strict[j] >> i & 1:
+                        raise CheckFailure(f"antisymmetry fails between {p.labels[i]} and {p.labels[j]}")
         return f"axioms hold on {len(p)} labels"
 
     def check_poset_extremes():
@@ -325,14 +335,18 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         bottom = OrbitLabel(frozenset(), group.longest, group.identity)
         if p.minimum != bottom or p.dim(bottom) != 0:
             raise CheckFailure(f"minimum is {p.minimum} of dimension {p.dim(p.minimum)}")
-        down = p.down_masks()
+        strict = strict_down()
         dims = [dimension(z) for z in p.labels]
-        for i in range(len(p)):
-            for j in OrbitPoset._bits(down[i] & ~(1 << i)):
-                if dims[j] >= dims[i]:
-                    raise CheckFailure(f"dimension does not drop from {p.labels[i]} to {p.labels[j]}")
-        # the layered covers rely on the dimension drop asserted just above
-        covers = _flat_covers(down)
+        layers = dict.fromkeys(sorted(set(dims), reverse=True), 0)
+        for k, d in enumerate(dims):
+            layers[d] |= 1 << k
+        at_least = dict(zip(layers, accumulate(layers.values(), or_)))  # labels of dimension >= d, per d
+        for i, s in enumerate(strict):
+            if s & at_least[dims[i]]:
+                j = next(j for j in OrbitPoset._bits(s) if dims[j] >= dims[i])
+                raise CheckFailure(f"dimension does not drop from {p.labels[i]} to {p.labels[j]}")
+        # the layered covers rely on the dimension drop asserted just above; the flat ones use no dimension
+        covers = [(i, j) for i, (s, b) in enumerate(zip(strict, beneath())) for j in OrbitPoset._bits(s & ~b)]
         if covers != p.cover_pairs():
             raise CheckFailure("cover pairs differ from the flat transitive reduction")
         drops = Counter(dims[i] - dims[j] for i, j in covers)
@@ -425,7 +439,6 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
 
     def check_index_monotonicity():
         p = need_poset()
-        down = p.down_masks()
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
         # a candidate pair below lam is standard exactly when its class (support, a, b) is;
         # classes do not depend on lam, so the relation is walked once over their union
@@ -439,14 +452,12 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     bits |= 1 << classes.setdefault((supp, a, b), len(classes))
             of_weight[lam] = bits
         masks = class_masks(p.labels, classes)
-        for i2 in range(len(p)):
+        for i2, under in enumerate(union_below(masks)):
             outside = ~masks[i2]
-            for i1 in OrbitPoset._bits(down[i2] & ~(1 << i2)):
-                if masks[i1] & outside:
-                    lam = next(lam for lam, bits in of_weight.items() if bits & masks[i1] & outside)
-                    raise CheckFailure(
-                        f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}"
-                    )
+            if under & outside:
+                i1 = next(i1 for i1 in OrbitPoset._bits(strict_down()[i2]) if masks[i1] & outside)
+                lam = next(lam for lam, bits in of_weight.items() if bits & masks[i1] & outside)
+                raise CheckFailure(f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}")
         return counted("weights", len(kept), skipped)
 
     def check_nonstandard_locus():
@@ -470,10 +481,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     std |= 1 << k
             locus = full & ~std
             comps = nonstandard_components(pair, p)
-            union = 0
-            for c in comps:
-                union |= p.down_mask(c)
-            if union != locus:
+            if reduce(or_, map(p.down_mask, comps), 0) != locus:
                 raise CheckFailure(f"nonstandard locus at shape {pair.mu} is not the union of its components")
             for c1, c2 in combinations(comps, 2):
                 if p.leq(c1, c2) or p.leq(c2, c1):
@@ -500,11 +508,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             classes = [(frozenset(), a, b) for a, b in dict.fromkeys(pair_directions(group, mu))]
             std = dict(zip(relevant, class_masks(relevant, classes)))
             for z1, z2, comps in meets:
-                lhs = std[z1] & std[z2]
-                rhs = 0
-                for c in comps:
-                    rhs |= std[c]
-                if lhs != rhs:
+                if std[z1] & std[z2] != reduce(or_, (std[c] for c in comps), 0):
                     raise CheckFailure(
                         f"pairs standard on both {z1} and {z2} differ from their intersection at shape {mu}"
                     )

@@ -91,11 +91,11 @@ def test_poset_count_only(capsys):
 
 
 def test_poset_envelope_rejection(capsys):
-    rc, out, err = run(capsys, "poset", "--group", "B3")
+    rc, out, err = run(capsys, "poset", "--group", "A4")
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
-    assert "7056" in err and "2000" in err
+    assert "64920" in err and "7056" in err
 
 
 def test_paths_json(capsys):
@@ -252,12 +252,18 @@ def test_verify_rejects_negative_max_weight(capsys):
 
 
 def test_verify_skips_oversized_poset(capsys):
-    rc, out, _ = run(capsys, "verify", "--group", "B3", "--max-weight", "1")
+    rc, out, _ = run(capsys, "verify", "--group", "A4", "--max-weight", "1")
     assert rc == 0
     lines = out.splitlines()
     assert lines[-1] == "17 checks: 8 passed, 0 failed, 9 skipped"
     assert sum(1 for line in lines if line.startswith("[SKIP]")) == 9
     assert any("beyond the supported envelope" in line for line in lines)
+
+
+def test_verify_runs_every_check_on_b3(capsys):
+    rc, out, _ = run(capsys, "verify", "--group", "B3", "--max-weight", "1")
+    assert rc == 0
+    assert out.splitlines()[-1] == "17 checks: 17 passed, 0 failed, 0 skipped"
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,15 @@ from wondermono.monomials import (
     standard_rows,
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
-from wondermono.paths import PathPair, generate_pairs, generate_paths, initial_direction, pair_directions, pair_weight
+from wondermono.paths import (
+    LSPath,
+    PathPair,
+    generate_pairs,
+    generate_paths,
+    initial_direction,
+    pair_directions,
+    pair_weight,
+)
 from wondermono.rootsys import RootSystemError, dominant_below, support
 from wondermono.weyl import WeylGroup
 
@@ -329,6 +338,11 @@ def test_is_basis_index():
         wrong = MonomialIndex((0, 0), lam, PathPair(left, right, lam))
         assert wrong not in basis_indices(top, lam)
         assert not is_basis_index(top, lam, wrong)
+    # a path of the right shape that is not in the path model
+    stray = LSPath([((1, 1), Fraction(1, 2)), ((-1, -1), Fraction(1, 2))], lam)
+    outside_model = MonomialIndex((0, 0), lam, PathPair(q, stray, lam))
+    assert outside_model not in basis_indices(top, lam)
+    assert not is_basis_index(top, lam, outside_model)
 
 
 def test_stratum_restricts_exponents():

@@ -12,6 +12,7 @@ from wondermono.orbits import (
     closure_leq,
     closure_witnesses,
     dimension,
+    mask_bytes,
     schubert_pairs,
     stratum_components,
 )
@@ -239,14 +240,23 @@ def test_up_mask_matches_brute_force():
 
 
 def test_envelope_guard():
-    g = group_of("B3")
-    with pytest.raises(ValueError, match="7056"):
+    g = group_of("A4")
+    with pytest.raises(ValueError, match="64920"):
         build_poset(g)
     # an explicit budget overrides the default envelope
     small = build_poset(group_of("A1"), max_labels=6)
     assert len(small) == 6
     with pytest.raises(ValueError):
         build_poset(group_of("A2"), max_labels=10)
+
+
+@pytest.mark.parametrize("width", [1, 7056])
+def test_mask_bytes_reads_bit_k_at_byte_k(width):
+    rng = random.Random(width)
+    for mask in [0, (1 << width) - 1, 1 << (width - 1), rng.getrandbits(width)]:
+        got = mask_bytes(mask, width)
+        assert len(got) == width
+        assert list(got) == [mask >> k & 1 for k in range(width)]
 
 
 def brute_maximal(poset, members) -> set[int]:

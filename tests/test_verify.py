@@ -100,6 +100,24 @@ def test_poset_axioms_fail_on_a_cleared_transitive_bit(monkeypatch):
     assert "transitivity fails under" in result.detail and " via " in result.detail
 
 
+def test_poset_checks_fail_when_two_labels_lie_below_each_other(monkeypatch):
+    real = verify.build_poset
+
+    def with_a_cover_reversed(group):
+        p = real(group)
+        down = p._down
+        i, j = next((i, j) for i, j in p.cover_pairs() if down[i] == down[j] | 1 << i)
+        down[j] |= 1 << i
+        return p
+
+    monkeypatch.setattr(verify, "build_poset", with_a_cover_reversed)
+    results = {r.name: r for r in run_suite("A", 2, 1)}
+    assert results["poset-axioms"].status == "fail"
+    assert "antisymmetry fails between" in results["poset-axioms"].detail
+    assert results["poset-extremes"].status == "fail"
+    assert "0 minimal labels" in results["poset-extremes"].detail
+
+
 def test_poset_extremes_fail_when_a_relation_keeps_its_dimension(monkeypatch):
     real = verify.dimension
     p = build_poset(WeylGroup(from_name("A2")))
