@@ -13,7 +13,8 @@ import csv
 import io
 import json
 import sys
-from itertools import compress
+from contextlib import nullcontext
+from itertools import chain, compress
 
 from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, pair_count
@@ -123,12 +124,10 @@ def _orbit(text: str, group: WeylGroup) -> OrbitLabel:
         raise CLIError(str(exc)) from exc
 
 
-def _write(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write(out: str | None, chunks) -> None:
+    """Write the text chunks in order to the file out, or to stdout when out is None."""
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
 
 
 def _json_doc(group_name: str, key: str, payload) -> str:
@@ -170,24 +169,29 @@ def _poset_dot(poset: OrbitPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _relation_json(poset: OrbitPoset) -> str:
-    """The strict order as json.dumps(indent=2) writes the sorted [j, i] pairs (j below i) at depth 1.
+def _relation_json(poset: OrbitPoset):
+    """The strict order as json.dumps(indent=2) writes the sorted [j, i] pairs (j below i) at depth 1, in chunks.
 
     Row i of an n-by-n 0/1 byte matrix is the strict down-set of label i, so
     column j, read as rows[j::n], marks the labels above j in ascending order
-    and the pairs come out sorted without a sort.  The matrix takes n^2 bytes,
-    about 50 MB at the 7,056-label cap.
+    and the pairs come out sorted without a sort.  One chunk is yielded per
+    column with pairs, then the closing bracket, so the text (166 MB at the
+    7,056-label cap) is never held whole; the matrix takes n^2 bytes, about
+    50 MB at the cap.
     """
     n = len(poset)
-    rows = b"".join(mask_bytes(mask & ~(1 << i), n) for i, mask in enumerate(poset.down_masks()))
+    rows = bytearray(n * n)  # filled in place: a join would hold every row twice
+    for i, mask in enumerate(poset.down_masks()):
+        rows[i * n : (i + 1) * n] = mask_bytes(mask & ~(1 << i), n)
     tails = [f"      {i}\n    ]" for i in range(n)]
-    columns = []
+    sep = "[\n"
     for j in range(n):
         above = list(compress(tails, rows[j::n]))
         if above:
             head = f"    [\n      {j},\n"
-            columns.append(head + (",\n" + head).join(above))
-    return "[\n" + ",\n".join(columns) + "\n  ]" if columns else "[]"
+            yield sep + head + (",\n" + head).join(above)
+            sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 def cmd_poset(args) -> int:
@@ -197,7 +201,7 @@ def cmd_poset(args) -> int:
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     if args.count_only:
-        _write(args.out, f"{len(poset)}\n")
+        _write(args.out, [f"{len(poset)}\n"])
         return 0
     if args.format == "json":
         payload = {
@@ -208,17 +212,18 @@ def cmd_poset(args) -> int:
         doc.update(payload)
         text = json.dumps(doc, indent=2)
         if args.full_order:
-            # the relation is the last key, written directly: json.dumps of about 1M pairs is most of the time
-            text = text[: -len("\n}")] + ',\n  "relation": ' + _relation_json(poset) + "\n}"
-        _write(args.out, text + "\n")
+            # the relation is the last key, streamed directly: json.dumps of about 1M pairs is most of the time
+            _write(args.out, chain([text[: -len("\n}")] + ',\n  "relation": '], _relation_json(poset), ["\n}\n"]))
+        else:
+            _write(args.out, [text + "\n"])
     elif args.format == "csv":
         rows = [
             [_ints(sorted(z.stratum)), z.x.word_str, z.w.word_str, poset.dim(z)]
             for z in poset.labels
         ]
-        _write(args.out, _csv_text(["I", "x", "w", "dim"], rows))
+        _write(args.out, [_csv_text(["I", "x", "w", "dim"], rows)])
     elif args.format == "dot":
-        _write(args.out, _poset_dot(poset))
+        _write(args.out, [_poset_dot(poset)])
     return 0
 
 
@@ -232,7 +237,7 @@ def cmd_paths(args) -> int:
     _check_budget(f"the number of paths of {lam} on {rs.name} is", weyl_dim(rs, lam), PATH_BUDGET)
     paths = generate_paths(rs, lam)
     if args.count_only:
-        _write(args.out, f"{len(paths)}\n")
+        _write(args.out, [f"{len(paths)}\n"])
         return 0
     if args.format == "json":
         payload = [
@@ -245,7 +250,7 @@ def cmd_paths(args) -> int:
             }
             for p in paths
         ]
-        _write(args.out, _json_doc(rs.name, "paths", payload))
+        _write(args.out, [_json_doc(rs.name, "paths", payload)])
     elif args.format == "csv":
         rows = [
             [
@@ -255,7 +260,7 @@ def cmd_paths(args) -> int:
             ]
             for p in paths
         ]
-        _write(args.out, _csv_text(["initial", "endpoint", "segments"], rows))
+        _write(args.out, [_csv_text(["initial", "endpoint", "segments"], rows)])
     return 0
 
 
@@ -275,7 +280,7 @@ def cmd_monomials(args) -> int:
     _check_budget(what, candidate_count(z, lam), PAIR_BUDGET)
     indices = basis_indices(z, lam)
     if args.count_only:
-        _write(args.out, f"{len(indices)}\n")
+        _write(args.out, [f"{len(indices)}\n"])
         return 0
     entries = []
     for idx in indices:
@@ -291,7 +296,7 @@ def cmd_monomials(args) -> int:
             }
         )
     if args.format == "json":
-        _write(args.out, _json_doc(rs.name, "monomials", entries))
+        _write(args.out, [_json_doc(rs.name, "monomials", entries)])
     elif args.format == "csv":
         rows = [
             [
@@ -306,7 +311,7 @@ def cmd_monomials(args) -> int:
         ]
         _write(
             args.out,
-            _csv_text(["n", "mu", "left", "right", "weight_left", "weight_right"], rows),
+            [_csv_text(["n", "mu", "left", "right", "weight_left", "weight_right"], rows)],
         )
     return 0
 
@@ -331,7 +336,7 @@ def cmd_verify(args) -> int:
     lines.append(
         f"{len(results)} checks: {counts['pass']} passed, {counts['fail']} failed, {counts['skip']} skipped"
     )
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 2 if counts["fail"] else 0
 
 

@@ -8,16 +8,26 @@ relation as per-orbit bitmasks, and the standalone predicate closure_leq is
 the direct transcription of that criterion, kept around so the two routes can
 be checked against each other.
 
+Labels of one stratum I are laid out as one block of |W| bits per x' in W^I.
+For a label z and a witness (u, v) the x' that work are those above one
+element y = x v u^-1, and the w' that work form one |W|-bit mask, so the
+witness contributes the product of a selector (bit xpos * |W| for each such
+x') and that mask: the product has no carries and places one copy of the
+mask in each selected block.
+
 Taking a closure strictly lowers orbit dimension, so maximal elements of any
 set of labels are found layer by layer in dimension, highest first: a label
 is maximal exactly when no maximal label of a higher layer lies above it.
-Covers are the maximal elements of each strict down-set.  The one assumption
-is that every strict relation lowers dimension, which the verify suite checks
-for every relation bit.
+The walk starts at the highest dimension the set can reach: one below the
+label for its covers (the maximal elements of its strict down-set), the
+lower of the two labels' dimensions for a meet.  The one assumption is that
+every strict relation lowers dimension, which the verify suite checks for
+every relation bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .rootsys import memoized
@@ -166,6 +176,7 @@ class OrbitPoset:
         self._dims = dims
         self._covers: list[tuple[int, ...]] | None = None
         self._layers: list[int] | None = None
+        self._neg_dims: list[int] = []
 
     @classmethod
     def build(cls, group: WeylGroup, max_labels: int | None = None) -> "OrbitPoset":
@@ -204,6 +215,7 @@ class OrbitPoset:
         }
 
         wmask_cache: dict[tuple[int, int], int] = {}
+        block_cache: dict[tuple[frozenset[int], int], int] = {}
 
         def admitted_w(u_i: int, wv_i: int) -> int:
             # bits of w' with w' u inside the lower interval of wv
@@ -218,13 +230,25 @@ class OrbitPoset:
                 wmask_cache[key] = got
             return got
 
+        def blocks(I: frozenset[int], y_i: int) -> int:
+            # bit xpos * n_w for each x' at position xpos of W^I with y <= x': one slot per W-block of stratum I
+            key = (I, y_i)
+            got = block_cache.get(key)
+            if got is None:
+                up = elup[y_i]
+                got = 0
+                for xpos, xp in enumerate(minrep_idx[I]):
+                    if up >> xp & 1:
+                        got |= 1 << (xpos * n_w)
+                block_cache[key] = got
+            return got
+
         down = []
         for z2 in labels:
             x_i = z2.x.index
             w_i = z2.w.index
             acc = 0
             for I, min_reps in parmin_idx[z2.stratum]:
-                reps = minrep_idx[I]
                 offset = base[I]
                 for v_i in min_reps:
                     wv = mult[w_i][v_i]
@@ -232,11 +256,8 @@ class OrbitPoset:
                         continue
                     xv = mult[x_i][v_i]
                     for u_i in parab_idx[I]:
-                        y_up = elup[mult[xv][inv[u_i]]]
-                        wmask = admitted_w(u_i, wv)
-                        for xpos, xp in enumerate(reps):
-                            if y_up >> xp & 1:
-                                acc |= wmask << (offset + xpos * n_w)
+                        # admitted_w < 2**n_w, so the product has no carries: one copy of it per selected block
+                        acc |= (blocks(I, mult[xv][inv[u_i]]) * admitted_w(u_i, wv)) << offset
             down.append(acc)
 
         dims = [dimension(z) for z in labels]
@@ -288,21 +309,29 @@ class OrbitPoset:
             by_dim: dict[int, int] = {}
             for k, d in enumerate(self._dims):
                 by_dim[d] = by_dim.get(d, 0) | 1 << k
-            self._layers = [by_dim[d] for d in sorted(by_dim, reverse=True)]
+            dims = sorted(by_dim, reverse=True)
+            self._layers = [by_dim[d] for d in dims]
+            self._neg_dims = [-d for d in dims]
         return self._layers
 
-    def _maximal_bits(self, mask: int) -> int:
+    def _maximal_bits(self, mask: int, start: int | None = None) -> int:
         """Bitmask of the maximal labels of mask, found layer by layer in dimension.
 
         A strict relation lowers dimension, so labels of one layer are pairwise
         incomparable and anything above a label sits in a higher layer.  Going
         down the layers, the labels of mask not below a maximal label already
         found are maximal; the walk stops once their down-sets cover mask.
+        A caller that knows mask holds no label above dimension start passes
+        it, and the walk skips the layers above.
         """
+        layers = self._dim_layers()
+        if start is not None:
+            # the first layer of dimension at most start; no dimension is assumed present
+            layers = layers[bisect_left(self._neg_dims, -start) :]
         down = self._down
         top = 0
         covered = 0
-        for layer in self._dim_layers():
+        for layer in layers:
             if not mask & ~covered:
                 break
             fresh = mask & layer & ~covered
@@ -323,28 +352,34 @@ class OrbitPoset:
 
     def meet_components(self, z1: OrbitLabel, z2: OrbitLabel) -> list[OrbitLabel]:
         """Maximal orbits lying in both closures (the components of the intersection)."""
-        return self.maximal_of_mask(self.down_mask(z1) & self.down_mask(z2))
+        i1, i2 = self.index[z1], self.index[z2]
+        start = min(self._dims[i1], self._dims[i2])
+        return self._from_mask(self._maximal_bits(self._down[i1] & self._down[i2], start))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction as (upper index, lower index) pairs.
 
         The covers of a label are the maximal elements of its strict down-set,
-        found by the same layer walk as maximal_of_mask; it relies on every
-        strict relation lowering dimension.
+        found by the same layer walk as maximal_of_mask started one dimension
+        below the label; it relies on every strict relation lowering dimension.
         """
         if self._covers is None:
+            dims = self._dims
             self._covers = [
-                tuple(self._bits(self._maximal_bits(d & ~(1 << i)))) for i, d in enumerate(self._down)
+                tuple(self._bits(self._maximal_bits(d & ~(1 << i), dims[i] - 1))) for i, d in enumerate(self._down)
             ]
         return [(i, j) for i, js in enumerate(self._covers) for j in js]
 
     @staticmethod
     def _bits(mask: int) -> list[int]:
+        """Positions of the set bits of mask, ascending."""
+        # peel the top bit: bit_length is O(1), so each bit costs two whole-integer operations, not four
         out = []
         while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
+            i = mask.bit_length() - 1
+            mask ^= 1 << i
             out.append(i)
+        out.reverse()
         return out
 
     @property

@@ -275,6 +275,15 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_full_order_out_file_matches_stdout(tmp_path, capsys):
+    target = tmp_path / "relation.json"
+    rc, out, err = run(capsys, "poset", "--group", "A2", "--full-order", "--out", str(target))
+    assert (rc, out, err) == (0, "", "")
+    rc, out, _ = run(capsys, "poset", "--group", "A2", "--full-order")
+    assert rc == 0
+    assert target.read_bytes() == out.encode()
+
+
 def test_repeat_runs_identical(capsys):
     _, first, _ = run(capsys, "monomials", "--group", "A2", "--weight", "1 1", "--orbit", "I=1,2;x=e;w=w0")
     _, second, _ = run(capsys, "monomials", "--group", "A2", "--weight", "1 1", "--orbit", "I=1,2;x=e;w=w0")

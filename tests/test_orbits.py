@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import group_of, poset_of
 
 from wondermono.orbits import (
     OrbitLabel,
+    OrbitPoset,
     build_poset,
     closure_leq,
     closure_witnesses,
@@ -105,7 +107,7 @@ def test_a1_cover_pairs():
 
 
 def test_poset_matches_direct_criterion():
-    for name in ["A1", "A2"]:
+    for name in ["A1", "A2", "B2", "G2"]:
         poset = poset_of(name)
         for z2 in poset.labels:
             below = set(poset.below(z2))
@@ -262,7 +264,10 @@ def test_mask_bytes_reads_bit_k_at_byte_k(width):
 def brute_maximal(poset, members) -> set[int]:
     """Labels of members with no other member strictly above them."""
     down = poset.down_masks()
-    return {i for i in members if not any(j != i and down[j] >> i & 1 for j in members)}
+    beneath = 0
+    for j in members:
+        beneath |= down[j] & ~(1 << j)
+    return {i for i in members if not beneath >> i & 1}
 
 
 def flat_covers(poset) -> set[tuple[int, int]]:
@@ -307,3 +312,64 @@ def test_maximal_of_mask_matches_brute_force(name):
     for mask in masks:
         got = poset.maximal_of_mask(mask)
         assert [poset.index[z] for z in got] == sorted(brute_maximal(poset, poset._bits(mask)))
+
+
+# sha256 of the down-set masks, each as (n + 7) // 8 little-endian bytes, and the count of relation bits
+RELATION_DIGESTS = {
+    "A3": (333247, "6bee7ee8dcdb8a69aa6dcd443995760a3c13629fd215a237c70d312ccb566e23"),
+    "B3": (4573379, "611c34e1061142b68403922128e6468bfcc341e2581a9f457e9e12a207a3da22"),
+    "C3": (4573379, "611c34e1061142b68403922128e6468bfcc341e2581a9f457e9e12a207a3da22"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_DIGESTS))
+def test_relation_is_pinned(name):
+    poset = poset_of(name)
+    n = len(poset)
+    masks = poset.down_masks()
+    blob = b"".join(d.to_bytes((n + 7) // 8, "little") for d in masks)
+    assert (sum(bin(d).count("1") for d in masks), hashlib.sha256(blob).hexdigest()) == RELATION_DIGESTS[name]
+
+
+def walk_pairs(poset, count=300) -> list[tuple[OrbitLabel, OrbitLabel]]:
+    """Random label pairs, plus pairs with the minimum, with the maximum and of equal dimension."""
+    labels = poset.labels
+    rng = random.Random(len(labels))
+    pairs = [(rng.choice(labels), rng.choice(labels)) for _ in range(count)]
+    ends = (poset.minimum, poset.maximum)
+    for z in rng.sample(labels, 20) + list(ends):
+        pairs += [(z, end) for end in ends] + [(end, z) for end in ends]
+    by_dim: dict[int, list[OrbitLabel]] = {}
+    for z in labels:
+        by_dim.setdefault(poset.dim(z), []).append(z)
+    for layer in by_dim.values():
+        pairs += [(rng.choice(layer), rng.choice(layer)) for _ in range(5)] + [(layer[0], layer[0])]
+    return pairs
+
+
+def meet_mismatches(poset, pairs) -> list[tuple[OrbitLabel, OrbitLabel]]:
+    """The pairs whose meet_components differ from the brute-force maximal labels of the intersection."""
+    bad = []
+    for z1, z2 in pairs:
+        both = poset._bits(poset.down_mask(z1) & poset.down_mask(z2))
+        if [poset.index[c] for c in poset.meet_components(z1, z2)] != sorted(brute_maximal(poset, both)):
+            bad.append((z1, z2))
+    return bad
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "A3"])
+def test_meet_components_match_brute_force(name):
+    poset = poset_of(name)
+    assert meet_mismatches(poset, walk_pairs(poset)) == []
+
+
+def test_a_walk_started_one_layer_too_low_is_caught(monkeypatch):
+    real = OrbitPoset._maximal_bits
+
+    def one_layer_low(self, mask, start=None):
+        return real(self, mask, None if start is None else start - 1)
+
+    monkeypatch.setattr(OrbitPoset, "_maximal_bits", one_layer_low)
+    poset = OrbitPoset.build(group_of("B2"))
+    assert set(poset.cover_pairs()) != flat_covers(poset)
+    assert meet_mismatches(poset, walk_pairs(poset))
