@@ -337,6 +337,8 @@ def cmd_verify(args) -> int:
         f"{len(results)} checks: {counts['pass']} passed, {counts['fail']} failed, {counts['skip']} skipped"
     )
     _write(args.out, ["\n".join(lines) + "\n"])
+    if args.timings:
+        sys.stderr.write("".join(f"{r.name} {r.seconds:.3f}\n" for r in results))
     return 2 if counts["fail"] else 0
 
 
@@ -377,6 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", required=True, help="group name, e.g. A2")
     p_verify.add_argument("--max-weight", type=int, default=1, help="bound on weight coordinates")
     p_verify.add_argument("--out", default=None)
+    p_verify.add_argument(
+        "--timings", action="store_true", help="write each check's wall time in seconds to stderr"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -41,11 +41,10 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 from typing import NamedTuple
 
 from .demazure import weyl_dim
-from .orbits import OrbitLabel, OrbitPoset, mask_bytes, schubert_pairs
+from .orbits import OrbitLabel, OrbitPoset, bit_reader, mask_bytes, schubert_pairs
 from .paths import (
     PathPair,
     generate_pairs,
@@ -101,13 +100,8 @@ def is_standard_on_components(group: WeylGroup, pair: PathPair, components) -> b
     The direct scan over components, kept as the reference for the table.
     An empty component list admits nothing.
     """
-    return directions_standard_on_components(
-        group, initial_direction(group, pair.left), initial_direction(group, pair.right), components
-    )
-
-
-def directions_standard_on_components(group: WeylGroup, a: WeylElement, b: WeylElement, components) -> bool:
-    """The direction-level test behind is_standard_on_components: some component has a <= L and b <= R."""
+    a = initial_direction(group, pair.left)
+    b = initial_direction(group, pair.right)
     for comp in components:
         if group.bruhat_leq(a, comp.left) and group.bruhat_leq(b, comp.right):
             return True
@@ -166,17 +160,6 @@ class ShapeClasses(NamedTuple):
     read_rights: Callable[[bytes], Sequence[int]]  # row bits -> bits at each right path's direction
 
 
-def _bit_reader(positions: tuple[int, ...]) -> Callable[[bytes], Sequence[int]]:
-    """Read the bytes at positions in one C call, always as a sequence.
-
-    A one-argument itemgetter returns a scalar, so a single position reads a
-    one-byte slice instead.
-    """
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions)
-
-
 @memoized(by_weight)
 def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     """The direction classes of shape mu's pairs, shared by every degree above mu."""
@@ -187,8 +170,8 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
         lefts,
         tuple(Counter(lefts).items()),
         tuple(right_counts.values()),
-        _bit_reader(tuple(right_counts)),
-        _bit_reader(rights),
+        bit_reader(tuple(right_counts)),
+        bit_reader(rights),
     )
 
 

@@ -28,18 +28,37 @@ every relation bit.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .rootsys import memoized
 from .weyl import WeylElement, WeylGroup
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 def mask_bytes(mask: int, width: int) -> bytes:
     """Byte k is bit k of mask (0 or 1), for k < width: a bitmask in the form compress and itemgetter read in C."""
     return bin(mask | 1 << width)[:2:-1].encode().translate(_BIT_VALUES)
+
+
+def mask_from_bytes(bits: bytes | Sequence[int]) -> int:
+    """The inverse of mask_bytes: bit k is byte k of bits, each 0 or 1, packed in one C-level parse."""
+    return int(b"0" + bytes(bits)[::-1].translate(_BIT_CHARS), 2)
+
+
+def bit_reader(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
+    """Read the items at positions (bytes of a mask, rows of a table) in one C call, always as a sequence.
+
+    A one-argument itemgetter returns a scalar, so a single position reads a
+    one-item slice instead.
+    """
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
@@ -63,6 +82,15 @@ class OrbitLabel:
             raise ValueError(
                 f"x={self.x.word_str} is not a minimal coset representative for I={sorted(self.stratum)}"
             )
+
+    @classmethod
+    def _unchecked(cls, stratum: frozenset[int], x: WeylElement, w: WeylElement) -> "OrbitLabel":
+        """A label whose x is minimal for stratum by construction: the fields are set, not validated."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "stratum", stratum)
+        object.__setattr__(z, "x", x)
+        object.__setattr__(z, "w", w)
+        return z
 
     @property
     def group(self) -> WeylGroup:
@@ -193,9 +221,10 @@ class OrbitPoset:
         base: dict[frozenset[int], int] = {}
         for I in subsets:
             base[I] = len(labels)
+            # x runs over W^I, so every label is valid by construction
             for x in group.min_coset_reps(I):
                 for w in group.elements:
-                    labels.append(OrbitLabel(I, x, w))
+                    labels.append(OrbitLabel._unchecked(I, x, w))
 
         elems = group.elements
         eldown = [group.down_mask(el) for el in elems]
@@ -206,6 +235,8 @@ class OrbitPoset:
         lengths = [el.length for el in elems]
         inv = [group.inverse(el).index for el in elems]
         mult = [[group.multiply(a, b).index for b in elems] for a in elems]
+        # per u, the reader of byte w'u for every w': a lower interval read through right multiplication by u
+        times_u = [bit_reader([row[u] for row in mult]) for u in range(n_w)]
 
         minrep_idx = {I: [el.index for el in group.min_coset_reps(I)] for I in subsets}
         parab_idx = {I: [el.index for el in group.parabolic_elements(I)] for I in subsets}
@@ -222,12 +253,7 @@ class OrbitPoset:
             key = (u_i, wv_i)
             got = wmask_cache.get(key)
             if got is None:
-                allowed = eldown[wv_i]
-                got = 0
-                for wp in range(n_w):
-                    if allowed >> mult[wp][u_i] & 1:
-                        got |= 1 << wp
-                wmask_cache[key] = got
+                got = wmask_cache[key] = mask_from_bytes(times_u[u_i](mask_bytes(eldown[wv_i], n_w)))
             return got
 
         def blocks(I: frozenset[int], y_i: int) -> int:
@@ -282,13 +308,14 @@ class OrbitPoset:
         return list(self._down)
 
     def up_mask(self, z: OrbitLabel) -> int:
-        """Bitmask of the labels whose closure contains z."""
-        i = self.index[z]
-        mask = 0
-        for k, d in enumerate(self._down):
-            if d >> i & 1:
-                mask |= 1 << k
-        return mask
+        """Bitmask of the labels whose closure contains z.
+
+        One C-level pass ANDs z's bit into every down-set; an AND costs the
+        bits below z's index, so the closed-stratum labels, which come first,
+        are the cheapest to ask about.
+        """
+        bit = 1 << self.index[z]
+        return mask_from_bytes(bytes(map(bool, map(bit.__and__, self._down))))
 
     def below(self, z: OrbitLabel) -> list[OrbitLabel]:
         return self._from_mask(self._down[self.index[z]])

@@ -10,22 +10,45 @@ strict down-set, as bytes, selects the values ORed together for it in one
 C-level pass.  The union of the strict down-sets below each label decides
 transitivity, antisymmetry and the flat covers at once; only a failure walks
 single bits, to name the witness a bit-by-bit scan would meet first.
+
+The standardness checks decide each direction class once.  A class (support,
+a, b) is standard on a label when its support lies in the label's stratum and
+bit b of row a of standard_rows is set, whatever the shape; class_masks reads
+every class of a label from its rows at the distinct left directions, joined
+as bytes, in one C-level pass.
+- index-monotonicity compares those masks along the flat covers when the
+  relation is a strict order, since every relation is then a chain of covers,
+  and over each strict down-set otherwise.
+- standard-intersection reads the union of its shapes' classes once and
+  compares each meet once.  One AND each tests that a meet's components lie
+  below both labels and below none of each other.
+- nonstandard-locus builds its reference from schubert_pairs and down_mask
+  alone, never from standard_rows or the closure order.  The classes below
+  each component element are ORed once, a label's standard classes are the
+  union over its components, and each class's labels are one column of that
+  label-by-class table.  It is compared with nonstandard_components, which
+  reads the closure order.
+- graded-tables reads each basis index's class from initial_direction once
+  (an index belongs to one weight) and each label's admitting components
+  once per (a, b), by Bruhat tests against the components.
+Here too only a failure scans one shape, meet, label or class at a time, to
+name the witness such a scan would meet first.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import accumulate, combinations, compress, product
-from operator import or_
+from operator import attrgetter, itemgetter, or_
 
 from .demazure import char_dim, demazure_character, weyl_dim
 from .monomials import (
     basis_indices,
     candidate_count,
-    directions_standard_on_components,
     graded_counts,
     has_schubert_sections,
     nonstandard_components,
@@ -36,10 +59,12 @@ from .monomials import (
 from .orbits import (
     OrbitLabel,
     OrbitPoset,
+    bit_reader,
     build_poset,
     closure_leq,
     dimension,
     mask_bytes,
+    mask_from_bytes,
     schubert_pairs,
     stratum_components,
 )
@@ -77,6 +102,7 @@ class CheckResult:
     name: str
     status: str
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)  # wall time of the check
 
     @property
     def ok(self) -> bool:
@@ -132,8 +158,10 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def box_size(lam) -> int:
         return math.prod(b + 1 for b in exponent_bounds(rs, lam))
 
+    @cache
     def candidate_total(lam) -> float:
-        # sizing the candidates runs dominant_below, so an over-budget box is over every budget
+        # sizing the candidates runs dominant_below, so an over-budget box is over every budget;
+        # three checks size the same weights, so each is sized once per run
         if box_size(lam) > BOX_BUDGET:
             return math.inf
         return candidate_count(top, lam)
@@ -153,15 +181,27 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         return within_budget(lambda lam: weyl_dim(rs, lam), PATH_DIM_BUDGET, "path")
 
     def class_masks(labels, classes) -> list[int]:
-        """Each label's bitmask over (support, a, b) classes: bit k when class k is standard there."""
+        """Each label's bitmask over (support, a, b) classes: bit k when class k is standard there.
+
+        A label's rows at the classes' distinct left directions are joined as bytes, one reader
+        takes every class's bit from the join, and a per-stratum mask keeps the classes whose
+        support lies in the label's stratum.
+        """
+        width = len(group)
+        lefts = list(dict.fromkeys(a for _, a, _ in classes))
+        offset = {a: k * width for k, a in enumerate(lefts)}
+        read = bit_reader([offset[a] + b for _, a, b in classes])
+        pick = bit_reader(lefts)
+        row_bytes = cache(lambda row: mask_bytes(row, width))  # the rows take few distinct values
+        # many labels share their rows at the left directions, so each distinct pick is read once
+        of_rows = cache(lambda rows: mask_from_bytes(read(b"".join(map(row_bytes, rows)))))
+        in_stratum = {}
         masks = []
         for z in labels:
-            rows = standard_rows(z)
-            m = 0
-            for k, (supp, a, b) in enumerate(classes):
-                if supp <= z.stratum and rows[a] >> b & 1:
-                    m |= 1 << k
-            masks.append(m)
+            keep = in_stratum.get(z.stratum)
+            if keep is None:
+                keep = in_stratum[z.stratum] = mask_from_bytes([supp <= z.stratum for supp, _, _ in classes])
+            masks.append(of_rows(pick(standard_rows(z))) & keep)
         return masks
 
     @cache
@@ -178,6 +218,16 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def beneath() -> list[int]:
         """The labels strictly below some label strictly below each label."""
         return union_below(strict_down())
+
+    @cache
+    def flat_covers() -> list[tuple[int, int]]:
+        """(upper, lower) index pairs of the transitive reduction, read off beneath(): no dimension is used."""
+        return [(i, j) for i, (s, b) in enumerate(zip(strict_down(), beneath())) for j in OrbitPoset._bits(s & ~b)]
+
+    @cache
+    def strict_order() -> bool:
+        """Whether the strict relation is transitive and acyclic, so every relation is a chain of flat covers."""
+        return all(not b & ~s and not b >> i & 1 for i, (s, b) in enumerate(zip(strict_down(), beneath())))
 
     def counted(label: str, done: int, skipped: int) -> str:
         note = f"{done} {label}"
@@ -346,7 +396,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 j = next(j for j in OrbitPoset._bits(s) if dims[j] >= dims[i])
                 raise CheckFailure(f"dimension does not drop from {p.labels[i]} to {p.labels[j]}")
         # the layered covers rely on the dimension drop asserted just above; the flat ones use no dimension
-        covers = [(i, j) for i, (s, b) in enumerate(zip(strict, beneath())) for j in OrbitPoset._bits(s & ~b)]
+        covers = flat_covers()
         if covers != p.cover_pairs():
             raise CheckFailure("cover pairs differ from the flat transitive reduction")
         drops = Counter(dims[i] - dims[j] for i, j in covers)
@@ -405,27 +455,39 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         zs = _stride(p.labels, ORBIT_SAMPLE)
         admitted = {}  # (component, shape) of every admitting component, in the order found
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
+        admitting_of = [{} for _ in zs]  # per label, (a, b) -> its admitting components, for every weight
         for lam in kept:
-            for z in zs:
+            # the labels' bases share lam's indices, so each index's class (a, b, mu) is read once, then
+            # looked up by id; the bases are held while the table lives, so no id is reused meanwhile
+            classes_of: dict[int, tuple] = {}
+            distinct: dict[tuple, tuple] = {}  # one tuple per class, shared by its indices' entries
+            bases = []
+            for z, admitting_at in zip(zs, admitting_of):
                 basis = basis_indices(z, lam)
+                bases.append(basis)
                 table = graded_counts(z, lam)
                 if table.total() != len(basis):
                     raise CheckFailure(f"graded total differs from basis size on {z} at {lam}")
                 degrees = [d for d, _ in table.rows]
                 if degrees != list(range(len(degrees))):
                     raise CheckFailure(f"graded rows of {z} at {lam} are not contiguous from zero")
-                recount = Counter(idx.degree for idx in basis)
+                recount = Counter(map(attrgetter("degree"), basis))
                 for d, count in table.rows:
                     if recount.get(d, 0) != count:
                         raise CheckFailure(f"graded row {d} of {z} at {lam} miscounts")
                 # the component scan depends on an index only through its class (a, b, mu)
                 comps = schubert_pairs(z)
-                classes = dict.fromkeys(
-                    (initial_direction(group, idx.pair.left), initial_direction(group, idx.pair.right), idx.mu)
-                    for idx in basis
-                )
-                for a, b, mu in classes:
-                    admitting = [c for c in comps if group.bruhat_leq(a, c.left) and group.bruhat_leq(b, c.right)]
+                for idx in basis:
+                    if id(idx) not in classes_of:
+                        a = initial_direction(group, idx.pair.left)
+                        cls = (a, initial_direction(group, idx.pair.right), idx.mu)
+                        classes_of[id(idx)] = distinct.setdefault(cls, cls)
+                for a, b, mu in dict.fromkeys(map(classes_of.__getitem__, map(id, basis))):
+                    admitting = admitting_at.get((a, b))
+                    if admitting is None:
+                        admitting = admitting_at[a, b] = [
+                            c for c in comps if group.bruhat_leq(a, c.left) and group.bruhat_leq(b, c.right)
+                        ]
                     if not admitting:
                         raise CheckFailure(f"a basis index of {z} at {lam} lies under no component")
                     admitted.update(dict.fromkeys((c, mu) for c in admitting))
@@ -452,12 +514,19 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     bits |= 1 << classes.setdefault((supp, a, b), len(classes))
             of_weight[lam] = bits
         masks = class_masks(p.labels, classes)
-        for i2, under in enumerate(union_below(masks)):
-            outside = ~masks[i2]
-            if under & outside:
-                i1 = next(i1 for i1 in OrbitPoset._bits(strict_down()[i2]) if masks[i1] & outside)
-                lam = next(lam for lam, bits in of_weight.items() if bits & masks[i1] & outside)
-                raise CheckFailure(f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}")
+        if strict_order():
+            # a chain of flat covers joins every related pair, so the covers decide every relation bit
+            escapes = any(masks[j] & ~masks[i] for i, j in flat_covers())
+        else:
+            escapes = any(under & ~m for under, m in zip(union_below(masks), masks))
+        if escapes:
+            # name the first larger closure, and the first label below it, that a label-by-label scan meets
+            for i2, s in enumerate(strict_down()):
+                outside = ~masks[i2]
+                i1 = next((i1 for i1 in OrbitPoset._bits(s) if masks[i1] & outside), None)
+                if i1 is not None:
+                    lam = next(lam for lam, bits in of_weight.items() if bits & masks[i1] & outside)
+                    raise CheckFailure(f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}")
         return counted("weights", len(kept), skipped)
 
     def check_nonstandard_locus():
@@ -471,15 +540,27 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             pairs = generate_pairs(group, mu)
             reps.update(zip(pair_directions(group, mu), pairs))
             pairs_seen += len(pairs)
-        # the reference route scans components; nonstandard_components reads the closure order
-        label_comps = [schubert_pairs(z) for z in p.labels]
-        for (a, b), pair in reps.items():
-            left, right = group.elements[a], group.elements[b]
-            std = 0
-            for k, comps in enumerate(label_comps):
-                if directions_standard_on_components(group, left, right, comps):
-                    std |= 1 << k
-            locus = full & ~std
+        # the reference route reads only components and lower intervals, nonstandard_components the
+        # closure order; a class is standard on a label when some component (L, R) has a <= L and b <= R
+        width = len(group)
+        with_left, with_right = [0] * width, [0] * width  # the classes with each left, right direction
+        for k, (a, b) in enumerate(reps):
+            with_left[a] |= 1 << k
+            with_right[b] |= 1 << k
+
+        def under(side: list[int]):
+            """el -> the classes whose direction on that side lies below el, memoized per element."""
+            return cache(lambda el: reduce(or_, compress(side, mask_bytes(group.down_mask(el), width)), 0))
+
+        left_under, right_under = under(with_left), under(with_right)
+        n = len(reps)
+        # label-major rows of n bytes; column k, every n-th byte, is class k's standard labels
+        table = b"".join(
+            mask_bytes(reduce(or_, (left_under(c.left) & right_under(c.right) for c in schubert_pairs(z)), 0), n)
+            for z in p.labels
+        )
+        for k, pair in enumerate(reps.values()):
+            locus = full & ~mask_from_bytes(table[k::n])
             comps = nonstandard_components(pair, p)
             if reduce(or_, map(p.down_mask, comps), 0) != locus:
                 raise CheckFailure(f"nonstandard locus at shape {pair.mu} is not the union of its components")
@@ -490,28 +571,46 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
 
     def check_standard_intersection():
         p = need_poset()
-        sample = _stride(p.labels, MEET_SAMPLE)
-        meets = []
-        for a, z1 in enumerate(sample):
-            for z2 in sample[a:]:
+        labels, index, down, strict = p.labels, p.index, p.down_masks(), strict_down()
+        sample = _stride(range(len(p)), MEET_SAMPLE)
+        meets = []  # (i1, i2, the components' indices)
+        for a, i1 in enumerate(sample):
+            for i2 in sample[a:]:
+                z1, z2 = labels[i1], labels[i2]
                 comps = p.meet_components(z1, z2)
-                for c in comps:
-                    if not (p.leq(c, z1) and p.leq(c, z2)):
-                        raise CheckFailure(f"meet component {c} not below both {z1} and {z2}")
-                for c1, c2 in combinations(comps, 2):
-                    if p.leq(c1, c2) or p.leq(c2, c1):
-                        raise CheckFailure(f"meet components of {z1}, {z2} are not an antichain")
-                meets.append((z1, z2, comps))
+                at = [index[c] for c in comps]
+                mask = reduce(or_, map((1).__lshift__, at), 0)
+                # below both, and no component strictly below another or repeated
+                if (
+                    mask & ~(down[i1] & down[i2])
+                    or reduce(or_, map(strict.__getitem__, at), 0) & mask
+                    or mask.bit_count() != len(at)
+                ):
+                    for c in comps:
+                        if not (p.leq(c, z1) and p.leq(c, z2)):
+                            raise CheckFailure(f"meet component {c} not below both {z1} and {z2}")
+                    for c1, c2 in combinations(comps, 2):
+                        if p.leq(c1, c2) or p.leq(c2, c1):
+                            raise CheckFailure(f"meet components of {z1}, {z2} are not an antichain")
+                meets.append((i1, i2, at))
         shapes, _ = within_budget(lambda mu: pair_count(group, mu), SHAPE_PAIR_BUDGET, "pair")
-        relevant = list(dict.fromkeys(sample + [c for _, _, comps in meets for c in comps]))
-        for mu in shapes:
-            classes = [(frozenset(), a, b) for a, b in dict.fromkeys(pair_directions(group, mu))]
-            std = dict(zip(relevant, class_masks(relevant, classes)))
-            for z1, z2, comps in meets:
-                if std[z1] & std[z2] != reduce(or_, (std[c] for c in comps), 0):
-                    raise CheckFailure(
-                        f"pairs standard on both {z1} and {z2} differ from their intersection at shape {mu}"
-                    )
+        # a class's standardness does not depend on the shape, so the shapes' classes are read as one union
+        of_shape = [dict.fromkeys(pair_directions(group, mu)) for mu in shapes]
+        position = {ab: k for k, ab in enumerate(dict.fromkeys(ab for classes in of_shape for ab in classes))}
+        relevant = list(dict.fromkeys(sample + [i for _, _, at in meets for i in at]))
+        masks = class_masks([labels[i] for i in relevant], [(frozenset(), a, b) for a, b in position])
+        std = dict(zip(relevant, masks))
+        off = [std[i1] & std[i2] ^ reduce(or_, map(std.__getitem__, at), 0) for i1, i2, at in meets]
+        if any(off):
+            # name the first shape and meet of a shape-by-shape scan
+            for mu, classes in zip(shapes, of_shape):
+                bits = reduce(or_, (1 << position[ab] for ab in classes))
+                for (i1, i2, _), o in zip(meets, off):
+                    if o & bits:
+                        raise CheckFailure(
+                            f"pairs standard on both {labels[i1]} and {labels[i2]} differ from their intersection"
+                            f" at shape {mu}"
+                        )
         note = "all labels" if len(sample) == len(p) else f"{len(sample)} of {len(p)} labels"
         return f"{len(meets)} meets ({note}), {len(shapes)} shapes"
 
@@ -537,16 +636,18 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
 
     results = []
     for name, fn in checks:
+        start = time.perf_counter()
         try:
             detail = fn()
         except CheckFailure as exc:
-            results.append(CheckResult(name, "fail", str(exc)))
+            status, detail = "fail", str(exc)
         except SkipCheck as exc:
-            results.append(CheckResult(name, "skip", str(exc)))
+            status, detail = "skip", str(exc)
         except Exception as exc:  # pragma: no cover - a check crashed outright
-            results.append(CheckResult(name, "fail", f"unexpected {type(exc).__name__}: {exc}"))
+            status, detail = "fail", f"unexpected {type(exc).__name__}: {exc}"
         else:
-            results.append(CheckResult(name, "pass", detail or ""))
+            status, detail = "pass", detail or ""
+        results.append(CheckResult(name, status, detail, time.perf_counter() - start))
     # each element points back at the group, so only the cycle collector frees it; its tables go now
     group.memo.clear()
     rs.memo.clear()

@@ -242,6 +242,18 @@ def test_verify_clean(capsys):
     assert lines[-1] == "17 checks: 17 passed, 0 failed, 0 skipped"
 
 
+def test_verify_timings_go_to_stderr_only(capsys):
+    rc, plain, err = run(capsys, "verify", "--group", "A2", "--max-weight", "1")
+    assert (rc, err) == (0, "")
+    rc, out, err = run(capsys, "verify", "--group", "A2", "--max-weight", "1", "--timings")
+    assert rc == 0 and out == plain
+    lines = err.splitlines()
+    assert len(lines) == 17
+    names = [line.split("] ")[1].split(":")[0] for line in plain.splitlines()[:-1]]
+    assert [line.split(" ")[0] for line in lines] == names
+    assert all(float(line.split(" ")[1]) >= 0 for line in lines)
+
+
 def test_verify_rejects_negative_max_weight(capsys):
     rc, out, err = run(capsys, "verify", "--group", "A2", "--max-weight", "-1")
     assert rc == 1

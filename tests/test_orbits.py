@@ -15,6 +15,7 @@ from wondermono.orbits import (
     closure_witnesses,
     dimension,
     mask_bytes,
+    mask_from_bytes,
     schubert_pairs,
     stratum_components,
 )
@@ -48,6 +49,16 @@ def test_label_validation():
     z = lab(g, (1, 2), (), (1, 2))
     assert repr(z) == "[{1,2},e,s1 s2]"
     assert hash(z) == hash(lab(g, (1, 2), (), (1, 2)))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
+def test_poset_labels_equal_checked_labels(name):
+    # build_poset sets label fields without validation; the public constructor checks and normalizes them
+    labels = poset_of(name).labels
+    checked = [OrbitLabel(set(z.stratum), z.x, z.w) for z in labels]
+    assert list(labels) == checked
+    assert [hash(z) for z in labels] == [hash(z) for z in checked]
+    assert all(type(z.stratum) is frozenset for z in labels)
 
 
 def test_census():
@@ -259,6 +270,9 @@ def test_mask_bytes_reads_bit_k_at_byte_k(width):
         got = mask_bytes(mask, width)
         assert len(got) == width
         assert list(got) == [mask >> k & 1 for k in range(width)]
+        # mask_from_bytes inverts it, from bytes or from a sequence of 0/1 ints
+        assert mask_from_bytes(got) == mask_from_bytes(list(got)) == mask
+    assert mask_from_bytes(b"") == 0
 
 
 def brute_maximal(poset, members) -> set[int]:

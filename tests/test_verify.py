@@ -60,6 +60,56 @@ def test_nonstandard_locus_fails_on_a_dropped_component(monkeypatch):
     assert "not the union of its components" in result.detail
 
 
+def test_nonstandard_locus_fails_on_a_component_dropped_from_one_label(monkeypatch):
+    # [{1},e,s1 s2] of A2 has two components; run_suite builds its own group, so the label is matched by its words
+    real = verify.schubert_pairs
+    key = (frozenset({1}), (), (1, 2))
+    monkeypatch.setattr(
+        verify, "schubert_pairs", lambda z: real(z)[:-1] if (z.stratum, z.x.word, z.w.word) == key else real(z)
+    )
+    target = next(z for z in build_poset(WeylGroup(from_name("A2"))).labels if (z.stratum, z.x.word, z.w.word) == key)
+    assert len(real(target)) == 2
+    result = {r.name: r for r in run_suite("A", 2, 1)}["nonstandard-locus"]
+    assert result.status == "fail"
+    assert result.detail == "nonstandard locus at shape (1, 1) is not the union of its components"
+
+
+def test_standard_intersection_fails_on_a_meet_component_not_below_both(monkeypatch):
+    real = orbits.OrbitPoset.meet_components
+    # z1 alone is returned for every meet whose second label it is not below: one component, so no antichain fault
+    monkeypatch.setattr(
+        orbits.OrbitPoset,
+        "meet_components",
+        lambda self, z1, z2: real(self, z1, z2) if self.leq(z1, z2) else [z1],
+    )
+    result = {r.name: r for r in run_suite("A", 2, 1)}["standard-intersection"]
+    assert result.status == "fail"
+    assert result.detail == "meet component [{},e,e] not below both [{},e,e] and [{},s1,e]"
+
+
+@pytest.mark.parametrize(
+    "extra, detail",
+    [
+        # the minimum lies below every label, so it is comparable to each component it joins
+        (lambda p, z1, z2, comps: [p.minimum] if len(comps) > 1 else [], "[{},e,s1], [{1},e,e]"),
+        # a label is comparable to itself, so a repeated component is no antichain either
+        (lambda p, z1, z2, comps: comps[:1] if z1 != z2 else [], "[{},e,e], [{},e,s1]"),
+    ],
+    ids=["comparable", "repeated"],
+)
+def test_standard_intersection_fails_on_meet_components_not_an_antichain(monkeypatch, extra, detail):
+    real = orbits.OrbitPoset.meet_components
+
+    def with_extra(self, z1, z2):
+        comps = real(self, z1, z2)
+        return comps + extra(self, z1, z2, comps)
+
+    monkeypatch.setattr(orbits.OrbitPoset, "meet_components", with_extra)
+    result = {r.name: r for r in run_suite("A", 2, 1)}["standard-intersection"]
+    assert result.status == "fail"
+    assert result.detail == f"meet components of {detail} are not an antichain"
+
+
 def test_standard_table_checks_fail_on_a_cleared_bit(monkeypatch):
     real = verify.standard_rows
 
@@ -72,9 +122,13 @@ def test_standard_table_checks_fail_on_a_cleared_bit(monkeypatch):
     monkeypatch.setattr(verify, "standard_rows", open_orbit_without_identity_pair)
     results = {r.name: r for r in run_suite("A", 2, 1)}
     assert results["index-monotonicity"].status == "fail"
-    assert "escapes the larger closure" in results["index-monotonicity"].detail
+    assert results["index-monotonicity"].detail == (
+        "basis of [{},e,e] escapes the larger closure [{1,2},e,s1 s2 s1] at (0, 0)"
+    )
     assert results["standard-intersection"].status == "fail"
-    assert "differ from their intersection" in results["standard-intersection"].detail
+    assert results["standard-intersection"].detail == (
+        "pairs standard on both [{},e,e] and [{1,2},e,s1 s2 s1] differ from their intersection at shape (0, 0)"
+    )
 
 
 def test_coset_structure_fails_when_min_coset_rep_returns_its_input(monkeypatch):
@@ -116,6 +170,11 @@ def test_poset_checks_fail_when_two_labels_lie_below_each_other(monkeypatch):
     assert "antisymmetry fails between" in results["poset-axioms"].detail
     assert results["poset-extremes"].status == "fail"
     assert "0 minimal labels" in results["poset-extremes"].detail
+    # the relation is no longer an order, so monotonicity is read over every strict down-set, not the covers
+    assert results["index-monotonicity"].status == "fail"
+    assert results["index-monotonicity"].detail == (
+        "basis of [{},s1 s2,e] escapes the larger closure [{},s1 s2 s1,e] at (1, 0)"
+    )
 
 
 def test_poset_extremes_fail_when_a_relation_keeps_its_dimension(monkeypatch):
