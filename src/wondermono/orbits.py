@@ -311,8 +311,10 @@ class OrbitPoset:
         """Bitmask of the labels whose closure contains z.
 
         One C-level pass ANDs z's bit into every down-set; an AND costs the
-        bits below z's index, so the closed-stratum labels, which come first,
-        are the cheapest to ask about.
+        bits below z's index, so the closed-stratum labels, which come first
+        and are the ones `nonstandard_components` asks about, are the
+        cheapest. For the highest labels this is slower than shifting each
+        down-set down to bit 0.
         """
         bit = 1 << self.index[z]
         return mask_from_bytes(bytes(map(bool, map(bit.__and__, self._down))))

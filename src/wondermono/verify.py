@@ -17,8 +17,8 @@ bit b of row a of standard_rows is set, whatever the shape; class_masks reads
 every class of a label from its rows at the distinct left directions, joined
 as bytes, in one C-level pass.
 - index-monotonicity compares those masks along the flat covers when the
-  relation is a strict order, since every relation is then a chain of covers,
-  and over each strict down-set otherwise.
+  relation is a strict order, since every relation is then a chain of covers;
+  a relation that is no order goes straight to the bit-by-bit scan.
 - standard-intersection reads the union of its shapes' classes once and
   compares each meet once.  One AND each tests that a meet's components lie
   below both labels and below none of each other.
@@ -29,8 +29,8 @@ as bytes, in one C-level pass.
   label-by-class table.  It is compared with nonstandard_components, which
   reads the closure order.
 - graded-tables reads each basis index's class from initial_direction once
-  (an index belongs to one weight) and each label's admitting components
-  once per (a, b), by Bruhat tests against the components.
+  per run and each label's admitting components once per (a, b), by Bruhat
+  tests against the components.
 Here too only a failure scans one shape, meet, label or class at a time, to
 name the witness such a scan would meet first.
 """
@@ -209,15 +209,12 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         """Each label's down-set without the label itself."""
         return [d & ~(1 << i) for i, d in enumerate(need_poset().down_masks())]
 
-    def union_below(values) -> list[int]:
-        """values ORed over each label's strict down-set, one C-level reduce per label."""
-        n = len(values)
-        return [reduce(or_, compress(values, mask_bytes(s, n)), 0) for s in strict_down()]
-
     @cache
     def beneath() -> list[int]:
-        """The labels strictly below some label strictly below each label."""
-        return union_below(strict_down())
+        """The labels strictly below some label strictly below each label, one C-level reduce per label."""
+        strict = strict_down()
+        n = len(strict)
+        return [reduce(or_, compress(strict, mask_bytes(s, n)), 0) for s in strict]
 
     @cache
     def flat_covers() -> list[tuple[int, int]]:
@@ -457,14 +454,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
         admitting_of = [{} for _ in zs]  # per label, (a, b) -> its admitting components, for every weight
         for lam in kept:
-            # the labels' bases share lam's indices, so each index's class (a, b, mu) is read once, then
-            # looked up by id; the bases are held while the table lives, so no id is reused meanwhile
-            classes_of: dict[int, tuple] = {}
-            distinct: dict[tuple, tuple] = {}  # one tuple per class, shared by its indices' entries
-            bases = []
+            # id(index) -> (index, its class (a, b, mu)); an index belongs to one weight, so each class is
+            # read once per run, and holding the index keeps its id unused
+            class_of: dict[int, tuple] = {}
             for z, admitting_at in zip(zs, admitting_of):
                 basis = basis_indices(z, lam)
-                bases.append(basis)
                 table = graded_counts(z, lam)
                 if table.total() != len(basis):
                     raise CheckFailure(f"graded total differs from basis size on {z} at {lam}")
@@ -478,11 +472,10 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 # the component scan depends on an index only through its class (a, b, mu)
                 comps = schubert_pairs(z)
                 for idx in basis:
-                    if id(idx) not in classes_of:
+                    if id(idx) not in class_of:
                         a = initial_direction(group, idx.pair.left)
-                        cls = (a, initial_direction(group, idx.pair.right), idx.mu)
-                        classes_of[id(idx)] = distinct.setdefault(cls, cls)
-                for a, b, mu in dict.fromkeys(map(classes_of.__getitem__, map(id, basis))):
+                        class_of[id(idx)] = idx, (a, initial_direction(group, idx.pair.right), idx.mu)
+                for a, b, mu in dict.fromkeys(cls for _, cls in map(class_of.__getitem__, map(id, basis))):
                     admitting = admitting_at.get((a, b))
                     if admitting is None:
                         admitting = admitting_at[a, b] = [
@@ -514,12 +507,9 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                     bits |= 1 << classes.setdefault((supp, a, b), len(classes))
             of_weight[lam] = bits
         masks = class_masks(p.labels, classes)
-        if strict_order():
-            # a chain of flat covers joins every related pair, so the covers decide every relation bit
-            escapes = any(masks[j] & ~masks[i] for i, j in flat_covers())
-        else:
-            escapes = any(under & ~m for under, m in zip(union_below(masks), masks))
-        if escapes:
+        # in a strict order a chain of flat covers joins every related pair, so the covers decide every
+        # relation bit; a relation that is no order goes straight to the bit-by-bit scan below
+        if not strict_order() or any(masks[j] & ~masks[i] for i, j in flat_covers()):
             # name the first larger closure, and the first label below it, that a label-by-label scan meets
             for i2, s in enumerate(strict_down()):
                 outside = ~masks[i2]
