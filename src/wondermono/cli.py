@@ -19,7 +19,7 @@ from itertools import chain, compress
 from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, pair_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
-from .paths import generate_paths, initial_direction, pair_weight
+from .paths import generate_paths, initial_direction
 from .rootsys import RootSystem, RootSystemError, from_name, is_dominant
 from .verify import run_suite
 from .weyl import WeylElement, WeylGroup
@@ -32,9 +32,10 @@ CONVENTIONS = {
 
 # requests are sized before anything is enumerated.  Measured in process
 # (Python 3.11, one core of a shared 2-CPU Xeon): paths on B4 (2,1,0,1), 9,504
-# paths, takes 1.4-1.5 s as JSON and 0.47-0.48 s with --count-only; monomials on
-# the open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 4.3-4.7 s as
-# JSON and 0.3 s with --count-only.  Either budget is a few seconds of work.
+# paths, takes 1.0-1.5 s as JSON and 0.36-0.38 s with --count-only; monomials on
+# the open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 1.5-2.2 s as
+# JSON, 0.55-0.97 s as CSV and 0.13 s with --count-only.  Either budget is a few
+# seconds of work.
 PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000
 
@@ -130,9 +131,19 @@ def _write(out: str | None, chunks) -> None:
         fh.writelines(chunks)
 
 
-def _json_doc(group_name: str, key: str, payload) -> str:
-    doc = {"group": group_name, "generator_conventions": CONVENTIONS, key: payload}
-    return json.dumps(doc, indent=2) + "\n"
+def _json_doc(group_name: str, payload: dict, streamed=None):
+    """The indent-2 JSON document of payload, headed by the group and conventions, as chunks for _write.
+
+    streamed, a (key, chunks) pair, becomes the last key: its value is written
+    as the given chunks, already rendered at depth 1, and never held whole.
+    """
+    doc = {"group": group_name, "generator_conventions": CONVENTIONS, **payload}
+    text = json.dumps(doc, indent=2)
+    if streamed is None:
+        return [text + "\n"]
+    key, chunks = streamed
+    head = text.removesuffix("\n}") + f",\n  {json.dumps(key)}: "
+    return chain([head], chunks, ["\n}\n"])
 
 
 def _csv_text(header, rows) -> str:
@@ -208,14 +219,9 @@ def cmd_poset(args) -> int:
             "orbits": [_orbit_entry(poset, z) for z in poset.labels],
             "covers": [[upper, lower] for upper, lower in sorted(poset.cover_pairs())],
         }
-        doc = {"group": group.rs.name, "generator_conventions": CONVENTIONS}
-        doc.update(payload)
-        text = json.dumps(doc, indent=2)
-        if args.full_order:
-            # the relation is the last key, streamed directly: json.dumps of about 1M pairs is most of the time
-            _write(args.out, chain([text[: -len("\n}")] + ',\n  "relation": '], _relation_json(poset), ["\n}\n"]))
-        else:
-            _write(args.out, [text + "\n"])
+        # json.dumps of the relation's ~1M pairs would be most of the time: it is streamed instead
+        relation = ("relation", _relation_json(poset)) if args.full_order else None
+        _write(args.out, _json_doc(group.rs.name, payload, relation))
     elif args.format == "csv":
         rows = [
             [_ints(sorted(z.stratum)), z.x.word_str, z.w.word_str, poset.dim(z)]
@@ -239,26 +245,21 @@ def cmd_paths(args) -> int:
     if args.count_only:
         _write(args.out, [f"{len(paths)}\n"])
         return 0
+    rows = ((p.segments, p.endpoint(), initial_direction(group, p).word_str) for p in paths)
     if args.format == "json":
         payload = [
             {
-                "segments": [
-                    {"direction": list(d), "duration": str(t)} for d, t in p.segments
-                ],
-                "endpoint": list(p.endpoint()),
-                "initial": initial_direction(group, p).word_str,
+                "segments": [{"direction": d, "duration": str(t)} for d, t in segments],
+                "endpoint": end,
+                "initial": word,
             }
-            for p in paths
+            for segments, end, word in rows
         ]
-        _write(args.out, [_json_doc(rs.name, "paths", payload)])
+        _write(args.out, _json_doc(rs.name, {"paths": payload}))
     elif args.format == "csv":
         rows = [
-            [
-                initial_direction(group, p).word_str,
-                _ints(p.endpoint()),
-                ";".join(f"{_ints(d)}:{t}" for d, t in p.segments),
-            ]
-            for p in paths
+            [word, _ints(end), ";".join(f"{_ints(d)}:{t}" for d, t in segments)]
+            for segments, end, word in rows
         ]
         _write(args.out, [_csv_text(["initial", "endpoint", "segments"], rows)])
     return 0
@@ -282,37 +283,19 @@ def cmd_monomials(args) -> int:
     if args.count_only:
         _write(args.out, [f"{len(indices)}\n"])
         return 0
-    entries = []
-    for idx in indices:
-        wl, wr = pair_weight(idx.pair)
-        entries.append(
-            {
-                "n": list(idx.powers),
-                "mu": list(idx.mu),
-                "left": initial_direction(group, idx.pair.left).word_str,
-                "right": initial_direction(group, idx.pair.right).word_str,
-                "weight_left": list(wl),
-                "weight_right": list(wr),
-            }
-        )
+    # a path lies in many indices: its direction word and negated endpoint are read once
+    paths = {p for idx in indices for p in (idx.pair.left, idx.pair.right)}
+    read = {p: (initial_direction(group, p).word_str, tuple(-c for c in p.endpoint())) for p in paths}
+    rows = []
+    for n, mu, pair in indices:
+        (a, wl), (b, wr) = read[pair.left], read[pair.right]
+        rows.append((n, mu, a, b, wl, wr))
+    keys = ("n", "mu", "left", "right", "weight_left", "weight_right")
     if args.format == "json":
-        _write(args.out, [_json_doc(rs.name, "monomials", entries)])
+        _write(args.out, _json_doc(rs.name, {"monomials": [dict(zip(keys, row)) for row in rows]}))
     elif args.format == "csv":
-        rows = [
-            [
-                _ints(e["n"]),
-                _ints(e["mu"]),
-                e["left"],
-                e["right"],
-                _ints(e["weight_left"]),
-                _ints(e["weight_right"]),
-            ]
-            for e in entries
-        ]
-        _write(
-            args.out,
-            [_csv_text(["n", "mu", "left", "right", "weight_left", "weight_right"], rows)],
-        )
+        rows = [(_ints(n), _ints(mu), a, b, _ints(wl), _ints(wr)) for n, mu, a, b, wl, wr in rows]
+        _write(args.out, [_csv_text(keys, rows)])
     return 0
 
 

@@ -113,17 +113,15 @@ def standard_rows(z: OrbitLabel) -> tuple[int, ...]:
     """The standard set of z's closure as one row mask per group element.
 
     Bit b of row a is set iff a <= L and b <= R for some Schubert pair (L, R)
-    of z, i.e. the union of the products down(L) x down(R).
+    of z, i.e. the union of the products down(L) x down(R): down(R) is ORed
+    into the rows at the set bits of down(L).
     """
     group = z.group
-    masks = [(group.down_mask(c.left), group.down_mask(c.right)) for c in schubert_pairs(z)]
-    rows = []
-    for a in range(len(group)):
-        row = 0
-        for left, right in masks:
-            if left >> a & 1:
-                row |= right
-        rows.append(row)
+    rows = [0] * len(group)
+    for c in schubert_pairs(z):
+        right = group.down_mask(c.right)
+        for a in OrbitPoset._bits(group.down_mask(c.left)):
+            rows[a] |= right
     return tuple(rows)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 
 from .rootsys import memoized
@@ -228,46 +229,28 @@ class OrbitPoset:
 
         elems = group.elements
         eldown = [group.down_mask(el) for el in elems]
-        elup = [0] * n_w
-        for x in range(n_w):
-            for y in cls._bits(eldown[x]):
-                elup[y] |= 1 << x
         lengths = [el.length for el in elems]
         inv = [group.inverse(el).index for el in elems]
         mult = [[group.multiply(a, b).index for b in elems] for a in elems]
         # per u, the reader of byte w'u for every w': a lower interval read through right multiplication by u
         times_u = [bit_reader([row[u] for row in mult]) for u in range(n_w)]
 
-        minrep_idx = {I: [el.index for el in group.min_coset_reps(I)] for I in subsets}
         parab_idx = {I: [el.index for el in group.parabolic_elements(I)] for I in subsets}
         # for each stratum J, its subsets I with the elements of W_J minimal for W / W_I
         parmin_idx = {
             J: [(I, [v.index for v in group.parabolic_min_reps(J, I)]) for I in subsets if I <= J] for J in subsets
         }
 
-        wmask_cache: dict[tuple[int, int], int] = {}
-        block_cache: dict[tuple[frozenset[int], int], int] = {}
-
+        @cache
         def admitted_w(u_i: int, wv_i: int) -> int:
             # bits of w' with w' u inside the lower interval of wv
-            key = (u_i, wv_i)
-            got = wmask_cache.get(key)
-            if got is None:
-                got = wmask_cache[key] = mask_from_bytes(times_u[u_i](mask_bytes(eldown[wv_i], n_w)))
-            return got
+            return mask_from_bytes(times_u[u_i](mask_bytes(eldown[wv_i], n_w)))
 
+        @cache
         def blocks(I: frozenset[int], y_i: int) -> int:
             # bit xpos * n_w for each x' at position xpos of W^I with y <= x': one slot per W-block of stratum I
-            key = (I, y_i)
-            got = block_cache.get(key)
-            if got is None:
-                up = elup[y_i]
-                got = 0
-                for xpos, xp in enumerate(minrep_idx[I]):
-                    if up >> xp & 1:
-                        got |= 1 << (xpos * n_w)
-                block_cache[key] = got
-            return got
+            reps = group.min_coset_reps(I)
+            return sum(1 << (xpos * n_w) for xpos, xp in enumerate(reps) if eldown[xp.index] >> y_i & 1)
 
         down = []
         for z2 in labels:

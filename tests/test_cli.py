@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from wondermono import cli
 from wondermono.cli import main
+from wondermono.paths import initial_direction
 from wondermono.verify import run_suite
 
 
@@ -159,6 +161,46 @@ def test_monomials_csv_frozen(capsys):
         "0,2,e,e,-2,-2",
         "1,0,e,e,0,0",
     ]
+
+
+MONOMIAL_ORBITS = {
+    "B2": ("2 1", "I=1;x=s2;w=s1 s2"),
+    "A3": ("1 1 1", "I=1,3;x=s2;w=s1 s3 s2"),
+}
+
+
+@pytest.mark.parametrize(
+    "group, fmt, sha256",
+    [
+        ("B2", "json", "b772315741b42ae52c68ac1c9d3f477b2c7625518f7a08ed04f8d05e211e86d5"),
+        ("B2", "csv", "fbce47b253f6bb8e86a78361fbca9ef8964153dc8a223650ae84f1eb709cc02f"),
+        ("A3", "json", "d3196e3b6529b306724b477f2937acdf7ef2184c72f468ae9e032b2a2286d7c6"),
+        ("A3", "csv", "0753afc937f78aa97c64452e31a6d12e20d672ca88c1d27039578708635b00f6"),
+    ],
+)
+def test_monomials_bytes_frozen(capsys, group, fmt, sha256):
+    weight, orbit = MONOMIAL_ORBITS[group]
+    rc, out, err = run(
+        capsys, "monomials", "--group", group, "--weight", weight, "--orbit", orbit, "--format", fmt
+    )
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_monomials_reads_each_path_once(capsys, monkeypatch, fmt):
+    # a path lies in many indices; its initial direction is computed once, not once per index
+    seen = []
+
+    def counting(group, path):
+        seen.append(path)
+        return initial_direction(group, path)
+
+    monkeypatch.setattr(cli, "initial_direction", counting)
+    weight, orbit = MONOMIAL_ORBITS["A3"]
+    rc, out, _ = run(capsys, "monomials", "--group", "A3", "--weight", weight, "--orbit", orbit, "--format", fmt)
+    assert rc == 0 and out
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_monomials_json_count(capsys):
