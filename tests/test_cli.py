@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import poset_of
+
 from wondermono import cli
 from wondermono.cli import main
 from wondermono.paths import initial_direction
@@ -65,6 +67,28 @@ def test_poset_full_order_a3_matches_benchmark_reference(capsys):
     rc, out, err = run(capsys, "poset", "--group", "A3", "--full-order")
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest()[:20] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (("--group", "B2"), "390949ed6406ab0ade9436b69be9177cfe94d92cc7c13fcd89083a0625ef7220"),
+        (("--group", "G2", "--full-order"), "a9e1de56663073107ca3e40433dc1bd02bb624ce6cf82a5270df48ffec694c20"),
+    ],
+)
+def test_poset_json_bytes_frozen(capsys, argv, sha256):
+    rc, out, err = run(capsys, "poset", *argv)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_poset_json_covers_ascending(capsys):
+    # covers are written in cover_pairs' own order, which is already ascending: upper index, then lower
+    pairs = poset_of("B2").cover_pairs()
+    assert pairs == sorted(set(pairs))
+    rc, out, _ = run(capsys, "poset", "--group", "B2")
+    assert rc == 0
+    assert [tuple(pair) for pair in json.loads(out)["covers"]] == pairs
 
 
 def test_poset_csv(capsys):
@@ -138,6 +162,13 @@ def test_paths_g2_bytes_frozen(capsys, fmt, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_paths_b3_json_bytes_frozen(capsys):
+    # rank 3: endpoints and directions are three-coordinate lists, nested two levels deeper than the document
+    rc, out, err = run(capsys, "paths", "--group", "B3", "--weight", "1 0 1")
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == "d637faea9deaab7fad528f4f5f6ff759069079761a7160bf1f3f507056f1ad5c"
+
+
 def test_monomials_csv_frozen(capsys):
     rc, out, _ = run(
         capsys,
@@ -185,6 +216,13 @@ def test_monomials_bytes_frozen(capsys, group, fmt, sha256):
     )
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_monomials_g2_open_orbit_json_bytes_frozen(capsys):
+    rc, out, err = run(capsys, "monomials", "--group", "G2", "--weight", "1 1", "--orbit", "I=1,2;x=e;w=w0")
+    assert rc == 0 and err == ""
+    assert len(json.loads(out)["monomials"]) == 5071
+    assert hashlib.sha256(out.encode()).hexdigest() == "a983a725a028d00cdec1d640cab2de06d1269f70e39929710b253b0799190a8d"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
