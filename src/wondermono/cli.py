@@ -14,13 +14,15 @@ import io
 import json
 import sys
 from contextlib import nullcontext
-from itertools import chain, compress
+from functools import partial
+from itertools import compress, groupby
+from operator import itemgetter
 
 from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, pair_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
 from .paths import generate_paths, initial_direction
-from .rootsys import RootSystem, RootSystemError, from_name, is_dominant
+from .rootsys import RootSystem, RootSystemError, from_name, is_dominant, orbit_table
 from .verify import run_suite
 from .weyl import WeylElement, WeylGroup
 
@@ -131,19 +133,38 @@ def _write(out: str | None, chunks) -> None:
         fh.writelines(chunks)
 
 
-def _json_doc(group_name: str, payload: dict, streamed=None):
-    """The indent-2 JSON document of payload, headed by the group and conventions, as chunks for _write.
+def _json_doc(group_name: str, fields: dict):
+    """The indent-2 JSON document of fields, headed by the group and conventions, as chunks for _write.
 
-    streamed, a (key, chunks) pair, becomes the last key: its value is written
-    as the given chunks, already rendered at depth 1, and never held whole.
+    Each field's value is given as chunks already rendered at depth 1, as
+    _json_list gives them, and is never held whole; only the small head goes
+    through json.dumps, whose indent runs the pure-Python encoder.
     """
-    doc = {"group": group_name, "generator_conventions": CONVENTIONS, **payload}
-    text = json.dumps(doc, indent=2)
-    if streamed is None:
-        return [text + "\n"]
-    key, chunks = streamed
-    head = text.removesuffix("\n}") + f",\n  {json.dumps(key)}: "
-    return chain([head], chunks, ["\n}\n"])
+    head = json.dumps({"group": group_name, "generator_conventions": CONVENTIONS}, indent=2)
+    yield head.removesuffix("\n}")
+    for key, chunks in fields.items():
+        yield f",\n  {json.dumps(key)}: "
+        yield from chunks
+    yield "\n}\n"
+
+
+def _json_list(items):
+    """A list at depth 1 as json.dumps(indent=2) writes it, in chunks: items are its entries rendered at depth 2."""
+    sep = "[\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
+def _json_value(value, depth: int) -> str:
+    """value as json.dumps(indent=2) writes it nested depth levels deep: a leaf rendered once and reused."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_words(group: WeylGroup) -> list[str]:
+    """The JSON string of each element's word, by element index."""
+    return [json.dumps(el.word_str) for el in group.elements]
 
 
 def _csv_text(header, rows) -> str:
@@ -161,13 +182,20 @@ def _ints(values) -> str:
 # -- poset ------------------------------------------------------------------
 
 
-def _orbit_entry(poset: OrbitPoset, z: OrbitLabel) -> dict:
-    return {
-        "I": sorted(z.stratum),
-        "x": z.x.word_str,
-        "w": z.w.word_str,
-        "dim": poset.dim(z),
-    }
+def _orbit_entries(poset: OrbitPoset):
+    """Each label's JSON object at depth 2; each stratum and word is rendered once."""
+    strata = {I: _json_value(sorted(I), 3) for I in poset.group.subsets()}
+    words = _json_words(poset.group)
+    for z in poset.labels:
+        yield (
+            f'    {{\n      "I": {strata[z.stratum]},\n      "x": {words[z.x.index]},\n'
+            f'      "w": {words[z.w.index]},\n      "dim": {poset.dim(z)}\n    }}'
+        )
+
+
+def _pair_parts(n: int) -> tuple[list[str], list[str]]:
+    """heads[a] + tails[b] is the JSON pair [a, b] at depth 2, for a and b below n."""
+    return [f"    [\n      {a},\n" for a in range(n)], [f"      {b}\n    ]" for b in range(n)]
 
 
 def _poset_dot(poset: OrbitPoset) -> str:
@@ -180,29 +208,23 @@ def _poset_dot(poset: OrbitPoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _relation_json(poset: OrbitPoset):
-    """The strict order as json.dumps(indent=2) writes the sorted [j, i] pairs (j below i) at depth 1, in chunks.
+def _relation_columns(poset: OrbitPoset, heads: list[str], tails: list[str]):
+    """The sorted [j, i] pairs (j below i) of the strict order at depth 2, one chunk of pairs per column j.
 
     Row i of an n-by-n 0/1 byte matrix is the strict down-set of label i, so
     column j, read as rows[j::n], marks the labels above j in ascending order
-    and the pairs come out sorted without a sort.  One chunk is yielded per
-    column with pairs, then the closing bracket, so the text (166 MB at the
-    7,056-label cap) is never held whole; the matrix takes n^2 bytes, about
-    50 MB at the cap.
+    and the pairs come out sorted without a sort.  A column's pairs are one
+    chunk, so the text (166 MB at the 7,056-label cap) is never held whole;
+    the matrix takes n^2 bytes, about 50 MB at the cap.
     """
     n = len(poset)
     rows = bytearray(n * n)  # filled in place: a join would hold every row twice
     for i, mask in enumerate(poset.down_masks()):
         rows[i * n : (i + 1) * n] = mask_bytes(mask & ~(1 << i), n)
-    tails = [f"      {i}\n    ]" for i in range(n)]
-    sep = "[\n"
     for j in range(n):
         above = list(compress(tails, rows[j::n]))
         if above:
-            head = f"    [\n      {j},\n"
-            yield sep + head + (",\n" + head).join(above)
-            sep = ",\n"
-    yield "[]" if sep == "[\n" else "\n  ]"
+            yield heads[j] + (",\n" + heads[j]).join(above)
 
 
 def cmd_poset(args) -> int:
@@ -215,13 +237,14 @@ def cmd_poset(args) -> int:
         _write(args.out, [f"{len(poset)}\n"])
         return 0
     if args.format == "json":
-        payload = {
-            "orbits": [_orbit_entry(poset, z) for z in poset.labels],
-            "covers": [[upper, lower] for upper, lower in sorted(poset.cover_pairs())],
+        heads, tails = _pair_parts(len(poset))
+        fields = {
+            "orbits": _json_list(_orbit_entries(poset)),
+            "covers": _json_list(heads[upper] + tails[lower] for upper, lower in poset.cover_pairs()),
         }
-        # json.dumps of the relation's ~1M pairs would be most of the time: it is streamed instead
-        relation = ("relation", _relation_json(poset)) if args.full_order else None
-        _write(args.out, _json_doc(group.rs.name, payload, relation))
+        if args.full_order:
+            fields["relation"] = _json_list(_relation_columns(poset, heads, tails))
+        _write(args.out, _json_doc(group.rs.name, fields))
     elif args.format == "csv":
         rows = [
             [_ints(sorted(z.stratum)), z.x.word_str, z.w.word_str, poset.dim(z)]
@@ -245,21 +268,31 @@ def cmd_paths(args) -> int:
     if args.count_only:
         _write(args.out, [f"{len(paths)}\n"])
         return 0
-    rows = ((p.segments, p.endpoint(), initial_direction(group, p).word_str) for p in paths)
     if args.format == "json":
-        payload = [
-            {
-                "segments": [{"direction": d, "duration": str(t)} for d, t in segments],
-                "endpoint": end,
-                "initial": word,
-            }
-            for segments, end, word in rows
-        ]
-        _write(args.out, _json_doc(rs.name, {"paths": payload}))
+        # each orbit point (direction), endpoint and word is rendered once
+        directions = {d: _json_value(d, 5) for d in orbit_table(rs, lam).points}
+        ends = {e: _json_value(e, 3) for e in {p.endpoint() for p in paths}}
+        words = _json_words(group)
+
+        def entry(p):
+            segments = ",\n".join(
+                f'        {{\n          "direction": {directions[d]},\n          "duration": "{t}"\n        }}'
+                for d, t in p.segments
+            )
+            return (
+                f'    {{\n      "segments": [\n{segments}\n      ],\n      "endpoint": {ends[p.endpoint()]},\n'
+                f'      "initial": {words[initial_direction(group, p).index]}\n    }}'
+            )
+
+        _write(args.out, _json_doc(rs.name, {"paths": _json_list(map(entry, paths))}))
     elif args.format == "csv":
         rows = [
-            [word, _ints(end), ";".join(f"{_ints(d)}:{t}" for d, t in segments)]
-            for segments, end, word in rows
+            [
+                initial_direction(group, p).word_str,
+                _ints(p.endpoint()),
+                ";".join(f"{_ints(d)}:{t}" for d, t in p.segments),
+            ]
+            for p in paths
         ]
         _write(args.out, [_csv_text(["initial", "endpoint", "segments"], rows)])
     return 0
@@ -283,19 +316,32 @@ def cmd_monomials(args) -> int:
     if args.count_only:
         _write(args.out, [f"{len(indices)}\n"])
         return 0
-    # a path lies in many indices: its direction word and negated endpoint are read once
-    paths = {p for idx in indices for p in (idx.pair.left, idx.pair.right)}
-    read = {p: (initial_direction(group, p).word_str, tuple(-c for c in p.endpoint())) for p in paths}
-    rows = []
-    for n, mu, pair in indices:
-        (a, wl), (b, wr) = read[pair.left], read[pair.right]
-        rows.append((n, mu, a, b, wl, wr))
-    keys = ("n", "mu", "left", "right", "weight_left", "weight_right")
+    # a path lies in many indices and an (n, mu) heads a block of them: each is rendered once.
+    # Indices share their path objects, so a path is keyed by identity, not by its dataclass hash
+    paths = {id(p): p for idx in indices for p in (idx.pair.left, idx.pair.right)}
     if args.format == "json":
-        _write(args.out, _json_doc(rs.name, {"monomials": [dict(zip(keys, row)) for row in rows]}))
+        words, weight = _json_words(group), partial(_json_value, depth=3)
+    else:
+        words, weight = [el.word_str for el in group.elements], _ints
+    read = {k: (words[initial_direction(group, p).index], weight([-c for c in p.endpoint()])) for k, p in paths.items()}
+
+    def rows():
+        for (n, mu), block in groupby(indices, itemgetter(0, 1)):
+            head = weight(n), weight(mu)
+            for idx in block:
+                (a, wl), (b, wr) = read[id(idx.pair.left)], read[id(idx.pair.right)]
+                yield *head, a, b, wl, wr
+
+    if args.format == "json":
+        entries = (
+            f'    {{\n      "n": {n},\n      "mu": {mu},\n      "left": {a},\n      "right": {b},\n'
+            f'      "weight_left": {wl},\n      "weight_right": {wr}\n    }}'
+            for n, mu, a, b, wl, wr in rows()
+        )
+        _write(args.out, _json_doc(rs.name, {"monomials": _json_list(entries)}))
     elif args.format == "csv":
-        rows = [(_ints(n), _ints(mu), a, b, _ints(wl), _ints(wr)) for n, mu, a, b, wl, wr in rows]
-        _write(args.out, [_csv_text(keys, rows)])
+        keys = ("n", "mu", "left", "right", "weight_left", "weight_right")
+        _write(args.out, [_csv_text(keys, rows())])
     return 0
 
 

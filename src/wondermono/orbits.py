@@ -326,31 +326,35 @@ class OrbitPoset:
             self._neg_dims = [-d for d in dims]
         return self._layers
 
-    def _maximal_bits(self, mask: int, start: int | None = None) -> int:
-        """Bitmask of the maximal labels of mask, found layer by layer in dimension.
+    def _maximal_bits(self, mask: int, start: int | None = None) -> list[int]:
+        """Positions of the maximal labels of mask, ascending, found layer by layer in dimension.
 
         A strict relation lowers dimension, so labels of one layer are pairwise
         incomparable and anything above a label sits in a higher layer.  Going
-        down the layers, the labels of mask not below a maximal label already
-        found are maximal; the walk stops once their down-sets cover mask.
-        A caller that knows mask holds no label above dimension start passes
-        it, and the walk skips the layers above.
+        down the layers, the labels of mask still uncovered are maximal, and
+        their down-sets are taken out of what is left; the walk stops once
+        nothing is.  A caller that knows mask holds no label above dimension
+        start passes it, and the walk skips the layers above.
         """
         layers = self._dim_layers()
         if start is not None:
             # the first layer of dimension at most start; no dimension is assumed present
             layers = layers[bisect_left(self._neg_dims, -start) :]
         down = self._down
-        top = 0
-        covered = 0
+        top: list[int] = []
+        rest = mask
         for layer in layers:
-            if not mask & ~covered:
+            if not rest:
                 break
-            fresh = mask & layer & ~covered
+            fresh = rest & layer
             if fresh:
-                top |= fresh
-                for j in self._bits(fresh):
+                found = self._bits(fresh)
+                top += found
+                covered = 0
+                for j in found:
                     covered |= down[j]
+                rest &= ~covered
+        top.sort()
         return top
 
     def maximal_of_mask(self, mask: int) -> list[OrbitLabel]:
@@ -360,16 +364,18 @@ class OrbitPoset:
         maximal label costs one OR of its down-set; labels below them cost
         nothing.
         """
-        return self._from_mask(self._maximal_bits(mask))
+        labels = self.labels
+        return [labels[i] for i in self._maximal_bits(mask)]
 
     def meet_components(self, z1: OrbitLabel, z2: OrbitLabel) -> list[OrbitLabel]:
         """Maximal orbits lying in both closures (the components of the intersection)."""
         i1, i2 = self.index[z1], self.index[z2]
         start = min(self._dims[i1], self._dims[i2])
-        return self._from_mask(self._maximal_bits(self._down[i1] & self._down[i2], start))
+        labels = self.labels
+        return [labels[i] for i in self._maximal_bits(self._down[i1] & self._down[i2], start)]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Transitive reduction as (upper index, lower index) pairs.
+        """Transitive reduction as (upper index, lower index) pairs, ascending.
 
         The covers of a label are the maximal elements of its strict down-set,
         found by the same layer walk as maximal_of_mask started one dimension
@@ -377,9 +383,7 @@ class OrbitPoset:
         """
         if self._covers is None:
             dims = self._dims
-            self._covers = [
-                tuple(self._bits(self._maximal_bits(d & ~(1 << i), dims[i] - 1))) for i, d in enumerate(self._down)
-            ]
+            self._covers = [tuple(self._maximal_bits(d & ~(1 << i), dims[i] - 1)) for i, d in enumerate(self._down)]
         return [(i, j) for i, js in enumerate(self._covers) for j in js]
 
     @staticmethod
