@@ -14,7 +14,8 @@ import io
 import json
 import sys
 from contextlib import nullcontext
-from functools import partial
+from fractions import Fraction
+from functools import cache, partial
 from itertools import compress, groupby
 from operator import itemgetter
 
@@ -34,10 +35,10 @@ CONVENTIONS = {
 
 # requests are sized before anything is enumerated.  Measured in process
 # (Python 3.11, one core of a shared 2-CPU Xeon): paths on B4 (2,1,0,1), 9,504
-# paths, takes 0.37-0.49 s as JSON and 0.22-0.35 s with --count-only; monomials
-# on the open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 0.28-0.34 s
-# as JSON, 0.32-0.51 s as CSV and 0.17-0.20 s with --count-only.  Either budget
-# is under a second of work.
+# paths, takes 0.36-0.50 s as JSON, 0.41-0.61 s as CSV and 0.29-0.42 s with
+# --count-only; monomials on the open orbit of B3 at (0,2,0), 77,415 candidate
+# pairs, takes 0.28-0.34 s as JSON, 0.32-0.51 s as CSV and 0.17-0.20 s with
+# --count-only.  Either budget is under a second of work.
 PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000
 
@@ -202,7 +203,7 @@ def _poset_dot(poset: OrbitPoset) -> str:
     lines = ["digraph orbits {", "  rankdir=BT;"]
     for k, z in enumerate(poset.labels):
         lines.append(f'  z{k} [label="{z} dim {poset.dim(z)}"];')
-    for upper, lower in sorted(poset.cover_pairs()):
+    for upper, lower in poset.cover_pairs():
         lines.append(f"  z{lower} -> z{upper};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -268,6 +269,8 @@ def cmd_paths(args) -> int:
     if args.count_only:
         _write(args.out, [f"{len(paths)}\n"])
         return 0
+    # a duration, steps[k] / den, is rendered once per distinct pair of ints
+    duration = cache(lambda s, den: str(Fraction(s, den)))
     if args.format == "json":
         # each orbit point (direction), endpoint and word is rendered once
         directions = {d: _json_value(d, 5) for d in orbit_table(rs, lam).points}
@@ -276,8 +279,9 @@ def cmd_paths(args) -> int:
 
         def entry(p):
             segments = ",\n".join(
-                f'        {{\n          "direction": {directions[d]},\n          "duration": "{t}"\n        }}'
-                for d, t in p.segments
+                f'        {{\n          "direction": {directions[d]},\n'
+                f'          "duration": "{duration(s, p.den)}"\n        }}'
+                for d, s in zip(p.dirs, p.steps)
             )
             return (
                 f'    {{\n      "segments": [\n{segments}\n      ],\n      "endpoint": {ends[p.endpoint()]},\n'
@@ -290,7 +294,7 @@ def cmd_paths(args) -> int:
             [
                 initial_direction(group, p).word_str,
                 _ints(p.endpoint()),
-                ";".join(f"{_ints(d)}:{t}" for d, t in p.segments),
+                ";".join(f"{_ints(d)}:{duration(s, p.den)}" for d, s in zip(p.dirs, p.steps)),
             ]
             for p in paths
         ]

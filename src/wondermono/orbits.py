@@ -133,8 +133,9 @@ def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
         raise ValueError("labels from different Weyl groups")
     if not z1.stratum <= z2.stratum:
         return
+    us = group.parabolic_elements(z1.stratum)
     for v, xv, wv in _lifts(z2, z1.stratum):
-        for u in group.parabolic_elements(z1.stratum):
+        for u in us:
             xvu = group.multiply(xv, group.inverse(u))
             if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
                 yield u, v
@@ -152,7 +153,8 @@ def closure_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement,
 
 def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
     """True when the orbit of z1 lies in the closure of the orbit of z2."""
-    return any(True for _ in _witnesses(z1, z2))
+    # a witness is a non-empty tuple, so any() stops at the first one
+    return any(_witnesses(z1, z2))
 
 
 def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
@@ -160,34 +162,26 @@ def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
 
     J must be contained in z's stratum.  Each admissible v (in the parabolic
     of z's stratum, minimal for W / W_J, with l(wv) additive) contributes the
-    orbit [J, xv, wv]; the product xv is checked to be minimal already, and
-    the operation refuses to project silently if that ever failed.
+    orbit [J, xv, wv].  xv is minimal for W / W_J, as x is for W / W_I and v
+    lies in W_I; the label checks it, so a lift that broke this would raise.
     """
-    group = z.group
     J = frozenset(J)
     if not J <= z.stratum:
         raise ValueError(f"target stratum {sorted(J)} is not contained in {sorted(z.stratum)}")
-    out = []
-    for _, xv, wv in _lifts(z, J):
-        xmin, rest = group.coset_decompose(xv, J)
-        if rest.length != 0:
-            raise RuntimeError(f"component representative {xv.word_str} is not minimal for {sorted(J)}")
-        out.append(OrbitLabel(J, xmin, wv))
-    return sorted(out, key=OrbitLabel.sort_key)
+    return sorted((OrbitLabel(J, xv, wv) for _, xv, wv in _lifts(z, J)), key=OrbitLabel.sort_key)
 
 
 @memoized(lambda z: (z.group, z))
 def schubert_pairs(z: OrbitLabel) -> tuple[SchubertPair, ...]:
-    """Components of the closure of z inside the doubled flag variety.
+    """Components of the closure of z inside the doubled flag variety, sorted by element indices.
 
-    Each stratum component [0, xv, wv] becomes the product of an opposite
-    Schubert variety for xv w0 and an ordinary one for wv.
+    Each lift (v, xv, wv) to the empty stratum, the component [0, xv, wv] of
+    stratum_components, becomes the product of an opposite Schubert variety
+    for xv w0 and an ordinary one for wv.
     """
     group = z.group
     w0 = group.longest
-    pairs = [
-        SchubertPair(group.multiply(c.x, w0), c.w) for c in stratum_components(z, frozenset())
-    ]
+    pairs = [SchubertPair(group.multiply(xv, w0), wv) for _, xv, wv in _lifts(z, ())]
     return tuple(sorted(pairs, key=lambda p: (p.left.index, p.right.index)))
 
 
@@ -307,9 +301,9 @@ class OrbitPoset:
 
     def stratum_mask(self, J) -> int:
         """Bitmask of all labels whose stratum is exactly J (a contiguous block)."""
-        J = frozenset(J)
-        start = self._base[J]
+        # min_coset_reps validates J, so a subset outside 1..rank is a ValueError, not a missing block
         size = len(self.group.min_coset_reps(J)) * len(self.group)
+        start = self._base[frozenset(J)]
         return ((1 << size) - 1) << start
 
     def _from_mask(self, mask: int) -> list[OrbitLabel]:

@@ -66,6 +66,8 @@ class WeylElement:
         """Apply the word to a weight, one simple reflection per letter, right to left."""
         alphas = self.group._alphas
         weight = tuple(weight)
+        if len(weight) != len(alphas):
+            raise ValueError(f"weight {weight} has length {len(weight)}, not the rank {len(alphas)}")
         for letter in reversed(self.word):
             n = weight[letter - 1]
             if n:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import group_of, poset_of
 
+from wondermono import orbits
 from wondermono.orbits import (
     OrbitLabel,
     OrbitPoset,
@@ -179,6 +180,11 @@ def test_stratum_mask_partition():
     assert total == len(poset)
 
 
+def test_stratum_mask_refuses_a_subset_outside_the_rank():
+    with pytest.raises(ValueError, match=r"subset \[5\] is not contained in 1..2"):
+        poset_of("A2").stratum_mask({5})
+
+
 def test_stratum_components_a1():
     g = group_of("A1")
     ee, es, se, ss, de, ds = a1_labels()
@@ -216,6 +222,28 @@ def test_schubert_pairs_a1():
     assert [(p.left, p.right) for p in schubert_pairs(de)] == [(e, s1), (s1, e)]
     assert [(p.left, p.right) for p in schubert_pairs(ds)] == [(s1, s1)]
     assert [(p.left, p.right) for p in schubert_pairs(se)] == [(e, e)]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_schubert_pairs_are_the_empty_slice(name):
+    # schubert_pairs reads the lifts itself; the empty slice reaches them through checked labels
+    g = group_of(name)
+    w0 = g.longest
+    for z in poset_of(name).labels:
+        pairs = [(p.left, p.right) for p in schubert_pairs(z)]
+        assert set(pairs) == {(g.multiply(c.x, w0), c.w) for c in stratum_components(z, ())}
+        assert len(set(pairs)) == len(pairs)
+        keys = [(a.index, b.index) for a, b in pairs]
+        assert keys == sorted(keys)
+
+
+def test_stratum_components_refuse_a_non_minimal_lift(monkeypatch):
+    # s1 has the right descent 1, so it is no minimal representative for J = {1}
+    g = group_of("A2")
+    s1 = g.simple(1)
+    monkeypatch.setattr(orbits, "_lifts", lambda z, J: [(s1, s1, s1)])
+    with pytest.raises(ValueError, match="not a minimal coset representative"):
+        stratum_components(lab(g, (1, 2), (), ()), {1})
 
 
 def test_meet_components_a1():

@@ -251,6 +251,16 @@ def test_dual_weight():
     assert group_of("D4").dual_weight((1, 2, 3, 4)) == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("weight", [(1, 0, 0), (1,)])
+def test_action_refuses_a_weight_of_the_wrong_length(weight):
+    # a long weight is not truncated, and a short one fails with the same message, not on an index
+    g = group_of("A2")
+    with pytest.raises(ValueError, match=f"has length {len(weight)}, not the rank 2"):
+        g.dual_weight(weight)
+    with pytest.raises(ValueError, match="not the rank 2"):
+        g.simple(1).act(weight)
+
+
 def test_subsets_order():
     g = group_of("A2")
     assert g.subsets() == [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
