@@ -8,7 +8,9 @@ Demazure characters from the string-sum recursion, never from the paths.
 
 from __future__ import annotations
 
-from .rootsys import RootSystem, Weight, coroot_pairing
+from operator import mul
+
+from .rootsys import RootSystem, Weight, coroot
 from .weyl import WeylElement, WeylGroup
 
 Character = dict[Weight, int]
@@ -80,12 +82,12 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         raise ValueError("weight length must equal the rank")
     if any(x < 0 for x in lam):
         raise ValueError(f"weight {lam} is not dominant")
-    rho = rs.rho()
     shifted = tuple(x + 1 for x in lam)
     num = den = 1
     for beta in rs.positive_roots:
-        num *= coroot_pairing(rs, shifted, beta)
-        den *= coroot_pairing(rs, rho, beta)
+        co = coroot(rs, beta)
+        num *= sum(map(mul, co, shifted))
+        den *= sum(co)  # <rho, beta^vee>, rho being (1, ..., 1)
     dim, rem = divmod(num, den)
     assert rem == 0
     return dim

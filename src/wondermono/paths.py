@@ -14,22 +14,33 @@ common denominator of the whole path model (shape_denominator).  Numerators
 scaled to D_lam compare exactly as the durations do, which gives the
 canonical sort order.
 
-Lowering runs in orbit form: a direction is its index in the shape's W-orbit
-(rootsys.orbit_table) and the durations are numerators over D_lam.  The orbit
-table gives each point's coordinate against every simple coroot and its image
-under every simple reflection, so lowering reads tables and adds ints, and
-builds no weight.  One kernel (_lower) follows the usual path model recipe:
-locate the last attainment of the minimal height, reflect up to the next unit
-rise, translate the rest.  It raises when the cut point does not land on
-1/D_lam; it never rounds.  generate_paths closes the straight path under it in
-orbit form and builds each distinct path once; root_lower converts one path to
-orbit form and back around the same kernel.  A path's initial direction is
-read from the shape's coset table (WeylGroup.coset_table), which gives each
-point of the orbit the element of its word there.
+The path model is generated as LS chains (Lakshmibai-Seshadri; Littelmann,
+Invent. Math. 116, 1994): tau_1 > ... > tau_r in W/W_lam with times
+0 < a_1 < ... < a_(r-1) < 1, each tau_k joined to tau_(k+1) by an a_k-chain of
+Bruhat covers.  In orbit form a point of the shape's W-orbit stands for its
+coset, a cover (s_beta mu, mu) has m = <mu, beta^vee> > 0 and length one more,
+and it admits the time s / D_lam iff D_lam / gcd(D_lam, m) divides s.
+generate_paths walks these chains depth first in canonical order, so each
+path is built once and nothing is sorted.
+
+The root operators are the cross-check.  Lowering runs in orbit form too: a
+direction is its index in the shape's W-orbit (rootsys.orbit_table) and the
+durations are numerators over D_lam.  The orbit table gives each point's
+coordinate against every simple coroot and its image under every simple
+reflection, so lowering reads tables and adds ints, and builds no weight.
+One kernel (_lower) follows the usual path model recipe: locate the last
+attainment of the minimal height, reflect up to the next unit rise,
+translate the rest.  It raises when the cut point does not land on 1/D_lam;
+it never rounds.  _lowering_closure closes the straight path under it, which
+verify compares with the chains; root_lower converts one path to orbit form
+and back around the same kernel.  A path's initial direction, tau_1, is read
+from the shape's coset table (WeylGroup.coset_table), which gives each point
+of the orbit the element of its word there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,10 +53,12 @@ from .rootsys import (
     RootSystem,
     Weight,
     by_weight,
+    coroot,
     coroot_pairing,
     is_dominant,
     memoized,
     orbit_table,
+    root_combination,
     sub_weights,
 )
 from .weyl import WeylElement, WeylGroup
@@ -220,12 +233,13 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     return _path(tuple(table.points[d] for d in low[0]), low[1], big, path.shape)
 
 
-@memoized(by_weight)
-def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
-    """Close the straight path under all lowering operators, sorted canonically.
+def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The closure of the straight path under every lowering operator, in orbit form over D_lam.
 
-    The closure runs on (dirs, steps) in orbit form over D_lam, where equal
-    paths have equal ints, so each distinct path is built and checked once.
+    Each member is (dirs, steps): orbit indices into orbit_table(rs, lam) and
+    numerators over shape_denominator(rs, lam), one _lower call per (path,
+    simple root).  This is the root-operator route to the path model, against
+    which verify checks the chains of generate_paths.
     """
     lam = _shape(rs, lam)
     table = orbit_table(rs, lam)
@@ -242,10 +256,77 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    # canonical order: (direction, duration) pairs compared lexicographically, durations as numerators over D_lam
-    points = table.points
-    model = sorted(tuple(zip([points[d] for d in dirs], steps)) for dirs, steps in seen)
-    return tuple(_path(tuple(d for d, _ in segs), tuple(s for _, s in segs), big, lam) for segs in model)
+    return seen
+
+
+def _cover_table(rs: RootSystem, points: list[Weight], length: list[int], big: int) -> list[list[tuple[int, int]]]:
+    """The Bruhat covers of W/W_lam, downwards: covers[k] lists (q, j) for each cover of points[j] by points[k].
+
+    A cover is (s_beta mu, mu) with m = <mu, beta^vee> > 0 and length one more;
+    a step at time s / D_lam along it is admitted iff q = D_lam / gcd(D_lam, m) divides s.
+    """
+    index = {point: k for k, point in enumerate(points)}
+    roots = [(coroot(rs, beta), root_combination(rs, beta)) for beta in rs.positive_roots]
+    covers: list[list[tuple[int, int]]] = [[] for _ in points]
+    for j, mu in enumerate(points):
+        for co, beta in roots:
+            m = sum(map(mul, co, mu))
+            if m > 0:
+                k = index[tuple(x - m * b for x, b in zip(mu, beta))]
+                if length[k] == length[j] + 1:
+                    covers[k].append((big // gcd(big, m), j))
+    return covers
+
+
+@memoized(by_weight)
+def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
+    """The LS paths of shape lam as chains in W/W_lam, in canonical order.
+
+    A path runs along tau_1 > ... > tau_r, each tau_k for time a_k - a_(k-1),
+    where tau_k reaches tau_(k+1) by an a_k-chain: a chain of covers that each
+    admit the time a_k.  Points are taken in ascending weight order, so a
+    depth-first search that tries the admitted times in ascending order and
+    emits each path after those that continue it yields the canonical order,
+    and builds each path once.
+    """
+    lam = _shape(rs, lam)
+    table = orbit_table(rs, lam)
+    big = shape_denominator(rs, lam)
+    # renumber the orbit in ascending weight order, so ascending indices are the canonical order of directions
+    order = sorted(range(len(table.points)), key=table.points.__getitem__)
+    points = [table.points[k] for k in order]
+    covers = _cover_table(rs, points, [len(table.words[k]) for k in order], big)
+    # the times (numerators over D_lam) that some cover out of each point admits, ascending
+    admitted = [sorted({s for q in {q for q, _ in row} for s in range(q, big, q)}) for row in covers]
+    reached: dict[tuple[int, int], list[int]] = {}
+
+    def reach(k: int, s: int) -> list[int]:
+        """The points below points[k] along an s-chain of at least one cover, ascending."""
+        got = reached.get((k, s))
+        if got is None:
+            found = set()
+            for q, j in covers[k]:
+                if not s % q:
+                    found.add(j)
+                    found.update(reach(j, s))
+            got = reached[(k, s)] = sorted(found)
+        return got
+
+    model: list[LSPath] = []
+
+    def walk(dirs: tuple[Weight, ...], steps: tuple[int, ...], k: int, t: int) -> None:
+        """Emit every path that continues dirs along points[k] from time t / D_lam, then the one that ends there."""
+        dirs += (points[k],)
+        times = admitted[k]
+        for s in times[bisect_right(times, t) :]:
+            head = steps + (s - t,)
+            for j in reach(k, s):
+                walk(dirs, head, j, s)
+        model.append(_path(dirs, steps + (big - t,), big, lam))
+
+    for k in range(len(points)):
+        walk((), (), k, 0)
+    return tuple(model)
 
 
 def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:

@@ -16,7 +16,8 @@ never in a module-level cache, so it is freed with that object (see memoized).
 RootSystem.memo holds what is derived from the root system alone: the orbit
 tables of orbit_table (the package's one breadth-first walk of the W-orbit of
 a weight, which gives the Weyl group as the orbit of rho and each path model
-its directions), the path models of generate_paths and each shape's common
+its points), each root's coroot, the path models of generate_paths (LS chains
+through the Bruhat covers of a shape's orbit) and each shape's common
 denominator; results computed per Weyl group live on the WeylGroup.
 """
 
@@ -28,6 +29,7 @@ from fractions import Fraction
 from functools import partial, wraps
 from itertools import product
 from math import lcm
+from operator import mul
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -90,7 +92,7 @@ def memoized(owner_key):
 
 
 def by_weight(owner, lam):
-    """Memo key of a per-weight result: the weight as a tuple, so a list is accepted too."""
+    """Memo key of a per-weight (or per-root) result: the vector as a tuple, so a list is accepted too."""
     return owner, tuple(lam)
 
 
@@ -309,19 +311,27 @@ def dominant_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, RootVector
     return out
 
 
-def coroot_pairing(rs: RootSystem, lam: Weight, root: Root) -> int:
-    """Pair a weight against the coroot of an arbitrary root, exactly.
+@memoized(by_weight)
+def coroot(rs: RootSystem, root: Root) -> tuple[int, ...]:
+    """The coroot of an arbitrary root over the simple coroots: integer coefficients.
 
-    With (alpha_j, alpha_j) = 2 d_j, <lam, beta^vee> = 2 (lam, beta) / (beta, beta),
-    an integer for every integral weight.
+    With (alpha_j, alpha_j) = 2 d_j, alpha_j^vee = alpha_j / d_j, so
+    beta^vee = 2 beta / (beta, beta) has coefficient 2 d_j beta_j / (beta, beta) on alpha_j^vee.
     """
     d = rs.symmetrizer
-    num = 2 * sum(c * d[j] * lam[j] for j, c in enumerate(root))
     norm = sum(root[i] * root[j] * d[i] * rs.cartan[i][j] for i in range(rs.rank) for j in range(rs.rank))
-    out, rem = divmod(num, norm)
-    if rem:
-        raise RootSystemError(f"weight {lam} pairs non-integrally with the coroot of {root}")
-    return out
+    out = []
+    for j, c in enumerate(root):
+        q, rem = divmod(2 * d[j] * c, norm)
+        if rem:
+            raise RootSystemError(f"{root} has no integral coroot: it is not a root of {rs.name}")
+        out.append(q)
+    return tuple(out)
+
+
+def coroot_pairing(rs: RootSystem, lam: Weight, root: Root) -> int:
+    """Pair a weight against the coroot of an arbitrary root, exactly: a dot product with its coroot."""
+    return sum(map(mul, coroot(rs, root), lam))
 
 
 class OrbitTable(NamedTuple):

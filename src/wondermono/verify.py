@@ -68,12 +68,20 @@ from .orbits import (
     schubert_pairs,
     stratum_components,
 )
-from .paths import generate_pairs, generate_paths, initial_direction, pair_directions
+from .paths import (
+    _lowering_closure,
+    generate_pairs,
+    generate_paths,
+    initial_direction,
+    pair_directions,
+    shape_denominator,
+)
 from .rootsys import (
     build,
     dominance_diff,
     exponent_bounds,
     is_dominant,
+    orbit_table,
     root_combination,
     sub_weights,
     support,
@@ -319,6 +327,20 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             for p in ps:
                 if p.shape != lam:
                     raise CheckFailure(f"path of shape {p.shape} generated for {lam}")
+            # the root-operator route: the closure of the straight path under lowering, each member
+            # put in lowest terms as an LSPath keeps its fields
+            points = orbit_table(rs, lam).points
+            big = shape_denominator(rs, lam)
+            closure = set()
+            for dirs, steps in _lowering_closure(rs, lam):
+                g = math.gcd(big, *steps)
+                closure.add((tuple(map(points.__getitem__, dirs)), tuple(s // g for s in steps), big // g))
+            model = {(p.dirs, p.steps, p.den) for p in ps}
+            if model != closure:
+                raise CheckFailure(
+                    f"{lam}: {len(model - closure)} paths outside the lowering closure,"
+                    f" {len(closure - model)} closure paths not generated"
+                )
         return counted("weights", len(kept), skipped)
 
     def check_path_endpoints():

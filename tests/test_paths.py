@@ -290,10 +290,10 @@ def test_path_checks_on_ints():
 
 
 @pytest.mark.parametrize(
-    "name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1))]
+    "name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1)), ("B4", (1, 0, 0, 1))]
 )
 def test_model_is_closure_under_public_lowering(name, lam):
-    # the orbit-form closure against a plain breadth-first search on LSPath objects
+    # the chains against a plain breadth-first search on LSPath objects
     rs = group_of(name).rs
     start = straight_path(rs, lam)
     seen = {start}
@@ -319,6 +319,29 @@ def test_generate_paths_builds_each_path_once(monkeypatch):
     monkeypatch.setattr(paths, "_fill", counting_fill)
     model = generate_paths(rs, (1, 0, 1))
     assert len(calls) == len(model) == weyl_dim(rs, (1, 0, 1))
+
+
+def test_generate_paths_never_lowers(monkeypatch):
+    rs = from_name("B3")  # a fresh root system, so no memoized model is reused
+
+    def no_lowering(*args):
+        raise AssertionError("generate_paths called _lower")
+
+    monkeypatch.setattr(paths, "_lower", no_lowering)
+    assert len(generate_paths(rs, (1, 1, 1))) == weyl_dim(rs, (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "name, lam", [("A2", (2, 1)), ("G2", (2, 1)), ("A3", (1, 1, 1)), ("B3", (1, 0, 1)), ("F4", (0, 0, 0, 1))]
+)
+def test_model_comes_out_in_canonical_order(name, lam):
+    # (direction, duration) pairs compared lexicographically, durations as numerators over D_lam
+    rs = group_of(name).rs
+    big = paths.shape_denominator(rs, lam)
+    model = generate_paths(rs, lam)
+    keys = [tuple(zip(p.dirs, (s * (big // p.den) for s in p.steps))) for p in model]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
 
 
 def test_root_lower_names_direction_outside_orbit():

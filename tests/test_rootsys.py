@@ -11,6 +11,7 @@ from conftest import add_weights
 from wondermono.rootsys import (
     RootSystemError,
     build,
+    coroot,
     coroot_pairing,
     dominance_diff,
     dominant_below,
@@ -185,6 +186,16 @@ def test_coroot_pairing():
     # highest root of G2 is long, its coroot is a short coroot combination
     assert coroot_pairing(rs, (1, 0), (3, 2)) == 1
     assert coroot_pairing(rs, (0, 1), (3, 2)) == 2
+
+
+def test_coroot_table():
+    rs = build("G", 2)
+    # the long highest root of G2 has coroot alpha_1^vee + 2 alpha_2^vee, kept once per root
+    assert coroot(rs, (3, 2)) == (1, 2)
+    assert coroot(rs, [3, 2]) is coroot(rs, (3, 2))
+    assert coroot(rs, (-3, -2)) == (-1, -2)
+    with pytest.raises(RootSystemError, match="not a root of G2"):
+        coroot(rs, (1, 2))
 
 
 @given(st.sampled_from(["A2", "B2", "C2", "G2", "A3"]), st.data())

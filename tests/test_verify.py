@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import weight_grid
 
-from wondermono import cli, monomials, orbits, verify, weyl
+from wondermono import cli, monomials, orbits, paths, verify, weyl
 from wondermono.orbits import build_poset
 from wondermono.rootsys import exponent_bounds, from_name
 from wondermono.verify import run_suite, suite_passed
@@ -197,6 +198,45 @@ def test_poset_extremes_fail_on_a_missing_cover_pair(monkeypatch):
     result = {r.name: r for r in run_suite("A", 2, 1)}["poset-extremes"]
     assert result.status == "fail"
     assert "cover pairs differ" in result.detail
+
+
+def test_path_count_fails_when_chains_skip_the_integrality_test(monkeypatch):
+    # every cover admits every time: B2's (1, 0) gets chains that are no LS paths
+    real = paths._cover_table
+    monkeypatch.setattr(paths, "_cover_table", lambda *args: [[(1, j) for _, j in row] for row in real(*args)])
+    result = {r.name: r for r in run_suite("B", 2, 1)}["path-count"]
+    assert result.status == "fail"
+    assert result.detail == "(1, 0): 10 paths, Weyl dimension 5"
+
+
+def test_path_count_fails_on_a_path_swapped_for_one_with_its_endpoint_and_direction(monkeypatch):
+    # the swapped-in path has the same count, endpoint and initial direction: only the lowering closure tells
+    real = verify.generate_paths
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    kept = paths.LSPath([((-2,), half), ((2,), half)], (2,))
+    swapped = paths.LSPath([((-2,), quarter), ((2,), half), ((-2,), quarter)], (2,))
+    assert swapped.endpoint() == kept.endpoint() and swapped.dirs[0] == kept.dirs[0]
+    monkeypatch.setattr(
+        verify, "generate_paths", lambda rs, lam: tuple(swapped if p == kept else p for p in real(rs, lam))
+    )
+    results = {r.name: r for r in run_suite("A", 1, 2)}
+    assert results["path-count"].status == "fail"
+    assert results["path-count"].detail == "(2,): 1 paths outside the lowering closure, 1 closure paths not generated"
+    assert results["path-endpoints"].status == results["path-demazure"].status == "pass"
+
+
+def test_path_endpoints_fail_when_every_path_ends_at_its_shape(monkeypatch):
+    monkeypatch.setattr(paths.LSPath, "endpoint", lambda self: self.shape)
+    result = {r.name: r for r in run_suite("A", 2, 1)}["path-endpoints"]
+    assert result.status == "fail"
+    assert result.detail == "endpoint multiset differs from the full character at (0, 1)"
+
+
+def test_path_demazure_fails_when_every_path_opens_at_the_identity(monkeypatch):
+    monkeypatch.setattr(verify, "initial_direction", lambda group, p: group.identity)
+    result = {r.name: r for r in run_suite("A", 2, 1)}["path-demazure"]
+    assert result.status == "fail"
+    assert result.detail == "3 paths open below e at (0, 1), character dimension 1"
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
