@@ -13,7 +13,6 @@ from .monomials import (
     basis_indices,
     correction_support,
     graded_counts,
-    has_schubert_sections,
     is_basis_index,
     is_standard_on_closure,
     is_standard_on_components,
@@ -92,7 +91,6 @@ __all__ = [
     "generate_pairs",
     "generate_paths",
     "graded_counts",
-    "has_schubert_sections",
     "initial_direction",
     "is_basis_index",
     "is_dominant",

@@ -63,7 +63,7 @@ from .rootsys import (
     memoized,
     support,
 )
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 
 
 class MonomialIndex(NamedTuple):
@@ -130,16 +130,6 @@ def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
     a = initial_direction(z.group, pair.left).index
     b = initial_direction(z.group, pair.right).index
     return bool(standard_rows(z)[a] >> b & 1)
-
-
-def has_schubert_sections(w: WeylElement, mu: Weight) -> bool:
-    """Section-existence test for a weight on the Schubert variety of w.
-
-    The coordinate of mu at every simple root sent negative by w, i.e. at
-    every right descent of w, must be nonnegative.  Dominant weights pass
-    trivially.
-    """
-    return all(mu[i - 1] >= 0 for i in w.group.right_descents(w))
 
 
 @memoized(by_weight)

@@ -233,12 +233,13 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     return _path(tuple(table.points[d] for d in low[0]), low[1], big, path.shape)
 
 
-def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The closure of the straight path under every lowering operator, in orbit form over D_lam.
+def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[Weight, ...], tuple[int, ...], int]]:
+    """The closure of the straight path under every lowering operator, each member in LSPath's fields.
 
-    Each member is (dirs, steps): orbit indices into orbit_table(rs, lam) and
-    numerators over shape_denominator(rs, lam), one _lower call per (path,
-    simple root).  This is the root-operator route to the path model, against
+    The closure is walked in orbit form over D_lam, one _lower call per (path,
+    simple root); each member is then returned as (dirs, steps, den), the
+    directions as weights and the durations in lowest terms, as an LSPath
+    holds them.  This is the root-operator route to the path model, against
     which verify checks the chains of generate_paths.
     """
     lam = _shape(rs, lam)
@@ -256,7 +257,12 @@ def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[int, ...],
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return seen
+    points = table.points
+    fields = set()
+    for dirs, steps in seen:
+        g = gcd(big, *steps)
+        fields.add((tuple(map(points.__getitem__, dirs)), tuple(s // g for s in steps), big // g))
+    return fields
 
 
 def _cover_table(rs: RootSystem, points: list[Weight], length: list[int], big: int) -> list[list[tuple[int, int]]]:

@@ -11,26 +11,29 @@ C-level pass.  The union of the strict down-sets below each label decides
 transitivity, antisymmetry and the flat covers at once; only a failure walks
 single bits, to name the witness a bit-by-bit scan would meet first.
 
-The standardness checks decide each direction class once.  A class (support,
-a, b) is standard on a label when its support lies in the label's stratum and
-bit b of row a of standard_rows is set, whatever the shape; class_masks reads
-every class of a label from its rows at the distinct left directions, joined
-as bytes, in one C-level pass.
+The standardness checks decide each direction class once, and read
+standardness in two ways only, each compared with a route of its own.
+The library's table: a class (support, a, b) is standard on a label when its
+support lies in the label's stratum and bit b of row a of standard_rows is
+set, whatever the shape; class_masks reads every class of a label from its
+rows at the distinct left directions, joined as bytes, in one C-level pass.
 - index-monotonicity compares those masks along the flat covers when the
   relation is a strict order, since every relation is then a chain of covers;
   a relation that is no order goes straight to the bit-by-bit scan.
 - standard-intersection reads the union of its shapes' classes once and
   compares each meet once.  One AND each tests that a meet's components lie
   below both labels and below none of each other.
-- nonstandard-locus builds its reference from schubert_pairs and down_mask
-  alone, never from standard_rows or the closure order.  The classes below
-  each component element are ORed once, a label's standard classes are the
-  union over its components, and each class's labels are one column of that
-  label-by-class table.  It is compared with nonstandard_components, which
-  reads the closure order.
-- graded-tables reads each basis index's class from initial_direction once
-  per run and each label's admitting components once per (a, b), by Bruhat
-  tests against the components.
+The definition: a class (a, b) is standard on a label when some Schubert pair
+(L, R) of it has a <= L and b <= R.  component_masks reads it from
+schubert_pairs and down_mask alone, never from standard_rows or the closure
+order: the classes below each component element are ORed once, and a label's
+mask is the union over its components.
+- nonstandard-locus lays the masks out as a label-by-class table, whose
+  column k is class k's standard labels, and compares each column with
+  nonstandard_components, which reads the closure order.
+- graded-tables numbers the classes of every candidate of its weights and
+  takes the masks once; each basis index's class, read from
+  initial_direction once per path, must be set in its label's mask.
 Here too only a failure scans one shape, meet, label or class at a time, to
 name the witness such a scan would meet first.
 """
@@ -50,7 +53,6 @@ from .monomials import (
     basis_indices,
     candidate_count,
     graded_counts,
-    has_schubert_sections,
     nonstandard_components,
     pair_count,
     shapes_below,
@@ -74,14 +76,12 @@ from .paths import (
     generate_paths,
     initial_direction,
     pair_directions,
-    shape_denominator,
 )
 from .rootsys import (
     build,
     dominance_diff,
     exponent_bounds,
     is_dominant,
-    orbit_table,
     root_combination,
     sub_weights,
     support,
@@ -212,6 +212,25 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             masks.append(of_rows(pick(standard_rows(z))) & keep)
         return masks
 
+    def component_masks(labels, classes) -> list[int]:
+        """Each label's bitmask over (a, b) classes: bit k when a Schubert pair of the label admits class k.
+
+        A pair (L, R) admits (a, b) when a <= L and b <= R.  The classes below each component element
+        are ORed once, from its down_mask; a label's mask is the union over its Schubert pairs.
+        """
+        width = len(group)
+        with_left, with_right = [0] * width, [0] * width  # the classes with each left, right direction
+        for k, (a, b) in enumerate(classes):
+            with_left[a] |= 1 << k
+            with_right[b] |= 1 << k
+
+        def under(side: list[int]):
+            """el -> the classes whose direction on that side lies below el, memoized per element."""
+            return cache(lambda el: reduce(or_, compress(side, mask_bytes(group.down_mask(el), width)), 0))
+
+        left_under, right_under = under(with_left), under(with_right)
+        return [reduce(or_, (left_under(c.left) & right_under(c.right) for c in schubert_pairs(z)), 0) for z in labels]
+
     @cache
     def strict_down() -> list[int]:
         """Each label's down-set without the label itself."""
@@ -327,14 +346,8 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             for p in ps:
                 if p.shape != lam:
                     raise CheckFailure(f"path of shape {p.shape} generated for {lam}")
-            # the root-operator route: the closure of the straight path under lowering, each member
-            # put in lowest terms as an LSPath keeps its fields
-            points = orbit_table(rs, lam).points
-            big = shape_denominator(rs, lam)
-            closure = set()
-            for dirs, steps in _lowering_closure(rs, lam):
-                g = math.gcd(big, *steps)
-                closure.add((tuple(map(points.__getitem__, dirs)), tuple(s // g for s in steps), big // g))
+            # the root-operator route: the closure of the straight path under lowering, in LSPath's fields
+            closure = _lowering_closure(rs, lam)
             model = {(p.dirs, p.steps, p.den) for p in ps}
             if model != closure:
                 raise CheckFailure(
@@ -472,14 +485,25 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def check_graded_tables():
         p = need_poset()
         zs = _stride(p.labels, ORBIT_SAMPLE)
-        admitted = {}  # (component, shape) of every admitting component, in the order found
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
-        admitting_of = [{} for _ in zs]  # per label, (a, b) -> its admitting components, for every weight
+        # every basis index is a candidate of its weight, so the candidates' classes cover its class
+        position: dict[tuple[int, int], int] = {}
         for lam in kept:
-            # id(index) -> (index, its class (a, b, mu)); an index belongs to one weight, so each class is
-            # read once per run, and holding the index keeps its id unused
-            class_of: dict[int, tuple] = {}
-            for z, admitting_at in zip(zs, admitting_of):
+            for mu, _ in shapes_below(group, lam):
+                for ab in pair_directions(group, mu):
+                    position.setdefault(ab, len(position))
+        masks = component_masks(zs, position)
+        # id(path) -> its initial direction's element index; every path stays in generate_paths' memo for the run
+        direction: dict[int, int] = {}
+
+        def direction_of(path) -> int:
+            k = direction.get(id(path))
+            if k is None:
+                k = direction[id(path)] = initial_direction(group, path).index
+            return k
+
+        for lam in kept:
+            for z, mask in zip(zs, masks):
                 basis = basis_indices(z, lam)
                 table = graded_counts(z, lam)
                 if table.total() != len(basis):
@@ -491,27 +515,8 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 for d, count in table.rows:
                     if recount.get(d, 0) != count:
                         raise CheckFailure(f"graded row {d} of {z} at {lam} miscounts")
-                # the component scan depends on an index only through its class (a, b, mu)
-                comps = schubert_pairs(z)
-                for idx in basis:
-                    if id(idx) not in class_of:
-                        a = initial_direction(group, idx.pair.left)
-                        class_of[id(idx)] = idx, (a, initial_direction(group, idx.pair.right), idx.mu)
-                for a, b, mu in dict.fromkeys(cls for _, cls in map(class_of.__getitem__, map(id, basis))):
-                    admitting = admitting_at.get((a, b))
-                    if admitting is None:
-                        admitting = admitting_at[a, b] = [
-                            c for c in comps if group.bruhat_leq(a, c.left) and group.bruhat_leq(b, c.right)
-                        ]
-                    if not admitting:
-                        raise CheckFailure(f"a basis index of {z} at {lam} lies under no component")
-                    admitted.update(dict.fromkeys((c, mu) for c in admitting))
-        # the section tests depend only on (component, shape)
-        for comp, mu in admitted:
-            if not has_schubert_sections(comp.right, mu):
-                raise CheckFailure(f"section test fails on {comp} at shape {mu}")
-            if not has_schubert_sections(comp.left, group.dual_weight(mu)):
-                raise CheckFailure(f"dual section test fails on {comp} at shape {mu}")
+                if any(not mask >> position[direction_of(i.pair.left), direction_of(i.pair.right)] & 1 for i in basis):
+                    raise CheckFailure(f"a basis index of {z} at {lam} lies under no component")
         return counted("weights", len(kept), skipped) + f" on {len(zs)} labels"
 
     def check_index_monotonicity():
@@ -553,24 +558,9 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             reps.update(zip(pair_directions(group, mu), pairs))
             pairs_seen += len(pairs)
         # the reference route reads only components and lower intervals, nonstandard_components the
-        # closure order; a class is standard on a label when some component (L, R) has a <= L and b <= R
-        width = len(group)
-        with_left, with_right = [0] * width, [0] * width  # the classes with each left, right direction
-        for k, (a, b) in enumerate(reps):
-            with_left[a] |= 1 << k
-            with_right[b] |= 1 << k
-
-        def under(side: list[int]):
-            """el -> the classes whose direction on that side lies below el, memoized per element."""
-            return cache(lambda el: reduce(or_, compress(side, mask_bytes(group.down_mask(el), width)), 0))
-
-        left_under, right_under = under(with_left), under(with_right)
+        # closure order; label-major rows of n bytes, so column k, every n-th byte, is class k's standard labels
         n = len(reps)
-        # label-major rows of n bytes; column k, every n-th byte, is class k's standard labels
-        table = b"".join(
-            mask_bytes(reduce(or_, (left_under(c.left) & right_under(c.right) for c in schubert_pairs(z)), 0), n)
-            for z in p.labels
-        )
+        table = b"".join(mask_bytes(m, n) for m in component_masks(p.labels, reps))
         for k, pair in enumerate(reps.values()):
             locus = full & ~mask_from_bytes(table[k::n])
             comps = nonstandard_components(pair, p)

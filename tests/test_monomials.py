@@ -15,7 +15,6 @@ from wondermono.monomials import (
     candidate_count,
     correction_support,
     graded_counts,
-    has_schubert_sections,
     is_basis_index,
     is_standard_on_closure,
     is_standard_on_components,
@@ -350,17 +349,6 @@ def test_stratum_restricts_exponents():
     z = lab(g, (1,), (), (2,))
     for idx in basis_indices(z, (1, 1)):
         assert idx.powers[1] == 0
-
-
-def test_has_schubert_sections():
-    g = group_of("A2")
-    for mu in [(3, -5), (-1, 0), (0, 0)]:
-        assert has_schubert_sections(g.identity, mu)
-    s1 = g.simple(1)
-    assert not has_schubert_sections(s1, (-1, 5))
-    assert has_schubert_sections(s1, (0, -7))
-    assert has_schubert_sections(g.longest, (2, 3))
-    assert not has_schubert_sections(g.longest, (1, -1))
 
 
 def test_basis_monotone_under_closure():

@@ -75,6 +75,50 @@ def test_nonstandard_locus_fails_on_a_component_dropped_from_one_label(monkeypat
     assert result.detail == "nonstandard locus at shape (1, 1) is not the union of its components"
 
 
+def test_component_route_names_the_label_whose_components_are_emptied(monkeypatch):
+    # only [{1},e,s2 s1] of A2 loses its Schubert pairs; run_suite builds its own group, so the label is matched by
+    # its words.  The library's table reads monomials' own schubert_pairs, so only the component route and the
+    # slices see the change
+    real = verify.schubert_pairs
+    key = (frozenset({1}), (), (2, 1))
+    monkeypatch.setattr(verify, "schubert_pairs", lambda z: () if (z.stratum, z.x.word, z.w.word) == key else real(z))
+    failures = {r.name: r.detail for r in run_suite("A", 2, 1) if r.status == "fail"}
+    assert failures == {
+        "graded-tables": "a basis index of [{1},e,s2 s1] at (0, 0) lies under no component",
+        "nonstandard-locus": "nonstandard locus at shape (1, 1) is not the union of its components",
+        "stratum-slices": "Schubert pairs of [{1},e,s2 s1] disagree with the empty slice",
+    }
+
+
+@pytest.mark.parametrize(
+    "name, mutate, failures",
+    [
+        (
+            "closure_leq",
+            lambda real: lambda z1, z2: False if not z1.w.word else real(z1, z2),
+            {"closure-crosscheck": "direct criterion and poset disagree on [{},e,e] <= [{},e,e]"},
+        ),
+        (
+            "stratum_components",
+            lambda real: lambda z, target: real(z, target)[:-1],
+            {"stratum-slices": "slice of [{},e,e] to [] has wrong components"},
+        ),
+        (
+            "basis_indices",
+            lambda real: lambda z, lam: real(z, lam)[:-1] if sum(lam) == 2 else real(z, lam),
+            {
+                "basis-counts": "64 indices on the full space at (1, 1), expected 65",
+                "graded-tables": "graded total differs from basis size on [{},e,e] at (1, 1)",
+            },
+        ),
+    ],
+    ids=["closure-leq-false-at-w-e", "slice-drops-last-component", "basis-drops-last-index-at-degree-2"],
+)
+def test_checks_fail_on_a_mutated_library_route(monkeypatch, name, mutate, failures):
+    monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
+    assert {r.name: r.detail for r in run_suite("A", 2, 1) if r.status == "fail"} == failures
+
+
 def test_standard_intersection_fails_on_a_meet_component_not_below_both(monkeypatch):
     real = orbits.OrbitPoset.meet_components
     # z1 alone is returned for every meet whose second label it is not below: one component, so no antichain fault
