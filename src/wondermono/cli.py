@@ -37,7 +37,7 @@ CONVENTIONS = {
 # (Python 3.11, one core of a shared 2-CPU Xeon): paths on B4 (2,1,0,1), 9,504
 # paths, takes 0.36-0.50 s as JSON, 0.41-0.61 s as CSV and 0.29-0.42 s with
 # --count-only; monomials on the open orbit of B3 at (0,2,0), 77,415 candidate
-# pairs, takes 0.28-0.34 s as JSON, 0.32-0.51 s as CSV and 0.17-0.20 s with
+# pairs, takes 0.17-0.19 s as JSON, 0.19-0.20 s as CSV and 0.08-0.10 s with
 # --count-only.  Either budget is under a second of work.
 PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000

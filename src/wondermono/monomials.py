@@ -33,13 +33,22 @@ compress over the shape.  The indices are shared, immutable objects; a query
 builds none, and a block is built only for a shape some queried orbit admits,
 so candidate_count bounds what a first query builds.  Graded counts read only
 the direction classes and their counts, and build no pair.
+
+A row of a standard table takes few distinct values across labels, so a
+shape's direction classes carry two readers cached by row value: select, the
+row's bits at each right path's direction, and count, the sum of N_mu(b) over
+the row's set bits b.  Each distinct row value is read once per shape, and the
+readers' caches live in the shape's memo entry, freed with the group.  The
+shapes a stratum admits below lam are kept per (stratum, lam), so a query
+filters shapes_below only at the first label of its stratum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -143,24 +152,34 @@ class ShapeClasses(NamedTuple):
 
     lefts: tuple[int, ...]  # direction of each path of shape mu*, aligned with generate_paths
     left_counts: tuple[tuple[int, int], ...]  # (a, N_mu*(a)) for each left direction a
-    right_counts: tuple[int, ...]  # N_mu(b) for each right direction b, in the order read_classes reads
-    read_classes: Callable[[bytes], Sequence[int]]  # row bits -> bits at the right directions
-    read_rights: Callable[[bytes], Sequence[int]]  # row bits -> bits at each right path's direction
+    select: Callable[[int], bytes]  # row -> its bits at each right path's direction, cached by row
+    count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
 
 
 @memoized(by_weight)
 def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
-    """The direction classes of shape mu's pairs, shared by every degree above mu."""
+    """The direction classes of shape mu's pairs, shared by every degree above mu.
+
+    Many labels share a row of their standard tables, and a shape's rows take
+    few distinct values, so each reader reads a row value once and keeps it
+    here, freed with the group's memo.
+    """
+    width = len(group)
     lefts = path_directions(group, group.dual_weight(mu))
     rights = path_directions(group, mu)
     right_counts = Counter(rights)
-    return ShapeClasses(
-        lefts,
-        tuple(Counter(lefts).items()),
-        tuple(right_counts.values()),
-        bit_reader(tuple(right_counts)),
-        bit_reader(rights),
-    )
+    counts = tuple(right_counts.values())
+    read_classes, read_rights = bit_reader(tuple(right_counts)), bit_reader(rights)
+
+    @cache
+    def select(row: int) -> bytes:
+        return bytes(read_rights(mask_bytes(row, width)))
+
+    @cache
+    def count(row: int) -> int:
+        return sum(compress(counts, read_classes(mask_bytes(row, width))))
+
+    return ShapeClasses(lefts, tuple(Counter(lefts).items()), select, count)
 
 
 @memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
@@ -175,11 +194,17 @@ def pair_count(group: WeylGroup, mu: Weight) -> int:
     return weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
 
 
-def _admissible_shapes(z: OrbitLabel, lam: Weight):
+def _admissible_shapes(z: OrbitLabel, lam: Weight) -> tuple:
     """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
-    return [(mu, nvec) for mu, nvec in shapes_below(z.group, lam) if support(nvec) <= z.stratum]
+    return _stratum_shapes(z.group, z.stratum, lam)
+
+
+@memoized(lambda group, stratum, lam: (group, (stratum, tuple(lam))))
+def _stratum_shapes(group: WeylGroup, stratum: frozenset[int], lam: Weight) -> tuple:
+    """_admissible_shapes once per (stratum, lam), shared by every label of the stratum."""
+    return tuple((mu, nvec) for mu, nvec in shapes_below(group, lam) if support(nvec) <= stratum)
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:
@@ -194,14 +219,14 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     enumeration order of the path pairs of each shape.
     """
     group = z.group
+    shapes = _admissible_shapes(z, lam)  # checks lam before any table is read
     rows = standard_rows(z)
-    width = len(group)
     out: list[MonomialIndex] = []
-    for mu, nvec in _admissible_shapes(z, lam):
+    for mu, nvec in shapes:
         sc = shape_classes(group, mu)
-        # per left direction a, row a's bits at the right paths' directions select a left path's block
-        selectors = {a: bytes(sc.read_rights(mask_bytes(rows[a], width))) for a, _ in sc.left_counts}
-        out.extend(compress(candidate_block(group, mu, nvec), b"".join(map(selectors.__getitem__, sc.lefts))))
+        # row a's bits at the right paths' directions select the block of each left path starting in direction a
+        selector = b"".join(map(sc.select, map(rows.__getitem__, sc.lefts)))
+        out.extend(compress(candidate_block(group, mu, nvec), selector))
     return tuple(out)
 
 
@@ -227,19 +252,15 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     The degree range runs from 0 to the largest degree of any exponent vector
     admissible for z's stratum, so interior zero rows survive.  Each shape
     adds N_mu*(a) N_mu(b) over the direction classes (a, b) set in z's table,
-    read from shape_classes with one C-level pass over the right classes per a.
+    read from shape_classes' count of row a, one C-level pass per distinct row value.
     """
     group = z.group
+    shapes = _admissible_shapes(z, lam)  # checks lam before any table is read
     rows = standard_rows(z)
-    width = len(group)
     counts: Counter[int] = Counter()
-    for mu, nvec in _admissible_shapes(z, lam):
+    for mu, nvec in shapes:
         sc = shape_classes(group, mu)
-        counts[sum(nvec)] += sum(
-            n * sum(compress(sc.right_counts, sc.read_classes(mask_bytes(rows[a], width))))
-            for a, n in sc.left_counts
-            if rows[a]
-        )
+        counts[sum(nvec)] += sum(n * sc.count(rows[a]) for a, n in sc.left_counts)
     return GradedTable(tuple((d, counts[d]) for d in range(max(counts) + 1)))
 
 

@@ -32,10 +32,18 @@ mask is the union over its components.
   column k is class k's standard labels, and compares each column with
   nonstandard_components, which reads the closure order.
 - graded-tables numbers the classes of every candidate of its weights and
-  takes the masks once; each basis index's class, read from
-  initial_direction once per path, must be set in its label's mask.
+  takes the masks once; each candidate pair gets its class's bit once per
+  shape, keyed by the pair object's id, and a label's basis is read in one
+  C-level pass, id of each pair to its bit, whose OR must lie in the label's
+  mask.  A pair that is no candidate object is read through its initial
+  directions instead.
 Here too only a failure scans one shape, meet, label or class at a time, to
 name the witness such a scan would meet first.
+
+dominance-order checks each shape dominant_below returns, and on the path
+grid that none is missing: the dominant weights of V(lam), read from the
+character of w0 at lam, are exactly the dominant mu <= lam.  The character is
+built once per weight and run, and path-endpoints reads the same one.
 """
 
 from __future__ import annotations
@@ -188,6 +196,11 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     def path_grid():
         return within_budget(lambda lam: weyl_dim(rs, lam), PATH_DIM_BUDGET, "path")
 
+    @cache
+    def full_character(lam):
+        """The character of V(lam), built once per run for the checks that read it."""
+        return demazure_character(group, group.longest, lam)
+
     def class_masks(labels, classes) -> list[int]:
         """Each label's bitmask over (support, a, b) classes: bit k when class k is standard there.
 
@@ -324,14 +337,24 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             if group.dual_weight(group.dual_weight(lam)) != lam:
                 raise CheckFailure(f"dual weight not involutive at {lam}")
         kept, skipped = within_budget(box_size, BOX_BUDGET, "exponent box")
+        paths_kept, _ = path_grid()
         for lam in kept:
-            for mu, nvec in shapes_below(group, lam):
+            shapes = shapes_below(group, lam)
+            for mu, nvec in shapes:
                 if not is_dominant(mu):
                     raise CheckFailure(f"dominant_below({lam}) produced non-dominant {mu}")
                 if root_combination(rs, nvec) != sub_weights(lam, mu):
                     raise CheckFailure(f"exponents {nvec} do not connect {lam} to {mu}")
                 if dominance_diff(rs, lam, mu) != nvec:
                     raise CheckFailure(f"dominance_diff disagrees at {lam} -> {mu}")
+            # completeness: the dominant weights of V(lam) are exactly the dominant mu <= lam
+            if lam in paths_kept:
+                dominant = {mu for mu in full_character(lam) if is_dominant(mu)}
+                if {mu for mu, _ in shapes} != dominant:
+                    raise CheckFailure(
+                        f"dominant_below({lam}) gives {len(shapes)} shapes,"
+                        f" its character {len(dominant)} dominant weights"
+                    )
         return counted("weights", len(kept), skipped)
 
     # -- paths against character oracles -----------------------------------
@@ -360,8 +383,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         kept, skipped = path_grid()
         for lam in kept:
             seen = Counter(p.endpoint() for p in generate_paths(rs, lam))
-            char = demazure_character(group, group.longest, lam)
-            if seen != char:
+            if seen != full_character(lam):
                 raise CheckFailure(f"endpoint multiset differs from the full character at {lam}")
         return counted("weights", len(kept), skipped)
 
@@ -488,19 +510,24 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         kept, skipped = within_budget(candidate_total, CANDIDATE_BUDGET, "candidate")
         # every basis index is a candidate of its weight, so the candidates' classes cover its class
         position: dict[tuple[int, int], int] = {}
-        for lam in kept:
-            for mu, _ in shapes_below(group, lam):
-                for ab in pair_directions(group, mu):
-                    position.setdefault(ab, len(position))
+        # id(pair) -> its class's bit, given once per candidate shape; every pair stays in generate_pairs' memo
+        bit_of: dict[int, int] = {}
+        for mu in dict.fromkeys(mu for lam in kept for mu, _ in shapes_below(group, lam)):
+            for pair, ab in zip(generate_pairs(group, mu), pair_directions(group, mu)):
+                bit_of[id(pair)] = 1 << position.setdefault(ab, len(position))
         masks = component_masks(zs, position)
-        # id(path) -> its initial direction's element index; every path stays in generate_paths' memo for the run
-        direction: dict[int, int] = {}
 
-        def direction_of(path) -> int:
-            k = direction.get(id(path))
-            if k is None:
-                k = direction[id(path)] = initial_direction(group, path).index
-            return k
+        def bit_of_class(pair) -> int:
+            return 1 << position[initial_direction(group, pair.left).index, initial_direction(group, pair.right).index]
+
+        def class_bits(basis) -> int:
+            """The OR of the basis indices' class bits, read by id in one C-level pass per label."""
+            pairs = list(map(attrgetter("pair"), basis))
+            found = list(map(bit_of.get, map(id, pairs)))
+            if None in found:
+                # a pair equal to a candidate but not the same object is read through its initial directions
+                found = [bit_of_class(pair) if bit is None else bit for bit, pair in zip(found, pairs)]
+            return reduce(or_, found, 0)
 
         for lam in kept:
             for z, mask in zip(zs, masks):
@@ -515,7 +542,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 for d, count in table.rows:
                     if recount.get(d, 0) != count:
                         raise CheckFailure(f"graded row {d} of {z} at {lam} miscounts")
-                if any(not mask >> position[direction_of(i.pair.left), direction_of(i.pair.right)] & 1 for i in basis):
+                if class_bits(basis) & ~mask:
                     raise CheckFailure(f"a basis index of {z} at {lam} lies under no component")
         return counted("weights", len(kept), skipped) + f" on {len(zs)} labels"
 

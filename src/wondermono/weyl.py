@@ -34,9 +34,10 @@ Descents decide no coset; only checks read them.
 WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group: the coset tables and the coset lists read off
 them, path pairs, each path's initial direction, the Schubert pairs and the
-standard table of each orbit label, the dominant weights below a degree, each
-shape's direction classes, and each degree's candidate table (every candidate
-basis index, one block per shape).  Elements point back at their group, so a
+standard table of each orbit label, the dominant weights below a degree and
+those each stratum admits, each shape's direction classes with the rows its
+readers have read, and each degree's candidate table (every candidate basis
+index, one block per shape).  Elements point back at their group, so a
 dropped group waits for the cycle collector; verify.run_suite therefore clears
 its group's memo, and its root system's, before it returns.  The group's only
 private table holds its lower Bruhat intervals.

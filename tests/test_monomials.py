@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -414,10 +415,35 @@ def test_selection_matches_direct_filter(name):
 
 
 def test_selection_matches_direct_filter_a3():
+    # every label: many share a row value of their tables, which the selection reads once per shape
     g = group_of("A3")
     labels = [OrbitLabel(I, x, w) for I in g.subsets() for x in g.min_coset_reps(I) for w in g.elements]
-    for z in labels[::37]:
+    assert len(labels) == 1800
+    for z in labels:
         assert basis_indices(z, (1, 1, 1)) == direct_filter(z, (1, 1, 1)), z
+
+
+def test_list_and_tuple_weights_agree():
+    for z in poset_of("B2").labels[::7]:
+        for lam in [(1, 1), (0, 2)]:
+            assert basis_indices(z, list(lam)) == basis_indices(z, lam)
+            assert graded_counts(z, list(lam)) == graded_counts(z, lam)
+            assert candidate_count(z, list(lam)) == candidate_count(z, lam)
+    # a list weight finds the tuple's memo entry, so the indices are the same objects
+    top = poset_of("B2").maximum
+    assert all(a is b for a, b in zip(basis_indices(top, [1, 1]), basis_indices(top, (1, 1))))
+
+
+def test_non_dominant_weight_raises_on_every_call_before_any_memo_lookup():
+    g = WeylGroup(group_of("A2").rs)  # fresh, so every memo table a call reaches would show up
+    z = lab(g, (1, 2), (), (1, 2, 1))
+    before = {name: dict(table) for name, table in g.memo.items()}
+    for lam in [(1, -1), [1, -1]]:
+        for call in (basis_indices, graded_counts, candidate_count):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'weight {lam} is not dominant')}$"):
+                    call(z, lam)
+    assert {name: dict(table) for name, table in g.memo.items()} == before
 
 
 def test_labels_share_their_indices():

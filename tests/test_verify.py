@@ -11,7 +11,7 @@ import pytest
 
 from conftest import weight_grid
 
-from wondermono import cli, monomials, orbits, paths, verify, weyl
+from wondermono import cli, monomials, orbits, paths, rootsys, verify, weyl
 from wondermono.orbits import build_poset
 from wondermono.rootsys import exponent_bounds, from_name
 from wondermono.verify import run_suite, suite_passed
@@ -90,6 +90,31 @@ def test_component_route_names_the_label_whose_components_are_emptied(monkeypatc
     }
 
 
+@pytest.mark.parametrize("emptied", [False, True])
+def test_graded_tables_reads_a_copied_pair_by_its_directions(monkeypatch, emptied):
+    # graded-tables finds a candidate's class by the pair object's id; an equal pair that is another
+    # object is read through its initial directions, with the same decision and the same witness
+    real_basis = verify.basis_indices
+
+    def copied(i):
+        return i._replace(pair=paths.PathPair(i.pair.left, i.pair.right, i.pair.mu))
+
+    monkeypatch.setattr(verify, "basis_indices", lambda z, lam: tuple(map(copied, real_basis(z, lam))))
+    if emptied:
+        real = verify.schubert_pairs
+
+        def emptied_at_one_label(z):
+            return () if (z.stratum, z.x.word, z.w.word) == (frozenset({1}), (), (2, 1)) else real(z)
+
+        monkeypatch.setattr(verify, "schubert_pairs", emptied_at_one_label)
+    result = {r.name: r for r in run_suite("A", 2, 1)}["graded-tables"]
+    if emptied:
+        assert result.status == "fail"
+        assert result.detail == "a basis index of [{1},e,s2 s1] at (0, 0) lies under no component"
+    else:
+        assert result.status == "pass"
+
+
 @pytest.mark.parametrize(
     "name, mutate, failures",
     [
@@ -117,6 +142,66 @@ def test_component_route_names_the_label_whose_components_are_emptied(monkeypatc
 def test_checks_fail_on_a_mutated_library_route(monkeypatch, name, mutate, failures):
     monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
     assert {r.name: r.detail for r in run_suite("A", 2, 1) if r.status == "fail"} == failures
+
+
+@pytest.mark.parametrize("letter, max_weight, lam, shapes, dominant", [("A", 1, (1, 1), 1, 2), ("B", 2, (0, 2), 2, 3)])
+def test_dominance_order_fails_when_dominant_below_drops_its_last_shape(
+    monkeypatch, letter, max_weight, lam, shapes, dominant
+):
+    # basis-counts reads the shapes on both of its sides, so only the character route sees the loss
+    real = monomials.dominant_below
+    monkeypatch.setattr(
+        monomials, "dominant_below", lambda rs, w: (lambda s: s[:-1] if len(s) > 1 else s)(real(rs, w))
+    )
+    assert {r.name: r.detail for r in run_suite(letter, 2, max_weight) if r.status == "fail"} == {
+        "dominance-order": f"dominant_below({lam}) gives {shapes} shapes, its character {dominant} dominant weights"
+    }
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, letter, check, detail",
+    [
+        (
+            rootsys,
+            "_saturate_roots",
+            lambda real: lambda c: real(c)[:-1],
+            "A",
+            "root-data",
+            "2 positive roots, expected 3",
+        ),
+        (
+            rootsys,
+            "_symmetrizer",
+            lambda real: lambda c: (1,) * len(c),
+            "B",
+            "root-data",
+            "symmetrized Cartan matrix asymmetric at (0, 1)",
+        ),
+        # the group is enumerated as the orbit of a singular weight, so it comes out as a coset space
+        (
+            weyl,
+            "orbit_table",
+            lambda real: lambda rs, lam: real(rs, tuple(lam[:-1]) + (0,)),
+            "A",
+            "group-order",
+            "group order 3, expected 6",
+        ),
+        (
+            weyl.WeylGroup,
+            "min_coset_reps",
+            lambda real: lambda self, J: real(self, J)[:-1] if J else real(self, J),
+            "A",
+            "orbit-census",
+            "60 labels, index formula gives 78",
+        ),
+    ],
+    ids=["root-dropped", "symmetrizer-trivial", "group-as-singular-orbit", "coset-rep-dropped"],
+)
+def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, name, mutate, letter, check, detail):
+    # the mutation breaks more than one check; only the named one's detail is pinned
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    result = {r.name: r for r in run_suite(letter, 2, 1)}[check]
+    assert (result.status, result.detail) == ("fail", detail)
 
 
 def test_standard_intersection_fails_on_a_meet_component_not_below_both(monkeypatch):
