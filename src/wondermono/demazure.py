@@ -89,5 +89,6 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         num *= sum(map(mul, co, shifted))
         den *= sum(co)  # <rho, beta^vee>, rho being (1, ..., 1)
     dim, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ValueError(f"Weyl dimension formula gives {num}/{den} at {lam}, not an integer")
     return dim

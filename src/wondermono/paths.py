@@ -19,9 +19,27 @@ Invent. Math. 116, 1994): tau_1 > ... > tau_r in W/W_lam with times
 0 < a_1 < ... < a_(r-1) < 1, each tau_k joined to tau_(k+1) by an a_k-chain of
 Bruhat covers.  In orbit form a point of the shape's W-orbit stands for its
 coset, a cover (s_beta mu, mu) has m = <mu, beta^vee> > 0 and length one more,
-and it admits the time s / D_lam iff D_lam / gcd(D_lam, m) divides s.
+and it admits the time s / D_lam iff D_lam / gcd(D_lam, m) divides s.  The
+covers are read off index permutations of the orbit table: a simple
+reflection's permutation and pairings are in the table, and a higher positive
+root beta = s_c gamma has s_beta = s_c s_gamma s_c and
+<mu, beta^vee> = <s_c mu, gamma^vee>, so no weight is built or looked up.
+
 generate_paths walks these chains depth first in canonical order, so each
-path is built once and nothing is sorted.
+path is built once and nothing is sorted.  A path's fields are carried along
+its chain rather than derived from it: the walk keeps the prefix's
+directions, its steps over D_lam, their gcd with D_lam (one gcd per step gives
+the lowest terms) and the endpoint of the path that would stop there.  By
+end = tau_r(lam) + sum_k a_k (tau_k(lam) - tau_(k+1)(lam)), entering tau' from
+tau at time s / D_lam moves that endpoint by (s - D_lam)(tau - tau') / D_lam.
+This step is computed, and checked to be a lattice vector, once per (point,
+time, target), when the point's successor row is built, so a path costs one
+vector addition and no division for its endpoint.  The walk makes _fill's
+checks where they are cheapest: a duration is positive when its segment is
+appended, a point differs from the one it is entered from and each endpoint
+step is integral when its successor row is built, and the steps sum to D_lam
+by the carried time.  _fill remains the checker of every path built from
+given fields; both routes set the fields through one setter.
 
 The root operators are the cross-check.  Lowering runs in orbit form too: a
 direction is its index in the shape's W-orbit (rootsys.orbit_table) and the
@@ -46,14 +64,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .rootsys import (
     OrbitTable,
     RootSystem,
     Weight,
     by_weight,
-    coroot,
     coroot_pairing,
     is_dominant,
     memoized,
@@ -100,7 +117,12 @@ class LSPath:
 
 
 def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> None:
-    """Set a path's fields in lowest terms and check them: the one way a path gets its fields."""
+    """Check a path's fields, bring them to lowest terms and set them.
+
+    This is the checker of every path built from given fields; generate_paths
+    makes the same checks along its chains and sets its paths' fields through
+    the same setter.
+    """
     if not steps:
         raise ValueError("a path needs at least one segment")
     if min(steps) <= 0:
@@ -121,11 +143,24 @@ def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: i
         if r:
             raise ValueError("path endpoint is not a lattice weight")
         end.append(q)
-    object.__setattr__(path, "dirs", dirs)
-    object.__setattr__(path, "steps", steps)
-    object.__setattr__(path, "den", den)
-    object.__setattr__(path, "shape", shape)
-    object.__setattr__(path, "end", tuple(end))
+    _set_fields(path, dirs, steps, den, shape, tuple(end))
+
+
+# the slots' own setters: the frozen dataclass refuses setattr, its member descriptors do not
+_set_dirs, _set_steps, _set_den, _set_shape, _set_end = (
+    getattr(LSPath, name).__set__ for name in ("dirs", "steps", "den", "shape", "end")
+)
+
+
+def _set_fields(
+    path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight, end: Weight
+) -> None:
+    """Set a path's fields, already checked and in lowest terms: the one way a path gets its fields."""
+    _set_dirs(path, dirs)
+    _set_steps(path, steps)
+    _set_den(path, den)
+    _set_shape(path, shape)
+    _set_end(path, end)
 
 
 def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> LSPath:
@@ -265,22 +300,36 @@ def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[Weight, ..
     return fields
 
 
-def _cover_table(rs: RootSystem, points: list[Weight], length: list[int], big: int) -> list[list[tuple[int, int]]]:
-    """The Bruhat covers of W/W_lam, downwards: covers[k] lists (q, j) for each cover of points[j] by points[k].
+def _cover_table(rs: RootSystem, table: OrbitTable, big: int) -> list[list[tuple[int, int]]]:
+    """The Bruhat covers of W/W_lam, downwards: covers[k] lists (q, j) for each cover of point j by point k.
 
-    A cover is (s_beta mu, mu) with m = <mu, beta^vee> > 0 and length one more;
-    a step at time s / D_lam along it is admitted iff q = D_lam / gcd(D_lam, m) divides s.
+    Points are numbered as in the shape's orbit table.  A cover is
+    (s_beta mu, mu) with m = <mu, beta^vee> > 0 and length one more; a step at
+    time s / D_lam along it is admitted iff q = D_lam / gcd(D_lam, m) divides s.
+    Each positive root's reflection is an index permutation of the orbit,
+    built from a lower one: beta = s_c gamma, for a simple c with
+    <beta, alpha_c^vee> > 0, gives s_beta = s_c s_gamma s_c and
+    <mu, beta^vee> = <s_c mu, gamma^vee>.
     """
-    index = {point: k for k, point in enumerate(points)}
-    roots = [(coroot(rs, beta), root_combination(rs, beta)) for beta in rs.positive_roots]
-    covers: list[list[tuple[int, int]]] = [[] for _ in points]
-    for j, mu in enumerate(points):
-        for co, beta in roots:
-            m = sum(map(mul, co, mu))
-            if m > 0:
-                k = index[tuple(x - m * b for x, b in zip(mu, beta))]
-                if length[k] == length[j] + 1:
-                    covers[k].append((big // gcd(big, m), j))
+    length = list(map(len, table.words))
+    # root -> (perm, pair): perm[k] is the index of s_beta(points[k]) and pair[k] = <points[k], beta^vee>
+    by_root: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    covers: list[list[tuple[int, int]]] = [[] for _ in length]
+    for beta in sorted(rs.positive_roots, key=sum):
+        if sum(beta) == 1:
+            c = beta.index(1)
+            perm, pair = table.refl[c], table.pair[c]
+        else:
+            pairings = root_combination(rs, beta)  # <beta, alpha_c^vee> for each simple c
+            c = next(c for c, n in enumerate(pairings) if n > 0)
+            lower_perm, lower_pair = by_root[beta[:c] + (beta[c] - pairings[c],) + beta[c + 1 :]]
+            refl = table.refl[c]
+            perm = tuple(map(refl.__getitem__, map(lower_perm.__getitem__, refl)))
+            pair = tuple(map(lower_pair.__getitem__, refl))
+        by_root[beta] = perm, pair
+        for j, (m, k) in enumerate(zip(pair, perm)):
+            if m > 0 and length[k] == length[j] + 1:
+                covers[k].append((big // gcd(big, m), j))
     return covers
 
 
@@ -293,15 +342,20 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     admit the time a_k.  Points are taken in ascending weight order, so a
     depth-first search that tries the admitted times in ascending order and
     emits each path after those that continue it yields the canonical order,
-    and builds each path once.
+    and builds each path once.  Each path's fields are carried along its
+    chain and checked where they are made (see the module docstring).
     """
     lam = _shape(rs, lam)
     table = orbit_table(rs, lam)
     big = shape_denominator(rs, lam)
     # renumber the orbit in ascending weight order, so ascending indices are the canonical order of directions
     order = sorted(range(len(table.points)), key=table.points.__getitem__)
-    points = [table.points[k] for k in order]
-    covers = _cover_table(rs, points, [len(table.words[k]) for k in order], big)
+    renumber = [0] * len(order)
+    for k, old in enumerate(order):
+        renumber[old] = k
+    points = [table.points[old] for old in order]
+    by_table = _cover_table(rs, table, big)
+    covers = [[(q, renumber[j]) for q, j in by_table[old]] for old in order]
     # the times (numerators over D_lam) that some cover out of each point admits, ascending
     admitted = [sorted({s for q in {q for q, _ in row} for s in range(q, big, q)}) for row in covers]
     reached: dict[tuple[int, int], list[int]] = {}
@@ -318,20 +372,62 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
             got = reached[(k, s)] = sorted(found)
         return got
 
+    # successors[k][s] lists (j, points[j], shift) for each j in reach(k, s), built on first use
+    successors: list[dict[int, list[tuple[int, Weight, Weight]]]] = [{} for _ in points]
+
+    def successor_row(k: int, s: int) -> list[tuple[int, Weight, Weight]]:
+        """The points an s-chain reaches from points[k], each with its endpoint shift (s - D_lam)(tau - tau') / D_lam."""
+        tau = points[k]
+        row = []
+        for j in reach(k, s):
+            point = points[j]
+            if point == tau:
+                raise ValueError("adjacent segments must have distinct directions")
+            shift = []
+            for x, y in zip(tau, point):
+                q, r = divmod(s * (x - y), big)
+                if r:
+                    raise ValueError(
+                        f"path endpoint is not a lattice weight: entering {point} from {tau} at time {s}/{big}"
+                    )
+                shift.append(q - x + y)
+            row.append((j, point, tuple(shift)))
+        successors[k][s] = row
+        return row
+
     model: list[LSPath] = []
+    new, set_fields = object.__new__, _set_fields
 
-    def walk(dirs: tuple[Weight, ...], steps: tuple[int, ...], k: int, t: int) -> None:
-        """Emit every path that continues dirs along points[k] from time t / D_lam, then the one that ends there."""
-        dirs += (points[k],)
+    def walk(dirs: tuple[Weight, ...], steps: tuple[int, ...], g: int, end: Weight, k: int, t: int) -> None:
+        """Emit every path that continues dirs along points[k] from time t / D_lam, then the one that ends there.
+
+        steps sum to t, g is gcd(D_lam, *steps), and end is the endpoint of
+        the path that stays at points[k] until time 1.
+        """
         times = admitted[k]
+        row_at = successors[k]
         for s in times[bisect_right(times, t) :]:
+            if s <= t:
+                raise ValueError("segment durations must be positive")
             head = steps + (s - t,)
-            for j in reach(k, s):
-                walk(dirs, head, j, s)
-        model.append(_path(dirs, steps + (big - t,), big, lam))
+            h = gcd(g, s)
+            row = row_at.get(s) or successor_row(k, s)
+            for j, point, shift in row:
+                walk(dirs + (point,), head, h, tuple(map(add, end, shift)), j, s)
+        if t >= big:
+            raise ValueError(f"durations must sum to 1, got {t}/{big} before the last segment")
+        steps += (big - t,)
+        if g > 1:
+            steps = tuple(map(g.__rfloordiv__, steps))
+        path = new(LSPath)
+        set_fields(path, dirs, steps, big // g, lam, end)
+        model.append(path)
 
-    for k in range(len(points)):
-        walk((), (), k, 0)
+    for k, point in enumerate(points):
+        walk((point,), (), big, point, k, 0)
+    # walk and reach refer to themselves through their closure cells: break those cycles, so that
+    # the search tables are freed on return rather than at the next full collection
+    walk = reach = None
     return tuple(model)
 
 

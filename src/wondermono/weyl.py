@@ -230,7 +230,11 @@ class WeylGroup:
         """Split w = x y with x minimal in w W_I and y in W_I; lengths add."""
         x = self.min_coset_rep(w, I)
         y = self.multiply(self.inverse(x), w)
-        assert x.length + y.length == w.length
+        if x.length + y.length != w.length:
+            raise ValueError(
+                f"coset decomposition of {w.word_str} at I={sorted(I)} has lengths {x.length} + {y.length},"
+                f" not {w.length}"
+            )
         return x, y
 
     @memoized(lambda group, J: (group, frozenset(J)))

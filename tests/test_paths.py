@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +259,17 @@ def test_path_arithmetic_builds_no_fraction(monkeypatch, name, lam):
                 assert low.endpoint() == tuple(a - b for a, b in zip(end, g.rs.simple_root(i)))
 
 
+# weights whose paths have several denominators and both long and short directions, in types G, B, C, D and F
+FIELD_CASES = [
+    ("G2", (0, 4)),
+    ("B3", (1, 2, 0)),
+    ("C3", (3, 0, 1)),
+    ("C4", (0, 1, 0, 1)),
+    ("D4", (1, 0, 1, 1)),
+    ("F4", (0, 0, 1, 0)),
+]
+
+
 def test_fraction_built_paths_equal_generated():
     g = group_of("G2")
     for path in generate_paths(g.rs, (1, 1)):
@@ -266,6 +280,17 @@ def test_fraction_built_paths_equal_generated():
         doubled = [(d, t / 2) for d, t in path.segments for _ in range(2)]
         assert LSPath(canonical_segments(doubled), path.shape) == path
         assert built.segments == path.segments
+    # _fill rebuilds every field from the segments, so the fields carried along each chain must match it
+    for name, lam in FIELD_CASES:
+        for path in generate_paths(group_of(name).rs, lam):
+            built = LSPath(path.segments, path.shape)
+            assert (built.dirs, built.steps, built.den, built.shape, built.end) == (
+                path.dirs,
+                path.steps,
+                path.den,
+                path.shape,
+                path.end,
+            )
 
 
 def test_lowering_never_rounds():
@@ -310,15 +335,73 @@ def test_model_is_closure_under_public_lowering(name, lam):
 def test_generate_paths_builds_each_path_once(monkeypatch):
     rs = from_name("B3")  # a fresh root system, so no memoized model is reused
     calls = []
-    fill = paths._fill
+    set_fields = paths._set_fields
 
-    def counting_fill(*args):
+    def counting_set_fields(*args):
         calls.append(args)
-        fill(*args)
+        set_fields(*args)
 
-    monkeypatch.setattr(paths, "_fill", counting_fill)
+    monkeypatch.setattr(paths, "_set_fields", counting_set_fields)
     model = generate_paths(rs, (1, 0, 1))
     assert len(calls) == len(model) == weyl_dim(rs, (1, 0, 1))
+
+
+def test_generate_paths_refuses_an_endpoint_step_off_the_lattice(monkeypatch):
+    # every cover admits every time, so A2 (1, 1) gets a chain whose endpoint moves by half a root at time 1/2
+    rs = from_name("A2")  # a fresh root system, so no memoized model is reused
+    real = paths._cover_table
+    monkeypatch.setattr(paths, "_cover_table", lambda *args: [[(1, j) for _, j in row] for row in real(*args)])
+    with pytest.raises(ValueError, match=r"not a lattice weight: entering \(-1, 2\) from \(-2, 1\) at time 1/2"):
+        generate_paths(rs, (1, 1))
+
+
+def weight_cover_table(rs, points, length, big):
+    """The Bruhat covers of W/W_lam by weight arithmetic: covers[k] lists (q, j) for each cover of points[j] by points[k].
+
+    The oracle for the permutation route of paths._cover_table: a cover is
+    (s_beta mu, mu) with m = <mu, beta^vee> > 0 and length one more, the image
+    s_beta mu found as a weight and looked up, and q = D_lam / gcd(D_lam, m).
+    """
+    index = {point: k for k, point in enumerate(points)}
+    roots = [(rootsys.coroot(rs, beta), rootsys.root_combination(rs, beta)) for beta in rs.positive_roots]
+    covers = [[] for _ in points]
+    for j, mu in enumerate(points):
+        for co, beta in roots:
+            m = sum(map(mul, co, mu))
+            if m > 0:
+                k = index[tuple(x - m * b for x, b in zip(mu, beta))]
+                if length[k] == length[j] + 1:
+                    covers[k].append((big // gcd(big, m), j))
+    return covers
+
+
+# one regular weight of every supported type, then the field cases
+COVER_CASES = [
+    (name, (1,) * int(name[1]))
+    for name in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+] + FIELD_CASES
+
+
+@pytest.mark.parametrize("name, lam", COVER_CASES)
+def test_cover_table_matches_weight_arithmetic(name, lam):
+    rs = group_of(name).rs
+    table = rootsys.orbit_table(rs, lam)
+    big = paths.shape_denominator(rs, lam)
+    oracle = weight_cover_table(rs, list(table.points), [len(word) for word in table.words], big)
+    covers = paths._cover_table(rs, table, big)
+    assert list(map(set, covers)) == list(map(set, oracle))
+    assert sum(map(len, covers)) == sum(map(len, oracle))
+
+
+def test_generate_paths_leaves_no_reference_cycle():
+    rs = from_name("C4")  # a fresh root system, so the model is built here
+    gc.disable()
+    try:
+        gc.collect()
+        generate_paths(rs, (0, 1, 0, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generate_paths_never_lowers(monkeypatch):

@@ -204,6 +204,17 @@ def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, na
     assert (result.status, result.detail) == ("fail", detail)
 
 
+def test_coset_structure_names_the_lengths_of_a_broken_decomposition(monkeypatch):
+    # the group-as-singular-orbit mutation: elements of a coset space, so x y = w with lengths that do not add
+    real = weyl.orbit_table
+    monkeypatch.setattr(weyl, "orbit_table", lambda rs, lam: real(rs, tuple(lam[:-1]) + (0,)))
+    result = {r.name: r for r in run_suite("A", 2, 1)}["coset-structure"]
+    assert (result.status, result.detail) == (
+        "fail",
+        "unexpected ValueError: coset decomposition of s1 s2 at I=[] has lengths 1 + 0, not 2",
+    )
+
+
 def test_standard_intersection_fails_on_a_meet_component_not_below_both(monkeypatch):
     real = orbits.OrbitPoset.meet_components
     # z1 alone is returned for every meet whose second label it is not below: one component, so no antichain fault
