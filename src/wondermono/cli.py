@@ -264,11 +264,13 @@ def cmd_paths(args) -> int:
     group = _group(args.group)
     rs = group.rs
     lam = _weight(args.weight, rs)
-    _check_budget(f"the number of paths of {lam} on {rs.name} is", weyl_dim(rs, lam), PATH_BUDGET)
-    paths = generate_paths(rs, lam)
+    count = weyl_dim(rs, lam)
+    _check_budget(f"the number of paths of {lam} on {rs.name} is", count, PATH_BUDGET)
     if args.count_only:
-        _write(args.out, [f"{len(paths)}\n"])
+        # the path model has one path per weight of V(lam), counted with multiplicity: none is built
+        _write(args.out, [f"{count}\n"])
         return 0
+    paths = generate_paths(rs, lam)
     # a duration, steps[k] / den, is rendered once per distinct pair of ints
     duration = cache(lambda s, den: str(Fraction(s, den)))
     if args.format == "json":

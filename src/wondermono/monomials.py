@@ -49,7 +49,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .demazure import weyl_dim
@@ -186,7 +186,9 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
 def candidate_block(group: WeylGroup, mu: Weight, nvec: RootVector) -> tuple[MonomialIndex, ...]:
     """Every pair of shape mu as a basis index with exponents nvec, aligned with generate_pairs."""
     mu, nvec = tuple(mu), tuple(nvec)
-    return tuple(MonomialIndex(nvec, mu, pair) for pair in generate_pairs(group, mu))
+    # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
+    fields = zip(repeat(nvec), repeat(mu), generate_pairs(group, mu))
+    return tuple(map(tuple.__new__, repeat(MonomialIndex), fields))
 
 
 def pair_count(group: WeylGroup, mu: Weight) -> int:

@@ -8,6 +8,15 @@ relation as per-orbit bitmasks, and the standalone predicate closure_leq is
 the direct transcription of that criterion, kept around so the two routes can
 be checked against each other.
 
+Both routes read the criterion on element indices, through the group's index
+tables: product rows (a b for every b, one row per element, built on first
+use and kept in the group's memo), inverses, lengths and down-masks.  No
+group method runs per (u, v).  closure_leq keeps each label z2's lifts to a
+stratum J in the memo as (v, x v u^-1 for each u in W_J, the down-mask of
+wv), so every label of stratum J tested against z2 reads them once; a pair
+then costs two bit tests per (u, v), and the search stops at the first
+witness.
+
 Labels of one stratum I are laid out as one block of |W| bits per x' in W^I.
 For a label z and a witness (u, v) the x' that work are those above one
 element y = x v u^-1, and the w' that work form one |W|-bit mask, so the
@@ -83,6 +92,7 @@ class OrbitLabel:
             raise ValueError(
                 f"x={self.x.word_str} is not a minimal coset representative for I={sorted(self.stratum)}"
             )
+        object.__setattr__(self, "_hash", hash((self.stratum, self.x, self.w)))
 
     @classmethod
     def _unchecked(cls, stratum: frozenset[int], x: WeylElement, w: WeylElement) -> "OrbitLabel":
@@ -91,7 +101,12 @@ class OrbitLabel:
         object.__setattr__(z, "stratum", stratum)
         object.__setattr__(z, "x", x)
         object.__setattr__(z, "w", w)
+        object.__setattr__(z, "_hash", hash((stratum, x, w)))
         return z
+
+    def __hash__(self) -> int:
+        # computed once from the normalised fields: every dict keyed by labels reads it per lookup
+        return self._hash
 
     @property
     def group(self) -> WeylGroup:
@@ -119,26 +134,57 @@ def dimension(z: OrbitLabel) -> int:
 
 
 def _lifts(z: OrbitLabel, J):
-    """(v, xv, wv) for each v in W_I minimal for W / W_J with l(wv) = l(w) + l(v), I being z's stratum."""
+    """(v, xv, wv) for each v in W_I minimal for W / W_J with l(wv) = l(w) + l(v), I being z's stratum.
+
+    xv and wv are read off the product rows of x and w, the only rows read.
+    """
     group = z.group
+    elements = group.elements
+    x_row, w_row = group.product_row(z.x.index), group.product_row(z.w.index)
+    top = z.w.length
     for v in group.parabolic_min_reps(z.stratum, J):
-        wv = group.multiply(z.w, v)
-        if wv.length == z.w.length + v.length:
-            yield v, group.multiply(z.x, v), wv
+        wv = elements[w_row[v.index]]
+        if wv.length == top + v.length:
+            yield v, elements[x_row[v.index]], wv
+
+
+def _lift_rows(z: OrbitLabel, J: frozenset[int]) -> tuple:
+    """z's lifts to stratum J as the closure criterion reads them, kept in the group's memo per (z, J).
+
+    Each lift (v, xv, wv) gives (v, the pairs (x v u^-1, u) by element index
+    for each u in W_J in enumeration order, read off the product row of xv,
+    the down-mask of wv).  Every label of stratum J tested against z reads
+    them, so a lift is computed once.  The key spells z by its fields, each
+    hashed in C.
+    """
+    group = z.x.group
+    table = group.memo["lift_rows"]
+    key = (z.x, z.w, z.stratum, J)
+    rows = table.get(key)
+    if rows is None:
+        inverses = group.inverses
+        us = [u.index for u in group.parabolic_elements(J)]
+        rows = []
+        for v, xv, wv in _lifts(z, J):
+            xv_row = group.product_row(xv.index)
+            rows.append((v, tuple((xv_row[inverses[u]], u) for u in us), group.down_mask(wv)))
+        rows = table[key] = tuple(rows)
+    return rows
 
 
 def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
     group = z1.group
     if group is not z2.group:
         raise ValueError("labels from different Weyl groups")
-    if not z1.stratum <= z2.stratum:
+    J = z1.stratum
+    if not J <= z2.stratum:
         return
-    us = group.parabolic_elements(z1.stratum)
-    for v, xv, wv in _lifts(z2, z1.stratum):
-        for u in us:
-            xvu = group.multiply(xv, group.inverse(u))
-            if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
-                yield u, v
+    x_down, w_row, elements = group.down_mask(z1.x), group.product_row(z1.w.index), group.elements
+    for v, pairs, wv_down in _lift_rows(z2, J):
+        for y, u in pairs:
+            # x' >= y = x v u^-1 and w' u <= w v; closure_leq repeats this test
+            if x_down >> y & 1 and wv_down >> w_row[u] & 1:
+                yield elements[u], v
 
 
 def closure_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement, WeylElement]]:
@@ -146,15 +192,36 @@ def closure_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement,
 
     u runs over the parabolic of z1's stratum, v over the elements of z2's
     parabolic minimal for z1's stratum with l(wv) additive; the pair works
-    when x' >= x v u^-1 and w' u <= w v.
+    when x' >= x v u^-1 and w' u <= w v.  The pairs come v-major, each in
+    enumeration order.
     """
     return list(_witnesses(z1, z2))
 
 
 def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
-    """True when the orbit of z1 lies in the closure of the orbit of z2."""
-    # a witness is a non-empty tuple, so any() stops at the first one
-    return any(_witnesses(z1, z2))
+    """True when the orbit of z1 lies in the closure of the orbit of z2.
+
+    The witness test of closure_witnesses on element indices.  z2's lifts to
+    z1's stratum (_lift_rows) give y = x v u^-1 for each u and the down-mask
+    of wv.  With z1 = [I', x', w'], the pair (u, v) works when y <= x', bit y
+    of the down-mask of x', and w' u <= wv, bit w' u of the down-mask of wv
+    with w' u read off the product row of w'.  The loop stops at the first
+    witness.
+    """
+    x1 = z1.x
+    group = x1.group
+    if group is not z2.x.group:
+        raise ValueError("labels from different Weyl groups")
+    J = z1.stratum
+    if not J <= z2.stratum:
+        return False
+    x_down, w_row = group.down_mask(x1), group.product_row(z1.w.index)
+    for _, pairs, wv_down in _lift_rows(z2, J):
+        for y, u in pairs:
+            # the test of _witnesses, kept inline so that no generator is made per pair
+            if x_down >> y & 1 and wv_down >> w_row[u] & 1:
+                return True
+    return False
 
 
 def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
@@ -221,11 +288,10 @@ class OrbitPoset:
                 for w in group.elements:
                     labels.append(OrbitLabel._unchecked(I, x, w))
 
-        elems = group.elements
-        eldown = [group.down_mask(el) for el in elems]
-        lengths = [el.length for el in elems]
-        inv = [group.inverse(el).index for el in elems]
-        mult = [[group.multiply(a, b).index for b in elems] for a in elems]
+        # the group's own index tables; the build reads every product row
+        eldown = [group.down_mask(el) for el in group.elements]
+        lengths, inv = group.lengths, group.inverses
+        mult = [group.product_row(a) for a in range(n_w)]
         # per u, the reader of byte w'u for every w': a lower interval read through right multiplication by u
         times_u = [bit_reader([row[u] for row in mult]) for u in range(n_w)]
 

@@ -32,15 +32,19 @@ w's word right to left through the orbit's reflection table, on indices.
 Descents decide no coset; only checks read them.
 
 WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
-it is freed with the group: the coset tables and the coset lists read off
-them, path pairs, each path's initial direction, the Schubert pairs and the
-standard table of each orbit label, the dominant weights below a degree and
-those each stratum admits, each shape's direction classes with the rows its
-readers have read, and each degree's candidate table (every candidate basis
-index, one block per shape).  Elements point back at their group, so a
-dropped group waits for the cycle collector; verify.run_suite therefore clears
-its group's memo, and its root system's, before it returns.  The group's only
-private table holds its lower Bruhat intervals.
+it is freed with the group: the product rows read so far (product_row), the
+coset tables and the coset lists read off them, each orbit label's lifts as
+the closure criterion reads them, path pairs, each path's initial direction,
+the Schubert pairs and the standard table of each orbit label, the dominant
+weights below a degree and those each stratum admits, each shape's direction
+classes with the rows its readers have read, and each degree's candidate
+table (every candidate basis index, one block per shape).  Elements point
+back at their group, so a dropped group waits for the cycle collector;
+verify.run_suite therefore clears its group's memo, and its root system's,
+before it returns.  The group's own tables are by element index: lengths and
+inverses (public) and the right multiplication by simple reflections, built
+at construction, and the lower Bruhat intervals, filled per element on first
+use.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class WeylGroup:
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, k, word[::-1]) for k, word in enumerate(table.words)
         )
-        self._lengths = [el.length for el in self.elements]
+        self.lengths: tuple[int, ...] = tuple(el.length for el in self.elements)
         self.identity = self.elements[0]
         self.longest = self.elements[-1]
         if len(self.elements) > 1 and self.elements[-2].length == self.longest.length:
@@ -115,7 +119,9 @@ class WeylGroup:
             for letter in reversed(el.word):
                 j = self._rmult[j][letter - 1]
             inv.append(j)
-        self._inv = inv
+        self.inverses: tuple[int, ...] = tuple(inv)
+        # the last letter of each word but the identity's, less one: a column of _rmult
+        self._last = [el.word[-1] - 1 for el in self.elements[1:]]
 
         self._down: dict[int, int] = {}
         self.memo: defaultdict[str, dict] = defaultdict(dict)
@@ -145,12 +151,30 @@ class WeylGroup:
             j = self._rmult[j][letter - 1]
         return self.elements[j]
 
+    def product_row(self, a: int) -> tuple[int, ...]:
+        """The products a b by element index, for every b: row a of the multiplication table.
+
+        b is its prefix b s_p times s_p, p the last letter of its word, and the
+        prefix comes earlier in the enumeration, so one pass in index order
+        fills the row.  A row is built on first use and kept in memo, so a
+        group holds only the rows its callers read, never the full table.
+        """
+        rows = self.memo["product_row"]
+        row = rows.get(a)
+        if row is None:
+            rmult = self._rmult
+            out = [a] * len(self.elements)
+            for b, p in enumerate(self._last, 1):
+                out[b] = rmult[out[rmult[b][p]]][p]
+            row = rows[a] = tuple(out)
+        return row
+
     def inverse(self, u: WeylElement) -> WeylElement:
-        return self.elements[self._inv[u.index]]
+        return self.elements[self.inverses[u.index]]
 
     def right_descents(self, u: WeylElement) -> tuple[int, ...]:
         return tuple(
-            i for i in range(1, self.rank + 1) if self._lengths[self._rmult[u.index][i - 1]] < u.length
+            i for i in range(1, self.rank + 1) if self.lengths[self._rmult[u.index][i - 1]] < u.length
         )
 
     # -- Bruhat order -------------------------------------------------------
@@ -170,7 +194,7 @@ class WeylGroup:
                 extra = set()
                 for x in cur:
                     y = self._rmult[x][p]
-                    if self._lengths[y] > self._lengths[x]:
+                    if self.lengths[y] > self.lengths[x]:
                         extra.add(y)
                 cur |= extra
             m = 0

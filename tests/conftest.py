@@ -1,9 +1,10 @@
 """Shared helpers: cached groups and independent combinatorial oracles.
 
 The raising operator, the brute-force Bruhat oracle, the root-sign test for
-descents and the descent-based coset oracles live here, not in the package,
-so the tests exercise the shipped lowering operator, subword order, descent
-sets and orbit-table cosets against genuinely separate implementations.
+descents, the descent-based coset oracles and the closure criterion through
+group methods live here, not in the package, so the tests exercise the
+shipped lowering operator, subword order, descent sets, orbit-table cosets
+and index-form closure test against genuinely separate implementations.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from wondermono.orbits import OrbitPoset
+from wondermono.orbits import OrbitLabel, OrbitPoset
 from wondermono.paths import LSPath, Segment
 from wondermono.rootsys import RootSystem, Weight, from_name, root_combination
 from wondermono.weyl import WeylElement, WeylGroup
@@ -151,3 +152,29 @@ def stripped_coset_rep(group: WeylGroup, w: WeylElement, J) -> WeylElement:
         if not inside:
             return w
         w = group.multiply(w, group.simple(inside[0]))
+
+
+def method_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement, WeylElement]]:
+    """The witness pairs (u, v) of z1 <= z2 through group methods per (v, u): multiply, inverse, bruhat_leq.
+
+    v runs over W_I2 minimal for W / W_I1 with l(w2 v) additive, u over W_I1,
+    each in enumeration order; (u, v) works when x2 v u^-1 <= x1 and
+    w1 u <= w2 v.
+    """
+    group = z1.group
+    if group is not z2.group:
+        raise ValueError("labels from different Weyl groups")
+    if not z1.stratum <= z2.stratum:
+        return []
+    us = group.parabolic_elements(z1.stratum)
+    out = []
+    for v in group.parabolic_min_reps(z2.stratum, z1.stratum):
+        wv = group.multiply(z2.w, v)
+        if wv.length != z2.w.length + v.length:
+            continue
+        xv = group.multiply(z2.x, v)
+        for u in us:
+            xvu = group.multiply(xv, group.inverse(u))
+            if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
+                out.append((u, v))
+    return out

@@ -10,7 +10,8 @@ from conftest import poset_of
 
 from wondermono import cli
 from wondermono.cli import main
-from wondermono.paths import initial_direction
+from wondermono.paths import generate_paths, initial_direction
+from wondermono.rootsys import from_name
 from wondermono.verify import run_suite
 
 
@@ -293,6 +294,22 @@ def test_paths_over_budget_rejected_before_enumeration(capsys):
     rc, out, err = run(capsys, "paths", "--group", "F4", "--weight", "2 2 2 2", "--count-only")
     assert rc == 1 and out == ""
     assert "282429536481" in err and "(10000)" in err
+
+
+def test_paths_count_only_builds_no_path(capsys, monkeypatch):
+    # the count is the Weyl dimension the budget check computed; the path model is never built
+    def refuse(*args):
+        raise AssertionError("generate_paths called for a count")
+
+    monkeypatch.setattr(cli, "generate_paths", refuse)
+    rc, out, err = run(capsys, "paths", "--group", "B4", "--weight", "2 1 0 1", "--count-only")
+    assert (rc, out, err) == (0, "9504\n", "")
+
+
+@pytest.mark.parametrize("name, weight", [("A2", "2 1"), ("B3", "1 0 1"), ("G2", "1 1")])
+def test_paths_count_only_is_the_model_size(capsys, name, weight):
+    rc, out, _ = run(capsys, "paths", "--group", name, "--weight", weight, "--count-only")
+    assert rc == 0 and out == f"{len(generate_paths(from_name(name), tuple(map(int, weight.split()))))}\n"
 
 
 def test_monomials_over_budget_rejected_before_enumeration(capsys):

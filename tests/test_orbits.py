@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
-from conftest import group_of, poset_of
+from conftest import group_of, method_witnesses, poset_of
 
 from wondermono import orbits
+from wondermono.rootsys import from_name
+from wondermono.weyl import WeylGroup
 from wondermono.orbits import (
     OrbitLabel,
     OrbitPoset,
@@ -50,6 +53,19 @@ def test_label_validation():
     z = lab(g, (1, 2), (), (1, 2))
     assert repr(z) == "[{1,2},e,s1 s2]"
     assert hash(z) == hash(lab(g, (1, 2), (), (1, 2)))
+
+
+def test_label_hash_is_computed_once_from_the_normalised_stratum():
+    g = group_of("B2")
+    x, w = g.from_word((2,)), g.from_word((1, 2))
+    checked = OrbitLabel([1], x, w)
+    unchecked = OrbitLabel._unchecked(frozenset({1}), x, w)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert hash(checked) == hash((frozenset({1}), x, w))
+    assert {checked: 1}[unchecked] == 1
+    # the hash is no dataclass field: equality, repr and the fields are unchanged
+    assert [f.name for f in dataclasses.fields(OrbitLabel)] == ["stratum", "x", "w"]
+    assert repr(unchecked) == "[{1},s2,s1 s2]"
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
@@ -143,6 +159,47 @@ def test_witnesses_certify():
                 xvu = g.multiply(g.multiply(z2.x, v), g.inverse(u))
                 assert g.bruhat_leq(xvu, z1.x)
                 assert g.bruhat_leq(g.multiply(z1.w, u), wv)
+
+
+# every label pair of the rank-2 groups; about 100 labels by stride at rank 3
+@pytest.mark.parametrize(
+    "name, stride", [("A1", 1), ("A2", 1), ("B2", 1), ("G2", 1), ("A3", 18), ("B3", 71), ("C3", 73)]
+)
+def test_closure_routes_match_the_method_oracle(name, stride):
+    # closure_leq keeps a loop of its own beside _witnesses: the oracle pins both
+    labels = poset_of(name).labels[::stride]
+    for z2 in labels:
+        for z1 in labels:
+            want = method_witnesses(z1, z2)
+            assert closure_witnesses(z1, z2) == want
+            assert closure_leq(z1, z2) is bool(want)
+
+
+def test_closure_refuses_labels_of_two_groups():
+    z1, z2 = poset_of("A2").maximum, poset_of("B2").maximum
+    for route in (closure_leq, closure_witnesses):
+        with pytest.raises(ValueError, match="different Weyl groups"):
+            route(z1, z2)
+
+
+def test_f4_closure_and_schubert_pairs_build_only_the_rows_they_read():
+    # a fresh group: its memo holds only what these calls built, and F4 has 1152 elements per row
+    g = WeylGroup(from_name("F4"))
+    top = OrbitLabel(frozenset({1, 2, 3, 4}), g.identity, g.longest)
+    assert [(p.left, p.right) for p in schubert_pairs(top)] == [(g.longest, g.longest)]
+    assert set(g.memo["product_row"]) == {g.identity.index, g.longest.index}
+
+    g = WeylGroup(from_name("F4"))
+    z2 = OrbitLabel(frozenset({1, 2}), g.from_word((3,)), g.from_word((4, 3)))
+    z1 = OrbitLabel(frozenset({1}), g.from_word((3, 2)), g.from_word((4,)))
+    assert closure_leq(z1, z2)
+    # the rows of x2 and w2 for the lifts, of each lift's xv, and of w1
+    reps = g.parabolic_min_reps(z2.stratum, z1.stratum)
+    lifts = [v for v in reps if g.multiply(z2.w, v).length == z2.w.length + v.length]
+    read = {el.index for el in {z2.x, z2.w, z1.w} | {g.multiply(z2.x, v) for v in lifts}}
+    assert set(g.memo["product_row"]) == read and len(read) < 10
+    assert closure_witnesses(z1, z2) == method_witnesses(z1, z2) != []
+    assert set(g.memo["product_row"]) == read
 
 
 def test_dimension_strictly_monotone():
