@@ -323,7 +323,7 @@ def cmd_monomials(args) -> int:
         _write(args.out, [f"{len(indices)}\n"])
         return 0
     # a path lies in many indices and an (n, mu) heads a block of them: each is rendered once.
-    # Indices share their path objects, so a path is keyed by identity, not by its dataclass hash
+    # Indices share their path objects, so a path is keyed by identity
     paths = {id(p): p for idx in indices for p in (idx.pair.left, idx.pair.right)}
     if args.format == "json":
         words, weight = _json_words(group), partial(_json_value, depth=3)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .rootsys import RootSystem, Weight, coroot
+from .rootsys import RootSystem, Weight, coroot, integral_weight
 from .weyl import WeylElement, WeylGroup
 
 Character = dict[Weight, int]
@@ -63,9 +63,10 @@ def demazure_character(group: WeylGroup, word, lam: Weight) -> Character:
         word = tuple(word)
         if group.from_word(word).length != len(word):
             raise ValueError(f"word {word} is not reduced")
+    lam = integral_weight(lam)
     if len(lam) != group.rank:
         raise ValueError("weight length must equal the rank")
-    char: Character = {tuple(lam): 1}
+    char: Character = {lam: 1}
     for i in reversed(word):
         char = apply_demazure(group.rs, i, char)
     return char
@@ -78,6 +79,7 @@ def char_dim(char: Character) -> int:
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, exactly."""
+    integral_weight(lam)
     if len(lam) != rs.rank:
         raise ValueError("weight length must equal the rank")
     if any(x < 0 for x in lam):

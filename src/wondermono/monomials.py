@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -68,6 +67,7 @@ from .rootsys import (
     by_weight,
     dominance_diff,
     dominant_below,
+    integral_weight,
     is_dominant,
     memoized,
     support,
@@ -87,8 +87,7 @@ class MonomialIndex(NamedTuple):
         return sum(self.powers)
 
 
-@dataclass(frozen=True)
-class GradedTable:
+class GradedTable(NamedTuple):
     """Counts of basis indices by total boundary degree, zero rows included."""
 
     rows: tuple[tuple[int, int], ...]
@@ -97,10 +96,7 @@ class GradedTable:
         return sum(count for _, count in self.rows)
 
     def count(self, degree: int) -> int:
-        for d, count in self.rows:
-            if d == degree:
-                return count
-        return 0
+        return dict(self.rows).get(degree, 0)
 
 
 def is_standard_on_components(group: WeylGroup, pair: PathPair, components) -> bool:
@@ -198,6 +194,7 @@ def pair_count(group: WeylGroup, mu: Weight) -> int:
 
 def _admissible_shapes(z: OrbitLabel, lam: Weight) -> tuple:
     """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
+    integral_weight(lam)
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     return _stratum_shapes(z.group, z.stratum, lam)
@@ -234,6 +231,7 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
 
 def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
     """Membership test matching basis_indices without enumerating everything."""
+    integral_weight(lam)
     rs = z.group.rs
     if not is_dominant(lam) or not is_dominant(idx.mu):
         return False

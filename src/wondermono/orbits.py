@@ -38,9 +38,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import cache
+from itertools import product, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .rootsys import memoized
 from .weyl import WeylElement, WeylGroup
@@ -71,42 +72,37 @@ def bit_reader(positions: Sequence[int]) -> Callable[[Sequence], Sequence]:
     return itemgetter(*positions)
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    """One orbit: stratum subset I, minimal representative x, and w."""
-
+class _LabelFields(NamedTuple):
     stratum: frozenset[int]
     x: WeylElement
     w: WeylElement
 
-    def __post_init__(self):
+
+class OrbitLabel(_LabelFields):
+    """One orbit: stratum subset I, minimal representative x, and w.
+
+    A named tuple: it compares and hashes as (stratum, x, w), in C.  The
+    constructor, and so _make and _replace, checks the label;
+    OrbitPoset.build makes its labels, valid by construction, by tuple.__new__.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, stratum, x: WeylElement, w: WeylElement):
         # any iterable of indices is accepted; stored as a frozenset, so every form equals and hashes alike
-        object.__setattr__(self, "stratum", frozenset(self.stratum))
-        group = self.x.group
-        if group is not self.w.group:
+        stratum = frozenset(stratum)
+        group = x.group
+        if group is not w.group:
             raise ValueError("x and w must come from the same Weyl group")
-        if not self.stratum <= set(range(1, group.rank + 1)):
-            raise ValueError(f"stratum {sorted(self.stratum)} is not a subset of 1..{group.rank}")
-        bad = set(group.right_descents(self.x)) & self.stratum
-        if bad:
-            raise ValueError(
-                f"x={self.x.word_str} is not a minimal coset representative for I={sorted(self.stratum)}"
-            )
-        object.__setattr__(self, "_hash", hash((self.stratum, self.x, self.w)))
+        if not stratum <= set(range(1, group.rank + 1)):
+            raise ValueError(f"stratum {sorted(stratum)} is not a subset of 1..{group.rank}")
+        if not stratum.isdisjoint(group.right_descents(x)):
+            raise ValueError(f"x={x.word_str} is not a minimal coset representative for I={sorted(stratum)}")
+        return tuple.__new__(cls, (stratum, x, w))
 
     @classmethod
-    def _unchecked(cls, stratum: frozenset[int], x: WeylElement, w: WeylElement) -> "OrbitLabel":
-        """A label whose x is minimal for stratum by construction: the fields are set, not validated."""
-        z = object.__new__(cls)
-        object.__setattr__(z, "stratum", stratum)
-        object.__setattr__(z, "x", x)
-        object.__setattr__(z, "w", w)
-        object.__setattr__(z, "_hash", hash((stratum, x, w)))
-        return z
-
-    def __hash__(self) -> int:
-        # computed once from the normalised fields: every dict keyed by labels reads it per lookup
-        return self._hash
+    def _make(cls, fields) -> "OrbitLabel":
+        return cls(*fields)
 
     @property
     def group(self) -> WeylGroup:
@@ -120,8 +116,7 @@ class OrbitLabel:
         return f"[{{{inner}}},{self.x.word_str},{self.w.word_str}]"
 
 
-@dataclass(frozen=True)
-class SchubertPair:
+class SchubertPair(NamedTuple):
     """An irreducible component of an orbit closure sliced to the doubled flag variety."""
 
     left: WeylElement
@@ -154,13 +149,11 @@ def _lift_rows(z: OrbitLabel, J: frozenset[int]) -> tuple:
     Each lift (v, xv, wv) gives (v, the pairs (x v u^-1, u) by element index
     for each u in W_J in enumeration order, read off the product row of xv,
     the down-mask of wv).  Every label of stratum J tested against z reads
-    them, so a lift is computed once.  The key spells z by its fields, each
-    hashed in C.
+    them, so a lift is computed once.  A label hashes in C, as its fields.
     """
     group = z.x.group
     table = group.memo["lift_rows"]
-    key = (z.x, z.w, z.stratum, J)
-    rows = table.get(key)
+    rows = table.get((z, J))
     if rows is None:
         inverses = group.inverses
         us = [u.index for u in group.parabolic_elements(J)]
@@ -168,7 +161,7 @@ def _lift_rows(z: OrbitLabel, J: frozenset[int]) -> tuple:
         for v, xv, wv in _lifts(z, J):
             xv_row = group.product_row(xv.index)
             rows.append((v, tuple((xv_row[inverses[u]], u) for u in us), group.down_mask(wv)))
-        rows = table[key] = tuple(rows)
+        rows = table[z, J] = tuple(rows)
     return rows
 
 
@@ -283,10 +276,9 @@ class OrbitPoset:
         base: dict[frozenset[int], int] = {}
         for I in subsets:
             base[I] = len(labels)
-            # x runs over W^I, so every label is valid by construction
-            for x in group.min_coset_reps(I):
-                for w in group.elements:
-                    labels.append(OrbitLabel._unchecked(I, x, w))
+            # x runs over W^I, so every label is valid by construction and is made in C, unchecked
+            fields = product((I,), group.min_coset_reps(I), group.elements)
+            labels.extend(map(tuple.__new__, repeat(OrbitLabel), fields))
 
         # the group's own index tables; the build reads every product row
         eldown = [group.down_mask(el) for el in group.elements]

@@ -34,12 +34,12 @@ end = tau_r(lam) + sum_k a_k (tau_k(lam) - tau_(k+1)(lam)), entering tau' from
 tau at time s / D_lam moves that endpoint by (s - D_lam)(tau - tau') / D_lam.
 This step is computed, and checked to be a lattice vector, once per (point,
 time, target), when the point's successor row is built, so a path costs one
-vector addition and no division for its endpoint.  The walk makes _fill's
+vector addition and no division for its endpoint.  The walk makes _path's
 checks where they are cheapest: a duration is positive when its segment is
 appended, a point differs from the one it is entered from and each endpoint
 step is integral when its successor row is built, and the steps sum to D_lam
-by the carried time.  _fill remains the checker of every path built from
-given fields; both routes set the fields through one setter.
+by the carried time.  Every other path is built from given fields through
+_path, the one checker; both routes make the path in C by tuple.__new__.
 
 The root operators are the cross-check.  Lowering runs in orbit form too: a
 direction is its index in the shape's W-orbit (rootsys.orbit_table) and the
@@ -60,11 +60,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import gcd, lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from .rootsys import (
     OrbitTable,
@@ -72,6 +72,7 @@ from .rootsys import (
     Weight,
     by_weight,
     coroot_pairing,
+    integral_weight,
     is_dominant,
     memoized,
     orbit_table,
@@ -83,27 +84,41 @@ from .weyl import WeylElement, WeylGroup
 Segment = tuple[Weight, Fraction]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LSPath:
-    """A path of some dominant shape: directions, and durations steps[k] / den in lowest terms.
-
-    end, the final point, is derived from the other fields when they are set
-    and takes no part in comparison, hashing or repr.
-    """
-
+class _PathFields(NamedTuple):
     dirs: tuple[Weight, ...]
     steps: tuple[int, ...]
     den: int
     shape: Weight
-    end: Weight = field(compare=False, repr=False)
+    end: Weight
 
-    def __init__(self, segments, shape):
+
+class LSPath(_PathFields):
+    """A path of some dominant shape: directions, and durations steps[k] / den in lowest terms.
+
+    A named tuple, compared and hashed as its fields in C; end, the final point, is a function of the
+    others.  _make and _replace build through the checker, _path; a copy or a pickle, from the segments.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, segments, shape):
         """A path from (direction, duration) segments, durations being rationals."""
         segments = tuple(segments)
         durations = [Fraction(t) for _, t in segments]
         den = lcm(*(t.denominator for t in durations))
         steps = tuple(t.numerator * (den // t.denominator) for t in durations)
-        _fill(self, tuple(tuple(d) for d, _ in segments), steps, den, tuple(shape))
+        return _path(tuple(tuple(d) for d, _ in segments), steps, den, tuple(shape))
+
+    @classmethod
+    def _make(cls, fields) -> "LSPath":
+        dirs, steps, den, shape, end = fields
+        path = _path(tuple(map(tuple, dirs)), tuple(steps), den, tuple(shape))
+        if path.end != tuple(end):
+            raise ValueError(f"endpoint {tuple(end)} is not the path's endpoint {path.end}")
+        return path
+
+    def __getnewargs__(self):
+        return self.segments, self.shape
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -116,12 +131,10 @@ class LSPath:
         return self.end
 
 
-def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> None:
-    """Check a path's fields, bring them to lowest terms and set them.
+def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> LSPath:
+    """The path with these fields, checked and in lowest terms: the checker of every path built from given fields.
 
-    This is the checker of every path built from given fields; generate_paths
-    makes the same checks along its chains and sets its paths' fields through
-    the same setter.
+    generate_paths makes the same checks along its chains and builds its paths, as this does, by tuple.__new__.
     """
     if not steps:
         raise ValueError("a path needs at least one segment")
@@ -143,40 +156,22 @@ def _fill(path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: i
         if r:
             raise ValueError("path endpoint is not a lattice weight")
         end.append(q)
-    _set_fields(path, dirs, steps, den, shape, tuple(end))
-
-
-# the slots' own setters: the frozen dataclass refuses setattr, its member descriptors do not
-_set_dirs, _set_steps, _set_den, _set_shape, _set_end = (
-    getattr(LSPath, name).__set__ for name in ("dirs", "steps", "den", "shape", "end")
-)
-
-
-def _set_fields(
-    path: LSPath, dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight, end: Weight
-) -> None:
-    """Set a path's fields, already checked and in lowest terms: the one way a path gets its fields."""
-    _set_dirs(path, dirs)
-    _set_steps(path, steps)
-    _set_den(path, den)
-    _set_shape(path, shape)
-    _set_end(path, end)
-
-
-def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> LSPath:
-    """A path from integer numerators over den, with no Fraction on the way."""
-    path = object.__new__(LSPath)
-    _fill(path, dirs, steps, den, shape)
-    return path
+    return tuple.__new__(LSPath, (dirs, steps, den, shape, tuple(end)))
 
 
 def _shape(rs: RootSystem, lam) -> Weight:
-    """lam as a tuple, once it is checked to be a dominant weight of rs."""
+    """lam as a tuple, once it is checked to be an integral dominant weight of rs."""
+    integral_weight(lam)
     if len(lam) != rs.rank:
-        raise ValueError("weight length must equal the rank")
+        raise ValueError(f"weight {lam} has length {len(lam)}, not the rank {rs.rank}")
     if not is_dominant(lam):
         raise ValueError(f"weight {lam} is not dominant")
     return tuple(lam)
+
+
+def _by_shape(owner, lam):
+    """Memo key of a public per-shape entry point: by_weight's, refusing a non-integer weight on a hit too."""
+    return owner, integral_weight(lam)
 
 
 def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
@@ -333,7 +328,7 @@ def _cover_table(rs: RootSystem, table: OrbitTable, big: int) -> list[list[tuple
     return covers
 
 
-@memoized(by_weight)
+@memoized(_by_shape)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """The LS paths of shape lam as chains in W/W_lam, in canonical order.
 
@@ -396,7 +391,6 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
         return row
 
     model: list[LSPath] = []
-    new, set_fields = object.__new__, _set_fields
 
     def walk(dirs: tuple[Weight, ...], steps: tuple[int, ...], g: int, end: Weight, k: int, t: int) -> None:
         """Emit every path that continues dirs along points[k] from time t / D_lam, then the one that ends there.
@@ -419,9 +413,7 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
         steps += (big - t,)
         if g > 1:
             steps = tuple(map(g.__rfloordiv__, steps))
-        path = new(LSPath)
-        set_fields(path, dirs, steps, big // g, lam, end)
-        model.append(path)
+        model.append(tuple.__new__(LSPath, (dirs, steps, big // g, lam, end)))
 
     for k, point in enumerate(points):
         walk((point,), (), big, point, k, 0)
@@ -444,8 +436,7 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     return got
 
 
-@dataclass(frozen=True, slots=True)
-class PathPair:
+class PathPair(NamedTuple):
     """A pair of paths indexing a section on the doubled flag variety.
 
     The left path has the dual shape -w0(mu), the right path has shape mu.
@@ -453,16 +444,19 @@ class PathPair:
 
     left: LSPath
     right: LSPath
-    mu: Weight
+
+    @property
+    def mu(self) -> Weight:
+        return self.right.shape
 
 
-@memoized(by_weight)
+@memoized(_by_shape)
 def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
-    """All path pairs of a dominant weight, in left-major product order."""
-    mu = tuple(mu)
+    """All path pairs of a dominant weight, in left-major product order, each built in C."""
+    mu = _shape(group.rs, mu)  # checked before its dual is taken, so an error names the caller's weight
     lefts = generate_paths(group.rs, group.dual_weight(mu))
     rights = generate_paths(group.rs, mu)
-    return tuple(PathPair(l, r, mu) for l in lefts for r in rights)
+    return tuple(map(tuple.__new__, repeat(PathPair), product(lefts, rights)))
 
 
 @memoized(by_weight)

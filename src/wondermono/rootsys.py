@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial, wraps
 from itertools import product
 from math import lcm
-from operator import mul
+from operator import index, mul
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -96,9 +96,20 @@ def by_weight(owner, lam):
     return owner, tuple(lam)
 
 
+def integral_weight(lam) -> Weight:
+    """lam as a tuple of ints, checked before any memo is read: (1.0, 1) equals and hashes as (1, 1)."""
+    try:
+        return tuple(map(index, lam))
+    except TypeError:
+        raise ValueError(f"weight {lam} has a coordinate that is not an integer") from None
+
+
 @dataclass(frozen=True)
 class RootSystem:
-    """A simple root system: Cartan data plus the saturated set of roots."""
+    """A simple root system: Cartan data plus the saturated set of roots.
+
+    A dataclass, not a named tuple, so that its memo takes no part in == and hash.
+    """
 
     letter: str
     rank: int
@@ -292,6 +303,7 @@ def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
 
     The box is exact because the inverse Cartan matrix is entrywise nonnegative.
     """
+    integral_weight(lam)
     _require(len(lam) == rs.rank, "weight length must equal the rank")
     _require(is_dominant(lam), f"weight {lam} is not dominant")
     bounds = []

@@ -3,12 +3,14 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from conftest import group_of, poset_of, weight_grid
 
 from wondermono import monomials, verify
+from wondermono.demazure import demazure_character, weyl_dim
 from wondermono.monomials import (
     GradedTable,
     MonomialIndex,
@@ -32,8 +34,9 @@ from wondermono.paths import (
     initial_direction,
     pair_directions,
     pair_weight,
+    straight_path,
 )
-from wondermono.rootsys import RootSystemError, dominant_below, support
+from wondermono.rootsys import RootSystemError, dominant_below, from_name, support
 from wondermono.weyl import WeylGroup
 
 
@@ -335,12 +338,12 @@ def test_is_basis_index():
     p = generate_paths(g.rs, (1, 0))[0]
     q = generate_paths(g.rs, lam)[0]
     for left, right in [(p, p), (q, p), (p, q)]:
-        wrong = MonomialIndex((0, 0), lam, PathPair(left, right, lam))
+        wrong = MonomialIndex((0, 0), lam, PathPair(left, right))
         assert wrong not in basis_indices(top, lam)
         assert not is_basis_index(top, lam, wrong)
     # a path of the right shape that is not in the path model
     stray = LSPath([((1, 1), Fraction(1, 2)), ((-1, -1), Fraction(1, 2))], lam)
-    outside_model = MonomialIndex((0, 0), lam, PathPair(q, stray, lam))
+    outside_model = MonomialIndex((0, 0), lam, PathPair(q, stray))
     assert outside_model not in basis_indices(top, lam)
     assert not is_basis_index(top, lam, outside_model)
 
@@ -444,6 +447,33 @@ def test_non_dominant_weight_raises_on_every_call_before_any_memo_lookup():
                 with pytest.raises(ValueError, match=f"^{re.escape(f'weight {lam} is not dominant')}$"):
                     call(z, lam)
     assert {name: dict(table) for name, table in g.memo.items()} == before
+
+
+@pytest.mark.parametrize("lam", [(1.0, 1), [1, Fraction(1)]])
+def test_non_integer_weight_is_refused_cold_and_warm(lam):
+    rs = from_name("A2")  # fresh: the first round finds no memo entry, the second finds those of (1, 1)
+    g = WeylGroup(rs)
+    z = lab(g, (1, 2), (), (1, 2, 1))
+    idx = basis_indices(poset_of("A2").maximum, (1, 1))[0]  # from another group, so nothing of rs or g is built
+    calls = [
+        partial(weyl_dim, rs),
+        partial(straight_path, rs),
+        partial(dominant_below, rs),
+        partial(generate_paths, rs),
+        partial(generate_pairs, g),
+        partial(demazure_character, g, g.longest),
+        partial(basis_indices, z),
+        partial(graded_counts, z),
+        partial(candidate_count, z),
+        lambda lam: is_basis_index(z, lam, idx),
+    ]
+    message = f"^{re.escape(f'weight {lam} has a coordinate that is not an integer')}$"
+    for _ in ("cold", "warm"):
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(lam)
+        for call in calls:
+            call((1, 1))  # lam equals (1, 1) and hashes as it, so every memo now holds lam's key
 
 
 def test_labels_share_their_indices():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 
@@ -59,13 +58,26 @@ def test_label_hash_is_computed_once_from_the_normalised_stratum():
     g = group_of("B2")
     x, w = g.from_word((2,)), g.from_word((1, 2))
     checked = OrbitLabel([1], x, w)
-    unchecked = OrbitLabel._unchecked(frozenset({1}), x, w)
+    # the poset's route: the fields, already valid, made into a label in C
+    unchecked = tuple.__new__(OrbitLabel, (frozenset({1}), x, w))
     assert checked == unchecked and hash(checked) == hash(unchecked)
     assert hash(checked) == hash((frozenset({1}), x, w))
     assert {checked: 1}[unchecked] == 1
-    # the hash is no dataclass field: equality, repr and the fields are unchanged
-    assert [f.name for f in dataclasses.fields(OrbitLabel)] == ["stratum", "x", "w"]
+    # the hash is the fields' own: equality, repr and the fields are unchanged
+    assert OrbitLabel._fields == ("stratum", "x", "w")
     assert repr(unchecked) == "[{1},s2,s1 s2]"
+
+
+def test_make_and_replace_check_a_label():
+    g = group_of("B2")
+    z = lab(g, (1,), (2,), (1, 2))
+    assert OrbitLabel._make([[1], z.x, z.w]) == z and z._replace() == z
+    assert type(z._replace(stratum=[1]).stratum) is frozenset
+    s1 = g.from_word((1,))  # its right descent 1 lies in I = {1}, so it is not minimal for W / W_I
+    with pytest.raises(ValueError, match="x=s1 is not a minimal coset representative for I=\\[1\\]"):
+        z._replace(x=s1)
+    with pytest.raises(ValueError, match="x=s1 is not a minimal coset representative for I=\\[1\\]"):
+        OrbitLabel._make((frozenset({1}), s1, z.w))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])

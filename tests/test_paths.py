@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -14,6 +16,7 @@ from wondermono import paths, rootsys
 from wondermono.demazure import weyl_dim
 from wondermono.paths import (
     LSPath,
+    PathPair,
     generate_pairs,
     generate_paths,
     initial_direction,
@@ -280,7 +283,7 @@ def test_fraction_built_paths_equal_generated():
         doubled = [(d, t / 2) for d, t in path.segments for _ in range(2)]
         assert LSPath(canonical_segments(doubled), path.shape) == path
         assert built.segments == path.segments
-    # _fill rebuilds every field from the segments, so the fields carried along each chain must match it
+    # _path rebuilds every field from the segments, so the fields carried along each chain must match it
     for name, lam in FIELD_CASES:
         for path in generate_paths(group_of(name).rs, lam):
             built = LSPath(path.segments, path.shape)
@@ -334,16 +337,57 @@ def test_model_is_closure_under_public_lowering(name, lam):
 
 def test_generate_paths_builds_each_path_once(monkeypatch):
     rs = from_name("B3")  # a fresh root system, so no memoized model is reused
-    calls = []
-    set_fields = paths._set_fields
 
-    def counting_set_fields(*args):
-        calls.append(args)
-        set_fields(*args)
+    def refused(*args):
+        raise AssertionError("generate_paths rebuilt a path through the checker")
 
-    monkeypatch.setattr(paths, "_set_fields", counting_set_fields)
+    # the chains build each path by tuple.__new__, which has no Python hook: no checker call, no duplicate
+    monkeypatch.setattr(paths, "_path", refused)
     model = generate_paths(rs, (1, 0, 1))
-    assert len(calls) == len(model) == weyl_dim(rs, (1, 0, 1))
+    assert len(set(model)) == len(model) == weyl_dim(rs, (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "copier", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_paths_and_pairs_survive_copies(copier):
+    for pair in generate_pairs(group_of("G2"), (1, 0))[::5]:
+        for record in (pair.left, pair.right, pair):
+            got = copier(record)
+            assert got == record and hash(got) == hash(record) and type(got) is type(record)
+
+
+def test_make_and_replace_check_a_path():
+    path = next(p for p in generate_paths(group_of("A2").rs, (2, 1)) if p.den > 1 and any(p.end))
+    assert LSPath._make(path) == path and path._replace() == path
+    # durations over twice the denominator come back in lowest terms
+    assert path._replace(steps=tuple(2 * s for s in path.steps), den=2 * path.den) == path
+    with pytest.raises(ValueError, match="durations must sum to 1"):
+        path._replace(den=path.den + 1)
+    with pytest.raises(ValueError, match="durations must sum to 1"):
+        LSPath._make((path.dirs, path.steps, 2 * path.den, path.shape, path.end))
+    # the endpoint is checked against the other fields: a stale one is refused
+    with pytest.raises(ValueError, match="is not the path's endpoint"):
+        path._replace(end=tuple(x + 1 for x in path.end))
+    with pytest.raises(ValueError, match="is not the path's endpoint"):
+        path._replace(dirs=tuple(tuple(-c for c in d) for d in path.dirs))
+
+
+@pytest.mark.parametrize("name, mu", [("A2", (1, 0)), ("B2", (1, 1)), ("G2", (0, 1)), ("A3", (1, 0, 1))])
+def test_pair_mu_is_its_right_paths_shape(name, mu):
+    g = group_of(name)
+    pairs = generate_pairs(g, mu)
+    assert PathPair._fields == ("left", "right")
+    assert pairs and all(p.mu == p.right.shape == mu and p.left.shape == g.dual_weight(mu) for p in pairs)
+
+
+def test_generate_pairs_names_the_callers_weight():
+    g = group_of("A2")
+    # checked before the dual is taken: the dual of (1, -1) is (-1, 1)
+    with pytest.raises(ValueError, match=r"^weight \(1, -1\) is not dominant$"):
+        generate_pairs(g, (1, -1))
+    with pytest.raises(ValueError, match=r"^weight \(1,\) has length 1, not the rank 2$"):
+        generate_pairs(g, (1,))
 
 
 def test_generate_paths_refuses_an_endpoint_step_off_the_lattice(monkeypatch):

@@ -97,7 +97,7 @@ def test_graded_tables_reads_a_copied_pair_by_its_directions(monkeypatch, emptie
     real_basis = verify.basis_indices
 
     def copied(i):
-        return i._replace(pair=paths.PathPair(i.pair.left, i.pair.right, i.pair.mu))
+        return i._replace(pair=paths.PathPair(i.pair.left, i.pair.right))
 
     monkeypatch.setattr(verify, "basis_indices", lambda z, lam: tuple(map(copied, real_basis(z, lam))))
     if emptied:
