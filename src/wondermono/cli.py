@@ -23,7 +23,7 @@ from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, pair_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
 from .paths import generate_paths, initial_direction
-from .rootsys import RootSystem, RootSystemError, from_name, is_dominant, orbit_table
+from .rootsys import RootSystem, RootSystemError, build, is_dominant, orbit_table
 from .verify import run_suite
 from .weyl import WeylElement, WeylGroup
 
@@ -68,7 +68,7 @@ def _parse_group_name(name: str) -> tuple[str, int]:
 def _group(name: str) -> WeylGroup:
     letter, rank = _parse_group_name(name)
     try:
-        return WeylGroup(from_name(f"{letter}{rank}"))
+        return WeylGroup(build(letter, rank))
     except RootSystemError as exc:
         raise CLIError(str(exc)) from exc
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .rootsys import RootSystem, Weight, coroot, integral_weight
+from .rootsys import RootSystem, Weight, coroot, dominant_weight, rank_weight
 from .weyl import WeylElement, WeylGroup
 
 Character = dict[Weight, int]
@@ -23,9 +23,7 @@ def apply_demazure(rs: RootSystem, i: int, char: Character) -> Character:
     reflection; m = -1 contributes nothing; m < -1 subtracts the interior
     string shifted one step up.
     """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    alpha = rs.simple_root(i)
+    alpha = rs.simple_root(i)  # refuses an index out of range
     coord = i - 1
     out: Character = {}
 
@@ -63,9 +61,7 @@ def demazure_character(group: WeylGroup, word, lam: Weight) -> Character:
         word = tuple(word)
         if group.from_word(word).length != len(word):
             raise ValueError(f"word {word} is not reduced")
-    lam = integral_weight(lam)
-    if len(lam) != group.rank:
-        raise ValueError("weight length must equal the rank")
+    lam = rank_weight(group.rs, lam)
     char: Character = {lam: 1}
     for i in reversed(word):
         char = apply_demazure(group.rs, i, char)
@@ -79,11 +75,7 @@ def char_dim(char: Character) -> int:
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam, exactly."""
-    integral_weight(lam)
-    if len(lam) != rs.rank:
-        raise ValueError("weight length must equal the rank")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    lam = dominant_weight(rs, lam)
     shifted = tuple(x + 1 for x in lam)
     num = den = 1
     for beta in rs.positive_roots:

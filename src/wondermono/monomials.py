@@ -67,9 +67,10 @@ from .rootsys import (
     by_weight,
     dominance_diff,
     dominant_below,
-    integral_weight,
+    dominant_weight,
     is_dominant,
     memoized,
+    rank_weight,
     support,
 )
 from .weyl import WeylGroup
@@ -194,10 +195,7 @@ def pair_count(group: WeylGroup, mu: Weight) -> int:
 
 def _admissible_shapes(z: OrbitLabel, lam: Weight) -> tuple:
     """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
-    integral_weight(lam)
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    return _stratum_shapes(z.group, z.stratum, lam)
+    return _stratum_shapes(z.group, z.stratum, dominant_weight(z.group.rs, lam))
 
 
 @memoized(lambda group, stratum, lam: (group, (stratum, tuple(lam))))
@@ -230,20 +228,21 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
 
 
 def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
-    """Membership test matching basis_indices without enumerating everything."""
-    integral_weight(lam)
+    """Membership test matching basis_indices without enumerating everything.
+
+    lam must be a dominant weight and idx.mu a weight of the rank; an index of a non-dominant shape is no member.
+    """
     rs = z.group.rs
-    if not is_dominant(lam) or not is_dominant(idx.mu):
-        return False
-    if dominance_diff(rs, lam, idx.mu) != idx.powers:
+    lam, mu = dominant_weight(rs, lam), rank_weight(rs, idx.mu)
+    if not is_dominant(mu) or dominance_diff(rs, lam, mu) != idx.powers:
         return False
     if not support(idx.powers) <= z.stratum:
         return False
     pair = idx.pair
     # membership in the path model implies the shape
-    if pair.mu != idx.mu or pair.right not in generate_paths(rs, idx.mu):
+    if pair.mu != mu or pair.right not in generate_paths(rs, mu):
         return False
-    return pair.left in generate_paths(rs, z.group.dual_weight(idx.mu)) and is_standard_on_closure(pair, z)
+    return pair.left in generate_paths(rs, z.group.dual_weight(mu)) and is_standard_on_closure(pair, z)
 
 
 def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:

@@ -26,7 +26,9 @@ root beta = s_c gamma has s_beta = s_c s_gamma s_c and
 <mu, beta^vee> = <s_c mu, gamma^vee>, so no weight is built or looked up.
 
 generate_paths walks these chains depth first in canonical order, so each
-path is built once and nothing is sorted.  A path's fields are carried along
+path is built once and nothing is sorted.  It and generate_pairs are
+memoized under the weight rootsys.dominant_weight returns, so a refused
+weight is refused whether or not an equal one is cached.  A path's fields are carried along
 its chain rather than derived from it: the walk keeps the prefix's
 directions, its steps over D_lam, their gcd with D_lam (one gcd per step gives
 the lowest terms) and the endpoint of the path that would stop there.  By
@@ -72,8 +74,7 @@ from .rootsys import (
     Weight,
     by_weight,
     coroot_pairing,
-    integral_weight,
-    is_dominant,
+    dominant_weight,
     memoized,
     orbit_table,
     root_combination,
@@ -159,24 +160,9 @@ def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Wei
     return tuple.__new__(LSPath, (dirs, steps, den, shape, tuple(end)))
 
 
-def _shape(rs: RootSystem, lam) -> Weight:
-    """lam as a tuple, once it is checked to be an integral dominant weight of rs."""
-    integral_weight(lam)
-    if len(lam) != rs.rank:
-        raise ValueError(f"weight {lam} has length {len(lam)}, not the rank {rs.rank}")
-    if not is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    return tuple(lam)
-
-
-def _by_shape(owner, lam):
-    """Memo key of a public per-shape entry point: by_weight's, refusing a non-integer weight on a hit too."""
-    return owner, integral_weight(lam)
-
-
 def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
     """The straight-line path to a dominant weight (a single segment)."""
-    lam = _shape(rs, lam)
+    lam = dominant_weight(rs, lam)
     return _path((lam,), (1,), 1, lam)
 
 
@@ -184,8 +170,9 @@ def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
 def shape_denominator(rs: RootSystem, lam: Weight) -> int:
     """D_lam: the lcm of the nonzero |<lam, beta^vee>| over the positive roots beta.
 
-    Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.
+    Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.  lam is checked on a miss.
     """
+    lam = dominant_weight(rs, lam)
     return lcm(*filter(None, (abs(coroot_pairing(rs, lam, beta)) for beta in rs.positive_roots)))
 
 
@@ -272,7 +259,7 @@ def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[Weight, ..
     holds them.  This is the root-operator route to the path model, against
     which verify checks the chains of generate_paths.
     """
-    lam = _shape(rs, lam)
+    lam = dominant_weight(rs, lam)
     table = orbit_table(rs, lam)
     big = shape_denominator(rs, lam)
     start = ((0,), (big,))
@@ -328,7 +315,7 @@ def _cover_table(rs: RootSystem, table: OrbitTable, big: int) -> list[list[tuple
     return covers
 
 
-@memoized(_by_shape)
+@memoized(lambda rs, lam: (rs, dominant_weight(rs, lam)))
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """The LS paths of shape lam as chains in W/W_lam, in canonical order.
 
@@ -340,7 +327,7 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     and builds each path once.  Each path's fields are carried along its
     chain and checked where they are made (see the module docstring).
     """
-    lam = _shape(rs, lam)
+    lam = dominant_weight(rs, lam)
     table = orbit_table(rs, lam)
     big = shape_denominator(rs, lam)
     # renumber the orbit in ascending weight order, so ascending indices are the canonical order of directions
@@ -450,10 +437,9 @@ class PathPair(NamedTuple):
         return self.right.shape
 
 
-@memoized(_by_shape)
+@memoized(lambda group, mu: (group, dominant_weight(group.rs, mu)))  # checked before its dual is taken
 def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     """All path pairs of a dominant weight, in left-major product order, each built in C."""
-    mu = _shape(group.rs, mu)  # checked before its dual is taken, so an error names the caller's weight
     lefts = generate_paths(group.rs, group.dual_weight(mu))
     rights = generate_paths(group.rs, mu)
     return tuple(map(tuple.__new__, repeat(PathPair), product(lefts, rights)))

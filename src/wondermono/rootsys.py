@@ -3,7 +3,10 @@
 Conventions used throughout the package:
 
 * simple roots are numbered 1..l following Bourbaki,
-* a weight is a tuple of integers in the fundamental-weight basis,
+* a weight is a tuple of integers in the fundamental-weight basis; every
+  library entry point passes the weights it takes through rank_weight or,
+  where a weight must be dominant, dominant_weight, so no memo table is ever
+  filled from a refused weight,
 * a root is a tuple of integers in the simple-root basis,
 * ``cartan[i][j]`` pairs the j-th simple root against the i-th simple coroot,
   so column j holds the fundamental-weight coordinates of alpha_j.
@@ -96,12 +99,26 @@ def by_weight(owner, lam):
     return owner, tuple(lam)
 
 
-def integral_weight(lam) -> Weight:
-    """lam as a tuple of ints, checked before any memo is read: (1.0, 1) equals and hashes as (1, 1)."""
+def rank_weight(rs: RootSystem, lam) -> Weight:
+    """lam as a tuple of rs.rank ints, or a RootSystemError naming the caller's lam: the one weight check.
+
+    (1.0, 1) equals and hashes as (1, 1), so it is refused here, before a memo could store or return it.
+    """
     try:
-        return tuple(map(index, lam))
+        out = tuple(map(index, lam))
     except TypeError:
-        raise ValueError(f"weight {lam} has a coordinate that is not an integer") from None
+        raise RootSystemError(f"weight {lam} has a coordinate that is not an integer") from None
+    if len(out) != rs.rank:
+        raise RootSystemError(f"weight {lam} has length {len(out)}, not the rank {rs.rank}")
+    return out
+
+
+def dominant_weight(rs: RootSystem, lam) -> Weight:
+    """rank_weight(rs, lam), refusing a weight with a negative coordinate too."""
+    out = rank_weight(rs, lam)
+    if not is_dominant(out):
+        raise RootSystemError(f"weight {lam} is not dominant")
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,7 +307,7 @@ def dominance_diff(rs: RootSystem, lam: Weight, mu: Weight) -> RootVector | None
     The linear system C n = lam - mu is solved exactly; only integral
     nonnegative solutions count as comparable.
     """
-    _require(len(lam) == rs.rank and len(mu) == rs.rank, "weight length must equal the rank")
+    lam, mu = rank_weight(rs, lam), rank_weight(rs, mu)
     diff = sub_weights(lam, mu)
     n = [sum(rs.inverse_cartan[i][j] * diff[j] for j in range(rs.rank)) for i in range(rs.rank)]
     if any(x.denominator != 1 or x < 0 for x in n):
@@ -303,9 +320,7 @@ def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
 
     The box is exact because the inverse Cartan matrix is entrywise nonnegative.
     """
-    integral_weight(lam)
-    _require(len(lam) == rs.rank, "weight length must equal the rank")
-    _require(is_dominant(lam), f"weight {lam} is not dominant")
+    lam = dominant_weight(rs, lam)
     bounds = []
     for i in range(rs.rank):
         b = sum(rs.inverse_cartan[i][j] * lam[j] for j in range(rs.rank))
@@ -367,8 +382,8 @@ class OrbitTable(NamedTuple):
 
 @memoized(by_weight)
 def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
-    """The orbit table of lam: |W/W_lam| points for a dominant lam, found by simple reflections."""
-    lam = tuple(lam)
+    """The orbit table of a dominant lam, checked on a miss: |W/W_lam| points, found by simple reflections."""
+    lam = dominant_weight(rs, lam)
     alphas = [rs.simple_root(c) for c in range(1, rs.rank + 1)]
     points = [lam]
     index = {lam: 0}

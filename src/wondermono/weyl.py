@@ -53,7 +53,7 @@ from collections import defaultdict
 from itertools import combinations
 from operator import attrgetter
 
-from .rootsys import RootSystem, Weight, is_dominant, memoized, orbit_table
+from .rootsys import RootSystem, Weight, dominant_weight, memoized, orbit_table, rank_weight
 
 
 class WeylElement:
@@ -70,9 +70,7 @@ class WeylElement:
     def act(self, weight: Weight) -> Weight:
         """Apply the word to a weight, one simple reflection per letter, right to left."""
         alphas = self.group._alphas
-        weight = tuple(weight)
-        if len(weight) != len(alphas):
-            raise ValueError(f"weight {weight} has length {len(weight)}, not the rank {len(alphas)}")
+        weight = rank_weight(self.group.rs, weight)
         for letter in reversed(self.word):
             n = weight[letter - 1]
             if n:
@@ -215,19 +213,19 @@ class WeylGroup:
 
         A point's representative is the element of its word in the orbit
         table, the shortest one sending lam there.  A hit is one dict lookup:
-        initial_direction, the hottest call, reads this table.
+        initial_direction, the hottest call, reads this table.  lam is
+        checked on a miss, so no table is built for a refused weight.
         """
         tables = self.memo["coset_table"]
         try:
             return tables[lam]
         except (KeyError, TypeError):  # not built yet, or a list weight
-            lam = tuple(lam)
-        if lam not in tables:
-            if len(lam) != self.rank or not is_dominant(lam):
-                raise ValueError(f"weight {lam} is not a dominant weight of rank {self.rank}")
+            lam = dominant_weight(self.rs, lam)
+        table = tables.get(lam)
+        if table is None:
             orbit = orbit_table(self.rs, lam)
-            tables[lam] = {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
-        return tables[lam]
+            table = tables[lam] = {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
+        return table
 
     def _check_subset(self, I) -> frozenset[int]:
         I = frozenset(I)

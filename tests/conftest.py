@@ -33,6 +33,11 @@ def poset_of(name: str) -> OrbitPoset:
     return _POSETS[name]
 
 
+def memo_contents(*owners) -> list[dict]:
+    """Every non-empty memo table of the owners, copied: a memoized call may leave an empty table behind."""
+    return [{name: dict(table) for name, table in owner.memo.items() if table} for owner in owners]
+
+
 def weight_grid(rank: int, bound: int) -> list[Weight]:
     return [tuple(t) for t in product(range(bound + 1), repeat=rank)]
 

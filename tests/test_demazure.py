@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_reduced_words, group_of
@@ -116,6 +117,13 @@ def test_longest_word_matches_weyl_dim():
             char = demazure_character(g, g.longest, lam)
             assert char_dim(char) == weyl_dim(g.rs, lam)
             assert min(char.values()) > 0
+
+
+@pytest.mark.parametrize("name, i", [("A2", 0), ("A2", 3), ("B3", 0), ("B3", 4)])
+def test_operator_index_out_of_range_is_refused(name, i):
+    rs = group_of(name).rs
+    with pytest.raises(ValueError, match=rf"^simple root index {i} out of range 1\.\.{rs.rank}$"):
+        apply_demazure(rs, i, {(0,) * rs.rank: 1})
 
 
 def test_zero_weight():

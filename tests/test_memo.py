@@ -14,7 +14,10 @@ import weakref
 from collections import defaultdict
 from types import SimpleNamespace
 
+from conftest import memo_contents
+
 import wondermono
+from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
     candidate_block,
@@ -25,7 +28,7 @@ from wondermono.monomials import (
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
 from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
-from wondermono.rootsys import from_name, memoized
+from wondermono.rootsys import RootSystemError, from_name, memoized, orbit_table
 from wondermono.weyl import WeylGroup
 
 
@@ -104,3 +107,24 @@ def test_no_module_level_functools_cache():
         if hasattr(value, "cache_clear")
     ]
     assert cached == []
+
+
+def test_a_refused_weight_leaves_no_table_behind():
+    # (2.0, 1) equals and hashes as (2, 1): a table of float points stored under it is what a valid call
+    # of shape (2, 1) reads, so the valid call runs before the refusals are asserted, to show that too
+    rs = from_name("A2")
+    group = WeylGroup(rs)
+    before = memo_contents(rs, group)
+    refusals = []
+    for call in (group.coset_table, lambda lam: orbit_table(rs, lam)):
+        try:
+            call((2.0, 1))
+        except RootSystemError as exc:
+            refusals.append(str(exc))
+    after = memo_contents(rs, group)
+    model = generate_paths(rs, (2, 1))
+    assert refusals == ["weight (2.0, 1) has a coordinate that is not an integer"] * 2
+    assert after == before
+    assert len(model) == weyl_dim(rs, (2, 1)) == 15
+    coordinates = [x for path in model for point in (*path.dirs, path.end) for x in point]
+    assert {type(x) for x in coordinates} == {int}

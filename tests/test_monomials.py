@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from conftest import group_of, poset_of, weight_grid
+from conftest import group_of, memo_contents, poset_of, weight_grid
 
 from wondermono import monomials, verify
 from wondermono.demazure import demazure_character, weyl_dim
@@ -23,6 +23,7 @@ from wondermono.monomials import (
     is_standard_on_components,
     nonstandard_components,
     nonstandard_orbits,
+    pair_count,
     standard_rows,
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
@@ -34,9 +35,18 @@ from wondermono.paths import (
     initial_direction,
     pair_directions,
     pair_weight,
+    shape_denominator,
     straight_path,
 )
-from wondermono.rootsys import RootSystemError, dominant_below, from_name, support
+from wondermono.rootsys import (
+    RootSystemError,
+    dominance_diff,
+    dominant_below,
+    exponent_bounds,
+    from_name,
+    orbit_table,
+    support,
+)
 from wondermono.weyl import WeylGroup
 
 
@@ -449,31 +459,78 @@ def test_non_dominant_weight_raises_on_every_call_before_any_memo_lookup():
     assert {name: dict(table) for name, table in g.memo.items()} == before
 
 
-@pytest.mark.parametrize("lam", [(1.0, 1), [1, Fraction(1)]])
-def test_non_integer_weight_is_refused_cold_and_warm(lam):
+REFUSED_WEIGHTS = [
+    ((1.0, 1), "has a coordinate that is not an integer"),
+    ([1, Fraction(1)], "has a coordinate that is not an integer"),
+    ((1,), "has length 1, not the rank 2"),
+    ((1, 1, 5), "has length 3, not the rank 2"),
+    ((1, -1), "is not dominant"),
+]
+
+
+@pytest.mark.parametrize("lam, words", [pytest.param(*case, id=f"lam{k}") for k, case in enumerate(REFUSED_WEIGHTS)])
+def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
     rs = from_name("A2")  # fresh: the first round finds no memo entry, the second finds those of (1, 1)
     g = WeylGroup(rs)
     z = lab(g, (1, 2), (), (1, 2, 1))
     idx = basis_indices(poset_of("A2").maximum, (1, 1))[0]  # from another group, so nothing of rs or g is built
-    calls = [
+    orbit, cosets, denominator = partial(orbit_table, rs), g.coset_table, partial(shape_denominator, rs)
+    dominant = [
         partial(weyl_dim, rs),
         partial(straight_path, rs),
+        denominator,
         partial(dominant_below, rs),
+        partial(exponent_bounds, rs),
+        orbit,
         partial(generate_paths, rs),
         partial(generate_pairs, g),
-        partial(demazure_character, g, g.longest),
+        cosets,
+        partial(pair_count, g),
         partial(basis_indices, z),
         partial(graded_counts, z),
         partial(candidate_count, z),
         lambda lam: is_basis_index(z, lam, idx),
     ]
-    message = f"^{re.escape(f'weight {lam} has a coordinate that is not an integer')}$"
+    any_sign = [
+        partial(demazure_character, g, g.longest),
+        g.dual_weight,
+        partial(dominance_diff, rs, (1, 1)),
+        lambda lam: dominance_diff(rs, lam, (0, 0)),
+    ]
+    refusing = dominant if words == "is not dominant" else dominant + any_sign
+    # orbit_table, coset_table and shape_denominator check a weight on a miss only, so that a hit stays one
+    # lookup: a weight that finds the key of (1, 1) reads the integer entry stored there.  (1, 1) is rho,
+    # whose orbit table WeylGroup(rs) built; the other two entries are made in the first round
+    finds_key = {orbit: tuple(lam) == (1, 1)}
+    message = f"^{re.escape(f'weight {lam} {words}')}$"
     for _ in ("cold", "warm"):
-        for call in calls:
-            with pytest.raises(ValueError, match=message):
+        for call in refusing:
+            if finds_key.get(call):
+                assert call(lam) is call((1, 1))
+                continue
+            before = memo_contents(rs, g)
+            with pytest.raises(RootSystemError, match=message):
                 call(lam)
-        for call in calls:
-            call((1, 1))  # lam equals (1, 1) and hashes as it, so every memo now holds lam's key
+            assert memo_contents(rs, g) == before
+        if words == "is not dominant":
+            for call in any_sign:
+                call(lam)  # these take a weight of either sign
+        for call in refusing:
+            call((1, 1))  # every memo now holds the key of (1, 1)
+        finds_key.update({cosets: lam == (1, 1), denominator: tuple(lam) == (1, 1)})
+
+
+def test_is_basis_index_checks_the_index_shape():
+    z = poset_of("A2").maximum
+    idx = basis_indices(z, (1, 1))[0]
+    assert is_basis_index(z, (1, 1), idx)
+    with pytest.raises(RootSystemError, match=r"^weight \(1\.0, 1\) has a coordinate that is not an integer$"):
+        is_basis_index(z, (1, 1), MonomialIndex(idx.powers, (1.0, 1), idx.pair))
+    with pytest.raises(RootSystemError, match=r"^weight \(1,\) has length 1, not the rank 2$"):
+        is_basis_index(z, (1, 1), MonomialIndex(idx.powers, (1,), idx.pair))
+    # a well-formed shape that is not dominant makes no member
+    assert not is_basis_index(z, (1, 1), MonomialIndex(idx.powers, (2, -1), idx.pair))
+    assert not is_basis_index(z, (1, 1), MonomialIndex((0, 0), (1, -1), idx.pair))
 
 
 def test_labels_share_their_indices():
@@ -528,6 +585,7 @@ def test_run_suite_releases_its_memo(monkeypatch):
 def test_weights_of_the_wrong_length_are_refused(lam):
     g = group_of("A2")
     top = OrbitLabel(frozenset({1, 2}), g.identity, g.longest)
+    message = f"^{re.escape(f'weight {lam} has length {len(lam)}, not the rank 2')}$"
     for call in (lambda: basis_indices(top, lam), lambda: graded_counts(top, lam), lambda: dominant_below(g.rs, lam)):
-        with pytest.raises(RootSystemError, match="weight length must equal the rank"):
+        with pytest.raises(RootSystemError, match=message):
             call()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -205,3 +207,37 @@ def test_dominance_diff_roundtrip(name, data):
     mu = tuple(data.draw(st.integers(0, 2)) for _ in range(rs.rank))
     lam = add_weights(mu, root_combination(rs, nvec))
     assert dominance_diff(rs, lam, mu) == nvec
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wondermono"
+REFUSAL_WORDS = ("has a coordinate that is not an integer", "not the rank", "is not dominant")
+
+
+def refusal_sites(path: Path) -> list[str]:
+    """The function (module.name) of each string literal holding a weight refusal's words; docstrings are skipped."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, documented) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and id(child) not in docstrings:
+                if any(words in child.value for words in REFUSAL_WORDS):
+                    sites.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    visit(tree, path.stem)
+    return sites
+
+
+def test_weight_refusals_are_worded_only_by_the_checkers():
+    # rootsys.rank_weight and dominant_weight are the one weight gate; cli._weight parses the command
+    # line before it and keeps its own messages.  A check copied anywhere else would bring its words.
+    sites = [site for path in sorted(PACKAGE.glob("*.py")) for site in refusal_sites(path)]
+    assert sorted(set(sites)) == ["cli._weight", "rootsys.dominant_weight", "rootsys.rank_weight"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -236,10 +238,12 @@ def test_coset_entry_points_reject_a_subset_out_of_range(name):
         for bad in (0, g.rank + 1):
             with pytest.raises(ValueError, match=rf"subset \[{bad}\] is not contained in 1\.\.{g.rank}"):
                 call({bad})
-    with pytest.raises(ValueError, match="is not a dominant weight"):
-        g.coset_table((-1,) + (0,) * (g.rank - 1))
-    with pytest.raises(ValueError, match="is not a dominant weight"):
-        g.coset_table((1,) * (g.rank + 1))
+    negative, long = (-1,) + (0,) * (g.rank - 1), (1,) * (g.rank + 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'weight {negative} is not dominant')}$"):
+        g.coset_table(negative)
+    message = f"weight {long} has length {g.rank + 1}, not the rank {g.rank}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        g.coset_table(long)
 
 
 def test_dual_weight():
