@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_group_name(name: str) -> tuple[str, int]:
     name = name.strip().upper()
-    if len(name) < 2 or not name[1:].isdigit():
+    if not (name[1:].isascii() and name[1:].isdigit()):
         raise CLIError(f"malformed group name {name!r}, expected letter plus rank like A2")
     return name[0], int(name[1:])
 

@@ -64,7 +64,6 @@ from .paths import (
 from .rootsys import (
     RootVector,
     Weight,
-    by_weight,
     dominance_diff,
     dominant_below,
     dominant_weight,
@@ -73,7 +72,7 @@ from .rootsys import (
     rank_weight,
     support,
 )
-from .weyl import WeylGroup
+from .weyl import WeylGroup, bits
 
 
 class MonomialIndex(NamedTuple):
@@ -126,7 +125,7 @@ def standard_rows(z: OrbitLabel) -> tuple[int, ...]:
     rows = [0] * len(group)
     for c in schubert_pairs(z):
         right = group.down_mask(c.right)
-        for a in OrbitPoset._bits(group.down_mask(c.left)):
+        for a in bits(group.down_mask(c.left)):
             rows[a] |= right
     return tuple(rows)
 
@@ -138,7 +137,7 @@ def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
     return bool(standard_rows(z)[a] >> b & 1)
 
 
-@memoized(by_weight)
+@memoized()
 def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
     """dominant_below(lam), run once per weight and kept on the group."""
     return tuple(dominant_below(group.rs, tuple(lam)))
@@ -153,7 +152,7 @@ class ShapeClasses(NamedTuple):
     count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
 
 
-@memoized(by_weight)
+@memoized()
 def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     """The direction classes of shape mu's pairs, shared by every degree above mu.
 
@@ -193,15 +192,10 @@ def pair_count(group: WeylGroup, mu: Weight) -> int:
     return weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
 
 
+@memoized(lambda z, lam: (z.group, (z.stratum, dominant_weight(z.group.rs, lam))))
 def _admissible_shapes(z: OrbitLabel, lam: Weight) -> tuple:
-    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum."""
-    return _stratum_shapes(z.group, z.stratum, dominant_weight(z.group.rs, lam))
-
-
-@memoized(lambda group, stratum, lam: (group, (stratum, tuple(lam))))
-def _stratum_shapes(group: WeylGroup, stratum: frozenset[int], lam: Weight) -> tuple:
-    """_admissible_shapes once per (stratum, lam), shared by every label of the stratum."""
-    return tuple((mu, nvec) for mu, nvec in shapes_below(group, lam) if support(nvec) <= stratum)
+    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum, shared by the stratum's labels."""
+    return tuple((mu, nvec) for mu, nvec in shapes_below(z.group, lam) if support(nvec) <= z.stratum)
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:

@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .rootsys import memoized
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, bits
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -143,26 +143,23 @@ def _lifts(z: OrbitLabel, J):
             yield v, elements[x_row[v.index]], wv
 
 
-def _lift_rows(z: OrbitLabel, J: frozenset[int]) -> tuple:
-    """z's lifts to stratum J as the closure criterion reads them, kept in the group's memo per (z, J).
+@memoized()
+def _lift_rows(group: WeylGroup, key: tuple[OrbitLabel, frozenset[int]]) -> tuple:
+    """Label z's lifts to stratum J, key being (z, J), as the closure criterion reads them.
 
     Each lift (v, xv, wv) gives (v, the pairs (x v u^-1, u) by element index
     for each u in W_J in enumeration order, read off the product row of xv,
     the down-mask of wv).  Every label of stratum J tested against z reads
     them, so a lift is computed once.  A label hashes in C, as its fields.
     """
-    group = z.x.group
-    table = group.memo["lift_rows"]
-    rows = table.get((z, J))
-    if rows is None:
-        inverses = group.inverses
-        us = [u.index for u in group.parabolic_elements(J)]
-        rows = []
-        for v, xv, wv in _lifts(z, J):
-            xv_row = group.product_row(xv.index)
-            rows.append((v, tuple((xv_row[inverses[u]], u) for u in us), group.down_mask(wv)))
-        rows = table[z, J] = tuple(rows)
-    return rows
+    z, J = key
+    inverses = group.inverses
+    us = [u.index for u in group.parabolic_elements(J)]
+    rows = []
+    for v, xv, wv in _lifts(z, J):
+        xv_row = group.product_row(xv.index)
+        rows.append((v, tuple((xv_row[inverses[u]], u) for u in us), group.down_mask(wv)))
+    return tuple(rows)
 
 
 def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
@@ -173,7 +170,7 @@ def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
     if not J <= z2.stratum:
         return
     x_down, w_row, elements = group.down_mask(z1.x), group.product_row(z1.w.index), group.elements
-    for v, pairs, wv_down in _lift_rows(z2, J):
+    for v, pairs, wv_down in _lift_rows(group, (z2, J)):
         for y, u in pairs:
             # x' >= y = x v u^-1 and w' u <= w v; closure_leq repeats this test
             if x_down >> y & 1 and wv_down >> w_row[u] & 1:
@@ -209,7 +206,7 @@ def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
     if not J <= z2.stratum:
         return False
     x_down, w_row = group.down_mask(x1), group.product_row(z1.w.index)
-    for _, pairs, wv_down in _lift_rows(z2, J):
+    for _, pairs, wv_down in _lift_rows(group, (z2, J)):
         for y, u in pairs:
             # the test of _witnesses, kept inline so that no generator is made per pair
             if x_down >> y & 1 and wv_down >> w_row[u] & 1:
@@ -365,7 +362,7 @@ class OrbitPoset:
         return ((1 << size) - 1) << start
 
     def _from_mask(self, mask: int) -> list[OrbitLabel]:
-        return [self.labels[i] for i in self._bits(mask)]
+        return [self.labels[i] for i in bits(mask)]
 
     def _dim_layers(self) -> list[int]:
         """One label bitmask per orbit dimension, highest dimension first."""
@@ -400,7 +397,7 @@ class OrbitPoset:
                 break
             fresh = rest & layer
             if fresh:
-                found = self._bits(fresh)
+                found = bits(fresh)
                 top += found
                 covered = 0
                 for j in found:
@@ -437,18 +434,6 @@ class OrbitPoset:
             dims = self._dims
             self._covers = [tuple(self._maximal_bits(d & ~(1 << i), dims[i] - 1)) for i, d in enumerate(self._down)]
         return [(i, j) for i, js in enumerate(self._covers) for j in js]
-
-    @staticmethod
-    def _bits(mask: int) -> list[int]:
-        """Positions of the set bits of mask, ascending."""
-        # peel the top bit: bit_length is O(1), so each bit costs two whole-integer operations, not four
-        out = []
-        while mask:
-            i = mask.bit_length() - 1
-            mask ^= 1 << i
-            out.append(i)
-        out.reverse()
-        return out
 
     @property
     def maximum(self) -> OrbitLabel:

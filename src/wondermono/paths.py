@@ -72,7 +72,6 @@ from .rootsys import (
     OrbitTable,
     RootSystem,
     Weight,
-    by_weight,
     coroot_pairing,
     dominant_weight,
     memoized,
@@ -166,7 +165,7 @@ def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
     return _path((lam,), (1,), 1, lam)
 
 
-@memoized(by_weight)
+@memoized()
 def shape_denominator(rs: RootSystem, lam: Weight) -> int:
     """D_lam: the lcm of the nonzero |<lam, beta^vee>| over the positive roots beta.
 
@@ -445,7 +444,7 @@ def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     return tuple(map(tuple.__new__, repeat(PathPair), product(lefts, rights)))
 
 
-@memoized(by_weight)
+@memoized()
 def path_directions(group: WeylGroup, lam: Weight) -> tuple[int, ...]:
     """Element index of each path's initial direction, aligned with generate_paths."""
     return tuple(initial_direction(group, p).index for p in generate_paths(group.rs, lam))

@@ -14,14 +14,15 @@ Conventions used throughout the package:
 All arithmetic is exact (int and fractions.Fraction); floats never appear.
 Every value is immutable, so sharing a RootSystem between computations is safe.
 
-A memoized result lives in a ``memo`` table on the object it derives from,
-never in a module-level cache, so it is freed with that object (see memoized).
-RootSystem.memo holds what is derived from the root system alone: the orbit
-tables of orbit_table (the package's one breadth-first walk of the W-orbit of
-a weight, which gives the Weyl group as the orbit of rho and each path model
-its points), each root's coroot, the path models of generate_paths (LS chains
-through the Bruhat covers of a shape's orbit) and each shape's common
-denominator; results computed per Weyl group live on the WeylGroup.
+Every derived table goes through one decorator, memoized, which keeps it in
+a ``memo`` table on the object it derives from, never in a module-level
+cache, so it is freed with that object.  RootSystem.memo holds what is
+derived from the root system alone: the orbit tables of orbit_table (the
+package's one breadth-first walk of the W-orbit of a weight, which gives the
+Weyl group as the orbit of rho and each path model its points), each root's
+coroot, the path models of generate_paths (LS chains through the Bruhat
+covers of a shape's orbit) and each shape's common denominator; results
+computed per Weyl group live on the WeylGroup.
 """
 
 from __future__ import annotations
@@ -60,43 +61,66 @@ def _require(cond: bool, msg: str) -> None:
         raise RootSystemError(msg)
 
 
-_MISSING = object()
-
-
-def memoized(owner_key):
+def memoized(owner_key=None):
     """Keep fn's results in a table on the object they are derived from.
 
-    owner_key(*args) returns (owner, key); fn(*args) is stored in
-    owner.memo[fn.__name__][key], so it is freed together with its owner.
-    cache_info() counts hits and misses over all owners, as functools does.
-    A hit is one dict lookup; a sentinel tells a miss from a cached None.
+    The result is stored in owner.memo[fn.__name__][key], so it is freed
+    together with its owner.  Without owner_key, fn is called as fn(owner, key)
+    and a hit is one dict lookup on the key as given; a key that cannot be
+    hashed, such as a list weight, is looked up and stored as its tuple, and a
+    miss passes fn the caller's own key, so a refusal names it.  With
+    owner_key, owner_key(*args) returns (owner, key) and fn(*args) is stored.
+    cache_info() counts hits and misses over all owners, as functools does; a
+    stored None is a hit like any other value.
     """
 
     def decorate(fn):
-        info = SimpleNamespace(hits=0, misses=0)
+        hits = misses = 0  # cells, not attributes: a hit costs one increment
         name = fn.__name__
 
-        @wraps(fn)
-        def wrapper(*args):
-            owner, key = owner_key(*args)
-            table = owner.memo[name]
-            got = table.get(key, _MISSING)
-            if got is _MISSING:
-                info.misses += 1
-                got = table[key] = fn(*args)
-            else:
-                info.hits += 1
-            return got
+        if owner_key is None:
 
-        wrapper.cache_info = lambda: SimpleNamespace(hits=info.hits, misses=info.misses)
+            @wraps(fn)
+            def wrapper(owner, key):
+                nonlocal hits, misses
+                table = owner.memo[name]
+                try:
+                    got = table[key]
+                    hits += 1
+                    return got
+                except KeyError:
+                    slot = key
+                except TypeError:  # an unhashable key: a list weight
+                    slot = tuple(key)
+                    if slot in table:
+                        hits += 1
+                        return table[slot]
+                # fn runs outside the handlers, so its own exceptions carry no KeyError context
+                misses += 1
+                got = table[slot] = fn(owner, key)
+                return got
+
+        else:
+
+            @wraps(fn)
+            def wrapper(*args):
+                nonlocal hits, misses
+                owner, key = owner_key(*args)
+                table = owner.memo[name]
+                try:
+                    got = table[key]
+                    hits += 1
+                    return got
+                except KeyError:
+                    pass
+                misses += 1
+                got = table[key] = fn(*args)
+                return got
+
+        wrapper.cache_info = lambda: SimpleNamespace(hits=hits, misses=misses)
         return wrapper
 
     return decorate
-
-
-def by_weight(owner, lam):
-    """Memo key of a per-weight (or per-root) result: the vector as a tuple, so a list is accepted too."""
-    return owner, tuple(lam)
 
 
 def rank_weight(rs: RootSystem, lam) -> Weight:
@@ -279,8 +303,9 @@ def from_name(name: str) -> RootSystem:
     ((2, -1), (-1, 2))
     """
     name = name.strip()
-    _require(len(name) >= 2 and name[1:].isdigit(), f"cannot parse group name {name!r} (expected e.g. A2, B3, G2)")
-    return build(name[0].upper(), int(name[1:]))
+    rank = name[1:]
+    _require(rank.isascii() and rank.isdigit(), f"cannot parse group name {name!r} (expected e.g. A2, B3, G2)")
+    return build(name[0].upper(), int(rank))
 
 
 def is_dominant(lam: Weight) -> bool:
@@ -338,7 +363,7 @@ def dominant_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, RootVector
     return out
 
 
-@memoized(by_weight)
+@memoized()
 def coroot(rs: RootSystem, root: Root) -> tuple[int, ...]:
     """The coroot of an arbitrary root over the simple coroots: integer coefficients.
 
@@ -380,7 +405,7 @@ class OrbitTable(NamedTuple):
     words: tuple[tuple[int, ...], ...]
 
 
-@memoized(by_weight)
+@memoized()
 def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
     """The orbit table of a dominant lam, checked on a miss: |W/W_lam| points, found by simple reflections."""
     lam = dominant_weight(rs, lam)

@@ -68,7 +68,6 @@ from .monomials import (
 )
 from .orbits import (
     OrbitLabel,
-    OrbitPoset,
     bit_reader,
     build_poset,
     closure_leq,
@@ -94,7 +93,7 @@ from .rootsys import (
     sub_weights,
     support,
 )
-from .weyl import WeylGroup
+from .weyl import WeylGroup, bits
 
 # budgets keeping a verify run on any supported group under a minute
 PATH_DIM_BUDGET = 4000
@@ -261,7 +260,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     @cache
     def flat_covers() -> list[tuple[int, int]]:
         """(upper, lower) index pairs of the transitive reduction, read off beneath(): no dimension is used."""
-        return [(i, j) for i, (s, b) in enumerate(zip(strict_down(), beneath())) for j in OrbitPoset._bits(s & ~b)]
+        return [(i, j) for i, (s, b) in enumerate(zip(strict_down(), beneath())) for j in bits(s & ~b)]
 
     @cache
     def strict_order() -> bool:
@@ -425,7 +424,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 raise CheckFailure(f"not reflexive at {p.labels[i]}")
             if below & ~d or below >> i & 1:
                 # name the first j whose down-set breaks transitivity or antisymmetry at i
-                for j in OrbitPoset._bits(strict[i]):
+                for j in bits(strict[i]):
                     if strict[j] & ~d:
                         raise CheckFailure(f"transitivity fails under {p.labels[i]} via {p.labels[j]}")
                     if strict[j] >> i & 1:
@@ -449,7 +448,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         at_least = dict(zip(layers, accumulate(layers.values(), or_)))  # labels of dimension >= d, per d
         for i, s in enumerate(strict):
             if s & at_least[dims[i]]:
-                j = next(j for j in OrbitPoset._bits(s) if dims[j] >= dims[i])
+                j = next(j for j in bits(s) if dims[j] >= dims[i])
                 raise CheckFailure(f"dimension does not drop from {p.labels[i]} to {p.labels[j]}")
         # the layered covers rely on the dimension drop asserted just above; the flat ones use no dimension
         covers = flat_covers()
@@ -560,12 +559,12 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         classes: dict[tuple, int] = {}
         of_weight = {}  # each weight's classes as a bitmask, read only to name a failing weight
         for lam in kept:
-            bits = 0
+            held = 0
             for mu, nvec in shapes_below(group, lam):
                 supp = support(nvec)
                 for a, b in pair_directions(group, mu):
-                    bits |= 1 << classes.setdefault((supp, a, b), len(classes))
-            of_weight[lam] = bits
+                    held |= 1 << classes.setdefault((supp, a, b), len(classes))
+            of_weight[lam] = held
         masks = class_masks(p.labels, classes)
         # in a strict order a chain of flat covers joins every related pair, so the covers decide every
         # relation bit; a relation that is no order goes straight to the bit-by-bit scan below
@@ -573,9 +572,9 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
             # name the first larger closure, and the first label below it, that a label-by-label scan meets
             for i2, s in enumerate(strict_down()):
                 outside = ~masks[i2]
-                i1 = next((i1 for i1 in OrbitPoset._bits(s) if masks[i1] & outside), None)
+                i1 = next((i1 for i1 in bits(s) if masks[i1] & outside), None)
                 if i1 is not None:
-                    lam = next(lam for lam, bits in of_weight.items() if bits & masks[i1] & outside)
+                    lam = next(lam for lam, held in of_weight.items() if held & masks[i1] & outside)
                     raise CheckFailure(f"basis of {p.labels[i1]} escapes the larger closure {p.labels[i2]} at {lam}")
         return counted("weights", len(kept), skipped)
 
@@ -639,9 +638,9 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         if any(off):
             # name the first shape and meet of a shape-by-shape scan
             for mu, classes in zip(shapes, of_shape):
-                bits = reduce(or_, (1 << position[ab] for ab in classes))
+                shape_mask = reduce(or_, (1 << position[ab] for ab in classes))
                 for (i1, i2, _), o in zip(meets, off):
-                    if o & bits:
+                    if o & shape_mask:
                         raise CheckFailure(
                             f"pairs standard on both {labels[i1]} and {labels[i2]} differ from their intersection"
                             f" at shape {mu}"

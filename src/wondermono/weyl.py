@@ -32,19 +32,15 @@ w's word right to left through the orbit's reflection table, on indices.
 Descents decide no coset; only checks read them.
 
 WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
-it is freed with the group: the product rows read so far (product_row), the
-coset tables and the coset lists read off them, each orbit label's lifts as
-the closure criterion reads them, path pairs, each path's initial direction,
-the Schubert pairs and the standard table of each orbit label, the dominant
-weights below a degree and those each stratum admits, each shape's direction
-classes with the rows its readers have read, and each degree's candidate
-table (every candidate basis index, one block per shape).  Elements point
-back at their group, so a dropped group waits for the cycle collector;
-verify.run_suite therefore clears its group's memo, and its root system's,
-before it returns.  The group's own tables are by element index: lengths and
-inverses (public) and the right multiplication by simple reflections, built
-at construction, and the lower Bruhat intervals, filled per element on first
-use.
+it is freed with the group.  The group's own entries are the product rows
+read so far (product_row), the lower Bruhat intervals, each built from its
+prefix's by the lifting property (down_mask), the coset tables and the coset
+lists read off them; the higher layers' memoized functions keep theirs there
+too.  Elements point back at their group, so a dropped group waits for the
+cycle collector; verify.run_suite therefore clears its group's memo, and its
+root system's, before it returns.  Built at construction, by element index:
+lengths and inverses (public) and the right multiplication by simple
+reflections.
 """
 
 from __future__ import annotations
@@ -54,6 +50,18 @@ from itertools import combinations
 from operator import attrgetter
 
 from .rootsys import RootSystem, Weight, dominant_weight, memoized, orbit_table, rank_weight
+
+
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    # peel the top bit: bit_length is O(1), so each bit costs two whole-integer operations, not four
+    out = []
+    while mask:
+        i = mask.bit_length() - 1
+        mask ^= 1 << i
+        out.append(i)
+    out.reverse()
+    return out
 
 
 class WeylElement:
@@ -121,7 +129,6 @@ class WeylGroup:
         # the last letter of each word but the identity's, less one: a column of _rmult
         self._last = [el.word[-1] - 1 for el in self.elements[1:]]
 
-        self._down: dict[int, int] = {}
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     # -- basic operations ---------------------------------------------------
@@ -149,23 +156,20 @@ class WeylGroup:
             j = self._rmult[j][letter - 1]
         return self.elements[j]
 
+    @memoized()
     def product_row(self, a: int) -> tuple[int, ...]:
         """The products a b by element index, for every b: row a of the multiplication table.
 
         b is its prefix b s_p times s_p, p the last letter of its word, and the
         prefix comes earlier in the enumeration, so one pass in index order
-        fills the row.  A row is built on first use and kept in memo, so a
-        group holds only the rows its callers read, never the full table.
+        fills the row.  A group holds only the rows its callers read, never the
+        full table.
         """
-        rows = self.memo["product_row"]
-        row = rows.get(a)
-        if row is None:
-            rmult = self._rmult
-            out = [a] * len(self.elements)
-            for b, p in enumerate(self._last, 1):
-                out[b] = rmult[out[rmult[b][p]]][p]
-            row = rows[a] = tuple(out)
-        return row
+        rmult = self._rmult
+        out = [a] * len(self.elements)
+        for b, p in enumerate(self._last, 1):
+            out[b] = rmult[out[rmult[b][p]]][p]
+        return tuple(out)
 
     def inverse(self, u: WeylElement) -> WeylElement:
         return self.elements[self.inverses[u.index]]
@@ -177,29 +181,23 @@ class WeylGroup:
 
     # -- Bruhat order -------------------------------------------------------
 
+    @memoized()
     def down_mask(self, w: WeylElement) -> int:
-        """Bitmask of {u : u <= w}, computed from the subword property.
+        """Bitmask of {u : u <= w}, by the lifting property.
 
-        Walking the canonical word of w left to right and extending only when
-        the length grows enumerates exactly the reduced subwords, hence the
-        lower Bruhat interval.  Memoized per element.
+        With p the last letter of w's word, w s_p < w, and the lower interval
+        of w is that of w s_p together with its right translate by s_p
+        (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.2).
         """
-        m = self._down.get(w.index)
-        if m is None:
-            cur = {0}
-            for letter in w.word:
-                p = letter - 1
-                extra = set()
-                for x in cur:
-                    y = self._rmult[x][p]
-                    if self.lengths[y] > self.lengths[x]:
-                        extra.add(y)
-                cur |= extra
-            m = 0
-            for x in cur:
-                m |= 1 << x
-            self._down[w.index] = m
-        return m
+        if not w.length:
+            return 1
+        p = w.word[-1] - 1
+        rmult = self._rmult
+        lower = self.down_mask(self.elements[rmult[w.index][p]])
+        out = lower
+        for u in bits(lower):
+            out |= 1 << rmult[u][p]
+        return out
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         if u.length > w.length:
@@ -208,24 +206,16 @@ class WeylGroup:
 
     # -- parabolic and coset combinatorics ----------------------------------
 
+    @memoized()
     def coset_table(self, lam) -> dict[Weight, WeylElement]:
         """Each point of the W-orbit of a dominant lam, with its minimal representative for W / W_lam.
 
         A point's representative is the element of its word in the orbit
-        table, the shortest one sending lam there.  A hit is one dict lookup:
-        initial_direction, the hottest call, reads this table.  lam is
-        checked on a miss, so no table is built for a refused weight.
+        table, the shortest one sending lam there.  lam is checked on a miss,
+        so no table is built for a refused weight.
         """
-        tables = self.memo["coset_table"]
-        try:
-            return tables[lam]
-        except (KeyError, TypeError):  # not built yet, or a list weight
-            lam = dominant_weight(self.rs, lam)
-        table = tables.get(lam)
-        if table is None:
-            orbit = orbit_table(self.rs, lam)
-            table = tables[lam] = {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
-        return table
+        orbit = orbit_table(self.rs, dominant_weight(self.rs, lam))
+        return {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
 
     def _check_subset(self, I) -> frozenset[int]:
         I = frozenset(I)

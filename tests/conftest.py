@@ -1,10 +1,11 @@
 """Shared helpers: cached groups and independent combinatorial oracles.
 
-The raising operator, the brute-force Bruhat oracle, the root-sign test for
-descents, the descent-based coset oracles and the closure criterion through
-group methods live here, not in the package, so the tests exercise the
-shipped lowering operator, subword order, descent sets, orbit-table cosets
-and index-form closure test against genuinely separate implementations.
+The raising operator, the brute-force and subword Bruhat oracles, the
+root-sign test for descents, the descent-based coset oracles and the closure
+criterion through group methods live here, not in the package, so the tests
+exercise the shipped lowering operator, Bruhat intervals, descent sets,
+orbit-table cosets and index-form closure test against genuinely separate
+implementations.
 """
 
 from __future__ import annotations
@@ -103,6 +104,27 @@ def brute_bruhat_down(group: WeylGroup, w: WeylElement) -> set[WeylElement]:
         sub = tuple(word[k] for k in range(len(word)) if bits >> k & 1)
         out.add(group.from_word(sub))
     return out
+
+
+def subword_down(group: WeylGroup, w: WeylElement) -> int:
+    """Bitmask of the lower Bruhat interval of w, by the subword property.
+
+    Walking the canonical word of w left to right and extending only when the
+    length grows enumerates exactly the reduced subwords, hence the interval.
+    """
+    cur = {0}
+    for letter in w.word:
+        p = letter - 1
+        extra = set()
+        for x in cur:
+            y = group._rmult[x][p]
+            if group.lengths[y] > group.lengths[x]:
+                extra.add(y)
+        cur |= extra
+    mask = 0
+    for x in cur:
+        mask |= 1 << x
+    return mask
 
 
 def add_weights(a: Weight, b: Weight) -> Weight:

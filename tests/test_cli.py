@@ -290,6 +290,14 @@ def test_bad_inputs(capsys):
         assert err.startswith("error:"), (argv, err)
 
 
+@pytest.mark.parametrize("name", ["A\u00b2", "A\u0662"])
+@pytest.mark.parametrize("argv", [("paths", "--weight", "1 0", "--count-only"), ("verify",)], ids=["paths", "verify"])
+def test_group_name_takes_ascii_digits_only(capsys, argv, name):
+    rc, out, err = run(capsys, argv[0], "--group", name, *argv[1:])
+    assert (rc, out) == (1, "")
+    assert err == f"error: malformed group name {name!r}, expected letter plus rank like A2\n"
+
+
 def test_paths_over_budget_rejected_before_enumeration(capsys):
     rc, out, err = run(capsys, "paths", "--group", "F4", "--weight", "2 2 2 2", "--count-only")
     assert rc == 1 and out == ""

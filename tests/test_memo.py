@@ -1,8 +1,9 @@
 """Memoized results live on the root system or Weyl group they derive from.
 
 No module of the package holds a cache, so a group and everything derived
-from it are freed together, while the public memoized functions still report
-their hits and misses through cache_info.
+from it are freed together.  Every memo table belongs to a function
+rootsys.memoized made, which reports its hits and misses through cache_info,
+and a group keeps no other table.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import gc
 import importlib
 import pkgutil
+import sys
 import weakref
 from collections import defaultdict
 from types import SimpleNamespace
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 from conftest import memo_contents
 
 import wondermono
+from wondermono import orbits, verify
 from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
@@ -26,7 +29,7 @@ from wondermono.monomials import (
     shape_classes,
     standard_rows,
 )
-from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
+from wondermono.orbits import OrbitLabel, build_poset, closure_leq, schubert_pairs, stratum_components
 from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
 from wondermono.rootsys import RootSystemError, from_name, memoized, orbit_table
 from wondermono.weyl import WeylGroup
@@ -57,6 +60,10 @@ def test_cache_info_counts_one_miss_then_one_hit():
     group = WeylGroup(from_name("B2"))
     z = OrbitLabel(frozenset({1}), group.identity, group.longest)
     for fn, args in [
+        (WeylGroup.product_row, (group, 3)),
+        (WeylGroup.down_mask, (group, group.identity)),  # any other element reads its prefix's interval too
+        (WeylGroup.coset_table, (group, (1, 0))),
+        (orbits._lift_rows, (group, (z, frozenset()))),
         (generate_pairs, (group, (1, 0))),
         (path_directions, (group, (1, 0))),
         (schubert_pairs, (z,)),
@@ -73,6 +80,46 @@ def test_cache_info_counts_one_miss_then_one_hit():
         assert (after.hits - mid.hits, after.misses - mid.misses) == (1, 0)
 
 
+def test_every_memo_table_belongs_to_a_memoized_function():
+    group = WeylGroup(from_name("B2"))
+    lam = (1, 1)
+    top = OrbitLabel(frozenset({1, 2}), group.identity, group.longest)
+    low = OrbitLabel(frozenset({1}), group.identity, group.simple(2))
+    basis_indices(top, lam)
+    graded_counts(low, lam)
+    closure_leq(low, top)
+    stratum_components(top, {2})
+    build_poset(group)
+    initial_direction(group, generate_paths(group.rs, (0, 1))[-1])
+    group.coset_table([1, 0])
+    # a memo table is named after its function: one of a module of the package, or a method of the group
+    owners = [mod for name, mod in sys.modules.items() if name.startswith("wondermono.")] + [WeylGroup]
+    named = {key: value for owner in owners for key, value in vars(owner).items()}
+    tables = [*group.memo, *group.rs.memo]
+    assert [name for name in tables if not hasattr(named.get(name), "cache_info")] == []
+    assert {"product_row", "down_mask", "coset_table", "_lift_rows", "orbit_table"} <= set(tables)
+
+
+def test_the_memo_is_the_groups_only_table():
+    group = WeylGroup(from_name("A3"))
+    for w in group.elements:
+        group.bruhat_leq(group.identity, w)
+    assert [key for key, value in vars(group).items() if isinstance(value, dict)] == ["memo"]
+
+
+def test_run_suite_leaves_no_interval_on_its_group(monkeypatch):
+    built = []
+
+    def record(rs):
+        built.append(WeylGroup(rs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "WeylGroup", record)
+    assert verify.suite_passed(verify.run_suite("A", 2, 1))
+    (group,) = built
+    assert [key for key, value in vars(group).items() if isinstance(value, dict) and value] == []
+
+
 def test_a_cached_none_is_a_hit():
     calls = []
 
@@ -85,6 +132,21 @@ def test_a_cached_none_is_a_hit():
     assert calls == [1]
     info = nothing.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_the_default_form_stores_an_unhashable_key_as_its_tuple():
+    calls = []
+
+    @memoized()
+    def nothing(owner, key):
+        calls.append(key)
+
+    owner = SimpleNamespace(memo=defaultdict(dict))
+    assert nothing(owner, [1, 2]) is None and nothing(owner, (1, 2)) is None and nothing(owner, [1, 2]) is None
+    assert calls == [[1, 2]]  # a miss passes the caller's own key
+    assert list(owner.memo["nothing"]) == [(1, 2)]
+    info = nothing.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
 
 
 def test_memo_does_not_change_root_system_identity():

@@ -517,7 +517,7 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
                 call(lam)  # these take a weight of either sign
         for call in refusing:
             call((1, 1))  # every memo now holds the key of (1, 1)
-        finds_key.update({cosets: lam == (1, 1), denominator: tuple(lam) == (1, 1)})
+        finds_key.update({cosets: tuple(lam) == (1, 1), denominator: tuple(lam) == (1, 1)})
 
 
 def test_is_basis_index_checks_the_index_shape():

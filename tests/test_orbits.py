@@ -9,7 +9,7 @@ from conftest import group_of, method_witnesses, poset_of
 
 from wondermono import orbits
 from wondermono.rootsys import from_name
-from wondermono.weyl import WeylGroup
+from wondermono.weyl import WeylGroup, bits
 from wondermono.orbits import (
     OrbitLabel,
     OrbitPoset,
@@ -387,9 +387,9 @@ def flat_covers(poset) -> set[tuple[int, int]]:
     covers = set()
     for i, below in enumerate(strict):
         keep = below
-        for k in poset._bits(below):
+        for k in bits(below):
             keep &= ~strict[k]
-        covers.update((i, j) for j in poset._bits(keep))
+        covers.update((i, j) for j in bits(keep))
     return covers
 
 
@@ -422,7 +422,7 @@ def test_maximal_of_mask_matches_brute_force(name):
         masks.append(poset.down_mask(z1) & poset.down_mask(z2))
     for mask in masks:
         got = poset.maximal_of_mask(mask)
-        assert [poset.index[z] for z in got] == sorted(brute_maximal(poset, poset._bits(mask)))
+        assert [poset.index[z] for z in got] == sorted(brute_maximal(poset, bits(mask)))
 
 
 def test_maximal_of_empty_mask_is_empty():
@@ -466,7 +466,7 @@ def meet_mismatches(poset, pairs) -> list[tuple[OrbitLabel, OrbitLabel]]:
     """The pairs whose meet_components differ from the brute-force maximal labels of the intersection."""
     bad = []
     for z1, z2 in pairs:
-        both = poset._bits(poset.down_mask(z1) & poset.down_mask(z2))
+        both = bits(poset.down_mask(z1) & poset.down_mask(z2))
         if [poset.index[c] for c in poset.meet_components(z1, z2)] != sorted(brute_maximal(poset, both)):
             bad.append((z1, z2))
     return bad

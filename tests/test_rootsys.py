@@ -55,6 +55,13 @@ def test_from_name():
         from_name("2A")
 
 
+@pytest.mark.parametrize("name", ["A\u00b2", "A\u0662"])
+def test_from_name_takes_ascii_digits_only(name):
+    # superscript two passes str.isdigit but not int(); Arabic-Indic two passes both
+    with pytest.raises(RootSystemError, match="cannot parse group name"):
+        from_name(name)
+
+
 def test_cartan_matrices():
     assert build("A", 2).cartan == ((2, -1), (-1, 2))
     assert build("B", 2).cartan == ((2, -1), (-2, 2))

@@ -14,6 +14,7 @@ from conftest import (
     left_descents,
     simple_root_negated,
     stripped_coset_rep,
+    subword_down,
 )
 
 from wondermono.weyl import WeylGroup
@@ -139,6 +140,13 @@ def test_bruhat_against_subword_oracle():
             expected = brute_bruhat_down(g, w)
             for u in g.elements:
                 assert g.bruhat_leq(u, w) == (u in expected)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "F4"])
+def test_down_mask_matches_subword_walk(name):
+    # the intervals come from the lifting property; the subword walk is an independent route
+    g = group_of(name)
+    assert [g.down_mask(w) for w in g.elements] == [subword_down(g, w) for w in g.elements]
 
 
 def test_bruhat_basics():
