@@ -59,9 +59,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_group_name(name: str) -> tuple[str, int]:
-    name = name.strip().upper()
+    typed = name.strip()
+    name = typed.upper()
     if not (name[1:].isascii() and name[1:].isdigit()):
-        raise CLIError(f"malformed group name {name!r}, expected letter plus rank like A2")
+        raise CLIError(f"malformed group name {typed!r}, expected letter plus rank like A2")
     return name[0], int(name[1:])
 
 

@@ -26,21 +26,28 @@ the open orbit's closure, so a degree lam has one candidate table, kept on the
 group and filled at the first query that admits a shape: per shape mu below
 lam, a block holding every pair of shape mu as a MonomialIndex, left-major
 like generate_pairs (candidate_block), and the shape's direction classes,
-shared by every degree above mu (shape_classes).  A basis is a selection from
-that table: row a of z's standard table, read at the right paths' directions,
-selects the block of each left path starting in direction a, in one C-level
-compress over the shape.  The indices are shared, immutable objects; a query
-builds none, and a block is built only for a shape some queried orbit admits,
-so candidate_count bounds what a first query builds.  Graded counts read only
-the direction classes and their counts, and build no pair.
+shared by every degree above mu (shape_classes).  The indices are shared,
+immutable objects; a query builds none, and a block is built only for a shape
+some queried orbit admits, so candidate_count bounds what a first query
+builds.  Graded counts read only the direction classes and their counts, and
+build no pair.
 
-A row of a standard table takes few distinct values across labels, so a
-shape's direction classes carry two readers cached by row value: select, the
-row's bits at each right path's direction, and count, the sum of N_mu(b) over
-the row's set bits b.  Each distinct row value is read once per shape, and the
-readers' caches live in the shape's memo entry, freed with the group.  The
-shapes a stratum admits below lam are kept per (stratum, lam), so a query
-filters shapes_below only at the first label of its stratum.
+A basis is a selection from that table, made per run of left paths.
+generate_paths emits a shape's paths grouped by initial direction, so a block
+falls into one run of consecutive left paths per left direction a
+(candidate_runs), and row a of z's standard table selects the same right paths
+after every left path of the run.  A row takes few distinct values across
+labels, so each run keeps its selection per row value: the first lookup of a
+value compresses the run once, a full selection is the run itself and an empty
+one is ().  A query then costs one cached lookup per run, plus the indices it
+returns, and never scans the candidates a row leaves out.
+
+The direction classes carry two readers cached by row value: select, the
+row's bits at each right path's direction, which a run's first lookup of a
+value reads, and count, the sum of N_mu(b) over the row's set bits b.  Every
+cache lives in a memo entry on the group and is freed with it.  The shapes a
+stratum admits below lam are kept per (stratum, lam), so a query filters
+shapes_below only at the first label of its stratum.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from functools import cache
-from itertools import compress, repeat
+from itertools import chain, compress, groupby, repeat
+from operator import getitem
 from typing import NamedTuple
 
 from .demazure import weyl_dim
@@ -146,7 +154,6 @@ def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
 class ShapeClasses(NamedTuple):
     """The paths of a shape mu (right) and of mu* (left), read by initial direction (element index)."""
 
-    lefts: tuple[int, ...]  # direction of each path of shape mu*, aligned with generate_paths
     left_counts: tuple[tuple[int, int], ...]  # (a, N_mu*(a)) for each left direction a
     select: Callable[[int], bytes]  # row -> its bits at each right path's direction, cached by row
     count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
@@ -175,7 +182,7 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     def count(row: int) -> int:
         return sum(compress(counts, read_classes(mask_bytes(row, width))))
 
-    return ShapeClasses(lefts, tuple(Counter(lefts).items()), select, count)
+    return ShapeClasses(tuple(Counter(lefts).items()), select, count)
 
 
 @memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
@@ -185,6 +192,55 @@ def candidate_block(group: WeylGroup, mu: Weight, nvec: RootVector) -> tuple[Mon
     # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
     fields = zip(repeat(nvec), repeat(mu), generate_pairs(group, mu))
     return tuple(map(tuple.__new__, repeat(MonomialIndex), fields))
+
+
+class RunPicks(dict):
+    """Row value -> the candidates of one run of left paths that a row with that value selects.
+
+    Every left path of the run starts in the same direction a, so row a of a
+    standard table selects the same right paths after each of them: select(row),
+    repeated once per left path.  A row value is read at its first lookup
+    (__missing__) and kept; a full selection is the run itself, an empty one ().
+    """
+
+    __slots__ = ("run", "select", "lefts")
+
+    def __init__(self, run: tuple[MonomialIndex, ...], select: Callable[[int], bytes], lefts: int):
+        super().__init__()
+        self.run, self.select, self.lefts = run, select, lefts
+
+    def __missing__(self, row: int) -> tuple[MonomialIndex, ...]:
+        run = self.run
+        picked = tuple(compress(run, self.select(row) * self.lefts))
+        got = self[row] = run if len(picked) == len(run) else picked
+        return got
+
+
+class CandidateRuns(NamedTuple):
+    """A candidate block cut into runs of left paths with one initial direction, in block order."""
+
+    dirs: tuple[int, ...]  # each run's initial direction a: the row of a standard table it reads
+    picks: tuple[RunPicks, ...]  # each run's selections, by row value
+
+
+@memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
+def candidate_runs(group: WeylGroup, mu: Weight, nvec: RootVector) -> CandidateRuns:
+    """candidate_block(group, mu, nvec) sliced at each change of the left paths' initial direction.
+
+    generate_paths emits a shape's paths grouped by initial direction, so the
+    runs are the distinct left directions, one per direction class.
+    """
+    block = candidate_block(group, mu, nvec)
+    sc = shape_classes(group, mu)
+    width = len(path_directions(group, mu))  # candidates per left path
+    dirs, picks, start = [], [], 0
+    for a, run in groupby(path_directions(group, group.dual_weight(mu))):
+        lefts = sum(1 for _ in run)
+        stop = start + lefts * width
+        dirs.append(a)
+        picks.append(RunPicks(block[start:stop], sc.select, lefts))
+        start = stop
+    return CandidateRuns(tuple(dirs), tuple(picks))
 
 
 def pair_count(group: WeylGroup, mu: Weight) -> int:
@@ -214,10 +270,9 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     rows = standard_rows(z)
     out: list[MonomialIndex] = []
     for mu, nvec in shapes:
-        sc = shape_classes(group, mu)
-        # row a's bits at the right paths' directions select the block of each left path starting in direction a
-        selector = b"".join(map(sc.select, map(rows.__getitem__, sc.lefts)))
-        out.extend(compress(candidate_block(group, mu, nvec), selector))
+        runs = candidate_runs(group, mu, nvec)
+        # row a selects, in one cached lookup, the candidates of the run of left paths starting in direction a
+        out.extend(chain.from_iterable(map(getitem, runs.picks, map(rows.__getitem__, runs.dirs))))
     return tuple(out)
 
 

@@ -135,9 +135,13 @@ def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Wei
     """The path with these fields, checked and in lowest terms: the checker of every path built from given fields.
 
     generate_paths makes the same checks along its chains and builds its paths, as this does, by tuple.__new__.
+    Every direction must have the shape's length; whether it lies in the shape's W-orbit is left to the
+    readers that need the orbit, root_lower and initial_direction, which refuse a direction outside it.
     """
     if not steps:
         raise ValueError("a path needs at least one segment")
+    if set(map(len, dirs)) != {len(shape)}:
+        raise ValueError(f"every direction must have the length {len(shape)} of the shape {shape}")
     if min(steps) <= 0:
         raise ValueError("segment durations must be positive")
     total = sum(steps)

@@ -5,17 +5,19 @@ root-sign test for descents, the descent-based coset oracles and the closure
 criterion through group methods live here, not in the package, so the tests
 exercise the shipped lowering operator, Bruhat intervals, descent sets,
 orbit-table cosets and index-form closure test against genuinely separate
-implementations.
+implementations.  The scan of every candidate pair is the reference for
+basis_indices' selection by runs of left paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
+from wondermono.monomials import MonomialIndex, candidate_block, standard_rows
 from wondermono.orbits import OrbitLabel, OrbitPoset
-from wondermono.paths import LSPath, Segment
-from wondermono.rootsys import RootSystem, Weight, from_name, root_combination
+from wondermono.paths import LSPath, Segment, pair_directions
+from wondermono.rootsys import RootSystem, Weight, dominant_below, from_name, root_combination, support
 from wondermono.weyl import WeylElement, WeylGroup
 
 _GROUPS: dict[str, WeylGroup] = {}
@@ -205,3 +207,20 @@ def method_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement, 
             if group.bruhat_leq(xvu, z1.x) and group.bruhat_leq(group.multiply(z1.w, u), wv):
                 out.append((u, v))
     return out
+
+
+def scanned_basis(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
+    """basis_indices as a scan of every candidate: one selector byte per pair, one compress per block.
+
+    Each pair of an admitted shape is kept when bit b of row a of z's standard
+    table is set for its directions (a, b).  The candidates are the library's
+    shared blocks, so the indices kept are the objects basis_indices returns.
+    """
+    group = z.group
+    rows = standard_rows(z)
+    out: list[MonomialIndex] = []
+    for mu, nvec in dominant_below(group.rs, lam):
+        if support(nvec) <= z.stratum:
+            selector = bytes(rows[a] >> b & 1 for a, b in pair_directions(group, mu))
+            out.extend(compress(candidate_block(group, mu, nvec), selector))
+    return tuple(out)

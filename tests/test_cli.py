@@ -290,7 +290,8 @@ def test_bad_inputs(capsys):
         assert err.startswith("error:"), (argv, err)
 
 
-@pytest.mark.parametrize("name", ["A\u00b2", "A\u0662"])
+# a lower-case name is reported as typed, not upper-cased
+@pytest.mark.parametrize("name", ["A\u00b2", "A\u0662", "a\u00b2", "\u00df2"])
 @pytest.mark.parametrize("argv", [("paths", "--weight", "1 0", "--count-only"), ("verify",)], ids=["paths", "verify"])
 def test_group_name_takes_ascii_digits_only(capsys, argv, name):
     rc, out, err = run(capsys, argv[0], "--group", name, *argv[1:])

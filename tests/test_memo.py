@@ -24,6 +24,7 @@ from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
     candidate_block,
+    candidate_runs,
     graded_counts,
     nonstandard_components,
     shape_classes,
@@ -70,6 +71,7 @@ def test_cache_info_counts_one_miss_then_one_hit():
         (standard_rows, (z,)),
         (shape_classes, (group, (1, 0))),
         (candidate_block, (group, (1, 0), (0, 1))),
+        (candidate_runs, (group, (1, 0), (0, 1))),
     ]:
         before = fn.cache_info()
         first = fn(*args)

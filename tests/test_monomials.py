@@ -4,10 +4,12 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import chain, groupby
+from operator import is_
 
 import pytest
 
-from conftest import group_of, memo_contents, poset_of, weight_grid
+from conftest import group_of, memo_contents, poset_of, scanned_basis, weight_grid
 
 from wondermono import monomials, verify
 from wondermono.demazure import demazure_character, weyl_dim
@@ -15,7 +17,9 @@ from wondermono.monomials import (
     GradedTable,
     MonomialIndex,
     basis_indices,
+    candidate_block,
     candidate_count,
+    candidate_runs,
     correction_support,
     graded_counts,
     is_basis_index,
@@ -35,6 +39,7 @@ from wondermono.paths import (
     initial_direction,
     pair_directions,
     pair_weight,
+    path_directions,
     shape_denominator,
     straight_path,
 )
@@ -434,6 +439,64 @@ def test_selection_matches_direct_filter_a3():
     assert len(labels) == 1800
     for z in labels:
         assert basis_indices(z, (1, 1, 1)) == direct_filter(z, (1, 1, 1)), z
+
+
+def budget_weights(g, bound: int = 2) -> list:
+    """The grid weights up to bound whose open-orbit candidates fit verify's candidate budget."""
+    top = OrbitLabel(frozenset(range(1, g.rank + 1)), g.identity, g.longest)
+    return [lam for lam in weight_grid(g.rank, bound) if candidate_count(top, lam) <= verify.CANDIDATE_BUDGET]
+
+
+def all_labels(g) -> list[OrbitLabel]:
+    return [OrbitLabel(I, x, w) for I in g.subsets() for x in g.min_coset_reps(I) for w in g.elements]
+
+
+def assert_same_objects(got, want, where) -> None:
+    assert len(got) == len(want) and all(map(is_, got, want)), where
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_run_selection_matches_the_candidate_scan(name):
+    # same indices, same order, the same shared objects, on every label at every grid weight within budget
+    g = group_of(name)
+    for lam in budget_weights(g):
+        for z in all_labels(g):
+            assert_same_objects(basis_indices(z, lam), scanned_basis(z, lam), (z, lam))
+
+
+@pytest.mark.parametrize("name, count", [("A3", 1800), ("B3", 7056)])
+def test_run_selection_matches_the_candidate_scan_rank3(name, count):
+    g = group_of(name)
+    labels = all_labels(g)
+    assert len(labels) == count
+    for lam in budget_weights(g):
+        for z in labels[::60]:
+            assert_same_objects(basis_indices(z, lam), scanned_basis(z, lam), (z, lam))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
+def test_runs_are_the_distinct_left_directions(name):
+    # generate_paths groups a shape's paths by initial direction, so a direction starts one run only
+    g = group_of(name)
+    top = OrbitLabel(frozenset(range(1, g.rank + 1)), g.identity, g.longest)
+    for lam in weight_grid(g.rank, 2 if g.rank == 2 else 1):
+        lefts = path_directions(g, g.dual_weight(lam))
+        assert [a for a, _ in groupby(lefts)] == list(dict.fromkeys(lefts)), lam
+    for lam in budget_weights(g):
+        for mu, nvec in monomials._admissible_shapes(top, lam):
+            runs = candidate_runs(g, mu, nvec)
+            assert runs.dirs == tuple(dict.fromkeys(path_directions(g, g.dual_weight(mu)))), mu
+            # the runs cut the block without a gap or an overlap
+            assert tuple(chain.from_iterable(p.run for p in runs.picks)) == candidate_block(g, mu, nvec)
+
+
+def test_a_full_selection_is_the_run_itself_and_an_empty_one_is_empty():
+    g = WeylGroup(group_of("B2").rs)  # fresh, so every row value below is read here
+    for mu, nvec in dominant_below(g.rs, (1, 1)):
+        for picks in candidate_runs(g, mu, nvec).picks:
+            assert picks[(1 << len(g)) - 1] is picks.run  # every bit set selects every right path
+            assert picks[0] == ()
+            assert list(picks) == [(1 << len(g)) - 1, 0]
 
 
 def test_list_and_tuple_weights_agree():

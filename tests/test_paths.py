@@ -317,6 +317,21 @@ def test_path_checks_on_ints():
         LSPath([((1,), Fraction(1, 3)), ((-1,), Fraction(2, 3))], (1,))
 
 
+def test_path_refuses_a_shape_of_another_length():
+    message = r"^every direction must have the length 1 of the shape \(1,\)$"
+    with pytest.raises(ValueError, match=message):
+        LSPath([((1, 0), 1)], (1,))
+    with pytest.raises(ValueError, match=message):
+        LSPath([((1,), HALF), ((-1, 1), HALF)], (1,))
+    path = LSPath([((1, 0), 1)], (1, 0))
+    with pytest.raises(ValueError, match=message):
+        path._replace(shape=(1,))
+    # a direction of the right length outside the shape's orbit is built, and refused by the orbit's readers
+    outside = LSPath([((1, 0), 1)], (5, 5))
+    with pytest.raises(ValueError, match=r"^direction \(1, 0\) is not in the orbit of \(5, 5\)$"):
+        root_lower(group_of("A2").rs, 1, outside)
+
+
 @pytest.mark.parametrize(
     "name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1)), ("B4", (1, 0, 0, 1))]
 )
