@@ -11,11 +11,8 @@ from .monomials import (
     GradedTable,
     MonomialIndex,
     basis_indices,
-    correction_support,
     graded_counts,
-    is_basis_index,
     is_standard_on_closure,
-    is_standard_on_components,
     nonstandard_components,
     nonstandard_orbits,
 )
@@ -25,7 +22,6 @@ from .orbits import (
     SchubertPair,
     build_poset,
     closure_leq,
-    closure_witnesses,
     dimension,
     schubert_pairs,
     stratum_components,
@@ -36,9 +32,7 @@ from .paths import (
     generate_pairs,
     generate_paths,
     initial_direction,
-    pair_weight,
     root_lower,
-    straight_path,
 )
 from .rootsys import (
     RootSystem,
@@ -52,11 +46,6 @@ from .verify import CheckResult, run_suite, suite_passed
 from .weyl import WeylElement, WeylGroup
 
 __version__ = "0.1.0"
-
-
-def root_system(name: str) -> RootSystem:
-    """Root system from a short name like "A2" or "G2"."""
-    return from_name(name)
 
 
 def weyl_group(name: str) -> WeylGroup:
@@ -82,8 +71,6 @@ __all__ = [
     "build_poset",
     "char_dim",
     "closure_leq",
-    "closure_witnesses",
-    "correction_support",
     "demazure_character",
     "dimension",
     "dominant_below",
@@ -92,18 +79,13 @@ __all__ = [
     "generate_paths",
     "graded_counts",
     "initial_direction",
-    "is_basis_index",
     "is_dominant",
     "is_standard_on_closure",
-    "is_standard_on_components",
     "nonstandard_components",
     "nonstandard_orbits",
-    "pair_weight",
     "root_lower",
-    "root_system",
     "run_suite",
     "schubert_pairs",
-    "straight_path",
     "stratum_components",
     "suite_passed",
     "weyl_dim",

@@ -21,26 +21,26 @@ A pair's directions are its two paths' own, so with N_mu(b) the number of
 paths of shape mu starting in direction b, the pairs of shape mu standard on z
 number the sum of N_mu*(a) N_mu(b) over the set bits (a, b) of z's table.
 
-The basis of every closure is a subset of one set of candidates, the basis of
-the open orbit's closure, so a degree lam has one candidate table, kept on the
-group and filled at the first query that admits a shape: per shape mu below
-lam, a block holding every pair of shape mu as a MonomialIndex, left-major
-like generate_pairs (candidate_block), and the shape's direction classes,
+The basis of every closure is a subset of one set of candidates, the basis
+of the open orbit's closure, so each shape mu and exponent vector n below a
+degree lam have one run table, kept on the group and filled at the first
+query that admits the shape: every pair of shape mu as a MonomialIndex,
+left-major like generate_pairs, cut into one run of consecutive left paths
+per left direction a (candidate_runs), since generate_paths emits a shape's
+paths grouped by initial direction.  The shape's direction classes are
 shared by every degree above mu (shape_classes).  The indices are shared,
-immutable objects; a query builds none, and a block is built only for a shape
-some queried orbit admits, so candidate_count bounds what a first query
+immutable objects; a query builds none, and a run table is built only for a
+shape some queried orbit admits, so candidate_count bounds what a first query
 builds.  Graded counts read only the direction classes and their counts, and
 build no pair.
 
-A basis is a selection from that table, made per run of left paths.
-generate_paths emits a shape's paths grouped by initial direction, so a block
-falls into one run of consecutive left paths per left direction a
-(candidate_runs), and row a of z's standard table selects the same right paths
-after every left path of the run.  A row takes few distinct values across
-labels, so each run keeps its selection per row value: the first lookup of a
-value compresses the run once, a full selection is the run itself and an empty
-one is ().  A query then costs one cached lookup per run, plus the indices it
-returns, and never scans the candidates a row leaves out.
+A basis is a selection from those runs.  Row a of z's standard table selects
+the same right paths after every left path of the run of direction a.  A row
+takes few distinct values across labels, so each run keeps its selection per
+row value: the first lookup of a value compresses the run once, a full
+selection is the run itself and an empty one is ().  A query then costs one
+cached lookup per run, plus the indices it returns, and never scans the
+candidates a row leaves out.
 
 The direction classes carry two readers cached by row value: select, the
 row's bits at each right path's direction, which a run's first lookup of a
@@ -64,20 +64,15 @@ from .orbits import OrbitLabel, OrbitPoset, bit_reader, mask_bytes, schubert_pai
 from .paths import (
     PathPair,
     generate_pairs,
-    generate_paths,
     initial_direction,
-    pair_weight,
     path_directions,
 )
 from .rootsys import (
     RootVector,
     Weight,
-    dominance_diff,
     dominant_below,
     dominant_weight,
-    is_dominant,
     memoized,
-    rank_weight,
     support,
 )
 from .weyl import WeylGroup, bits
@@ -185,15 +180,6 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     return ShapeClasses(tuple(Counter(lefts).items()), select, count)
 
 
-@memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
-def candidate_block(group: WeylGroup, mu: Weight, nvec: RootVector) -> tuple[MonomialIndex, ...]:
-    """Every pair of shape mu as a basis index with exponents nvec, aligned with generate_pairs."""
-    mu, nvec = tuple(mu), tuple(nvec)
-    # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
-    fields = zip(repeat(nvec), repeat(mu), generate_pairs(group, mu))
-    return tuple(map(tuple.__new__, repeat(MonomialIndex), fields))
-
-
 class RunPicks(dict):
     """Row value -> the candidates of one run of left paths that a row with that value selects.
 
@@ -217,7 +203,7 @@ class RunPicks(dict):
 
 
 class CandidateRuns(NamedTuple):
-    """A candidate block cut into runs of left paths with one initial direction, in block order."""
+    """The candidates of one shape and exponent vector, cut into runs of left paths with one initial direction."""
 
     dirs: tuple[int, ...]  # each run's initial direction a: the row of a standard table it reads
     picks: tuple[RunPicks, ...]  # each run's selections, by row value
@@ -225,20 +211,23 @@ class CandidateRuns(NamedTuple):
 
 @memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
 def candidate_runs(group: WeylGroup, mu: Weight, nvec: RootVector) -> CandidateRuns:
-    """candidate_block(group, mu, nvec) sliced at each change of the left paths' initial direction.
+    """Every pair of shape mu as a basis index with exponents nvec, in generate_pairs order, cut into runs.
 
     generate_paths emits a shape's paths grouped by initial direction, so the
     runs are the distinct left directions, one per direction class.
     """
-    block = candidate_block(group, mu, nvec)
-    sc = shape_classes(group, mu)
+    mu, nvec = tuple(mu), tuple(nvec)
+    pairs = generate_pairs(group, mu)
+    select = shape_classes(group, mu).select
     width = len(path_directions(group, mu))  # candidates per left path
     dirs, picks, start = [], [], 0
     for a, run in groupby(path_directions(group, group.dual_weight(mu))):
         lefts = sum(1 for _ in run)
         stop = start + lefts * width
+        # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
+        fields = zip(repeat(nvec), repeat(mu), pairs[start:stop])
         dirs.append(a)
-        picks.append(RunPicks(block[start:stop], sc.select, lefts))
+        picks.append(RunPicks(tuple(map(tuple.__new__, repeat(MonomialIndex), fields)), select, lefts))
         start = stop
     return CandidateRuns(tuple(dirs), tuple(picks))
 
@@ -260,7 +249,7 @@ def candidate_count(z: OrbitLabel, lam: Weight) -> int:
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
-    """All basis indices for the closure of z in degree lam, selected from lam's candidate blocks.
+    """All basis indices for the closure of z in degree lam, selected from the runs of lam's candidates.
 
     Ordered by exponent vector (lexicographic, ascending) and then by the
     enumeration order of the path pairs of each shape.
@@ -274,24 +263,6 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
         # row a selects, in one cached lookup, the candidates of the run of left paths starting in direction a
         out.extend(chain.from_iterable(map(getitem, runs.picks, map(rows.__getitem__, runs.dirs))))
     return tuple(out)
-
-
-def is_basis_index(z: OrbitLabel, lam: Weight, idx: MonomialIndex) -> bool:
-    """Membership test matching basis_indices without enumerating everything.
-
-    lam must be a dominant weight and idx.mu a weight of the rank; an index of a non-dominant shape is no member.
-    """
-    rs = z.group.rs
-    lam, mu = dominant_weight(rs, lam), rank_weight(rs, idx.mu)
-    if not is_dominant(mu) or dominance_diff(rs, lam, mu) != idx.powers:
-        return False
-    if not support(idx.powers) <= z.stratum:
-        return False
-    pair = idx.pair
-    # membership in the path model implies the shape
-    if pair.mu != mu or pair.right not in generate_paths(rs, mu):
-        return False
-    return pair.left in generate_paths(rs, z.group.dual_weight(mu)) and is_standard_on_closure(pair, z)
 
 
 def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
@@ -330,19 +301,3 @@ def nonstandard_orbits(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
 def nonstandard_components(pair: PathPair, poset: OrbitPoset) -> list[OrbitLabel]:
     """Maximal orbits of the nonstandard locus of a pair."""
     return poset.maximal_of_mask(_nonstandard_mask(pair, poset))
-
-
-def correction_support(pair: PathPair, z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
-    """Basis indices that can carry straightening corrections for a pair.
-
-    The pair must be nonstandard on z's closure.  Candidates are the basis
-    indices of positive boundary degree whose pair weight matches.
-    """
-    if is_standard_on_closure(pair, z):
-        raise ValueError("pair is standard on this orbit closure, nothing to correct")
-    target = pair_weight(pair)
-    return tuple(
-        idx
-        for idx in basis_indices(z, lam)
-        if any(idx.powers) and pair_weight(idx.pair) == target
-    )

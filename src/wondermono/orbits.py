@@ -2,20 +2,18 @@
 
 Orbits of the Borel-pair action are labeled [I, x, w] with I a subset of the
 simple roots, x a minimal coset representative for W / W_I and w arbitrary.
-The closure order is decided by an exhaustive search over the witness pairs
-(u, v) of the closure criterion; the poset object materializes the full
-relation as per-orbit bitmasks, and the standalone predicate closure_leq is
-the direct transcription of that criterion, kept around so the two routes can
-be checked against each other.
+The closure order has two routes, which verify checks against each other:
+closure_leq decides one relation by searching the witness pairs (u, v) of the
+closure criterion, and the poset materializes the full relation as per-orbit
+bitmasks.
 
 Both routes read the criterion on element indices, through the group's index
 tables: product rows (a b for every b, one row per element, built on first
 use and kept in the group's memo), inverses, lengths and down-masks.  No
 group method runs per (u, v).  closure_leq keeps each label z2's lifts to a
-stratum J in the memo as (v, x v u^-1 for each u in W_J, the down-mask of
-wv), so every label of stratum J tested against z2 reads them once; a pair
-then costs two bit tests per (u, v), and the search stops at the first
-witness.
+stratum J in the memo as (x v u^-1 for each u in W_J, the down-mask of wv),
+so every label of stratum J tested against z2 reads them once; a pair then
+costs two bit tests per (u, v), and the search stops at the first witness.
 
 Labels of one stratum I are laid out as one block of |W| bits per x' in W^I.
 For a label z and a witness (u, v) the x' that work are those above one
@@ -129,7 +127,7 @@ def dimension(z: OrbitLabel) -> int:
 
 
 def _lifts(z: OrbitLabel, J):
-    """(v, xv, wv) for each v in W_I minimal for W / W_J with l(wv) = l(w) + l(v), I being z's stratum.
+    """(xv, wv) for each v in W_I minimal for W / W_J with l(wv) = l(w) + l(v), I being z's stratum.
 
     xv and wv are read off the product rows of x and w, the only rows read.
     """
@@ -140,61 +138,36 @@ def _lifts(z: OrbitLabel, J):
     for v in group.parabolic_min_reps(z.stratum, J):
         wv = elements[w_row[v.index]]
         if wv.length == top + v.length:
-            yield v, elements[x_row[v.index]], wv
+            yield elements[x_row[v.index]], wv
 
 
 @memoized()
 def _lift_rows(group: WeylGroup, key: tuple[OrbitLabel, frozenset[int]]) -> tuple:
     """Label z's lifts to stratum J, key being (z, J), as the closure criterion reads them.
 
-    Each lift (v, xv, wv) gives (v, the pairs (x v u^-1, u) by element index
-    for each u in W_J in enumeration order, read off the product row of xv,
-    the down-mask of wv).  Every label of stratum J tested against z reads
+    Each lift (xv, wv) gives (the pairs (x v u^-1, u) by element index for
+    each u in W_J in enumeration order, read off the product row of xv, the
+    down-mask of wv).  Every label of stratum J tested against z reads
     them, so a lift is computed once.  A label hashes in C, as its fields.
     """
     z, J = key
     inverses = group.inverses
     us = [u.index for u in group.parabolic_elements(J)]
     rows = []
-    for v, xv, wv in _lifts(z, J):
+    for xv, wv in _lifts(z, J):
         xv_row = group.product_row(xv.index)
-        rows.append((v, tuple((xv_row[inverses[u]], u) for u in us), group.down_mask(wv)))
+        rows.append((tuple((xv_row[inverses[u]], u) for u in us), group.down_mask(wv)))
     return tuple(rows)
-
-
-def _witnesses(z1: OrbitLabel, z2: OrbitLabel):
-    group = z1.group
-    if group is not z2.group:
-        raise ValueError("labels from different Weyl groups")
-    J = z1.stratum
-    if not J <= z2.stratum:
-        return
-    x_down, w_row, elements = group.down_mask(z1.x), group.product_row(z1.w.index), group.elements
-    for v, pairs, wv_down in _lift_rows(group, (z2, J)):
-        for y, u in pairs:
-            # x' >= y = x v u^-1 and w' u <= w v; closure_leq repeats this test
-            if x_down >> y & 1 and wv_down >> w_row[u] & 1:
-                yield elements[u], v
-
-
-def closure_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement, WeylElement]]:
-    """All witness pairs (u, v) certifying that z1 lies in the closure of z2.
-
-    u runs over the parabolic of z1's stratum, v over the elements of z2's
-    parabolic minimal for z1's stratum with l(wv) additive; the pair works
-    when x' >= x v u^-1 and w' u <= w v.  The pairs come v-major, each in
-    enumeration order.
-    """
-    return list(_witnesses(z1, z2))
 
 
 def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
     """True when the orbit of z1 lies in the closure of the orbit of z2.
 
-    The witness test of closure_witnesses on element indices.  z2's lifts to
-    z1's stratum (_lift_rows) give y = x v u^-1 for each u and the down-mask
-    of wv.  With z1 = [I', x', w'], the pair (u, v) works when y <= x', bit y
-    of the down-mask of x', and w' u <= wv, bit w' u of the down-mask of wv
+    With z1 = [I', x', w'] and z2 = [I, x, w], a witness is a pair (u, v) with
+    u in W_I', v in W_I minimal for W / W_I' with l(wv) = l(w) + l(v), such
+    that x v u^-1 <= x' and w' u <= wv.  z2's lifts to I' (_lift_rows) give
+    y = x v u^-1 for each u and the down-mask of wv, so a pair costs two bit
+    tests: bit y of the down-mask of x', and bit w' u of the down-mask of wv,
     with w' u read off the product row of w'.  The loop stops at the first
     witness.
     """
@@ -206,9 +179,8 @@ def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
     if not J <= z2.stratum:
         return False
     x_down, w_row = group.down_mask(x1), group.product_row(z1.w.index)
-    for _, pairs, wv_down in _lift_rows(group, (z2, J)):
+    for pairs, wv_down in _lift_rows(group, (z2, J)):
         for y, u in pairs:
-            # the test of _witnesses, kept inline so that no generator is made per pair
             if x_down >> y & 1 and wv_down >> w_row[u] & 1:
                 return True
     return False
@@ -225,20 +197,20 @@ def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
     J = frozenset(J)
     if not J <= z.stratum:
         raise ValueError(f"target stratum {sorted(J)} is not contained in {sorted(z.stratum)}")
-    return sorted((OrbitLabel(J, xv, wv) for _, xv, wv in _lifts(z, J)), key=OrbitLabel.sort_key)
+    return sorted((OrbitLabel(J, xv, wv) for xv, wv in _lifts(z, J)), key=OrbitLabel.sort_key)
 
 
 @memoized(lambda z: (z.group, z))
 def schubert_pairs(z: OrbitLabel) -> tuple[SchubertPair, ...]:
     """Components of the closure of z inside the doubled flag variety, sorted by element indices.
 
-    Each lift (v, xv, wv) to the empty stratum, the component [0, xv, wv] of
+    Each lift (xv, wv) to the empty stratum, the component [0, xv, wv] of
     stratum_components, becomes the product of an opposite Schubert variety
     for xv w0 and an ordinary one for wv.
     """
     group = z.group
     w0 = group.longest
-    pairs = [SchubertPair(group.multiply(xv, w0), wv) for _, xv, wv in _lifts(z, ())]
+    pairs = [SchubertPair(group.multiply(xv, w0), wv) for xv, wv in _lifts(z, ())]
     return tuple(sorted(pairs, key=lambda p: (p.left.index, p.right.index)))
 
 

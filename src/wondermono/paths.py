@@ -77,7 +77,6 @@ from .rootsys import (
     memoized,
     orbit_table,
     root_combination,
-    sub_weights,
 )
 from .weyl import WeylElement, WeylGroup
 
@@ -161,12 +160,6 @@ def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Wei
             raise ValueError("path endpoint is not a lattice weight")
         end.append(q)
     return tuple.__new__(LSPath, (dirs, steps, den, shape, tuple(end)))
-
-
-def straight_path(rs: RootSystem, lam: Weight) -> LSPath:
-    """The straight-line path to a dominant weight (a single segment)."""
-    lam = dominant_weight(rs, lam)
-    return _path((lam,), (1,), 1, lam)
 
 
 @memoized()
@@ -457,9 +450,3 @@ def path_directions(group: WeylGroup, lam: Weight) -> tuple[int, ...]:
 def pair_directions(group: WeylGroup, mu: Weight) -> Iterator[tuple[int, int]]:
     """Direction indices (a, b) of each pair of shape mu, in generate_pairs order: both path tables' product."""
     return product(path_directions(group, group.dual_weight(mu)), path_directions(group, mu))
-
-
-def pair_weight(pair: PathPair) -> tuple[Weight, Weight]:
-    """The weight of the indexed section: negated endpoints of both paths."""
-    zero = (0,) * len(pair.mu)
-    return (sub_weights(zero, pair.left.endpoint()), sub_weights(zero, pair.right.endpoint()))

@@ -303,9 +303,11 @@ def from_name(name: str) -> RootSystem:
     ((2, -1), (-1, 2))
     """
     name = name.strip()
-    rank = name[1:]
+    letter, rank = name[:1], name[1:]
     _require(rank.isascii() and rank.isdigit(), f"cannot parse group name {name!r} (expected e.g. A2, B3, G2)")
-    return build(name[0].upper(), int(rank))
+    # a letter whose upper case is no type letter ('x', or 'ß', which upper-cases to 'SS') is refused as passed
+    upper = letter.upper()
+    return build(upper if upper in _VALID_RANKS else letter, int(rank))
 
 
 def is_dominant(lam: Weight) -> bool:

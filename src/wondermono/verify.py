@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import accumulate, combinations, compress, product
-from operator import attrgetter, itemgetter, or_
+from operator import attrgetter, or_
 
 from .demazure import char_dim, demazure_character, weyl_dim
 from .monomials import (

@@ -12,9 +12,9 @@ basis_indices' selection by runs of left paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import chain, compress, product
 
-from wondermono.monomials import MonomialIndex, candidate_block, standard_rows
+from wondermono.monomials import MonomialIndex, candidate_runs, standard_rows
 from wondermono.orbits import OrbitLabel, OrbitPoset
 from wondermono.paths import LSPath, Segment, pair_directions
 from wondermono.rootsys import RootSystem, Weight, dominant_below, from_name, root_combination, support
@@ -210,11 +210,11 @@ def method_witnesses(z1: OrbitLabel, z2: OrbitLabel) -> list[tuple[WeylElement, 
 
 
 def scanned_basis(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
-    """basis_indices as a scan of every candidate: one selector byte per pair, one compress per block.
+    """basis_indices as a scan of every candidate: one selector byte per pair, one compress per shape.
 
     Each pair of an admitted shape is kept when bit b of row a of z's standard
     table is set for its directions (a, b).  The candidates are the library's
-    shared blocks, so the indices kept are the objects basis_indices returns.
+    shared runs, chained, so the indices kept are the objects basis_indices returns.
     """
     group = z.group
     rows = standard_rows(z)
@@ -222,5 +222,6 @@ def scanned_basis(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     for mu, nvec in dominant_below(group.rs, lam):
         if support(nvec) <= z.stratum:
             selector = bytes(rows[a] >> b & 1 for a, b in pair_directions(group, mu))
-            out.extend(compress(candidate_block(group, mu, nvec), selector))
+            candidates = chain.from_iterable(picks.run for picks in candidate_runs(group, mu, nvec).picks)
+            out.extend(compress(candidates, selector))
     return tuple(out)

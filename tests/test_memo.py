@@ -23,7 +23,6 @@ from wondermono import orbits, verify
 from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
-    candidate_block,
     candidate_runs,
     graded_counts,
     nonstandard_components,
@@ -70,7 +69,6 @@ def test_cache_info_counts_one_miss_then_one_hit():
         (schubert_pairs, (z,)),
         (standard_rows, (z,)),
         (shape_classes, (group, (1, 0))),
-        (candidate_block, (group, (1, 0), (0, 1))),
         (candidate_runs, (group, (1, 0), (0, 1))),
     ]:
         before = fn.cache_info()

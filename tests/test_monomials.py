@@ -17,12 +17,9 @@ from wondermono.monomials import (
     GradedTable,
     MonomialIndex,
     basis_indices,
-    candidate_block,
     candidate_count,
     candidate_runs,
-    correction_support,
     graded_counts,
-    is_basis_index,
     is_standard_on_closure,
     is_standard_on_components,
     nonstandard_components,
@@ -38,10 +35,8 @@ from wondermono.paths import (
     generate_paths,
     initial_direction,
     pair_directions,
-    pair_weight,
     path_directions,
     shape_denominator,
-    straight_path,
 )
 from wondermono.rootsys import (
     RootSystemError,
@@ -297,55 +292,19 @@ def test_nonstandard_locus_downward_closed():
                 assert below in bad
 
 
-def test_correction_support_requires_nonstandard():
-    g = group_of("A1")
-    z = lab(g, (1,), (), ())
-    with pytest.raises(ValueError):
-        correction_support(a1_pair((2,), (2,)), z, (2,))
-
-
-def test_correction_support_nonempty():
-    g = group_of("A1")
-    z = lab(g, (1,), (), ())
-    pair = a1_pair((0,), (0,))
-    assert not is_standard_on_closure(pair, z)
-    support = correction_support(pair, z, (2,))
-    assert len(support) == 1
-    idx = support[0]
-    assert idx.powers == (1,)
-    assert idx.mu == (0,)
-    assert pair_weight(idx.pair) == pair_weight(pair) == ((0,), (0,))
-
-
-def test_correction_support_empty_when_weights_mismatch():
-    g = group_of("A1")
-    z = lab(g, (1,), (), ())
-    pair = a1_pair((0,), (-2,))
-    assert not is_standard_on_closure(pair, z)
-    assert correction_support(pair, z, (2,)) == ()
-
-
 def test_is_basis_index():
     g = group_of("A1")
     z = lab(g, (1,), (), ())
     lam = (2,)
     members = basis_indices(z, lam)
-    for idx in members:
-        assert is_basis_index(z, lam, idx)
     # wrong exponents for the shape gap
-    broken = MonomialIndex((1,), members[0].mu, members[0].pair)
-    assert not is_basis_index(z, lam, broken)
+    assert MonomialIndex((1,), members[0].mu, members[0].pair) not in members
     # shape of the pair must match the index shape
-    crossed = MonomialIndex((1,), (0,), members[0].pair)
-    assert not is_basis_index(z, lam, crossed)
+    assert MonomialIndex((1,), (0,), members[0].pair) not in members
     # nonstandard pairs are excluded
-    outside = MonomialIndex((0,), (2,), a1_pair((0,), (0,)))
-    assert not is_basis_index(z, lam, outside)
-    # every enumerated index of the boundary orbit is recognized there too
-    boundary = lab(g, (), (), (1,))
-    for idx in basis_indices(boundary, lam):
-        assert is_basis_index(boundary, lam, idx)
-        assert idx.powers == (0,)
+    assert MonomialIndex((0,), (2,), a1_pair((0,), (0,))) not in members
+    # the boundary orbit's indices carry no boundary exponent
+    assert all(idx.powers == (0,) for idx in basis_indices(lab(g, (), (), (1,)), lam))
     # paths of the wrong shapes, on the open orbit of A2: the left path must have shape -w0(mu), the right mu
     g = group_of("A2")
     top = lab(g, (1, 2), (), (1, 2, 1))
@@ -353,14 +312,10 @@ def test_is_basis_index():
     p = generate_paths(g.rs, (1, 0))[0]
     q = generate_paths(g.rs, lam)[0]
     for left, right in [(p, p), (q, p), (p, q)]:
-        wrong = MonomialIndex((0, 0), lam, PathPair(left, right))
-        assert wrong not in basis_indices(top, lam)
-        assert not is_basis_index(top, lam, wrong)
+        assert MonomialIndex((0, 0), lam, PathPair(left, right)) not in basis_indices(top, lam)
     # a path of the right shape that is not in the path model
     stray = LSPath([((1, 1), Fraction(1, 2)), ((-1, -1), Fraction(1, 2))], lam)
-    outside_model = MonomialIndex((0, 0), lam, PathPair(q, stray))
-    assert outside_model not in basis_indices(top, lam)
-    assert not is_basis_index(top, lam, outside_model)
+    assert MonomialIndex((0, 0), lam, PathPair(q, stray)) not in basis_indices(top, lam)
 
 
 def test_stratum_restricts_exponents():
@@ -486,8 +441,10 @@ def test_runs_are_the_distinct_left_directions(name):
         for mu, nvec in monomials._admissible_shapes(top, lam):
             runs = candidate_runs(g, mu, nvec)
             assert runs.dirs == tuple(dict.fromkeys(path_directions(g, g.dual_weight(mu)))), mu
-            # the runs cut the block without a gap or an overlap
-            assert tuple(chain.from_iterable(p.run for p in runs.picks)) == candidate_block(g, mu, nvec)
+            # the runs carry every pair of the shape, in generate_pairs order, without a gap or an overlap
+            chained = tuple(chain.from_iterable(p.run for p in runs.picks))
+            assert tuple(idx.pair for idx in chained) == generate_pairs(g, mu)
+            assert all(idx.powers == nvec and idx.mu == mu for idx in chained)
 
 
 def test_a_full_selection_is_the_run_itself_and_an_empty_one_is_empty():
@@ -536,11 +493,9 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
     rs = from_name("A2")  # fresh: the first round finds no memo entry, the second finds those of (1, 1)
     g = WeylGroup(rs)
     z = lab(g, (1, 2), (), (1, 2, 1))
-    idx = basis_indices(poset_of("A2").maximum, (1, 1))[0]  # from another group, so nothing of rs or g is built
     orbit, cosets, denominator = partial(orbit_table, rs), g.coset_table, partial(shape_denominator, rs)
     dominant = [
         partial(weyl_dim, rs),
-        partial(straight_path, rs),
         denominator,
         partial(dominant_below, rs),
         partial(exponent_bounds, rs),
@@ -552,7 +507,6 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         partial(basis_indices, z),
         partial(graded_counts, z),
         partial(candidate_count, z),
-        lambda lam: is_basis_index(z, lam, idx),
     ]
     any_sign = [
         partial(demazure_character, g, g.longest),
@@ -581,19 +535,6 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         for call in refusing:
             call((1, 1))  # every memo now holds the key of (1, 1)
         finds_key.update({cosets: tuple(lam) == (1, 1), denominator: tuple(lam) == (1, 1)})
-
-
-def test_is_basis_index_checks_the_index_shape():
-    z = poset_of("A2").maximum
-    idx = basis_indices(z, (1, 1))[0]
-    assert is_basis_index(z, (1, 1), idx)
-    with pytest.raises(RootSystemError, match=r"^weight \(1\.0, 1\) has a coordinate that is not an integer$"):
-        is_basis_index(z, (1, 1), MonomialIndex(idx.powers, (1.0, 1), idx.pair))
-    with pytest.raises(RootSystemError, match=r"^weight \(1,\) has length 1, not the rank 2$"):
-        is_basis_index(z, (1, 1), MonomialIndex(idx.powers, (1,), idx.pair))
-    # a well-formed shape that is not dominant makes no member
-    assert not is_basis_index(z, (1, 1), MonomialIndex(idx.powers, (2, -1), idx.pair))
-    assert not is_basis_index(z, (1, 1), MonomialIndex((0, 0), (1, -1), idx.pair))
 
 
 def test_labels_share_their_indices():
@@ -627,8 +568,9 @@ def test_first_query_builds_only_admitted_blocks():
     g = WeylGroup(group_of("A1").rs)  # nothing memoized yet
     z = lab(g, (), (), ())
     basis_indices(z, (4,))
-    assert list(g.memo["candidate_block"]) == [((4,), (0,))]
-    assert len(g.memo["candidate_block"][(4,), (0,)]) == candidate_count(z, (4,)) == 25
+    assert list(g.memo["candidate_runs"]) == [((4,), (0,))]
+    runs = g.memo["candidate_runs"][(4,), (0,)]
+    assert sum(len(picks.run) for picks in runs.picks) == candidate_count(z, (4,)) == 25
 
 
 def test_run_suite_releases_its_memo(monkeypatch):

@@ -15,7 +15,6 @@ from wondermono.orbits import (
     OrbitPoset,
     build_poset,
     closure_leq,
-    closure_witnesses,
     dimension,
     mask_bytes,
     mask_from_bytes,
@@ -125,7 +124,7 @@ def test_a1_full_closure_relation():
             expected = z1 in down
             assert closure_leq(z1, z2) == expected
             assert poset.leq(z1, z2) == expected
-            assert bool(closure_witnesses(z1, z2)) == expected
+            assert bool(method_witnesses(z1, z2)) == expected
         assert set(poset.below(z2)) == down
 
 
@@ -161,7 +160,7 @@ def test_witnesses_certify():
     labels = poset.labels
     for z2 in labels[::7]:
         for z1 in labels[::5]:
-            pairs = closure_witnesses(z1, z2)
+            pairs = method_witnesses(z1, z2)
             assert bool(pairs) == poset.leq(z1, z2)
             for u, v in pairs:
                 assert set(u.word) <= z1.stratum
@@ -178,20 +177,17 @@ def test_witnesses_certify():
     "name, stride", [("A1", 1), ("A2", 1), ("B2", 1), ("G2", 1), ("A3", 18), ("B3", 71), ("C3", 73)]
 )
 def test_closure_routes_match_the_method_oracle(name, stride):
-    # closure_leq keeps a loop of its own beside _witnesses: the oracle pins both
+    # closure_leq's index-form search against the same criterion through group methods
     labels = poset_of(name).labels[::stride]
     for z2 in labels:
         for z1 in labels:
-            want = method_witnesses(z1, z2)
-            assert closure_witnesses(z1, z2) == want
-            assert closure_leq(z1, z2) is bool(want)
+            assert closure_leq(z1, z2) is bool(method_witnesses(z1, z2))
 
 
 def test_closure_refuses_labels_of_two_groups():
     z1, z2 = poset_of("A2").maximum, poset_of("B2").maximum
-    for route in (closure_leq, closure_witnesses):
-        with pytest.raises(ValueError, match="different Weyl groups"):
-            route(z1, z2)
+    with pytest.raises(ValueError, match="different Weyl groups"):
+        closure_leq(z1, z2)
 
 
 def test_f4_closure_and_schubert_pairs_build_only_the_rows_they_read():
@@ -210,8 +206,6 @@ def test_f4_closure_and_schubert_pairs_build_only_the_rows_they_read():
     lifts = [v for v in reps if g.multiply(z2.w, v).length == z2.w.length + v.length]
     read = {el.index for el in {z2.x, z2.w, z1.w} | {g.multiply(z2.x, v) for v in lifts}}
     assert set(g.memo["product_row"]) == read and len(read) < 10
-    assert closure_witnesses(z1, z2) == method_witnesses(z1, z2) != []
-    assert set(g.memo["product_row"]) == read
 
 
 def test_dimension_strictly_monotone():
@@ -310,7 +304,7 @@ def test_stratum_components_refuse_a_non_minimal_lift(monkeypatch):
     # s1 has the right descent 1, so it is no minimal representative for J = {1}
     g = group_of("A2")
     s1 = g.simple(1)
-    monkeypatch.setattr(orbits, "_lifts", lambda z, J: [(s1, s1, s1)])
+    monkeypatch.setattr(orbits, "_lifts", lambda z, J: [(s1, s1)])
     with pytest.raises(ValueError, match="not a minimal coset representative"):
         stratum_components(lab(g, (1, 2), (), ()), {1})
 

@@ -21,10 +21,8 @@ from wondermono.paths import (
     generate_paths,
     initial_direction,
     pair_directions,
-    pair_weight,
     path_directions,
     root_lower,
-    straight_path,
 )
 from wondermono.rootsys import from_name
 from wondermono.weyl import WeylGroup
@@ -43,12 +41,9 @@ def test_canonical_segments_merge():
 
 
 def test_straight_path():
-    g = group_of("A1")
-    path = straight_path(g.rs, (3,))
+    path = LSPath([((3,), 1)], (3,))
     assert path.segments == (((3,), ONE),)
     assert path.endpoint() == (3,)
-    with pytest.raises(ValueError):
-        straight_path(g.rs, (-1,))
 
 
 def test_durations_sum_to_one():
@@ -58,7 +53,7 @@ def test_durations_sum_to_one():
 
 def test_a1_lowering_walkthrough():
     g = group_of("A1")
-    top = straight_path(g.rs, (2,))
+    top = LSPath([((2,), 1)], (2,))
     mid = root_lower(g.rs, 1, top)
     assert mid is not None
     assert mid.segments == (((-2,), HALF), ((2,), HALF))
@@ -129,12 +124,12 @@ def test_raise_exhausts_at_dominant():
             for p in generate_paths(g.rs, lam)
             if all(root_raise(g.rs, i, p) is None for i in range(1, g.rank + 1))
         ]
-        assert tops == [straight_path(g.rs, lam)]
+        assert tops == [LSPath([(lam, 1)], lam)]
 
 
 def test_initial_direction_zero_shape():
     g = group_of("A2")
-    path = straight_path(g.rs, (0, 0))
+    path = LSPath([((0, 0), 1)], (0, 0))
     assert initial_direction(g, path) == g.identity
 
 
@@ -205,17 +200,6 @@ def test_path_directions_align_with_paths(name, shape):
     assert len(dirs) == len(paths)
     for a, p in zip(dirs, paths):
         assert g.elements[a] == initial_direction(g, p)
-
-
-def test_pair_weight_negates_endpoints():
-    g = group_of("A1")
-    pairs = generate_pairs(g, (1,))
-    seen = {pair_weight(p) for p in pairs}
-    assert seen == {((1,), (1,)), ((1,), (-1,)), ((-1,), (1,)), ((-1,), (-1,))}
-    for p in pairs:
-        wl, wr = pair_weight(p)
-        assert wl == tuple(-c for c in p.left.endpoint())
-        assert wr == tuple(-c for c in p.right.endpoint())
 
 
 @settings(deadline=None, max_examples=30)
@@ -338,7 +322,7 @@ def test_path_refuses_a_shape_of_another_length():
 def test_model_is_closure_under_public_lowering(name, lam):
     # the chains against a plain breadth-first search on LSPath objects
     rs = group_of(name).rs
-    start = straight_path(rs, lam)
+    start = LSPath([(lam, 1)], lam)
     seen = {start}
     frontier = [start]
     while frontier:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -53,6 +54,16 @@ def test_from_name():
         from_name("A")
     with pytest.raises(RootSystemError):
         from_name("2A")
+
+
+@pytest.mark.parametrize(
+    "name, letter", [("x2", "'x'"), ("\u00df2", "'\u00df'"), ("\ufb002", "'\ufb00'"), (" q3 ", "'q'")]
+)
+def test_from_name_reports_the_letter_as_passed(name, letter):
+    # sharp s upper-cases to "SS" and the ligature ff to "FF": neither is the letter passed
+    message = f"unknown type letter {letter} (expected one of A B C D F G)"
+    with pytest.raises(RootSystemError, match=f"^{re.escape(message)}$"):
+        from_name(name)
 
 
 @pytest.mark.parametrize("name", ["A\u00b2", "A\u0662"])
