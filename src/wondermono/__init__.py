@@ -42,7 +42,7 @@ from .rootsys import (
     from_name,
     is_dominant,
 )
-from .verify import CheckResult, run_suite, suite_passed
+from .verify import CheckResult, run_suite
 from .weyl import WeylElement, WeylGroup
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "run_suite",
     "schubert_pairs",
     "stratum_components",
-    "suite_passed",
     "weyl_dim",
     "weyl_group",
 ]

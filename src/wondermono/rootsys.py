@@ -12,7 +12,7 @@ Conventions used throughout the package:
   so column j holds the fundamental-weight coordinates of alpha_j.
 
 All arithmetic is exact (int and fractions.Fraction); floats never appear.
-Every value is immutable, so sharing a RootSystem between computations is safe.
+No value is changed once built, so sharing a RootSystem between computations is safe.
 
 Every derived table goes through one decorator, memoized, which keeps it in
 a ``memo`` table on the object it derives from, never in a module-level
@@ -28,9 +28,8 @@ computed per Weyl group live on the WeylGroup.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from itertools import product
 from math import lcm
 from operator import index, mul
@@ -145,31 +144,47 @@ def dominant_weight(rs: RootSystem, lam) -> Weight:
     return out
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """A simple root system: Cartan data plus the saturated set of roots.
 
-    A dataclass, not a named tuple, so that its memo takes no part in == and hash.
+    A slotted class, not a named tuple: == and hash read the six data fields
+    and not the memo, and a root system can be weakly referenced, which a
+    tuple cannot.
     """
 
-    letter: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]
-    symmetrizer: tuple[int, ...]  # d_i with d_i * C[i][j] symmetric
-    positive_roots: tuple[Root, ...]
-    memo: defaultdict[str, dict] = field(
-        default_factory=partial(defaultdict, dict), compare=False, hash=False, repr=False, init=False
-    )
+    __slots__ = ("letter", "rank", "cartan", "inverse_cartan", "symmetrizer", "positive_roots", "memo", "__weakref__")
+
+    def __init__(
+        self,
+        letter: str,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        inverse_cartan: tuple[tuple[Fraction, ...], ...],
+        symmetrizer: tuple[int, ...],  # d_i with d_i * C[i][j] symmetric
+        positive_roots: tuple[Root, ...],
+    ):
+        self.letter = letter
+        self.rank = rank
+        self.cartan = cartan
+        self.inverse_cartan = inverse_cartan
+        self.symmetrizer = symmetrizer
+        self.positive_roots = positive_roots
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
+
+    def _data(self) -> tuple:
+        return (self.letter, self.rank, self.cartan, self.inverse_cartan, self.symmetrizer, self.positive_roots)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __hash__(self) -> int:
+        return hash(self._data())
 
     @property
     def name(self) -> str:
         return f"{self.letter}{self.rank}"
-
-    @property
-    def roots(self) -> tuple[Root, ...]:
-        negatives = tuple(tuple(-c for c in r) for r in self.positive_roots)
-        return self.positive_roots + negatives
 
     def simple_root(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (column i of the Cartan matrix)."""
@@ -203,20 +218,33 @@ def _edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
     raise RootSystemError(f"unknown type letter {letter!r}")
 
 
-def _invert(mat: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def _invert(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(d, M) with mat M = d I, in integers: fraction-free Gauss-Jordan elimination.
+
+    Each step scales a row by the pivot, subtracts, and divides exactly by the
+    previous pivot (Bareiss), so every entry stays an integer and, at the end,
+    every diagonal entry is the last pivot d: the determinant, up to the sign
+    of the row swaps.  The inverse is M / d, divided once per entry.
+    """
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        pivot = next(r for r in range(col, n) if aug[r][col])
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        top = aug[col]
+        pv = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                aug[r] = [(pv * x - f * y) // prev for x, y in zip(aug[r], top)]
+        prev = pv
+    return prev, [row[n:] for row in aug]
+
+
+def _off_diagonal(rows) -> list[list[tuple[int, int]]]:
+    """For each row i, its nonzero entries off the diagonal as (j, entry): i's Dynkin neighbours."""
+    return [[(j, a) for j, a in enumerate(row) if a and j != i] for i, row in enumerate(rows)]
 
 
 def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
@@ -245,14 +273,17 @@ def _saturate_roots(cartan: list[list[int]]) -> tuple[Root, ...]:
     """Close the simple roots under all simple reflections, in root coordinates."""
     n = len(cartan)
     simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    # s_i changes coordinate i only, to c_i - sum_j C[i][j] c_j = -c_i - sum over i's neighbours j of C[i][j] c_j
+    steps = list(enumerate(_off_diagonal(cartan)))
     seen = set(simple)
     frontier = list(simple)
     while frontier:
         nxt = []
         for c in frontier:
-            for i in range(n):
-                # s_i sends coordinate i to c_i - sum_j C[i][j] c_j
-                ci = c[i] - sum(cartan[i][j] * c[j] for j in range(n))
+            for i, neighbours in steps:
+                ci = -c[i]
+                for j, a in neighbours:
+                    ci -= a * c[j]
                 image = c[:i] + (ci,) + c[i + 1 :]
                 if image not in seen:
                     seen.add(image)
@@ -278,19 +309,17 @@ def build(letter: str, rank: int) -> RootSystem:
     for i, j, a, b in _edges(letter, rank):
         c[i - 1][j - 1] = -a
         c[j - 1][i - 1] = -b
-    inv = _invert(c)
+    det, adj = _invert(c)  # adj = det C^-1
     # entrywise nonnegativity of the inverse is what makes the dominance
     # search box below finite; assert it rather than assume it
-    for row in inv:
-        for x in row:
-            _require(x >= 0, "inverse Cartan matrix has a negative entry")
-    ident = [[sum(c[i][k] * inv[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
-    _require(all(ident[i][j] == int(i == j) for i in range(rank) for j in range(rank)), "Cartan inverse check failed")
+    _require(all(x * det >= 0 for row in adj for x in row), "inverse Cartan matrix has a negative entry")
+    ident = [[sum(c[i][k] * adj[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
+    _require(ident == [[det * (i == j) for j in range(rank)] for i in range(rank)], "Cartan inverse check failed")
     return RootSystem(
         letter=letter,
         rank=rank,
         cartan=tuple(tuple(row) for row in c),
-        inverse_cartan=tuple(tuple(row) for row in inv),
+        inverse_cartan=tuple(tuple(Fraction(x, det) for x in row) for row in adj),
         symmetrizer=_symmetrizer(c),
         positive_roots=_saturate_roots(c),
     )
@@ -411,22 +440,27 @@ class OrbitTable(NamedTuple):
 def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
     """The orbit table of a dominant lam, checked on a miss: |W/W_lam| points, found by simple reflections."""
     lam = dominant_weight(rs, lam)
-    alphas = [rs.simple_root(c) for c in range(1, rs.rank + 1)]
+    # s_c subtracts n alpha_c, n = point[c], and alpha_c is column c of the Cartan matrix: coordinate c
+    # becomes -n, each Dynkin neighbour j of c moves by -n C[j][c], and no other coordinate changes
+    steps = list(enumerate(_off_diagonal(zip(*rs.cartan))))
     points = [lam]
     index = {lam: 0}
     words: list[tuple[int, ...]] = [()]
-    refl: list[list[int]] = [[] for _ in alphas]
+    refl: list[list[int]] = [[] for _ in steps]
     for k, point in enumerate(points):  # points grows while it is walked: a breadth-first queue
-        for c, alpha in enumerate(alphas):
+        for c, neighbours in steps:
             n = point[c]
             image = k
             if n:
-                moved = tuple(x - n * a for x, a in zip(point, alpha))
+                moved = list(point)
+                moved[c] = -n
+                for j, a in neighbours:
+                    moved[j] -= n * a
+                moved = tuple(moved)
                 image = index.get(moved)
                 if image is None:
                     image = index[moved] = len(points)
                     points.append(moved)
                     words.append((c + 1,) + words[k])
             refl[c].append(image)
-    pair = tuple(tuple(point[c] for point in points) for c in range(rs.rank))
-    return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), pair, tuple(words))
+    return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), tuple(zip(*points)), tuple(words))

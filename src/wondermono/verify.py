@@ -44,17 +44,22 @@ dominance-order checks each shape dominant_below returns, and on the path
 grid that none is missing: the dominant weights of V(lam), read from the
 character of w0 at lam, are exactly the dominant mu <= lam.  The character is
 built once per weight and run, and path-endpoints reads the same one.
+
+path-demazure compares, for each sampled w, the endpoints of the paths whose
+initial direction lies below w with the Demazure character of w at lam.  The
+paths are grouped by initial direction once per weight, so each w reads one
+Bruhat test per direction class, not per path.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
 from functools import cache, reduce
-from itertools import accumulate, combinations, compress, product
+from itertools import accumulate, chain, combinations, compress, product
 from operator import attrgetter, or_
+from typing import NamedTuple
 
 from .demazure import char_dim, demazure_character, weyl_dim
 from .monomials import (
@@ -112,22 +117,17 @@ BOX_BUDGET = 50_000
 GRID_BUDGET = 10_000
 
 
-@dataclass
-class CheckResult:
-    """One check's outcome.  A dataclass, not a named tuple: it is mutable, and seconds takes no part in ==."""
+class CheckResult(NamedTuple):
+    """One check's outcome, built once when the check ends; seconds takes part in == like every field."""
 
     name: str
     status: str
     detail: str = ""
-    seconds: float = field(default=0.0, compare=False)  # wall time of the check
+    seconds: float = 0.0  # wall time of the check
 
     @property
     def ok(self) -> bool:
         return self.status != "fail"
-
-
-def suite_passed(results) -> bool:
-    return all(r.ok for r in results)
 
 
 class CheckFailure(Exception):
@@ -394,13 +394,23 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         if group.longest not in wsample:
             wsample.append(group.longest)
         for lam in kept:
-            dirs = [initial_direction(group, p) for p in generate_paths(rs, lam)]
+            # the endpoints of the paths with each initial direction, read once per weight
+            ends = defaultdict(list)
+            for p in generate_paths(rs, lam):
+                ends[initial_direction(group, p)].append(p.endpoint())
             for w in wsample:
-                lhs = sum(1 for d in dirs if group.bruhat_leq(d, w))
-                rhs = char_dim(demazure_character(group, w, lam))
+                lhs = Counter(chain.from_iterable(e for d, e in ends.items() if group.bruhat_leq(d, w)))
+                rhs = demazure_character(group, w, lam)
                 if lhs != rhs:
+                    count, dim = lhs.total(), char_dim(rhs)
+                    if count != dim:
+                        raise CheckFailure(
+                            f"{count} paths open below {w.word_str} at {lam}, character dimension {dim}"
+                        )
+                    mu = min(mu for mu in lhs.keys() | rhs.keys() if lhs[mu] != rhs.get(mu, 0))
                     raise CheckFailure(
-                        f"{lhs} paths open below {w.word_str} at {lam}, character dimension {rhs}"
+                        f"weight {mu} ends {lhs[mu]} paths open below {w.word_str} at {lam},"
+                        f" character multiplicity {rhs.get(mu, 0)}"
                     )
         return counted("weights", len(kept), skipped) + f", {len(wsample)} group elements"
 

@@ -35,12 +35,12 @@ WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group.  The group's own entries are the product rows
 read so far (product_row), the lower Bruhat intervals, each built from its
 prefix's by the lifting property (down_mask), the coset tables and the coset
-lists read off them; the higher layers' memoized functions keep theirs there
-too.  Elements point back at their group, so a dropped group waits for the
-cycle collector; verify.run_suite therefore clears its group's memo, and its
-root system's, before it returns.  Built at construction, by element index:
-lengths and inverses (public) and the right multiplication by simple
-reflections.
+lists read off them, and the inverses (public, built on first read); the
+higher layers' memoized functions keep theirs there too.  Elements point
+back at their group, so a dropped group waits for the cycle collector;
+verify.run_suite therefore clears its group's memo, and its root system's,
+before it returns.  Built at construction, by element index: the lengths
+(public) and the right multiplication by simple reflections.
 """
 
 from __future__ import annotations
@@ -112,20 +112,12 @@ class WeylGroup:
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, k, word[::-1]) for k, word in enumerate(table.words)
         )
-        self.lengths: tuple[int, ...] = tuple(el.length for el in self.elements)
+        self.lengths: tuple[int, ...] = tuple(map(len, table.words))
         self.identity = self.elements[0]
         self.longest = self.elements[-1]
         if len(self.elements) > 1 and self.elements[-2].length == self.longest.length:
             raise AssertionError("longest element is not unique")
 
-        # inverse by folding the reversed word from the identity
-        inv = []
-        for el in self.elements:
-            j = 0
-            for letter in reversed(el.word):
-                j = self._rmult[j][letter - 1]
-            inv.append(j)
-        self.inverses: tuple[int, ...] = tuple(inv)
         # the last letter of each word but the identity's, less one: a column of _rmult
         self._last = [el.word[-1] - 1 for el in self.elements[1:]]
 
@@ -169,6 +161,23 @@ class WeylGroup:
         out = [a] * len(self.elements)
         for b, p in enumerate(self._last, 1):
             out[b] = rmult[out[rmult[b][p]]][p]
+        return tuple(out)
+
+    @property
+    def inverses(self) -> tuple[int, ...]:
+        """The index of each element's inverse, by element index: built on first read."""
+        return self._inverses()
+
+    @memoized(lambda group: (group, None))
+    def _inverses(self) -> tuple[int, ...]:
+        """Each inverse by folding the reversed word from the identity."""
+        rmult = self._rmult
+        out = []
+        for el in self.elements:
+            j = 0
+            for letter in reversed(el.word):
+                j = rmult[j][letter - 1]
+            out.append(j)
         return tuple(out)
 
     def inverse(self, u: WeylElement) -> WeylElement:

@@ -1,9 +1,9 @@
 """Shared helpers: cached groups and independent combinatorial oracles.
 
-The raising operator, the brute-force and subword Bruhat oracles, the
+The orbit walk that reflects every coordinate, the raising operator, the brute-force and subword Bruhat oracles, the
 root-sign test for descents, the descent-based coset oracles and the closure
 criterion through group methods live here, not in the package, so the tests
-exercise the shipped lowering operator, Bruhat intervals, descent sets,
+exercise the shipped orbit tables, lowering operator, Bruhat intervals, descent sets,
 orbit-table cosets and index-form closure test against genuinely separate
 implementations.  The scan of every candidate pair is the reference for
 basis_indices' selection by runs of left paths.
@@ -17,7 +17,15 @@ from itertools import chain, compress, product
 from wondermono.monomials import MonomialIndex, candidate_runs, standard_rows
 from wondermono.orbits import OrbitLabel, OrbitPoset
 from wondermono.paths import LSPath, Segment, pair_directions
-from wondermono.rootsys import RootSystem, Weight, dominant_below, from_name, root_combination, support
+from wondermono.rootsys import (
+    OrbitTable,
+    RootSystem,
+    Weight,
+    dominant_below,
+    from_name,
+    root_combination,
+    support,
+)
 from wondermono.weyl import WeylElement, WeylGroup
 
 _GROUPS: dict[str, WeylGroup] = {}
@@ -43,6 +51,33 @@ def memo_contents(*owners) -> list[dict]:
 
 def weight_grid(rank: int, bound: int) -> list[Weight]:
     return [tuple(t) for t in product(range(bound + 1), repeat=rank)]
+
+
+def stepwise_orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
+    """The orbit table of a dominant lam, each reflection s_c(p) = p - p_c alpha_c applied to every coordinate.
+
+    The same breadth-first walk as rootsys.orbit_table, with the simple roots
+    read by simple_root and pair read point by point.
+    """
+    alphas = [rs.simple_root(c) for c in range(1, rs.rank + 1)]
+    points = [lam]
+    index = {lam: 0}
+    words: list[tuple[int, ...]] = [()]
+    refl: list[list[int]] = [[] for _ in alphas]
+    for k, point in enumerate(points):
+        for c, alpha in enumerate(alphas):
+            n = point[c]
+            image = k
+            if n:
+                moved = tuple(x - n * a for x, a in zip(point, alpha))
+                image = index.get(moved)
+                if image is None:
+                    image = index[moved] = len(points)
+                    points.append(moved)
+                    words.append((c + 1,) + words[k])
+            refl[c].append(image)
+    pair = tuple(tuple(point[c] for point in points) for c in range(rs.rank))
+    return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), pair, tuple(words))
 
 
 def canonical_segments(segments) -> tuple[Segment, ...]:
@@ -150,7 +185,8 @@ def all_reduced_words(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]
 def simple_root_negated(group: WeylGroup, u: WeylElement, i: int) -> bool:
     """True when u sends alpha_i to a negative root, read off the roots in weight coordinates."""
     rs = group.rs
-    root_by_weight = {root_combination(rs, root): root for root in rs.roots}
+    roots = [r for root in rs.positive_roots for r in (root, tuple(-c for c in root))]
+    root_by_weight = {root_combination(rs, root): root for root in roots}
     image = root_by_weight[u.act(rs.simple_root(i))]
     return any(c < 0 for c in image)
 

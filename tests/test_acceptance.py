@@ -26,7 +26,7 @@ from wondermono.monomials import (
 )
 from wondermono.orbits import OrbitLabel, closure_leq, stratum_components
 from wondermono.paths import generate_pairs, generate_paths, initial_direction
-from wondermono.rootsys import dominant_below, support
+from wondermono.rootsys import dominant_below
 
 
 @contextmanager

@@ -1,4 +1,4 @@
-"""Modules of the package import only from layers below their own, and read every name they import.
+"""Modules of the package import only from layers below their own; they and the tests read every name they import.
 
 The package root exports a fixed list of names, and every name the benchmark
 workloads read from it is among them.
@@ -7,6 +7,8 @@ workloads read from it is among them.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,10 @@ import wondermono
 LAYERS = ("rootsys", "weyl", "paths", "demazure", "orbits", "monomials", "verify", "cli")
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wondermono"
+# each module of the package by its name, each test module by tests/<name>
+SOURCES = {name: PACKAGE / f"{name}.py" for name in LAYERS + ("__main__",)} | {
+    f"tests/{path.stem}": path for path in sorted((ROOT / "tests").glob("*.py"))
+}
 
 
 def package_imports(tree: ast.Module) -> set[str]:
@@ -47,9 +53,9 @@ def test_imports_point_down_the_chain(name):
     assert upward == [], f"{name} imports {upward}, which are not below it in {' -> '.join(LAYERS)}"
 
 
-@pytest.mark.parametrize("name", LAYERS + ("__main__",))
+@pytest.mark.parametrize("name", SOURCES)
 def test_every_imported_name_is_read(name):
-    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[name].read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -94,7 +100,6 @@ PUBLIC = [
     "run_suite",
     "schubert_pairs",
     "stratum_components",
-    "suite_passed",
     "weyl_dim",
     "weyl_group",
 ]
@@ -116,3 +121,13 @@ def test_benchmark_workloads_read_only_exported_names():
                 read.add(node.attr)
     assert read, "the workloads read no wm.<name>"
     assert sorted(read - set(wondermono.__all__)) == []
+
+
+def test_the_command_line_imports_no_dataclasses_or_inspect():
+    # a fresh isolated interpreter without site, so nothing but the package's own imports can load them
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import wondermono.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -115,7 +115,7 @@ def test_run_suite_leaves_no_interval_on_its_group(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(verify, "WeylGroup", record)
-    assert verify.suite_passed(verify.run_suite("A", 2, 1))
+    assert all(r.ok for r in verify.run_suite("A", 2, 1))
     (group,) = built
     assert [key for key, value in vars(group).items() if isinstance(value, dict) and value] == []
 
@@ -154,6 +154,9 @@ def test_memo_does_not_change_root_system_identity():
     generate_paths(rs, (1, 0))
     assert rs == from_name("G2") and hash(rs) == hash(from_name("G2"))
     assert "generate_paths" not in from_name("G2").memo
+    # == and hash read the six data fields, as a tuple of them would
+    data = (rs.letter, rs.rank, rs.cartan, rs.inverse_cartan, rs.symmetrizer, rs.positive_roots)
+    assert hash(rs) == hash(data) and rs != data and rs != from_name("A2")
 
 
 def test_no_module_level_functools_cache():

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import canonical_segments, descent_min_reps, group_of, root_raise, weight_grid
+from conftest import canonical_segments, descent_min_reps, group_of, root_raise, stepwise_orbit_table, weight_grid
 
 from wondermono import paths, rootsys
 from wondermono.demazure import weyl_dim
@@ -489,6 +489,18 @@ def test_orbit_table_reflects_and_pairs():
             assert table.pair[c][k] == p[c]
             reflected = tuple(x - p[c] * a for x, a in zip(p, alpha))
             assert table.points[table.refl[c][k]] == reflected
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"])
+def test_orbit_table_matches_the_stepwise_oracle(name):
+    # the grid of coordinates <= 2 holds rho and every lam_J (0 on J, 1 elsewhere); a fresh root system
+    # builds each table here
+    rs = from_name(name)
+    for lam in weight_grid(rs.rank, 2):
+        table, oracle = rootsys.orbit_table(rs, lam), stepwise_orbit_table(rs, lam)
+        for field in table._fields:
+            assert getattr(table, field) == getattr(oracle, field), (lam, field)
+        assert list(table.index) == list(oracle.index)
 
 
 @pytest.mark.parametrize("name, shape", [("B2", (0, 1)), ("G2", (1, 0)), ("A3", (1, 0, 1)), ("C3", (0, 2, 0))])

@@ -14,7 +14,7 @@ from conftest import weight_grid
 from wondermono import cli, monomials, orbits, paths, rootsys, verify, weyl
 from wondermono.orbits import build_poset
 from wondermono.rootsys import exponent_bounds, from_name
-from wondermono.verify import run_suite, suite_passed
+from wondermono.verify import run_suite
 from wondermono.weyl import WeylGroup
 
 
@@ -34,7 +34,7 @@ def test_box_budget_skips_weights_before_enumerating(monkeypatch):
     assert detail["basis-counts"] == note
     # once per weight within budget, never on a skipped one
     assert sorted(calls) == sorted(set(grid) - over)
-    assert suite_passed(results)
+    assert all(r.ok for r in results)
 
 
 def test_grid_budget_refuses_before_building_the_grid(capsys):
@@ -377,6 +377,25 @@ def test_path_demazure_fails_when_every_path_opens_at_the_identity(monkeypatch):
     result = {r.name: r for r in run_suite("A", 2, 1)}["path-demazure"]
     assert result.status == "fail"
     assert result.detail == "3 paths open below e at (0, 1), character dimension 1"
+
+
+def test_path_demazure_fails_when_two_paths_swap_their_initial_directions(monkeypatch):
+    # A2 (1, 1)'s straight path opens at w0 and its lowest path at e: the multiset of directions, and so
+    # every count below an element, is unchanged, and only the characters tell
+    real = paths.initial_direction
+
+    def swapped(group, p):
+        got = real(group, p)
+        if p.shape == (1, 1) and len(p.dirs) == 1 and got in (group.identity, group.longest):
+            return group.longest if got is group.identity else group.identity
+        return got
+
+    for module in (paths, monomials, verify):
+        monkeypatch.setattr(module, "initial_direction", swapped)
+    results = {r.name: r for r in run_suite("A", 2, 2)}
+    assert [name for name, r in results.items() if not r.ok] == ["path-demazure"]
+    detail = "weight (-1, -1) ends 1 paths open below e at (1, 1), character multiplicity 0"
+    assert results["path-demazure"].detail == detail
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

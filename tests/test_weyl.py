@@ -17,6 +17,7 @@ from conftest import (
     subword_down,
 )
 
+from wondermono.paths import generate_paths, initial_direction
 from wondermono.weyl import WeylGroup
 from wondermono.rootsys import from_name, orbit_table
 
@@ -112,6 +113,17 @@ def test_inverse():
         for el in g.elements:
             assert g.multiply(el, g.inverse(el)) == g.identity
             assert g.inverse(el).length == el.length
+
+
+def test_a_fresh_group_builds_its_inverses_on_first_read():
+    g = WeylGroup(from_name("B3"))
+    for p in generate_paths(g.rs, (1, 0, 1)):
+        initial_direction(g, p)
+    assert "_inverses" not in g.memo  # the path model never reads them
+    inverses = g.inverses
+    assert g.memo["_inverses"] == {None: inverses}
+    assert g.inverses is inverses
+    assert [g.multiply(el, g.elements[inverses[el.index]]) for el in g.elements] == [g.identity] * len(g)
 
 
 def test_descents():
