@@ -23,7 +23,7 @@ from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, pair_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
 from .paths import generate_paths, initial_direction
-from .rootsys import RootSystem, RootSystemError, build, is_dominant, orbit_table
+from .rootsys import RootSystem, dominant_weight, from_name, orbit_table
 from .verify import run_suite
 from .weyl import WeylElement, WeylGroup
 
@@ -43,8 +43,8 @@ PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000
 
 
-class CLIError(Exception):
-    pass
+class CLIError(ValueError):
+    """A refusal worded by the command line itself; main reports it like any library ValueError."""
 
 
 def _check_budget(what: str, size: int, budget: int) -> None:
@@ -58,33 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _parse_group_name(name: str) -> tuple[str, int]:
-    typed = name.strip()
-    name = typed.upper()
-    if not (name[1:].isascii() and name[1:].isdigit()):
-        raise CLIError(f"malformed group name {typed!r}, expected letter plus rank like A2")
-    return name[0], int(name[1:])
-
-
 def _group(name: str) -> WeylGroup:
-    letter, rank = _parse_group_name(name)
-    try:
-        return WeylGroup(build(letter, rank))
-    except RootSystemError as exc:
-        raise CLIError(str(exc)) from exc
+    return WeylGroup(from_name(name))
 
 
 def _weight(text: str, rs: RootSystem) -> tuple[int, ...]:
-    toks = text.replace(",", " ").split()
     try:
-        lam = tuple(int(t) for t in toks)
+        lam = tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError as exc:
         raise CLIError(f"malformed weight {text!r}") from exc
-    if len(lam) != rs.rank:
-        raise CLIError(f"weight {text!r} has {len(lam)} coordinates, rank is {rs.rank}")
-    if not is_dominant(lam):
-        raise CLIError(f"weight {lam} is not dominant")
-    return lam
+    return dominant_weight(rs, lam)
 
 
 def _word(text: str, group: WeylGroup) -> WeylElement:
@@ -98,10 +81,7 @@ def _word(text: str, group: WeylGroup) -> WeylElement:
         if not (tok.startswith("s") and tok[1:].isdigit()):
             raise CLIError(f"malformed word token {tok!r}, expected s1..s{group.rank}")
         letters.append(int(tok[1:]))
-    try:
-        return group.from_word(tuple(letters))
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    return group.from_word(tuple(letters))
 
 
 def _orbit(text: str, group: WeylGroup) -> OrbitLabel:
@@ -123,10 +103,7 @@ def _orbit(text: str, group: WeylGroup) -> OrbitLabel:
         raise CLIError(f"malformed stratum {fields['I']!r}") from exc
     x = _word(fields["x"], group)
     w = _word(fields["w"], group)
-    try:
-        return OrbitLabel(stratum, x, w)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    return OrbitLabel(stratum, x, w)
 
 
 def _write(out: str | None, chunks) -> None:
@@ -231,10 +208,7 @@ def _relation_columns(poset: OrbitPoset, heads: list[str], tails: list[str]):
 
 def cmd_poset(args) -> int:
     group = _group(args.group)
-    try:
-        poset = build_poset(group)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    poset = build_poset(group)
     if args.count_only:
         _write(args.out, [f"{len(poset)}\n"])
         return 0
@@ -358,11 +332,8 @@ def cmd_monomials(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    letter, rank = _parse_group_name(args.group)
-    try:
-        results = run_suite(letter, rank, args.max_weight)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    rs = from_name(args.group)
+    results = run_suite(rs.letter, rs.rank, args.max_weight)
     lines = []
     for r in results:
         tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[r.status]
@@ -430,7 +401,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
+    except ValueError as exc:  # a CLIError, or a refusal by the library
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

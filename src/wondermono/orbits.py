@@ -81,7 +81,7 @@ class OrbitLabel(_LabelFields):
 
     A named tuple: it compares and hashes as (stratum, x, w), in C.  The
     constructor, and so _make and _replace, checks the label;
-    OrbitPoset.build makes its labels, valid by construction, by tuple.__new__.
+    build_poset makes its labels, valid by construction, by tuple.__new__.
     """
 
     __slots__ = ()
@@ -230,69 +230,6 @@ class OrbitPoset:
         self._layers: list[int] | None = None
         self._neg_dims: list[int] = []
 
-    @classmethod
-    def build(cls, group: WeylGroup, max_labels: int | None = None) -> "OrbitPoset":
-        limit = cls.MAX_LABELS if max_labels is None else max_labels
-        subsets = group.subsets()
-        n_w = len(group)
-        total = sum(len(group.min_coset_reps(I)) for I in subsets) * n_w
-        if total > limit:
-            raise ValueError(
-                f"orbit poset of {group.rs.name} has {total} labels, beyond the supported envelope ({limit})"
-            )
-
-        labels: list[OrbitLabel] = []
-        base: dict[frozenset[int], int] = {}
-        for I in subsets:
-            base[I] = len(labels)
-            # x runs over W^I, so every label is valid by construction and is made in C, unchecked
-            fields = product((I,), group.min_coset_reps(I), group.elements)
-            labels.extend(map(tuple.__new__, repeat(OrbitLabel), fields))
-
-        # the group's own index tables; the build reads every product row
-        eldown = [group.down_mask(el) for el in group.elements]
-        lengths, inv = group.lengths, group.inverses
-        mult = [group.product_row(a) for a in range(n_w)]
-        # per u, the reader of byte w'u for every w': a lower interval read through right multiplication by u
-        times_u = [bit_reader([row[u] for row in mult]) for u in range(n_w)]
-
-        parab_idx = {I: [el.index for el in group.parabolic_elements(I)] for I in subsets}
-        # for each stratum J, its subsets I with the elements of W_J minimal for W / W_I
-        parmin_idx = {
-            J: [(I, [v.index for v in group.parabolic_min_reps(J, I)]) for I in subsets if I <= J] for J in subsets
-        }
-
-        @cache
-        def admitted_w(u_i: int, wv_i: int) -> int:
-            # bits of w' with w' u inside the lower interval of wv
-            return mask_from_bytes(times_u[u_i](mask_bytes(eldown[wv_i], n_w)))
-
-        @cache
-        def blocks(I: frozenset[int], y_i: int) -> int:
-            # bit xpos * n_w for each x' at position xpos of W^I with y <= x': one slot per W-block of stratum I
-            reps = group.min_coset_reps(I)
-            return sum(1 << (xpos * n_w) for xpos, xp in enumerate(reps) if eldown[xp.index] >> y_i & 1)
-
-        down = []
-        for z2 in labels:
-            x_i = z2.x.index
-            w_i = z2.w.index
-            acc = 0
-            for I, min_reps in parmin_idx[z2.stratum]:
-                offset = base[I]
-                for v_i in min_reps:
-                    wv = mult[w_i][v_i]
-                    if lengths[wv] != lengths[w_i] + lengths[v_i]:
-                        continue
-                    xv = mult[x_i][v_i]
-                    for u_i in parab_idx[I]:
-                        # admitted_w < 2**n_w, so the product has no carries: one copy of it per selected block
-                        acc |= (blocks(I, mult[xv][inv[u_i]]) * admitted_w(u_i, wv)) << offset
-            down.append(acc)
-
-        dims = [dimension(z) for z in labels]
-        return cls(group, tuple(labels), down, base, dims)
-
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -426,4 +363,64 @@ class OrbitPoset:
 
 
 def build_poset(group: WeylGroup, max_labels: int | None = None) -> OrbitPoset:
-    return OrbitPoset.build(group, max_labels)
+    """Every orbit label of group with its down-set bitmask, refused past max_labels (OrbitPoset.MAX_LABELS by default)."""
+    limit = OrbitPoset.MAX_LABELS if max_labels is None else max_labels
+    subsets = group.subsets()
+    n_w = len(group)
+    total = sum(len(group.min_coset_reps(I)) for I in subsets) * n_w
+    if total > limit:
+        raise ValueError(
+            f"orbit poset of {group.rs.name} has {total} labels, beyond the supported envelope ({limit})"
+        )
+
+    labels: list[OrbitLabel] = []
+    base: dict[frozenset[int], int] = {}
+    for I in subsets:
+        base[I] = len(labels)
+        # x runs over W^I, so every label is valid by construction and is made in C, unchecked
+        fields = product((I,), group.min_coset_reps(I), group.elements)
+        labels.extend(map(tuple.__new__, repeat(OrbitLabel), fields))
+
+    # the group's own index tables; the build reads every product row
+    eldown = [group.down_mask(el) for el in group.elements]
+    lengths, inv = group.lengths, group.inverses
+    mult = [group.product_row(a) for a in range(n_w)]
+    # per u, the reader of byte w'u for every w': a lower interval read through right multiplication by u
+    times_u = [bit_reader([row[u] for row in mult]) for u in range(n_w)]
+
+    parab_idx = {I: [el.index for el in group.parabolic_elements(I)] for I in subsets}
+    # for each stratum J, its subsets I with the elements of W_J minimal for W / W_I
+    parmin_idx = {
+        J: [(I, [v.index for v in group.parabolic_min_reps(J, I)]) for I in subsets if I <= J] for J in subsets
+    }
+
+    @cache
+    def admitted_w(u_i: int, wv_i: int) -> int:
+        # bits of w' with w' u inside the lower interval of wv
+        return mask_from_bytes(times_u[u_i](mask_bytes(eldown[wv_i], n_w)))
+
+    @cache
+    def blocks(I: frozenset[int], y_i: int) -> int:
+        # bit xpos * n_w for each x' at position xpos of W^I with y <= x': one slot per W-block of stratum I
+        reps = group.min_coset_reps(I)
+        return sum(1 << (xpos * n_w) for xpos, xp in enumerate(reps) if eldown[xp.index] >> y_i & 1)
+
+    down = []
+    for z2 in labels:
+        x_i = z2.x.index
+        w_i = z2.w.index
+        acc = 0
+        for I, min_reps in parmin_idx[z2.stratum]:
+            offset = base[I]
+            for v_i in min_reps:
+                wv = mult[w_i][v_i]
+                if lengths[wv] != lengths[w_i] + lengths[v_i]:
+                    continue
+                xv = mult[x_i][v_i]
+                for u_i in parab_idx[I]:
+                    # admitted_w < 2**n_w, so the product has no carries: one copy of it per selected block
+                    acc |= (blocks(I, mult[xv][inv[u_i]]) * admitted_w(u_i, wv)) << offset
+        down.append(acc)
+
+    dims = [dimension(z) for z in labels]
+    return OrbitPoset(group, tuple(labels), down, base, dims)

@@ -63,58 +63,39 @@ def _require(cond: bool, msg: str) -> None:
 def memoized(owner_key=None):
     """Keep fn's results in a table on the object they are derived from.
 
-    The result is stored in owner.memo[fn.__name__][key], so it is freed
-    together with its owner.  Without owner_key, fn is called as fn(owner, key)
-    and a hit is one dict lookup on the key as given; a key that cannot be
-    hashed, such as a list weight, is looked up and stored as its tuple, and a
-    miss passes fn the caller's own key, so a refusal names it.  With
-    owner_key, owner_key(*args) returns (owner, key) and fn(*args) is stored.
-    cache_info() counts hits and misses over all owners, as functools does; a
-    stored None is a hit like any other value.
+    The result of fn(*args) is stored in owner.memo[fn.__name__][key], so it
+    is freed together with its owner.  (owner, key) is owner_key(*args) when
+    owner_key is given, and the call's two arguments otherwise.  A key that
+    cannot be hashed, such as a list weight, is looked up and stored as its
+    tuple; a miss passes fn the caller's own arguments, so a refusal names
+    them.  cache_info() counts hits and misses over all owners, as functools
+    does; a stored None is a hit like any other value.
     """
 
     def decorate(fn):
         hits = misses = 0  # cells, not attributes: a hit costs one increment
         name = fn.__name__
 
-        if owner_key is None:
-
-            @wraps(fn)
-            def wrapper(owner, key):
-                nonlocal hits, misses
-                table = owner.memo[name]
-                try:
-                    got = table[key]
-                    hits += 1
-                    return got
-                except KeyError:
-                    slot = key
-                except TypeError:  # an unhashable key: a list weight
-                    slot = tuple(key)
-                    if slot in table:
-                        hits += 1
-                        return table[slot]
-                # fn runs outside the handlers, so its own exceptions carry no KeyError context
-                misses += 1
-                got = table[slot] = fn(owner, key)
+        @wraps(fn)
+        def wrapper(*args):
+            nonlocal hits, misses
+            owner, key = args if owner_key is None else owner_key(*args)
+            table = owner.memo[name]
+            try:
+                got = table[key]
+                hits += 1
                 return got
-
-        else:
-
-            @wraps(fn)
-            def wrapper(*args):
-                nonlocal hits, misses
-                owner, key = owner_key(*args)
-                table = owner.memo[name]
-                try:
-                    got = table[key]
+            except KeyError:
+                slot = key
+            except TypeError:  # an unhashable key: a list weight
+                slot = tuple(key)
+                if slot in table:
                     hits += 1
-                    return got
-                except KeyError:
-                    pass
-                misses += 1
-                got = table[key] = fn(*args)
-                return got
+                    return table[slot]
+            # fn runs outside the handlers, so its own exceptions carry no KeyError context
+            misses += 1
+            got = table[slot] = fn(*args)
+            return got
 
         wrapper.cache_info = lambda: SimpleNamespace(hits=hits, misses=misses)
         return wrapper
@@ -333,7 +314,7 @@ def from_name(name: str) -> RootSystem:
     """
     name = name.strip()
     letter, rank = name[:1], name[1:]
-    _require(rank.isascii() and rank.isdigit(), f"cannot parse group name {name!r} (expected e.g. A2, B3, G2)")
+    _require(rank.isascii() and rank.isdigit(), f"malformed group name {name!r}, expected letter plus rank like A2")
     # a letter whose upper case is no type letter ('x', or 'ß', which upper-cases to 'SS') is refused as passed
     upper = letter.upper()
     return build(upper if upper in _VALID_RANKS else letter, int(rank))

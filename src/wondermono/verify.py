@@ -504,6 +504,8 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
 
     def check_basis_counts():
         flag_stratum = OrbitLabel(frozenset(), group.identity, group.longest)
+        # the dense orbits of the other G x G-orbit closures: each one's standard table is full too
+        between = [OrbitLabel(I, group.identity, group.longest) for I in group.subsets() if 0 < len(I) < rank]
         kept, skipped = within_budget(candidate_total, COUNT_BUDGET, "counting")
         for lam, expected in kept.items():
             got = len(basis_indices(top, lam))
@@ -515,6 +517,10 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
                 raise CheckFailure(
                     f"{closed_got} indices on the closed stratum at {lam}, expected {closed_expected}"
                 )
+            for z in between:
+                got, want = len(basis_indices(z, lam)), candidate_count(z, lam)
+                if got != want:
+                    raise CheckFailure(f"{got} indices on the closure of {z} at {lam}, expected {want}")
         return counted("weights", len(kept), skipped)
 
     def check_graded_tables():

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, compress, product
 
 from wondermono.monomials import MonomialIndex, candidate_runs, standard_rows
-from wondermono.orbits import OrbitLabel, OrbitPoset
+from wondermono.orbits import OrbitLabel, OrbitPoset, build_poset
 from wondermono.paths import LSPath, Segment, pair_directions
 from wondermono.rootsys import (
     OrbitTable,
@@ -40,7 +40,7 @@ def group_of(name: str) -> WeylGroup:
 
 def poset_of(name: str) -> OrbitPoset:
     if name not in _POSETS:
-        _POSETS[name] = OrbitPoset.build(group_of(name))
+        _POSETS[name] = build_poset(group_of(name))
     return _POSETS[name]
 
 

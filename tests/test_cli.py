@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import poset_of
+from conftest import group_of, poset_of
 
 from wondermono import cli
 from wondermono.cli import main
+from wondermono.orbits import OrbitLabel, build_poset
 from wondermono.paths import generate_paths, initial_direction
-from wondermono.rootsys import from_name
+from wondermono.rootsys import dominant_weight, from_name
 from wondermono.verify import run_suite
 
 
@@ -290,13 +291,73 @@ def test_bad_inputs(capsys):
         assert err.startswith("error:"), (argv, err)
 
 
-# a lower-case name is reported as typed, not upper-cased
-@pytest.mark.parametrize("name", ["A\u00b2", "A\u0662", "a\u00b2", "\u00df2"])
+# rootsys.from_name words every refusal, with the name as typed, not upper-cased.  Sharp s plus a digit
+# is a letter and a rank, so it is refused as a type letter, which its upper case "SS" is not either
+GROUP_NAME_REFUSALS = {
+    name: f"malformed group name {name!r}, expected letter plus rank like A2"
+    for name in ("A\u00b2", "A\u0662", "a\u00b2")
+} | {"\u00df2": "unknown type letter '\u00df' (expected one of A B C D F G)"}
+
+
+@pytest.mark.parametrize("name", list(GROUP_NAME_REFUSALS))
 @pytest.mark.parametrize("argv", [("paths", "--weight", "1 0", "--count-only"), ("verify",)], ids=["paths", "verify"])
 def test_group_name_takes_ascii_digits_only(capsys, argv, name):
     rc, out, err = run(capsys, argv[0], "--group", name, *argv[1:])
     assert (rc, out) == (1, "")
-    assert err == f"error: malformed group name {name!r}, expected letter plus rank like A2\n"
+    assert err == f"error: {GROUP_NAME_REFUSALS[name]}\n"
+
+
+# each kind of refusal, with the call whose ValueError words it: the library's own, or the CLI's envelope
+@pytest.mark.parametrize(
+    "argv, refuse",
+    [
+        (("paths", "--group", "Q2", "--weight", "1"), lambda: from_name("Q2")),
+        (("paths", "--group", "A2", "--weight", "1 2 3"), lambda: dominant_weight(from_name("A2"), (1, 2, 3))),
+        (("paths", "--group", "A2", "--weight", "1,-1"), lambda: dominant_weight(from_name("A2"), (1, -1))),
+        (
+            ("monomials", "--group", "A2", "--weight", "1 1", "--orbit", "I=;x=s3;w=e"),
+            lambda: group_of("A2").from_word((3,)),
+        ),
+        (
+            ("monomials", "--group", "A2", "--weight", "1 1", "--orbit", "I=1;x=s1;w=e"),
+            lambda: OrbitLabel({1}, group_of("A2").from_word((1,)), group_of("A2").identity),
+        ),
+        (("poset", "--group", "F4", "--count-only"), lambda: build_poset(group_of("F4"))),
+        # V(3 rho) has dimension 4 ** N, N = 16 positive roots of B4
+        (
+            ("paths", "--group", "B4", "--weight", "3 3 3 3"),
+            lambda: cli._check_budget("the number of paths of (3, 3, 3, 3) on B4 is", 4**16, cli.PATH_BUDGET),
+        ),
+        (("verify", "--group", "F4", "--max-weight", "10"), lambda: run_suite("F", 4, 10)),
+        (("verify", "--group", "A2", "--max-weight", "-1"), lambda: run_suite("A", 2, -1)),
+    ],
+    ids=[
+        "group-name",
+        "weight-length",
+        "non-dominant-weight",
+        "word",
+        "orbit-label",
+        "poset-cap",
+        "paths-envelope",
+        "grid-budget",
+        "negative-max-weight",
+    ],
+)
+def test_every_refusal_is_one_error_line(capsys, argv, refuse):
+    with pytest.raises(ValueError) as refusal:
+        refuse()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (1, "", f"error: {refusal.value}\n")
+    assert err.count("\n") == 1
+
+
+def test_an_error_that_is_no_refusal_is_not_caught(monkeypatch):
+    def broken(group):
+        raise TypeError("a fault, not a refusal")
+
+    monkeypatch.setattr(cli, "build_poset", broken)
+    with pytest.raises(TypeError, match="a fault, not a refusal"):
+        main(["poset", "--group", "A2"])
 
 
 def test_paths_over_budget_rejected_before_enumeration(capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import group_of, memo_contents, poset_of, scanned_basis, weight_grid
 
+import wondermono
 from wondermono import monomials, verify
 from wondermono.demazure import demazure_character, weyl_dim
 from wondermono.monomials import (
@@ -535,6 +536,22 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         for call in refusing:
             call((1, 1))  # every memo now holds the key of (1, 1)
         finds_key.update({cosets: tuple(lam) == (1, 1), denominator: tuple(lam) == (1, 1)})
+
+
+@pytest.mark.parametrize(
+    "name", ["generate_paths", "generate_pairs", "basis_indices", "graded_counts", "dominant_below", "weyl_dim"]
+)
+def test_exported_weight_entry_points_refuse_a_float_weight_when_warm(name):
+    # each checks its weight before any memo lookup.  coset_table, shape_denominator, path_directions,
+    # shapes_below and shape_classes check it on a miss only: a warm (1, 1) answers them for (1.0, 1)
+    rs = from_name("A2")
+    g = WeylGroup(rs)
+    top = OrbitLabel(frozenset({1, 2}), g.identity, g.longest)
+    owner = {"generate_pairs": g, "basis_indices": top, "graded_counts": top}.get(name, rs)
+    call = partial(getattr(wondermono, name), owner)
+    call((1, 1))
+    with pytest.raises(RootSystemError, match=re.escape("weight (1.0, 1) has a coordinate that is not an integer")):
+        call((1.0, 1))
 
 
 def test_labels_share_their_indices():

@@ -479,6 +479,23 @@ def test_a_walk_started_one_layer_too_low_is_caught(monkeypatch):
         return real(self, mask, None if start is None else start - 1)
 
     monkeypatch.setattr(OrbitPoset, "_maximal_bits", one_layer_low)
-    poset = OrbitPoset.build(group_of("B2"))
+    poset = build_poset(group_of("B2"))
     assert set(poset.cover_pairs()) != flat_covers(poset)
     assert meet_mismatches(poset, walk_pairs(poset))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+def test_every_interval_of_the_closure_order_is_eulerian(name):
+    # as in Bruhat order, every strict interval [z1, z2] has as many labels of even dimension as of odd
+    poset = poset_of(name)
+    n = len(poset)
+    down = poset.down_masks()
+    rows = bytearray(n * n)  # row i marks the down-set of label i, so column j marks the up-set of label j
+    for i, mask in enumerate(down):
+        rows[i * n : (i + 1) * n] = mask_bytes(mask, n)
+    up = [mask_from_bytes(rows[j::n]) for j in range(n)]
+    even = mask_from_bytes([dimension(z) % 2 == 0 for z in poset.labels])
+    for j in range(n):
+        for i in bits(up[j] & ~(1 << j)):
+            interval = down[i] & up[j]
+            assert (interval & even).bit_count() * 2 == interval.bit_count(), (poset.labels[j], poset.labels[i])

@@ -69,7 +69,9 @@ def test_from_name_reports_the_letter_as_passed(name, letter):
 @pytest.mark.parametrize("name", ["A\u00b2", "A\u0662"])
 def test_from_name_takes_ascii_digits_only(name):
     # superscript two passes str.isdigit but not int(); Arabic-Indic two passes both
-    with pytest.raises(RootSystemError, match="cannot parse group name"):
+    # worded as the command line reports it: from_name is its one group-name gate
+    message = f"malformed group name {name!r}, expected letter plus rank like A2"
+    with pytest.raises(RootSystemError, match=f"^{re.escape(message)}$"):
         from_name(name)
 
 
@@ -280,7 +282,7 @@ def refusal_sites(path: Path) -> list[str]:
 
 
 def test_weight_refusals_are_worded_only_by_the_checkers():
-    # rootsys.rank_weight and dominant_weight are the one weight gate; cli._weight parses the command
-    # line before it and keeps its own messages.  A check copied anywhere else would bring its words.
+    # rootsys.rank_weight and dominant_weight are the one weight gate, the command line's included: cli._weight
+    # only tokenizes before it.  A check copied anywhere else would bring its words.
     sites = [site for path in sorted(PACKAGE.glob("*.py")) for site in refusal_sites(path)]
-    assert sorted(set(sites)) == ["cli._weight", "rootsys.dominant_weight", "rootsys.rank_weight"]
+    assert sorted(set(sites)) == ["rootsys.dominant_weight", "rootsys.rank_weight"]

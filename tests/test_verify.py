@@ -194,8 +194,17 @@ def test_dominance_order_fails_when_dominant_below_drops_its_last_shape(
             "orbit-census",
             "60 labels, index formula gives 78",
         ),
+        # the component (w0, w0) of the dense orbit [{1},e,w0] of a G x G-orbit closure, dropped in the library's route
+        (
+            monomials,
+            "schubert_pairs",
+            lambda real: lambda z: tuple(p for p in real(z) if z.stratum != {1} or p != (z.group.longest,) * 2),
+            "A",
+            "basis-counts",
+            "0 indices on the closure of [{1},e,s1 s2 s1] at (0, 0), expected 1",
+        ),
     ],
-    ids=["root-dropped", "symmetrizer-trivial", "group-as-singular-orbit", "coset-rep-dropped"],
+    ids=["root-dropped", "symmetrizer-trivial", "group-as-singular-orbit", "coset-rep-dropped", "closure-pair-dropped"],
 )
 def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, name, mutate, letter, check, detail):
     # the mutation breaks more than one check; only the named one's detail is pinned
