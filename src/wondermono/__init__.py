@@ -43,14 +43,9 @@ from .rootsys import (
     is_dominant,
 )
 from .verify import CheckResult, run_suite
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, weyl_group
 
 __version__ = "0.1.0"
-
-
-def weyl_group(name: str) -> WeylGroup:
-    """Weyl group of the named root system."""
-    return WeylGroup(from_name(name))
 
 
 __all__ = [

@@ -49,7 +49,7 @@ from collections import defaultdict
 from itertools import combinations
 from operator import attrgetter
 
-from .rootsys import RootSystem, Weight, dominant_weight, memoized, orbit_table, rank_weight
+from .rootsys import RootSystem, Weight, dominant_weight, from_name, memoized, orbit_table, rank_weight
 
 
 def bits(mask: int) -> list[int]:
@@ -285,3 +285,7 @@ class WeylGroup:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeylGroup({self.rs.name}, order={len(self.elements)})"
 
+
+def weyl_group(name: str) -> WeylGroup:
+    """Weyl group of the named root system."""
+    return WeylGroup(from_name(name))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -382,6 +384,16 @@ def test_paths_count_only_is_the_model_size(capsys, name, weight):
     assert rc == 0 and out == f"{len(generate_paths(from_name(name), tuple(map(int, weight.split()))))}\n"
 
 
+def test_monomials_count_only_builds_no_index(capsys, monkeypatch):
+    # the count is the graded table's total; the basis indices are never built
+    def refuse(*args):
+        raise AssertionError("basis_indices called for a count")
+
+    monkeypatch.setattr(cli, "basis_indices", refuse)
+    rc, out, err = run(capsys, "monomials", "--group", "A1", "--weight", "2", "--orbit", "I=1;x=e;w=w0", "--count-only")
+    assert (rc, out, err) == (0, "10\n", "")
+
+
 def test_monomials_over_budget_rejected_before_enumeration(capsys):
     # the shape lam alone is over budget: refused before the shapes below it are listed
     rc, out, err = run(capsys, "monomials", "--group", "B4", "--weight", "3 3 3 3", "--orbit", "I=;x=e;w=e")
@@ -452,6 +464,17 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rc, out, _ = run(capsys, "poset", "--group", "A1")
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("poset", "--group", "A1"), ("paths", "--group", "A1", "--weight", "1"), ("verify", "--group", "A1")],
+    ids=["poset", "paths", "verify"],
+)
+def test_out_path_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert (rc, out, err) == (1, "", f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n")
 
 
 def test_full_order_out_file_matches_stdout(tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from wondermono import cli, monomials, orbits, paths, rootsys, verify, weyl
 from wondermono.orbits import build_poset
 from wondermono.rootsys import exponent_bounds, from_name
 from wondermono.verify import run_suite
-from wondermono.weyl import WeylGroup
+from wondermono.weyl import WeylGroup, bits
 
 
 def test_box_budget_skips_weights_before_enumerating(monkeypatch):
@@ -302,6 +304,34 @@ def test_poset_axioms_fail_on_a_cleared_transitive_bit(monkeypatch):
     result = {r.name: r for r in run_suite("A", 2, 1)}["poset-axioms"]
     assert result.status == "fail"
     assert result.detail == "transitivity fails under [{1,2},e,s1 s2 s1] via [{},e,e]"
+
+
+def test_poset_checks_called_alone_give_the_suite_detail(monkeypatch):
+    # an A2 poset without the bottom under the top; each check sees it alone, then the suite sees it from build_poset
+    real = verify.build_poset
+
+    def without_bottom_under_top(group):
+        p = real(group)
+        p._down[p.index[p.maximum]] &= ~(1 << p.index[p.minimum])
+        return p
+
+    p = without_bottom_under_top(WeylGroup(from_name("A2")))
+    strict = [d & ~(1 << i) for i, d in enumerate(p.down_masks())]
+    beneath = [reduce(or_, (strict[j] for j in bits(s)), 0) for s in strict]
+    alone = {}
+    for name, check in [
+        ("closure-crosscheck", lambda: verify.check_closure_crosscheck(p)),
+        ("poset-axioms", lambda: verify.check_poset_axioms(p, strict, beneath)),
+    ]:
+        with pytest.raises(verify.CheckFailure) as failure:
+            check()
+        alone[name] = str(failure.value)
+    assert alone == {
+        "closure-crosscheck": "direct criterion and poset disagree on [{},s1 s2 s1,e] <= [{1,2},e,s1 s2 s1]",
+        "poset-axioms": "transitivity fails under [{1,2},e,s1 s2 s1] via [{},e,e]",
+    }
+    monkeypatch.setattr(verify, "build_poset", without_bottom_under_top)
+    assert {r.name: r.detail for r in run_suite("A", 2, 1) if r.name in alone} == alone
 
 
 def test_poset_checks_fail_when_two_labels_lie_below_each_other(monkeypatch):
