@@ -3,7 +3,8 @@
 Four subcommands: poset, paths, monomials, verify.  Output is deterministic
 byte for byte, weights are always fundamental-weight coordinate arrays, and
 group elements appear as canonical reduced words like "s1 s2".  Exit codes:
-0 success, 1 bad input or unsupported request, 2 verification failure.
+0 success, 1 bad input, unsupported request or a reader that closed stdout
+early, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -102,14 +104,43 @@ def _orbit(text: str, group: WeylGroup) -> OrbitLabel:
     return OrbitLabel(stratum, x, w)
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out path that cannot be opened for writing before any work is done, changing no file.
+
+    A missing file is made and removed at once; an existing file or directory
+    is opened without truncation.  Any other existing path, a named pipe say,
+    is left to _write: closing a probe of a pipe would end its reader's input.
+    """
+    try:
+        try:
+            os.close(os.open(out, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            if os.path.isfile(out) or os.path.isdir(out):
+                os.close(os.open(out, os.O_WRONLY))
+        else:
+            os.remove(out)
+    except OSError as exc:
+        raise CLIError(f"cannot write {out}: {exc.strerror}") from exc
+
+
 def _write(out: str | None, chunks) -> None:
-    """Write the text chunks in order to the file out, or to stdout when out is None."""
+    """Write the text chunks in order to the file out, or to stdout when out is None.
+
+    A reader that closes stdout early (head, say) raises BrokenPipeError,
+    which main turns into exit 1.  stdout is pointed at os.devnull first, so
+    the interpreter's last flush of the text still buffered is silent too.
+    """
     try:
         target = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise CLIError(f"cannot write {out}: {exc.strerror}") from exc
-    with target as fh:
-        fh.writelines(chunks)
+    try:
+        with target as fh:
+            fh.writelines(chunks)
+            fh.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 def _json_doc(group_name: str, fields: dict):
@@ -401,9 +432,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:  # a CLIError, or a refusal by the library
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # _write found stdout closed: nobody reads an error line either
         return 1
 
 

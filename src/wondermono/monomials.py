@@ -27,8 +27,9 @@ degree lam have one run table, kept on the group and filled at the first
 query that admits the shape: every pair of shape mu as a MonomialIndex,
 left-major like generate_pairs, cut into one run of consecutive left paths
 per left direction a (candidate_runs), since generate_paths emits a shape's
-paths grouped by initial direction.  The shape's direction classes are
-shared by every degree above mu (shape_classes).  The indices are shared,
+paths grouped by initial direction.  The shape's direction classes, shared
+by every degree above mu (shape_classes), hold each run's direction and its
+number of left paths, which the cut reads.  The indices are shared,
 immutable objects; a query builds none, and a run table is built only for a
 shape some queried orbit admits, so candidate_count bounds what a first query
 builds.  Graded counts read only the direction classes and their counts, and
@@ -56,7 +57,7 @@ from collections import Counter
 from collections.abc import Callable
 from functools import cache
 from itertools import chain, compress, groupby, repeat
-from operator import getitem
+from operator import getitem, mul
 from typing import NamedTuple
 
 from .demazure import weyl_dim
@@ -149,7 +150,8 @@ def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
 class ShapeClasses(NamedTuple):
     """The paths of a shape mu (right) and of mu* (left), read by initial direction (element index)."""
 
-    left_counts: tuple[tuple[int, int], ...]  # (a, N_mu*(a)) for each left direction a
+    dirs: tuple[int, ...]  # each run's left direction a, in generate_paths order: the row of a standard table it reads
+    lefts: tuple[int, ...]  # N_mu*(a) for each a of dirs: the number of left paths in its run
     select: Callable[[int], bytes]  # row -> its bits at each right path's direction, cached by row
     count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
 
@@ -163,7 +165,8 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     here, freed with the group's memo.
     """
     width = len(group)
-    lefts = path_directions(group, group.dual_weight(mu))
+    runs = groupby(path_directions(group, group.dual_weight(mu)))
+    dirs, lefts = zip(*((a, sum(1 for _ in run)) for a, run in runs))
     rights = path_directions(group, mu)
     right_counts = Counter(rights)
     counts = tuple(right_counts.values())
@@ -177,7 +180,7 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     def count(row: int) -> int:
         return sum(compress(counts, read_classes(mask_bytes(row, width))))
 
-    return ShapeClasses(tuple(Counter(lefts).items()), select, count)
+    return ShapeClasses(dirs, lefts, select, count)
 
 
 class RunPicks(dict):
@@ -202,34 +205,25 @@ class RunPicks(dict):
         return got
 
 
-class CandidateRuns(NamedTuple):
-    """The candidates of one shape and exponent vector, cut into runs of left paths with one initial direction."""
-
-    dirs: tuple[int, ...]  # each run's initial direction a: the row of a standard table it reads
-    picks: tuple[RunPicks, ...]  # each run's selections, by row value
-
-
 @memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
-def candidate_runs(group: WeylGroup, mu: Weight, nvec: RootVector) -> CandidateRuns:
+def candidate_runs(group: WeylGroup, mu: Weight, nvec: RootVector) -> tuple[RunPicks, ...]:
     """Every pair of shape mu as a basis index with exponents nvec, in generate_pairs order, cut into runs.
 
     generate_paths emits a shape's paths grouped by initial direction, so the
-    runs are the distinct left directions, one per direction class.
+    runs are those of shape_classes: one per entry of its dirs, of lefts left paths each.
     """
     mu, nvec = tuple(mu), tuple(nvec)
     pairs = generate_pairs(group, mu)
-    select = shape_classes(group, mu).select
+    sc = shape_classes(group, mu)
     width = len(path_directions(group, mu))  # candidates per left path
-    dirs, picks, start = [], [], 0
-    for a, run in groupby(path_directions(group, group.dual_weight(mu))):
-        lefts = sum(1 for _ in run)
+    runs, start = [], 0
+    for lefts in sc.lefts:
         stop = start + lefts * width
         # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
         fields = zip(repeat(nvec), repeat(mu), pairs[start:stop])
-        dirs.append(a)
-        picks.append(RunPicks(tuple(map(tuple.__new__, repeat(MonomialIndex), fields)), select, lefts))
+        runs.append(RunPicks(tuple(map(tuple.__new__, repeat(MonomialIndex), fields)), sc.select, lefts))
         start = stop
-    return CandidateRuns(tuple(dirs), tuple(picks))
+    return tuple(runs)
 
 
 def pair_count(group: WeylGroup, mu: Weight) -> int:
@@ -259,9 +253,9 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     rows = standard_rows(z)
     out: list[MonomialIndex] = []
     for mu, nvec in shapes:
-        runs = candidate_runs(group, mu, nvec)
+        dirs = shape_classes(group, mu).dirs
         # row a selects, in one cached lookup, the candidates of the run of left paths starting in direction a
-        out.extend(chain.from_iterable(map(getitem, runs.picks, map(rows.__getitem__, runs.dirs))))
+        out.extend(chain.from_iterable(map(getitem, candidate_runs(group, mu, nvec), map(rows.__getitem__, dirs))))
     return tuple(out)
 
 
@@ -270,8 +264,9 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
 
     The degree range runs from 0 to the largest degree of any exponent vector
     admissible for z's stratum, so interior zero rows survive.  Each shape
-    adds N_mu*(a) N_mu(b) over the direction classes (a, b) set in z's table,
-    read from shape_classes' count of row a, one C-level pass per distinct row value.
+    adds N_mu*(a) N_mu(b) over the direction classes (a, b) set in z's table:
+    N_mu*(a) times shape_classes' count of row a, summed over the runs in one
+    C-level pass, each count reading a distinct row value once.
     """
     group = z.group
     shapes = _admissible_shapes(z, lam)  # checks lam before any table is read
@@ -279,7 +274,7 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     counts: Counter[int] = Counter()
     for mu, nvec in shapes:
         sc = shape_classes(group, mu)
-        counts[sum(nvec)] += sum(n * sc.count(rows[a]) for a, n in sc.left_counts)
+        counts[sum(nvec)] += sum(map(mul, sc.lefts, map(sc.count, map(rows.__getitem__, sc.dirs))))
     return GradedTable(tuple((d, counts[d]) for d in range(max(counts) + 1)))
 
 

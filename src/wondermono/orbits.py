@@ -227,8 +227,13 @@ class OrbitPoset:
         self._base = base
         self._dims = dims
         self._covers: list[tuple[int, ...]] | None = None
-        self._layers: list[int] | None = None
-        self._neg_dims: list[int] = []
+        # one label bitmask per orbit dimension, highest first, and those dimensions negated, ascending for bisect
+        by_dim: dict[int, int] = {}
+        for k, d in enumerate(dims):
+            by_dim[d] = by_dim.get(d, 0) | 1 << k
+        top_down = sorted(by_dim, reverse=True)
+        self._layers = [by_dim[d] for d in top_down]
+        self._neg_dims = [-d for d in top_down]
 
     # -- queries ------------------------------------------------------------
 
@@ -273,17 +278,6 @@ class OrbitPoset:
     def _from_mask(self, mask: int) -> list[OrbitLabel]:
         return [self.labels[i] for i in bits(mask)]
 
-    def _dim_layers(self) -> list[int]:
-        """One label bitmask per orbit dimension, highest dimension first."""
-        if self._layers is None:
-            by_dim: dict[int, int] = {}
-            for k, d in enumerate(self._dims):
-                by_dim[d] = by_dim.get(d, 0) | 1 << k
-            dims = sorted(by_dim, reverse=True)
-            self._layers = [by_dim[d] for d in dims]
-            self._neg_dims = [-d for d in dims]
-        return self._layers
-
     def _maximal_bits(self, mask: int, start: int | None = None) -> list[int]:
         """Positions of the maximal labels of mask, ascending, found layer by layer in dimension.
 
@@ -294,7 +288,7 @@ class OrbitPoset:
         nothing is.  A caller that knows mask holds no label above dimension
         start passes it, and the walk skips the layers above.
         """
-        layers = self._dim_layers()
+        layers = self._layers
         if start is not None:
             # the first layer of dimension at most start; no dimension is assumed present
             layers = layers[bisect_left(self._neg_dims, -start) :]
@@ -362,15 +356,14 @@ class OrbitPoset:
         return f"OrbitPoset({self.group.rs.name}, {len(self.labels)} orbits)"
 
 
-def build_poset(group: WeylGroup, max_labels: int | None = None) -> OrbitPoset:
-    """Every orbit label of group with its down-set bitmask, refused past max_labels (OrbitPoset.MAX_LABELS by default)."""
-    limit = OrbitPoset.MAX_LABELS if max_labels is None else max_labels
+def build_poset(group: WeylGroup, max_labels: int = OrbitPoset.MAX_LABELS) -> OrbitPoset:
+    """Every orbit label of group with its down-set bitmask, refused past max_labels."""
     subsets = group.subsets()
     n_w = len(group)
     total = sum(len(group.min_coset_reps(I)) for I in subsets) * n_w
-    if total > limit:
+    if total > max_labels:
         raise ValueError(
-            f"orbit poset of {group.rs.name} has {total} labels, beyond the supported envelope ({limit})"
+            f"orbit poset of {group.rs.name} has {total} labels, beyond the supported envelope ({max_labels})"
         )
 
     labels: list[OrbitLabel] = []

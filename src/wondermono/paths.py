@@ -65,7 +65,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, product, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import NamedTuple
 
 from .rootsys import (
@@ -106,12 +106,12 @@ class LSPath(_PathFields):
         durations = [Fraction(t) for _, t in segments]
         den = lcm(*(t.denominator for t in durations))
         steps = tuple(t.numerator * (den // t.denominator) for t in durations)
-        return _path(tuple(tuple(d) for d, _ in segments), steps, den, tuple(shape))
+        return _path(tuple(d for d, _ in segments), steps, den, shape)
 
     @classmethod
     def _make(cls, fields) -> "LSPath":
         dirs, steps, den, shape, end = fields
-        path = _path(tuple(map(tuple, dirs)), tuple(steps), den, tuple(shape))
+        path = _path(dirs, tuple(steps), den, shape)
         if path.end != tuple(end):
             raise ValueError(f"endpoint {tuple(end)} is not the path's endpoint {path.end}")
         return path
@@ -130,13 +130,20 @@ class LSPath(_PathFields):
         return self.end
 
 
-def _path(dirs: tuple[Weight, ...], steps: tuple[int, ...], den: int, shape: Weight) -> LSPath:
+def _path(dirs, steps: tuple[int, ...], den: int, shape) -> LSPath:
     """The path with these fields, checked and in lowest terms: the checker of every path built from given fields.
 
     generate_paths makes the same checks along its chains and builds its paths, as this does, by tuple.__new__.
-    Every direction must have the shape's length; whether it lies in the shape's W-orbit is left to the
-    readers that need the orbit, root_lower and initial_direction, which refuse a direction outside it.
+    Directions and shape must be int vectors, read as rootsys.rank_weight reads a weight: (1.0, 0) equals and
+    hashes as (1, 0), so a memo keyed by a float shape would answer from an int entry.  Every direction must
+    have the shape's length; whether it lies in the shape's W-orbit is left to the readers that need the orbit,
+    root_lower and initial_direction, which refuse a direction outside it.
     """
+    try:
+        shape = tuple(map(index, shape))
+        dirs = tuple(tuple(map(index, d)) for d in dirs)
+    except TypeError:
+        raise ValueError(f"path directions {dirs} and shape {shape} must have int coordinates") from None
     if not steps:
         raise ValueError("a path needs at least one segment")
     if set(map(len, dirs)) != {len(shape)}:

@@ -170,15 +170,8 @@ class WeylGroup:
 
     @memoized(lambda group: (group, None))
     def _inverses(self) -> tuple[int, ...]:
-        """Each inverse by folding the reversed word from the identity."""
-        rmult = self._rmult
-        out = []
-        for el in self.elements:
-            j = 0
-            for letter in reversed(el.word):
-                j = rmult[j][letter - 1]
-            out.append(j)
-        return tuple(out)
+        """Each inverse as the element of the reversed word."""
+        return tuple(self.from_word(el.word[::-1]).index for el in self.elements)
 
     def inverse(self, u: WeylElement) -> WeylElement:
         return self.elements[self.inverses[u.index]]

@@ -258,6 +258,6 @@ def scanned_basis(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     for mu, nvec in dominant_below(group.rs, lam):
         if support(nvec) <= z.stratum:
             selector = bytes(rows[a] >> b & 1 for a, b in pair_directions(group, mu))
-            candidates = chain.from_iterable(picks.run for picks in candidate_runs(group, mu, nvec).picks)
+            candidates = chain.from_iterable(picks.run for picks in candidate_runs(group, mu, nvec))
             out.extend(compress(candidates, selector))
     return tuple(out)

@@ -4,6 +4,9 @@ import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -475,6 +478,58 @@ def test_out_path_that_cannot_be_opened_is_one_error_line(tmp_path, capsys, argv
     target = tmp_path / "missing" / "x"
     rc, out, err = run(capsys, *argv, "--out", str(target))
     assert (rc, out, err) == (1, "", f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n")
+
+
+@pytest.mark.parametrize("argv", [("poset", "--group", "A1"), ("verify", "--group", "B3")], ids=["poset", "verify"])
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(cli, "build_poset", no_work)
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    target = tmp_path / "missing" / "x"
+    rc, out, err = run(capsys, *argv, "--out", str(target))
+    assert (rc, out, err) == (1, "", f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n")
+    rc, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (rc, out, err) == (1, "", f"error: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}\n")
+
+
+def test_a_refused_request_leaves_its_out_as_it_was(tmp_path, capsys):
+    target = tmp_path / "x"
+    rc, out, err = run(capsys, "paths", "--group", "A2", "--weight", "1 -1", "--out", str(target))
+    assert (rc, out, err) == (1, "", "error: weight (1, -1) is not dominant\n")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("kept", encoding="utf-8")
+    rc, _, _ = run(capsys, "paths", "--group", "A2", "--weight", "1 -1", "--out", str(target))
+    assert rc == 1 and target.read_text(encoding="utf-8") == "kept"
+
+
+def test_a_named_pipe_out_is_opened_once(tmp_path):
+    # a probe that opened and closed the pipe would end the reader's input, and the real open would then wait forever
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "wondermono", "poset", "--group", "A1", "--count-only", "--out", str(fifo)]
+    done = subprocess.run(argv, capture_output=True, timeout=60, env=env)
+    reader.join(timeout=60)
+    assert (done.returncode, done.stdout, done.stderr, got) == (0, b"", b"", [b"6\n"])
+
+
+def test_a_closed_pipe_ends_with_exit_1_and_nothing_on_stderr():
+    # the child imports the same copy of the package as this process; its stdout is far more than the 100 bytes read
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "wondermono", "poset", "--group", "A3", "--full-order"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+        rc = child.wait(timeout=120)
+    assert (rc, err) == (1, b"")
 
 
 def test_full_order_out_file_matches_stdout(tmp_path, capsys):

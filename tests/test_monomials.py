@@ -26,6 +26,7 @@ from wondermono.monomials import (
     nonstandard_components,
     nonstandard_orbits,
     pair_count,
+    shape_classes,
     standard_rows,
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
@@ -441,9 +442,9 @@ def test_runs_are_the_distinct_left_directions(name):
     for lam in budget_weights(g):
         for mu, nvec in monomials._admissible_shapes(top, lam):
             runs = candidate_runs(g, mu, nvec)
-            assert runs.dirs == tuple(dict.fromkeys(path_directions(g, g.dual_weight(mu)))), mu
+            assert shape_classes(g, mu).dirs == tuple(dict.fromkeys(path_directions(g, g.dual_weight(mu)))), mu
             # the runs carry every pair of the shape, in generate_pairs order, without a gap or an overlap
-            chained = tuple(chain.from_iterable(p.run for p in runs.picks))
+            chained = tuple(chain.from_iterable(p.run for p in runs))
             assert tuple(idx.pair for idx in chained) == generate_pairs(g, mu)
             assert all(idx.powers == nvec and idx.mu == mu for idx in chained)
 
@@ -451,7 +452,7 @@ def test_runs_are_the_distinct_left_directions(name):
 def test_a_full_selection_is_the_run_itself_and_an_empty_one_is_empty():
     g = WeylGroup(group_of("B2").rs)  # fresh, so every row value below is read here
     for mu, nvec in dominant_below(g.rs, (1, 1)):
-        for picks in candidate_runs(g, mu, nvec).picks:
+        for picks in candidate_runs(g, mu, nvec):
             assert picks[(1 << len(g)) - 1] is picks.run  # every bit set selects every right path
             assert picks[0] == ()
             assert list(picks) == [(1 << len(g)) - 1, 0]
@@ -587,7 +588,7 @@ def test_first_query_builds_only_admitted_blocks():
     basis_indices(z, (4,))
     assert list(g.memo["candidate_runs"]) == [((4,), (0,))]
     runs = g.memo["candidate_runs"][(4,), (0,)]
-    assert sum(len(picks.run) for picks in runs.picks) == candidate_count(z, (4,)) == 25
+    assert sum(len(picks.run) for picks in runs) == candidate_count(z, (4,)) == 25
 
 
 def test_run_suite_releases_its_memo(monkeypatch):

@@ -317,6 +317,26 @@ def test_path_refuses_a_shape_of_another_length():
 
 
 @pytest.mark.parametrize(
+    "segments, shape",
+    [([((1.0, 0), 1)], (1.0, 0)), ([((1, 0), 1)], (1.0, 0)), ([((1, 0), HALF), ((-1.0, 1), HALF)], (1, 0))],
+    ids=["both", "shape", "direction"],
+)
+def test_path_refuses_a_coordinate_that_is_not_an_int(segments, shape):
+    # (1.0, 0) equals and hashes as (1, 0): a warm coset table would answer for it, so no such path is built at all
+    g = WeylGroup(from_name("A2"))  # fresh: no coset table of (1, 0) yet
+    message = r"^path directions .* and shape .* must have int coordinates$"
+    with pytest.raises(ValueError, match=message):
+        LSPath(segments, shape)
+    assert initial_direction(g, LSPath([((1, 0), 1)], (1, 0))) is g.identity  # warms the table of (1, 0)
+    assert (1, 0) in g.memo["coset_table"]
+    with pytest.raises(ValueError, match=message):
+        LSPath(segments, shape)
+    path = LSPath([((1, 0), 1)], (1, 0))
+    with pytest.raises(ValueError, match=message):
+        path._replace(shape=shape, dirs=tuple(d for d, _ in segments))
+
+
+@pytest.mark.parametrize(
     "name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1)), ("B4", (1, 0, 0, 1))]
 )
 def test_model_is_closure_under_public_lowering(name, lam):
