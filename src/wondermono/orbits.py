@@ -27,9 +27,10 @@ set of labels are found layer by layer in dimension, highest first: a label
 is maximal exactly when no maximal label of a higher layer lies above it.
 The walk starts at the highest dimension the set can reach: one below the
 label for its covers (the maximal elements of its strict down-set), the
-lower of the two labels' dimensions for a meet.  The one assumption is that
-every strict relation lowers dimension, which the verify suite checks for
-every relation bit.
+lower of the two labels' dimensions for a meet.  The up-sets are closed
+from the covers in the same order, highest layer first.  The one assumption
+is that every strict relation lowers dimension, which the verify suite
+checks for every relation bit.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class OrbitLabel(_LabelFields):
         group = x.group
         if group is not w.group:
             raise ValueError("x and w must come from the same Weyl group")
-        if not stratum <= set(range(1, group.rank + 1)):
+        if not stratum <= group._letters:
             raise ValueError(f"stratum {sorted(stratum)} is not a subset of 1..{group.rank}")
         if not stratum.isdisjoint(group.right_descents(x)):
             raise ValueError(f"x={x.word_str} is not a minimal coset representative for I={sorted(stratum)}")
@@ -227,6 +228,7 @@ class OrbitPoset:
         self._base = base
         self._dims = dims
         self._covers: list[tuple[int, ...]] | None = None
+        self._up: list[int] | None = None
         # one label bitmask per orbit dimension, highest first, and those dimensions negated, ascending for bisect
         by_dim: dict[int, int] = {}
         for k, d in enumerate(dims):
@@ -254,16 +256,24 @@ class OrbitPoset:
         return list(self._down)
 
     def up_mask(self, z: OrbitLabel) -> int:
-        """Bitmask of the labels whose closure contains z.
+        """Bitmask of the labels whose closure contains z, read off the up-set table.
 
-        One C-level pass ANDs z's bit into every down-set; an AND costs the
-        bits below z's index, so the closed-stratum labels, which come first
-        and are the ones `nonstandard_components` asks about, are the
-        cheapest. For the highest labels this is slower than shifting each
-        down-set down to bit 0.
+        The table is built on first read from the covers, layer by layer in
+        dimension, highest first: a label's up-set is its own bit and the
+        up-sets of the labels covering it, all in higher layers and so
+        complete by then.  That is the transitive closure of the covers, the
+        closure order itself as every strict relation lowers dimension.
         """
-        bit = 1 << self.index[z]
-        return mask_from_bytes(bytes(map(bool, map(bit.__and__, self._down))))
+        if self._up is None:
+            covers = self._cover_rows()
+            up = [1 << k for k in range(len(self.labels))]
+            for layer in self._layers:
+                for i in bits(layer):
+                    above = up[i]
+                    for j in covers[i]:
+                        up[j] |= above
+            self._up = up
+        return self._up[self.index[z]]
 
     def below(self, z: OrbitLabel) -> list[OrbitLabel]:
         return self._from_mask(self._down[self.index[z]])
@@ -333,10 +343,14 @@ class OrbitPoset:
         found by the same layer walk as maximal_of_mask started one dimension
         below the label; it relies on every strict relation lowering dimension.
         """
+        return [(i, j) for i, js in enumerate(self._cover_rows()) for j in js]
+
+    def _cover_rows(self) -> list[tuple[int, ...]]:
+        """The labels each label covers, by label index, ascending: built on first read."""
         if self._covers is None:
             dims = self._dims
             self._covers = [tuple(self._maximal_bits(d & ~(1 << i), dims[i] - 1)) for i, d in enumerate(self._down)]
-        return [(i, j) for i, js in enumerate(self._covers) for j in js]
+        return self._covers
 
     @property
     def maximum(self) -> OrbitLabel:

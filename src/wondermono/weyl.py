@@ -40,7 +40,8 @@ higher layers' memoized functions keep theirs there too.  Elements point
 back at their group, so a dropped group waits for the cycle collector;
 verify.run_suite therefore clears its group's memo, and its root system's,
 before it returns.  Built at construction, by element index: the lengths
-(public) and the right multiplication by simple reflections.
+(public) and the right multiplication by simple reflections.  Each element
+keeps its word text and right descents from their first read.
 """
 
 from __future__ import annotations
@@ -65,9 +66,13 @@ def bits(mask: int) -> list[int]:
 
 
 class WeylElement:
-    """One interned group element: its canonical word and length."""
+    """One interned group element: its canonical word and length.
 
-    __slots__ = ("group", "index", "word", "length")
+    Its word text and right descents are kept in two private slots, each set
+    on its first read, so building a group computes neither.
+    """
+
+    __slots__ = ("group", "index", "word", "length", "_word_str", "_right_descents")
 
     def __init__(self, group: "WeylGroup", index: int, word: tuple[int, ...]):
         self.group = group
@@ -87,7 +92,11 @@ class WeylElement:
 
     @property
     def word_str(self) -> str:
-        return " ".join(f"s{i}" for i in self.word) if self.word else "e"
+        try:
+            return self._word_str
+        except AttributeError:
+            self._word_str = text = " ".join(f"s{i}" for i in self.word) or "e"
+            return text
 
     def __repr__(self) -> str:
         return f"<{self.word_str}>"
@@ -105,6 +114,7 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
+        self._letters = frozenset(range(1, rs.rank + 1))
         self._alphas = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
         # the point of w is w^-1(rho), and s_p sends it to the point of w s_p
         table = orbit_table(rs, rs.rho())
@@ -177,9 +187,13 @@ class WeylGroup:
         return self.elements[self.inverses[u.index]]
 
     def right_descents(self, u: WeylElement) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(1, self.rank + 1) if self.lengths[self._rmult[u.index][i - 1]] < u.length
-        )
+        """The i with l(u s_i) < l(u), ascending: computed on the first read and kept on u."""
+        try:
+            return u._right_descents
+        except AttributeError:
+            lengths, row = self.lengths, self._rmult[u.index]
+            u._right_descents = out = tuple(i for i in range(1, self.rank + 1) if lengths[row[i - 1]] < u.length)
+            return out
 
     # -- Bruhat order -------------------------------------------------------
 
@@ -221,7 +235,7 @@ class WeylGroup:
 
     def _check_subset(self, I) -> frozenset[int]:
         I = frozenset(I)
-        if not I <= set(range(1, self.rank + 1)):
+        if not I <= self._letters:
             raise ValueError(f"subset {sorted(I)} is not contained in 1..{self.rank}")
         return I
 

@@ -12,6 +12,7 @@ basis_indices' selection by runs of left paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress, product
 
 from wondermono.monomials import MonomialIndex, candidate_runs, standard_rows
@@ -182,12 +183,17 @@ def all_reduced_words(group: WeylGroup, w: WeylElement) -> list[tuple[int, ...]]
     return sorted(out)
 
 
+@cache
+def _roots_by_weight(rs: RootSystem) -> dict[Weight, tuple[int, ...]]:
+    """Every root, positive and negative, in simple-root coordinates, keyed by its weight coordinates."""
+    roots = [r for root in rs.positive_roots for r in (root, tuple(-c for c in root))]
+    return {root_combination(rs, root): root for root in roots}
+
+
 def simple_root_negated(group: WeylGroup, u: WeylElement, i: int) -> bool:
     """True when u sends alpha_i to a negative root, read off the roots in weight coordinates."""
     rs = group.rs
-    roots = [r for root in rs.positive_roots for r in (root, tuple(-c for c in root))]
-    root_by_weight = {root_combination(rs, root): root for root in roots}
-    image = root_by_weight[u.act(rs.simple_root(i))]
+    image = _roots_by_weight(rs)[u.act(rs.simple_root(i))]
     return any(c < 0 for c in image)
 
 

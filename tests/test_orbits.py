@@ -77,6 +77,10 @@ def test_make_and_replace_check_a_label():
         z._replace(x=s1)
     with pytest.raises(ValueError, match="x=s1 is not a minimal coset representative for I=\\[1\\]"):
         OrbitLabel._make((frozenset({1}), s1, z.w))
+    with pytest.raises(ValueError, match="^stratum \\[0, 3\\] is not a subset of 1..2$"):
+        z._replace(stratum=[3, 0])
+    with pytest.raises(ValueError, match="^x and w must come from the same Weyl group$"):
+        z._replace(w=WeylGroup(from_name("B2")).identity)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
@@ -333,14 +337,25 @@ def test_meet_components_are_maximal():
                         assert not poset.leq(c, d)
 
 
+def and_map_up_mask(poset, z) -> int:
+    """The up-set of z by definition: z's bit ANDed into every down-set, in one C-level pass."""
+    bit = 1 << poset.index[z]
+    return mask_from_bytes(bytes(map(bool, map(bit.__and__, poset.down_masks()))))
+
+
 def test_up_mask_matches_brute_force():
+    # the poset closes its up-sets from the covers; the leq scan and the AND-map read the relation itself
     poset = poset_of("A2")
     for z in poset.labels:
         brute = 0
         for k, z2 in enumerate(poset.labels):
             if poset.leq(z, z2):
                 brute |= 1 << k
-        assert poset.up_mask(z) == brute
+        assert poset.up_mask(z) == brute == and_map_up_mask(poset, z)
+    # the Eulerian test checks every label up to A3 against the relation's transpose; B3 is read here on a stride
+    poset = poset_of("B3")
+    for z in poset.labels[::37]:
+        assert poset.up_mask(z) == and_map_up_mask(poset, z)
 
 
 def test_envelope_guard():
@@ -494,6 +509,7 @@ def test_every_interval_of_the_closure_order_is_eulerian(name):
     for i, mask in enumerate(down):
         rows[i * n : (i + 1) * n] = mask_bytes(mask, n)
     up = [mask_from_bytes(rows[j::n]) for j in range(n)]
+    assert [poset.up_mask(z) for z in poset.labels] == up  # the poset's own table, closed from its covers
     even = mask_from_bytes([dimension(z) % 2 == 0 for z in poset.labels])
     for j in range(n):
         for i in bits(up[j] & ~(1 << j)):

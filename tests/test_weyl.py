@@ -138,11 +138,15 @@ def test_descents():
 
 
 def test_simple_root_negated_matches_descents():
-    for name in ["A2", "B2", "G2"]:
+    # the descents and the word text are kept on each element from their first read: a second read is the same object
+    for name in SUPPORTED:
         g = group_of(name)
         for el in g.elements:
             negated = tuple(i for i in range(1, g.rank + 1) if simple_root_negated(g, el, i))
             assert negated == g.right_descents(el)
+            assert g.right_descents(el) is g.right_descents(el)
+            assert el.word_str == (" ".join(f"s{i}" for i in el.word) or "e")
+            assert el.word_str is el.word_str
 
 
 def test_bruhat_against_subword_oracle():
