@@ -10,7 +10,6 @@ early, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -178,6 +177,8 @@ def _json_words(group: WeylGroup) -> list[str]:
 
 
 def _csv_text(header, rows) -> str:
+    import csv  # here, its one reader: the JSON and text commands never load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -221,20 +222,18 @@ def _poset_dot(poset: OrbitPoset) -> str:
 def _relation_columns(poset: OrbitPoset, heads: list[str], tails: list[str]):
     """The sorted [j, i] pairs (j below i) of the strict order at depth 2, one chunk of pairs per column j.
 
-    Row i of an n-by-n 0/1 byte matrix is the strict down-set of label i, so
-    column j, read as rows[j::n], marks the labels above j in ascending order
-    and the pairs come out sorted without a sort.  A column's pairs are one
-    chunk, so the text (166 MB at the 7,056-label cap) is never held whole;
-    the matrix takes n^2 bytes, about 50 MB at the cap.
+    Column j is the strict up-set of label j, read off the poset's up-set
+    table, so the labels above j come out in ascending order without a sort.
+    Only the span of tails from its lowest to its highest bit is compressed,
+    against that span's bytes.  A column's pairs are one chunk, so the text
+    (166 MB at the 7,056-label cap) is never held whole.
     """
-    n = len(poset)
-    rows = bytearray(n * n)  # filled in place: a join would hold every row twice
-    for i, mask in enumerate(poset.down_masks()):
-        rows[i * n : (i + 1) * n] = mask_bytes(mask & ~(1 << i), n)
-    for j in range(n):
-        pairs = (",\n" + heads[j]).join(compress(tails, rows[j::n]))
-        if pairs:
-            yield heads[j] + pairs
+    for j, z in enumerate(poset.labels):
+        above = poset.up_mask(z) ^ 1 << j
+        if above:
+            lo = (above & -above).bit_length() - 1
+            hi = above.bit_length()
+            yield heads[j] + (",\n" + heads[j]).join(compress(tails[lo:hi], mask_bytes(above >> lo, hi - lo)))
 
 
 def cmd_poset(args) -> int:

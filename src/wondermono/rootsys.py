@@ -422,17 +422,20 @@ def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
     """The orbit table of a dominant lam, checked on a miss: |W/W_lam| points, found by simple reflections."""
     lam = dominant_weight(rs, lam)
     # s_c subtracts n alpha_c, n = point[c], and alpha_c is column c of the Cartan matrix: coordinate c
-    # becomes -n, each Dynkin neighbour j of c moves by -n C[j][c], and no other coordinate changes
-    steps = list(enumerate(_off_diagonal(zip(*rs.cartan))))
+    # becomes -n, each Dynkin neighbour j of c moves by -n C[j][c], and no other coordinate changes.
+    # s_c is an involution, so one step from the end with n > 0 fills both entries of an edge, and n = 0 is
+    # a fixed point.  From a point with n < 0, s_c leads one step nearer points[0] (l(s_c w) < l(w) for its
+    # minimal coset representative w), to a point walked earlier whose step filled the entry; so no point is
+    # first reached by such a step, and the discovery order, hence every field, is that of the full walk
     points = [lam]
     index = {lam: 0}
     words: list[tuple[int, ...]] = [()]
-    refl: list[list[int]] = [[] for _ in steps]
+    refl: list[list[int | None]] = [[None] for _ in range(rs.rank)]  # one slot per point, filled by the walk
+    steps = [(c, neighbours, refl[c]) for c, neighbours in enumerate(_off_diagonal(zip(*rs.cartan)))]
     for k, point in enumerate(points):  # points grows while it is walked: a breadth-first queue
-        for c, neighbours in steps:
+        for c, neighbours, row in steps:
             n = point[c]
-            image = k
-            if n:
+            if n > 0:
                 moved = list(point)
                 moved[c] = -n
                 for j, a in neighbours:
@@ -443,5 +446,10 @@ def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
                     image = index[moved] = len(points)
                     points.append(moved)
                     words.append((c + 1,) + words[k])
-            refl[c].append(image)
+                    for slots in refl:
+                        slots.append(None)
+                row[k] = image
+                row[image] = k
+            elif not n:
+                row[k] = k
     return OrbitTable(tuple(points), index, tuple(map(tuple, refl)), tuple(zip(*points)), tuple(words))
