@@ -75,6 +75,7 @@ from .rootsys import (
     dominant_weight,
     memoized,
     support,
+    weight_key,
 )
 from .weyl import WeylGroup, bits
 
@@ -141,10 +142,10 @@ def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
     return bool(standard_rows(z)[a] >> b & 1)
 
 
-@memoized()
+@memoized(weight_key)
 def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
     """dominant_below(lam), run once per weight and kept on the group."""
-    return tuple(dominant_below(group.rs, tuple(lam)))
+    return tuple(dominant_below(group.rs, lam))
 
 
 class ShapeClasses(NamedTuple):

@@ -26,12 +26,12 @@ root beta = s_c gamma has s_beta = s_c s_gamma s_c and
 <mu, beta^vee> = <s_c mu, gamma^vee>, so no weight is built or looked up.
 
 generate_paths walks these chains depth first in canonical order, so each
-path is built once and nothing is sorted.  It and generate_pairs are
-memoized under the weight rootsys.dominant_weight returns, so a refused
-weight is refused whether or not an equal one is cached.  A path's fields are carried along
-its chain rather than derived from it: the walk keeps the prefix's
-directions, its steps over D_lam, their gcd with D_lam (one gcd per step gives
-the lowest terms) and the endpoint of the path that would stop there.  By
+path is built once and nothing is sorted.  Its memo, like every table kept
+per shape here, is keyed by rootsys.weight_key (see rootsys.memoized).  A
+path's fields are carried along its chain rather than derived from it: the
+walk keeps the prefix's directions, its steps over D_lam, their gcd with
+D_lam (one gcd per step gives the lowest terms) and the endpoint of the path
+that would stop there.  By
 end = tau_r(lam) + sum_k a_k (tau_k(lam) - tau_(k+1)(lam)), entering tau' from
 tau at time s / D_lam moves that endpoint by (s - D_lam)(tau - tau') / D_lam.
 This step is computed, and checked to be a lattice vector, once per (point,
@@ -77,6 +77,7 @@ from .rootsys import (
     memoized,
     orbit_table,
     root_combination,
+    weight_key,
 )
 from .weyl import WeylElement, WeylGroup
 
@@ -169,13 +170,12 @@ def _path(dirs, steps: tuple[int, ...], den: int, shape) -> LSPath:
     return tuple.__new__(LSPath, (dirs, steps, den, shape, tuple(end)))
 
 
-@memoized()
+@memoized(weight_key)
 def shape_denominator(rs: RootSystem, lam: Weight) -> int:
     """D_lam: the lcm of the nonzero |<lam, beta^vee>| over the positive roots beta.
 
-    Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.  lam is checked on a miss.
+    Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.
     """
-    lam = dominant_weight(rs, lam)
     return lcm(*filter(None, (abs(coroot_pairing(rs, lam, beta)) for beta in rs.positive_roots)))
 
 
@@ -262,7 +262,6 @@ def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[Weight, ..
     holds them.  This is the root-operator route to the path model, against
     which verify checks the chains of generate_paths.
     """
-    lam = dominant_weight(rs, lam)
     table = orbit_table(rs, lam)
     big = shape_denominator(rs, lam)
     start = ((0,), (big,))
@@ -318,7 +317,7 @@ def _cover_table(rs: RootSystem, table: OrbitTable, big: int) -> list[list[tuple
     return covers
 
 
-@memoized(lambda rs, lam: (rs, dominant_weight(rs, lam)))
+@memoized(weight_key)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """The LS paths of shape lam as chains in W/W_lam, in canonical order.
 
@@ -440,7 +439,7 @@ class PathPair(NamedTuple):
         return self.right.shape
 
 
-@memoized(lambda group, mu: (group, dominant_weight(group.rs, mu)))  # checked before its dual is taken
+@memoized(weight_key)  # checked before its dual is taken
 def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     """All path pairs of a dominant weight, in left-major product order, each built in C."""
     lefts = generate_paths(group.rs, group.dual_weight(mu))
@@ -448,7 +447,7 @@ def generate_pairs(group: WeylGroup, mu: Weight) -> tuple[PathPair, ...]:
     return tuple(map(tuple.__new__, repeat(PathPair), product(lefts, rights)))
 
 
-@memoized()
+@memoized(weight_key)
 def path_directions(group: WeylGroup, lam: Weight) -> tuple[int, ...]:
     """Element index of each path's initial direction, aligned with generate_paths."""
     return tuple(initial_direction(group, p).index for p in generate_paths(group.rs, lam))

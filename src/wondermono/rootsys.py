@@ -70,6 +70,13 @@ def memoized(owner_key=None):
     tuple; a miss passes fn the caller's own arguments, so a refusal names
     them.  cache_info() counts hits and misses over all owners, as functools
     does; a stored None is a hit like any other value.
+
+    A table keyed by a dominant weight is keyed by weight_key, the checked
+    tuple, so (1.0, 1), which equals and hashes as (1, 1), is refused whether
+    or not (1, 1) is cached.  A checked hit costs about six unchecked ones, so
+    the tables read once per path or once per shape of a query check their
+    weight on a miss only and answer an equal weight from the int entry:
+    WeylGroup.coset_table, monomials.shape_classes and monomials.candidate_runs.
     """
 
     def decorate(fn):
@@ -123,6 +130,11 @@ def dominant_weight(rs: RootSystem, lam) -> Weight:
     if not is_dominant(out):
         raise RootSystemError(f"weight {lam} is not dominant")
     return out
+
+
+def weight_key(owner, lam) -> tuple[object, Weight]:
+    """(owner, dominant_weight(lam)): the memo key of a table kept per dominant weight on a root system or a group."""
+    return owner, dominant_weight(owner if owner.__class__ is RootSystem else owner.rs, lam)
 
 
 class RootSystem:
@@ -417,10 +429,10 @@ class OrbitTable(NamedTuple):
     words: tuple[tuple[int, ...], ...]
 
 
-@memoized()
+@memoized(weight_key)
 def orbit_table(rs: RootSystem, lam: Weight) -> OrbitTable:
-    """The orbit table of a dominant lam, checked on a miss: |W/W_lam| points, found by simple reflections."""
-    lam = dominant_weight(rs, lam)
+    """The orbit table of a dominant lam: |W/W_lam| points, found by simple reflections."""
+    lam = dominant_weight(rs, lam)  # the int tuple, stored as points[0]
     # s_c subtracts n alpha_c, n = point[c], and alpha_c is column c of the Cartan matrix: coordinate c
     # becomes -n, each Dynkin neighbour j of c moves by -n C[j][c], and no other coordinate changes.
     # s_c is an involution, so one step from the end with n > 0 fills both entries of an edge, and n = 0 is

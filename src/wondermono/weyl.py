@@ -50,7 +50,7 @@ from collections import defaultdict
 from itertools import combinations
 from operator import attrgetter
 
-from .rootsys import RootSystem, Weight, dominant_weight, from_name, memoized, orbit_table, rank_weight
+from .rootsys import RootSystem, Weight, from_name, memoized, orbit_table, rank_weight
 
 
 def bits(mask: int) -> list[int]:
@@ -227,10 +227,10 @@ class WeylGroup:
         """Each point of the W-orbit of a dominant lam, with its minimal representative for W / W_lam.
 
         A point's representative is the element of its word in the orbit
-        table, the shortest one sending lam there.  lam is checked on a miss,
-        so no table is built for a refused weight.
+        table, the shortest one sending lam there.  lam is checked on a miss
+        only, by orbit_table (see rootsys.memoized).
         """
-        orbit = orbit_table(self.rs, dominant_weight(self.rs, lam))
+        orbit = orbit_table(self.rs, lam)
         return {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
 
     def _check_subset(self, I) -> frozenset[int]:

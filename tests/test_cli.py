@@ -356,6 +356,30 @@ def test_every_refusal_is_one_error_line(capsys, argv, refuse):
     assert err.count("\n") == 1
 
 
+MONOMIALS_A2 = ("monomials", "--group", "A2", "--weight", "1 1", "--orbit")
+
+
+# the refusals the command line words itself, before the library sees an input; an empty orbit field is
+# skipped, so its row expects the bytes of the same orbit written without it
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("paths", "--group", "A2", "--weight", "1 x"), "malformed weight '1 x'"),
+        ((*MONOMIALS_A2, "I=1;x=t1;w=e"), "malformed word token 't1', expected s1..s2"),
+        ((*MONOMIALS_A2, "I=1;x;w=e"), "malformed orbit field 'x', expected key=value"),
+        ((*MONOMIALS_A2, "I=a;x=e;w=e"), "malformed stratum 'a'"),
+        ((*MONOMIALS_A2, "I=1,2;;x=e;w=w0"), (*MONOMIALS_A2, "I=1,2;x=e;w=w0")),
+    ],
+    ids=["weight", "word-token", "orbit-field", "stratum", "empty-orbit-field"],
+)
+def test_the_command_lines_own_parse_refusals(capsys, argv, expected):
+    got = run(capsys, *argv)
+    if isinstance(expected, str):
+        assert got == (1, "", f"error: {expected}\n")
+    else:
+        assert got == run(capsys, *expected) and got[0] == 0 and got[1]
+
+
 def test_an_error_that_is_no_refusal_is_not_caught(monkeypatch):
     def broken(group):
         raise TypeError("a fault, not a refusal")

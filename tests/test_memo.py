@@ -11,15 +11,20 @@ from __future__ import annotations
 import gc
 import importlib
 import pkgutil
+import re
 import sys
 import weakref
 from collections import defaultdict
+from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
+
+import pytest
 
 from conftest import memo_contents
 
 import wondermono
-from wondermono import orbits, verify
+from wondermono import monomials, orbits, paths, verify
 from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
@@ -193,3 +198,36 @@ def test_a_refused_weight_leaves_no_table_behind():
     assert len(model) == weyl_dim(rs, (2, 1)) == 15
     coordinates = [x for path in model for point in (*path.dirs, path.end) for x in point]
     assert {type(x) for x in coordinates} == {int}
+
+
+def test_weight_keyed_tables_refuse_a_warm_float_except_the_three_read_per_path_or_query():
+    # (1.0, 1) and [1, Fraction(1)] equal and hash as (1, 1): a table keyed by weight_key refuses them even
+    # when (1, 1) is cached, and only the three tables that check on a miss answer them from its entry
+    rs = from_name("A2")
+    group = WeylGroup(rs)
+    top = OrbitLabel(frozenset({1, 2}), group.identity, group.longest)
+    refusing = {
+        "orbit_table": partial(orbit_table, rs),
+        "shape_denominator": partial(paths.shape_denominator, rs),
+        "path_directions": partial(path_directions, group),
+        "shapes_below": partial(monomials.shapes_below, group),
+        "_admissible_shapes": partial(monomials._admissible_shapes, top),
+        "generate_paths": partial(generate_paths, rs),
+        "generate_pairs": partial(generate_pairs, group),
+    }
+    answering = {
+        "coset_table": group.coset_table,
+        "shape_classes": partial(shape_classes, group),
+        "candidate_runs": lambda lam: candidate_runs(group, lam, (0, 0)),
+    }
+    filled = {name: call((1, 1)) for name, call in {**refusing, **answering}.items()}
+    assert {*refusing, *answering} <= {*rs.memo, *group.memo}
+    for lam in [(1.0, 1), [1, Fraction(1)]]:
+        message = re.escape(f"weight {lam} has a coordinate that is not an integer")
+        for name, call in refusing.items():
+            before = memo_contents(rs, group)
+            with pytest.raises(RootSystemError, match=message):
+                call(lam)
+            assert memo_contents(rs, group) == before, name
+        for name, call in answering.items():
+            assert call(lam) is filled[name], name

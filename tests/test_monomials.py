@@ -207,7 +207,7 @@ def test_dominant_below_runs_once_per_weight(monkeypatch):
         z = lab(fresh, *w)
         assert basis_indices(z, list(lam)) == basis
         assert graded_counts(z, lam) == table
-    assert calls == [lam]
+    assert calls == [list(lam)]  # once, passed the first caller's own weight as a miss is
     with pytest.raises(ValueError):
         basis_indices(lab(fresh, *words[0]), (1, -1))
 
@@ -495,16 +495,15 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
     rs = from_name("A2")  # fresh: the first round finds no memo entry, the second finds those of (1, 1)
     g = WeylGroup(rs)
     z = lab(g, (1, 2), (), (1, 2, 1))
-    orbit, cosets, denominator = partial(orbit_table, rs), g.coset_table, partial(shape_denominator, rs)
     dominant = [
         partial(weyl_dim, rs),
-        denominator,
+        partial(shape_denominator, rs),
         partial(dominant_below, rs),
         partial(exponent_bounds, rs),
-        orbit,
+        partial(orbit_table, rs),
         partial(generate_paths, rs),
         partial(generate_pairs, g),
-        cosets,
+        g.coset_table,
         partial(pair_count, g),
         partial(basis_indices, z),
         partial(graded_counts, z),
@@ -517,10 +516,9 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         lambda lam: dominance_diff(rs, lam, (0, 0)),
     ]
     refusing = dominant if words == "is not dominant" else dominant + any_sign
-    # orbit_table, coset_table and shape_denominator check a weight on a miss only, so that a hit stays one
-    # lookup: a weight that finds the key of (1, 1) reads the integer entry stored there.  (1, 1) is rho,
-    # whose orbit table WeylGroup(rs) built; the other two entries are made in the first round
-    finds_key = {orbit: tuple(lam) == (1, 1)}
+    # coset_table checks a weight on a miss only (see rootsys.memoized): once the first round has made the
+    # entry of (1, 1), a weight that finds its key reads the integer entry stored there
+    finds_key = {}
     message = f"^{re.escape(f'weight {lam} {words}')}$"
     for _ in ("cold", "warm"):
         for call in refusing:
@@ -536,15 +534,14 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
                 call(lam)  # these take a weight of either sign
         for call in refusing:
             call((1, 1))  # every memo now holds the key of (1, 1)
-        finds_key.update({cosets: tuple(lam) == (1, 1), denominator: tuple(lam) == (1, 1)})
+        finds_key[g.coset_table] = tuple(lam) == (1, 1)
 
 
 @pytest.mark.parametrize(
     "name", ["generate_paths", "generate_pairs", "basis_indices", "graded_counts", "dominant_below", "weyl_dim"]
 )
 def test_exported_weight_entry_points_refuse_a_float_weight_when_warm(name):
-    # each checks its weight before any memo lookup.  coset_table, shape_denominator, path_directions,
-    # shapes_below and shape_classes check it on a miss only: a warm (1, 1) answers them for (1.0, 1)
+    # each checks its weight before any memo lookup, as every table keyed by rootsys.weight_key does
     rs = from_name("A2")
     g = WeylGroup(rs)
     top = OrbitLabel(frozenset({1, 2}), g.identity, g.longest)

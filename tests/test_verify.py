@@ -160,6 +160,34 @@ def test_dominance_order_fails_when_dominant_below_drops_its_last_shape(
     }
 
 
+def _nonstandard_with_a_label_below(real):
+    """nonstandard_components with the minimum appended to a nonempty list: the union is unchanged, no antichain."""
+    return lambda pair, poset: (lambda comps: comps + [poset.minimum] if comps else comps)(real(pair, poset))
+
+
+def _graded_with_an_index_moved_to_row_0(real):
+    """graded_counts with one index moved from the last row to row 0: the total and the degrees are unchanged."""
+
+    def moved(z, lam):
+        table = real(z, lam)
+        if len(table.rows) < 2:
+            return table
+        (d0, c0), *middle, (dn, cn) = table.rows
+        return monomials.GradedTable(((d0, c0 + 1), *middle, (dn, cn - 1)))
+
+    return moved
+
+
+def _poset_with_the_middle_label_not_below_itself(real):
+    def irreflexive(group):
+        p = real(group)
+        m = len(p) // 2
+        p._down[m] &= ~(1 << m)
+        return p
+
+    return irreflexive
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, letter, check, detail",
     [
@@ -205,8 +233,51 @@ def test_dominance_order_fails_when_dominant_below_drops_its_last_shape(
             "basis-counts",
             "0 indices on the closure of [{1},e,s1 s2 s1] at (0, 0), expected 1",
         ),
+        # the exponents of every strict difference, one too high in the first coordinate
+        (
+            verify,
+            "dominance_diff",
+            lambda real: lambda rs, lam, mu: (lambda n: (n[0] + 1,) + n[1:] if n and any(n) else n)(real(rs, lam, mu)),
+            "A",
+            "dominance-order",
+            "dominance_diff disagrees at (1, 1) -> (0, 0)",
+        ),
+        (
+            verify,
+            "nonstandard_components",
+            _nonstandard_with_a_label_below,
+            "A",
+            "nonstandard-locus",
+            "nonstandard components at shape (1, 1) are not an antichain",
+        ),
+        (
+            verify,
+            "graded_counts",
+            _graded_with_an_index_moved_to_row_0,
+            "A",
+            "graded-tables",
+            "graded row 0 of [{1,2},e,e] at (1, 1) miscounts",
+        ),
+        (
+            verify,
+            "build_poset",
+            _poset_with_the_middle_label_not_below_itself,
+            "A",
+            "poset-axioms",
+            "not reflexive at [{1},e,s1 s2]",
+        ),
     ],
-    ids=["root-dropped", "symmetrizer-trivial", "group-as-singular-orbit", "coset-rep-dropped", "closure-pair-dropped"],
+    ids=[
+        "root-dropped",
+        "symmetrizer-trivial",
+        "group-as-singular-orbit",
+        "coset-rep-dropped",
+        "closure-pair-dropped",
+        "dominance-diff-off-by-one",
+        "nonstandard-component-below-another",
+        "graded-index-moved-to-row-0",
+        "poset-label-not-below-itself",
+    ],
 )
 def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, name, mutate, letter, check, detail):
     # the mutation breaks more than one check; only the named one's detail is pinned

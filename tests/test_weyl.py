@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import re
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import (
     all_reduced_words,
@@ -294,23 +294,23 @@ def test_subsets_order():
     assert g.subsets() == [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
 
 
-@settings(deadline=None)
-@given(st.sampled_from(["A2", "B2", "G2"]), st.lists(st.integers(1, 2), max_size=8))
-def test_from_word_folds(name, letters):
-    g = group_of(name)
-    word = tuple(letters)
-    el = g.from_word(word)
-    assert el.length <= len(word)
-    acc = g.identity
-    for i in word:
-        acc = g.multiply(acc, g.simple(i))
-    assert acc == el
+def test_from_word_folds():
+    # every word over {1, 2} of length at most 8, on A2, B2 and G2: 1,533 cases
+    words = [word for n in range(9) for word in product((1, 2), repeat=n)]
+    for name in ["A2", "B2", "G2"]:
+        g = group_of(name)
+        for word in words:
+            el = g.from_word(word)
+            assert el.length <= len(word)
+            acc = g.identity
+            for i in word:
+                acc = g.multiply(acc, g.simple(i))
+            assert acc == el
 
 
-@settings(deadline=None)
-@given(st.sampled_from(["A2", "B2"]), st.data())
-def test_product_inverse_property(name, data):
-    g = group_of(name)
-    u = data.draw(st.sampled_from(g.elements))
-    v = data.draw(st.sampled_from(g.elements))
-    assert g.inverse(g.multiply(u, v)) == g.multiply(g.inverse(v), g.inverse(u))
+def test_product_inverse_property():
+    # every pair (u, v) of A2 and of B2: 100 cases
+    for name in ["A2", "B2"]:
+        g = group_of(name)
+        for u, v in product(g.elements, repeat=2):
+            assert g.inverse(g.multiply(u, v)) == g.multiply(g.inverse(v), g.inverse(u))
