@@ -59,9 +59,20 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _int(token: str, signed: bool = True) -> int:
+    """token as an int if it is ASCII digits 0-9, after a + or - sign where signed; else a ValueError.
+
+    int() alone would also read '1_0' as 10 and any Unicode digit, '١' as 1; a group's rank is ASCII digits too.
+    """
+    digits = token[1:] if signed and token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _weight(text: str, rs: RootSystem) -> tuple[int, ...]:
     try:
-        lam = tuple(int(t) for t in text.replace(",", " ").split())
+        lam = tuple(map(_int, text.replace(",", " ").split()))
     except ValueError as exc:
         raise CLIError(f"malformed weight {text!r}") from exc
     return dominant_weight(rs, lam)
@@ -75,9 +86,11 @@ def _word(text: str, group: WeylGroup) -> WeylElement:
         return group.longest
     letters = []
     for tok in text.replace(",", " ").split():
-        if not (tok.startswith("s") and tok[1:].isdigit()):
-            raise CLIError(f"malformed word token {tok!r}, expected s1..s{group.rank}")
-        letters.append(int(tok[1:]))
+        letter = tok[1:] if tok.startswith("s") else ""
+        try:
+            letters.append(_int(letter, signed=False))
+        except ValueError:
+            raise CLIError(f"malformed word token {tok!r}, expected s1..s{group.rank}") from None
     return group.from_word(tuple(letters))
 
 
@@ -95,7 +108,7 @@ def _orbit(text: str, group: WeylGroup) -> OrbitLabel:
     if missing:
         raise CLIError(f"orbit spec is missing {sorted(missing)}, expected I=..;x=..;w=..")
     try:
-        stratum = frozenset(int(t) for t in fields["I"].replace(",", " ").split())
+        stratum = frozenset(map(_int, fields["I"].replace(",", " ").split()))
     except ValueError as exc:
         raise CLIError(f"malformed stratum {fields['I']!r}") from exc
     x = _word(fields["x"], group)

@@ -43,6 +43,19 @@ step is integral when its successor row is built, and the steps sum to D_lam
 by the carried time.  Every other path is built from given fields through
 _path, the one checker; both routes make the path in C by tuple.__new__.
 
+A model repeats its fields: paths with one sequence of directions and
+different times, with one time sequence and different directions, or with one
+endpoint.  generate_paths keeps each distinct dirs, steps and end value it
+meets once, in a table local to the call, and every path takes its fields
+from that table, so equal fields of one model are one object: the B3 (3,3,3)
+model's 262,144 paths hold 55,850 direction tuples, 17,704 step tuples and
+2,728 endpoints, about half the memory of a copy per path.  Sharing is safe
+because the fields are tuples of ints or of int tuples, which no reader can
+change, and the table is freed on return with the search tables, so nothing
+outlives the call but the model.  The lowest-terms steps of the paths that
+enter a point at one time are made once, by the walk's caller, for every
+point that time reaches.
+
 The root operators are the cross-check.  Lowering runs in orbit form too: a
 direction is its index in the shape's W-orbit (rootsys.orbit_table) and the
 durations are numerators over D_lam.  The orbit table gives each point's
@@ -327,7 +340,9 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     depth-first search that tries the admitted times in ascending order and
     emits each path after those that continue it yields the canonical order,
     and builds each path once.  Each path's fields are carried along its
-    chain and checked where they are made (see the module docstring).
+    chain and checked where they are made, and the model's paths share each
+    distinct dirs, steps and end value as one object, from a table dropped
+    on return (see the module docstring).
     """
     lam = dominant_weight(rs, lam)
     table = orbit_table(rs, lam)
@@ -380,12 +395,18 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
         return row
 
     model: list[LSPath] = []
+    # share(v, v) is the first object met in this model with v's value: its paths hold each dirs, steps and end once
+    share = {}.setdefault
 
-    def walk(dirs: tuple[Weight, ...], steps: tuple[int, ...], g: int, end: Weight, k: int, t: int) -> None:
+    def walk(
+        dirs: tuple[Weight, ...], steps: tuple[int, ...], g: int, end: Weight, k: int, t: int, last: tuple[int, ...]
+    ) -> None:
         """Emit every path that continues dirs along points[k] from time t / D_lam, then the one that ends there.
 
-        steps sum to t, g is gcd(D_lam, *steps), and end is the endpoint of
-        the path that stays at points[k] until time 1.
+        steps sum to t, g is gcd(D_lam, *steps), end is the endpoint of the
+        path that stays at points[k] until time 1, and last is that path's
+        steps in lowest terms, made once by the caller for all the points
+        one time reaches.
         """
         times = admitted[k]
         row_at = successors[k]
@@ -394,20 +415,21 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
                 raise ValueError("segment durations must be positive")
             head = steps + (s - t,)
             h = gcd(g, s)
+            tail = head + (big - s,)
+            if h > 1:
+                tail = tuple(map(h.__rfloordiv__, tail))
+            tail = share(tail, tail)
             row = row_at.get(s) or successor_row(k, s)
             for j, point, shift in row:
-                walk(dirs + (point,), head, h, tuple(map(add, end, shift)), j, s)
+                walk(dirs + (point,), head, h, tuple(map(add, end, shift)), j, s, tail)
         if t >= big:
             raise ValueError(f"durations must sum to 1, got {t}/{big} before the last segment")
-        steps += (big - t,)
-        if g > 1:
-            steps = tuple(map(g.__rfloordiv__, steps))
-        model.append(tuple.__new__(LSPath, (dirs, steps, big // g, lam, end)))
+        model.append(tuple.__new__(LSPath, (share(dirs, dirs), last, big // g, lam, share(end, end))))
 
     for k, point in enumerate(points):
-        walk((point,), (), big, point, k, 0)
+        walk((point,), (), big, point, k, 0, (1,))
     # walk and reach refer to themselves through their closure cells: break those cycles, so that
-    # the search tables are freed on return rather than at the next full collection
+    # the search tables and the sharing table are freed on return rather than at the next full collection
     walk = reach = None
     return tuple(model)
 

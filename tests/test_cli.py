@@ -369,8 +369,25 @@ MONOMIALS_A2 = ("monomials", "--group", "A2", "--weight", "1 1", "--orbit")
         ((*MONOMIALS_A2, "I=1;x;w=e"), "malformed orbit field 'x', expected key=value"),
         ((*MONOMIALS_A2, "I=a;x=e;w=e"), "malformed stratum 'a'"),
         ((*MONOMIALS_A2, "I=1,2;;x=e;w=w0"), (*MONOMIALS_A2, "I=1,2;x=e;w=w0")),
+        # a number is an optional sign and ASCII digits: int() alone also takes underscores and any Unicode digit
+        (("paths", "--group", "A2", "--weight", "1_0 0"), "malformed weight '1_0 0'"),
+        (("paths", "--group", "A2", "--weight", "\u0661 0"), "malformed weight '\u0661 0'"),
+        ((*MONOMIALS_A2, "I=\u0661;x=e;w=e"), "malformed stratum '\u0661'"),
+        ((*MONOMIALS_A2, "I=1;x=e;w=s\u0661"), "malformed word token 's\u0661', expected s1..s2"),
+        ((*MONOMIALS_A2, "I=1;x=e;w=s\u00b2"), "malformed word token 's\u00b2', expected s1..s2"),
     ],
-    ids=["weight", "word-token", "orbit-field", "stratum", "empty-orbit-field"],
+    ids=[
+        "weight",
+        "word-token",
+        "orbit-field",
+        "stratum",
+        "empty-orbit-field",
+        "weight-underscore",
+        "weight-arabic-indic-digit",
+        "stratum-arabic-indic-digit",
+        "word-arabic-indic-digit",
+        "word-superscript-digit",
+    ],
 )
 def test_the_command_lines_own_parse_refusals(capsys, argv, expected):
     got = run(capsys, *argv)

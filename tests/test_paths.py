@@ -334,9 +334,10 @@ def test_path_refuses_a_coordinate_that_is_not_an_int(segments, shape):
         path._replace(shape=shape, dirs=tuple(d for d, _ in segments))
 
 
-@pytest.mark.parametrize(
-    "name, lam", [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1)), ("B4", (1, 0, 0, 1))]
-)
+MODEL_SHAPES = [("G2", (2, 1)), ("B3", (1, 0, 1)), ("C3", (0, 2, 1)), ("F4", (0, 0, 0, 1)), ("B4", (1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("name, lam", MODEL_SHAPES)
 def test_model_is_closure_under_public_lowering(name, lam):
     # the chains against a plain breadth-first search on LSPath objects
     rs = group_of(name).rs
@@ -350,6 +351,19 @@ def test_model_is_closure_under_public_lowering(name, lam):
     model = generate_paths(rs, lam)
     assert len(model) == len(set(model))
     assert set(model) == seen
+
+
+@pytest.mark.parametrize("name, lam", MODEL_SHAPES)
+def test_model_shares_each_repeated_field(name, lam):
+    # equal dirs, steps or end fields of one model are one object: as many objects as values, per field
+    model = generate_paths(group_of(name).rs, lam)
+    counts = {}
+    for field in ("dirs", "steps", "end"):
+        values = [getattr(p, field) for p in model]
+        counts[field] = len({id(v) for v in values}), len(set(values))
+    assert all(objects == values for objects, values in counts.values()), counts
+    # sharing leaves the fields as _path makes them
+    assert all(paths._path(p.dirs, p.steps, p.den, p.shape) == p for p in model)
 
 
 def test_generate_paths_builds_each_path_once(monkeypatch):

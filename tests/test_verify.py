@@ -188,6 +188,16 @@ def _poset_with_the_middle_label_not_below_itself(real):
     return irreflexive
 
 
+def _decomposition_with_the_parabolic_part_inverted(real):
+    """coset_decompose returning (x, y^-1): the lengths still add and y^-1 stays in W_I, so only x y = w breaks."""
+    return lambda self, w, I: (lambda x, y: (x, self.inverse(y)))(*real(self, w, I))
+
+
+def _graded_with_every_degree_raised(real):
+    """graded_counts with every row one degree up: the total and the per-row counts are unchanged."""
+    return lambda z, lam: monomials.GradedTable(tuple((d + 1, c) for d, c in real(z, lam).rows))
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, letter, check, detail",
     [
@@ -266,6 +276,109 @@ def _poset_with_the_middle_label_not_below_itself(real):
             "poset-axioms",
             "not reflexive at [{1},e,s1 s2]",
         ),
+        # a product that drops the last letter of its right factor: w0 w0 is then a simple reflection
+        (
+            weyl.WeylGroup,
+            "multiply",
+            lambda real: lambda self, u, v: real(self, u, self.from_word(v.word[:-1])),
+            "A",
+            "group-order",
+            "longest element is not an involution",
+        ),
+        # each simple reflection spelled with its letter three times: the order and w0 stay, lengths 1 become 3
+        (
+            weyl.WeylElement,
+            "__init__",
+            lambda real: lambda self, group, k, word: real(self, group, k, word * 3 if len(word) == 1 else word),
+            "A",
+            "group-order",
+            "length distribution not palindromic at 0",
+        ),
+        # every coset's representative read as the identity: w = e w, whose parabolic part is w itself
+        (
+            weyl.WeylGroup,
+            "min_coset_rep",
+            lambda real: lambda self, w, J: self.identity,
+            "A",
+            "coset-structure",
+            "parabolic part of s1 leaves I=[]",
+        ),
+        (
+            weyl.WeylGroup,
+            "coset_decompose",
+            _decomposition_with_the_parabolic_part_inverted,
+            "A",
+            "coset-structure",
+            "decomposition of s1 s2 at I=[1, 2] broken",
+        ),
+        # the dominance filter passes every weight, so dominant_below keeps the whole exponent box
+        (
+            rootsys,
+            "is_dominant",
+            lambda real: lambda lam: True,
+            "A",
+            "dominance-order",
+            "dominant_below((1, 1)) produced non-dominant (2, -1)",
+        ),
+        # each shape's exponents one too high in the first coordinate, while the shape is kept
+        (
+            monomials,
+            "dominant_below",
+            lambda real: lambda rs, lam: [(mu, (n[0] + 1,) + n[1:]) for mu, n in real(rs, lam)],
+            "A",
+            "dominance-order",
+            "exponents (1, 0) do not connect (0, 0) to (0, 0)",
+        ),
+        # the paths of the dual shape, reversed coordinates on A2: as many paths, of the wrong shape
+        (
+            verify,
+            "generate_paths",
+            lambda real: lambda rs, lam: real(rs, lam[::-1]),
+            "A",
+            "path-count",
+            "path of shape (1, 0) generated for (0, 1)",
+        ),
+        (
+            orbits.OrbitPoset,
+            "maximum",
+            lambda real: orbits.OrbitPoset.minimum,
+            "A",
+            "poset-extremes",
+            "maximum is [{},s1 s2 s1,e], expected [{1,2},e,s1 s2 s1]",
+        ),
+        (
+            orbits.OrbitPoset,
+            "dim",
+            lambda real: lambda self, z: real(self, z) + 1,
+            "A",
+            "poset-extremes",
+            "maximum has the wrong dimension",
+        ),
+        (
+            orbits.OrbitPoset,
+            "minimum",
+            lambda real: orbits.OrbitPoset.maximum,
+            "A",
+            "poset-extremes",
+            "minimum is [{1,2},e,s1 s2 s1] of dimension 8",
+        ),
+        # the component (w0, w0) of every label of the empty stratum dropped: the closed stratum loses its index
+        (
+            monomials,
+            "schubert_pairs",
+            lambda real: lambda z: tuple(p for p in real(z) if z.stratum or p != (z.group.longest,) * 2),
+            "A",
+            "basis-counts",
+            "0 indices on the closed stratum at (0, 0), expected 1",
+        ),
+        (
+            verify,
+            "graded_counts",
+            _graded_with_every_degree_raised,
+            "A",
+            "graded-tables",
+            "graded rows of [{},e,e] at (0, 0) are not contiguous from zero",
+        ),
     ],
     ids=[
         "root-dropped",
@@ -277,6 +390,18 @@ def _poset_with_the_middle_label_not_below_itself(real):
         "nonstandard-component-below-another",
         "graded-index-moved-to-row-0",
         "poset-label-not-below-itself",
+        "product-drops-last-letter",
+        "simple-reflection-word-not-reduced",
+        "coset-rep-is-identity",
+        "parabolic-part-inverted",
+        "dominance-filter-passes-all",
+        "exponents-off-by-one",
+        "paths-of-the-dual-shape",
+        "maximum-is-the-minimum",
+        "dimension-off-by-one",
+        "minimum-is-the-maximum",
+        "closed-stratum-pair-dropped",
+        "graded-degrees-raised",
     ],
 )
 def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, name, mutate, letter, check, detail):
