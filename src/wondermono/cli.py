@@ -24,7 +24,7 @@ from .demazure import weyl_dim
 from .monomials import basis_indices, candidate_count, graded_counts, pair_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
 from .paths import generate_paths, initial_direction
-from .rootsys import RootSystem, dominant_weight, from_name, orbit_table
+from .rootsys import dominant_weight, from_name, orbit_table
 from .verify import run_suite
 from .weyl import WeylElement, WeylGroup, weyl_group
 
@@ -70,12 +70,12 @@ def _int(token: str, signed: bool = True) -> int:
     return int(token)
 
 
-def _weight(text: str, rs: RootSystem) -> tuple[int, ...]:
+def _numbers(text: str, what: str) -> tuple[int, ...]:
+    """The integers of text, separated by commas or blanks, each read by _int; else a CLIError naming text."""
     try:
-        lam = tuple(map(_int, text.replace(",", " ").split()))
+        return tuple(map(_int, text.replace(",", " ").split()))
     except ValueError as exc:
-        raise CLIError(f"malformed weight {text!r}") from exc
-    return dominant_weight(rs, lam)
+        raise CLIError(f"malformed {what} {text!r}") from exc
 
 
 def _word(text: str, group: WeylGroup) -> WeylElement:
@@ -100,20 +100,16 @@ def _orbit(text: str, group: WeylGroup) -> OrbitLabel:
         chunk = chunk.strip()
         if not chunk:
             continue
-        key, sep, value = chunk.partition("=")
+        key, sep, value = map(str.strip, chunk.partition("="))
         if not sep:
             raise CLIError(f"malformed orbit field {chunk!r}, expected key=value")
-        fields[key.strip()] = value.strip()
+        if key not in ("I", "x", "w") or key in fields:
+            raise CLIError(f"malformed orbit field {chunk!r}, expected each of I, x and w once")
+        fields[key] = value
     missing = {"I", "x", "w"} - set(fields)
     if missing:
         raise CLIError(f"orbit spec is missing {sorted(missing)}, expected I=..;x=..;w=..")
-    try:
-        stratum = frozenset(map(_int, fields["I"].replace(",", " ").split()))
-    except ValueError as exc:
-        raise CLIError(f"malformed stratum {fields['I']!r}") from exc
-    x = _word(fields["x"], group)
-    w = _word(fields["w"], group)
-    return OrbitLabel(stratum, x, w)
+    return OrbitLabel(frozenset(_numbers(fields["I"], "stratum")), _word(fields["x"], group), _word(fields["w"], group))
 
 
 def _check_out(out: str) -> None:
@@ -281,7 +277,7 @@ def cmd_poset(args) -> int:
 def cmd_paths(args) -> int:
     group = weyl_group(args.group)
     rs = group.rs
-    lam = _weight(args.weight, rs)
+    lam = dominant_weight(rs, _numbers(args.weight, "weight"))
     count = weyl_dim(rs, lam)
     _check_budget(f"the number of paths of {lam} on {rs.name} is", count, PATH_BUDGET)
     if args.count_only:
@@ -328,7 +324,7 @@ def cmd_paths(args) -> int:
 def cmd_monomials(args) -> int:
     group = weyl_group(args.group)
     rs = group.rs
-    lam = _weight(args.weight, rs)
+    lam = dominant_weight(rs, _numbers(args.weight, "weight"))
     z = _orbit(args.orbit, group)
     # the pairs of shape lam alone bound the search over the shapes below it
     # before that search runs, so a huge weight is refused at once
@@ -376,8 +372,12 @@ def cmd_monomials(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        max_weight = _int(args.max_weight.strip())
+    except ValueError as exc:
+        raise CLIError(f"malformed max weight {args.max_weight!r}") from exc
     rs = from_name(args.group)
-    results = run_suite(rs.letter, rs.rank, args.max_weight)
+    results = run_suite(rs.letter, rs.rank, max_weight)
     lines = []
     for r in results:
         tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[r.status]
@@ -430,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the internal consistency suite")
     p_verify.add_argument("--group", required=True, help="group name, e.g. A2")
-    p_verify.add_argument("--max-weight", type=int, default=1, help="bound on weight coordinates")
+    p_verify.add_argument("--max-weight", default="1", help="bound on weight coordinates")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument(
         "--timings", action="store_true", help="write each check's wall time in seconds to stderr"

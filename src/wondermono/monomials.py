@@ -22,18 +22,18 @@ paths of shape mu starting in direction b, the pairs of shape mu standard on z
 number the sum of N_mu*(a) N_mu(b) over the set bits (a, b) of z's table.
 
 The basis of every closure is a subset of one set of candidates, the basis
-of the open orbit's closure, so each shape mu and exponent vector n below a
-degree lam have one run table, kept on the group and filled at the first
-query that admits the shape: every pair of shape mu as a MonomialIndex,
-left-major like generate_pairs, cut into one run of consecutive left paths
-per left direction a (candidate_runs), since generate_paths emits a shape's
-paths grouped by initial direction.  The shape's direction classes, shared
-by every degree above mu (shape_classes), hold each run's direction and its
-number of left paths, which the cut reads.  The indices are shared,
-immutable objects; a query builds none, and a run table is built only for a
-shape some queried orbit admits, so candidate_count bounds what a first query
-builds.  Graded counts read only the direction classes and their counts, and
-build no pair.
+of the open orbit's closure, and monomials keeps that set in one table per
+shape, kept on the group: shape_classes, the direction classes of shape mu's
+pairs, shared by every degree above mu.  They hold each run of left paths
+with one initial direction a (generate_paths emits a shape's paths grouped by
+initial direction), its number of left paths, and a reader runs(n): every
+pair of shape mu as a MonomialIndex with exponents n, left-major like
+generate_pairs, cut into those runs, built at the first basis query that
+admits (mu, n) and kept per n in the table's entry.  The indices are shared,
+immutable objects; a query builds none, and runs are built only for a shape
+some queried orbit admits, so candidate_count, which reads no table of a
+shape, bounds what a first query builds.  Graded counts read only the
+direction classes and their counts, and build no pair.
 
 A basis is a selection from those runs.  Row a of z's standard table selects
 the same right paths after every left path of the run of direction a.  A row
@@ -43,12 +43,17 @@ selection is the run itself and an empty one is ().  A query then costs one
 cached lookup per run, plus the indices it returns, and never scans the
 candidates a row leaves out.
 
-The direction classes carry two readers cached by row value: select, the
-row's bits at each right path's direction, which a run's first lookup of a
-value reads, and count, the sum of N_mu(b) over the row's set bits b.  Every
-cache lives in a memo entry on the group and is freed with it.  The shapes a
-stratum admits below lam are kept per (stratum, lam), so a query filters
-shapes_below only at the first label of its stratum.
+The direction classes carry two more readers cached by row value: select,
+the row's bits at each right path's direction, which a run's first lookup of
+a value reads, and count, the sum of N_mu(b) over the row's set bits b.  The
+second table is kept per (stratum, degree lam): stratum_shapes, each (mu, n)
+below lam whose exponents stay inside the stratum, with mu's direction
+classes, so a query reads one table, checked on lam, and filters
+shapes_below and reads shape_classes only at the first label of its stratum.
+Both tables are keyed by the checked weight, so (1.0, 1) is refused even when
+(1, 1) is cached; the one table that answers it from the int entry is
+WeylGroup.coset_table, read once per path (see rootsys.memoized).  Every
+cache lives in a memo entry on the group and is freed with it.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from functools import cache
-from itertools import chain, compress, groupby, repeat
+from itertools import accumulate, chain, compress, groupby, repeat
 from operator import getitem, mul
 from typing import NamedTuple
 
@@ -155,9 +160,10 @@ class ShapeClasses(NamedTuple):
     lefts: tuple[int, ...]  # N_mu*(a) for each a of dirs: the number of left paths in its run
     select: Callable[[int], bytes]  # row -> its bits at each right path's direction, cached by row
     count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
+    runs: Callable[[RootVector], tuple[RunPicks, ...]]  # n -> the candidates with exponents n, one RunPicks per run
 
 
-@memoized()
+@memoized(weight_key)
 def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     """The direction classes of shape mu's pairs, shared by every degree above mu.
 
@@ -165,9 +171,9 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     few distinct values, so each reader reads a row value once and keeps it
     here, freed with the group's memo.
     """
-    width = len(group)
-    runs = groupby(path_directions(group, group.dual_weight(mu)))
-    dirs, lefts = zip(*((a, sum(1 for _ in run)) for a, run in runs))
+    mu, width = dominant_weight(group.rs, mu), len(group)
+    left_runs = groupby(path_directions(group, group.dual_weight(mu)))
+    dirs, lefts = zip(*((a, sum(1 for _ in run)) for a, run in left_runs))
     rights = path_directions(group, mu)
     right_counts = Counter(rights)
     counts = tuple(right_counts.values())
@@ -181,7 +187,16 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     def count(row: int) -> int:
         return sum(compress(counts, read_classes(mask_bytes(row, width))))
 
-    return ShapeClasses(dirs, lefts, select, count)
+    stops = tuple(accumulate(n * len(rights) for n in lefts))  # each run's end: len(rights) pairs per left path
+
+    @cache
+    def runs(nvec: RootVector) -> tuple[RunPicks, ...]:
+        # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
+        fields = zip(repeat(nvec), repeat(mu), generate_pairs(group, mu))
+        pairs = tuple(map(tuple.__new__, repeat(MonomialIndex), fields))
+        return tuple(RunPicks(pairs[a:b], select, n) for a, b, n in zip((0, *stops), stops, lefts))
+
+    return ShapeClasses(dirs, lefts, select, count, runs)
 
 
 class RunPicks(dict):
@@ -206,41 +221,27 @@ class RunPicks(dict):
         return got
 
 
-@memoized(lambda group, mu, nvec: (group, (tuple(mu), tuple(nvec))))
-def candidate_runs(group: WeylGroup, mu: Weight, nvec: RootVector) -> tuple[RunPicks, ...]:
-    """Every pair of shape mu as a basis index with exponents nvec, in generate_pairs order, cut into runs.
-
-    generate_paths emits a shape's paths grouped by initial direction, so the
-    runs are those of shape_classes: one per entry of its dirs, of lefts left paths each.
-    """
-    mu, nvec = tuple(mu), tuple(nvec)
-    pairs = generate_pairs(group, mu)
-    sc = shape_classes(group, mu)
-    width = len(path_directions(group, mu))  # candidates per left path
-    runs, start = [], 0
-    for lefts in sc.lefts:
-        stop = start + lefts * width
-        # tuple.__new__ builds each index in C, without the named tuple's Python-level __new__
-        fields = zip(repeat(nvec), repeat(mu), pairs[start:stop])
-        runs.append(RunPicks(tuple(map(tuple.__new__, repeat(MonomialIndex), fields)), sc.select, lefts))
-        start = stop
-    return tuple(runs)
-
-
 def pair_count(group: WeylGroup, mu: Weight) -> int:
     """Number of path pairs of shape mu: dim mu * dim mu*."""
     return weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
 
 
 @memoized(lambda z, lam: (z.group, (z.stratum, dominant_weight(z.group.rs, lam))))
-def _admissible_shapes(z: OrbitLabel, lam: Weight) -> tuple:
-    """The (mu, n) of dominant_below(lam) whose exponents stay inside z's stratum, shared by the stratum's labels."""
-    return tuple((mu, nvec) for mu, nvec in shapes_below(z.group, lam) if support(nvec) <= z.stratum)
+def stratum_shapes(z: OrbitLabel, lam: Weight) -> tuple[tuple[Weight, RootVector, ShapeClasses], ...]:
+    """The (mu, n, shape_classes(mu)) of dominant_below(lam) whose exponents stay inside z's stratum.
+
+    Shared by the stratum's labels: a query reads this one table, checked on lam.
+    """
+    group = z.group
+    return tuple(
+        (mu, nvec, shape_classes(group, mu)) for mu, nvec in shapes_below(group, lam) if support(nvec) <= z.stratum
+    )
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:
-    """Number of path pairs basis_indices(z, lam) tests."""
-    return sum(pair_count(z.group, mu) for mu, _ in _admissible_shapes(z, lam))
+    """Number of path pairs basis_indices(z, lam) tests; it builds no direction class or path model."""
+    group = z.group
+    return sum(pair_count(group, mu) for mu, nvec in shapes_below(group, lam) if support(nvec) <= z.stratum)
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
@@ -249,14 +250,12 @@ def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     Ordered by exponent vector (lexicographic, ascending) and then by the
     enumeration order of the path pairs of each shape.
     """
-    group = z.group
-    shapes = _admissible_shapes(z, lam)  # checks lam before any table is read
+    shapes = stratum_shapes(z, lam)  # checks lam before any table is read
     rows = standard_rows(z)
     out: list[MonomialIndex] = []
-    for mu, nvec in shapes:
-        dirs = shape_classes(group, mu).dirs
+    for _, nvec, sc in shapes:
         # row a selects, in one cached lookup, the candidates of the run of left paths starting in direction a
-        out.extend(chain.from_iterable(map(getitem, candidate_runs(group, mu, nvec), map(rows.__getitem__, dirs))))
+        out.extend(chain.from_iterable(map(getitem, sc.runs(nvec), map(rows.__getitem__, sc.dirs))))
     return tuple(out)
 
 
@@ -269,12 +268,10 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     N_mu*(a) times shape_classes' count of row a, summed over the runs in one
     C-level pass, each count reading a distinct row value once.
     """
-    group = z.group
-    shapes = _admissible_shapes(z, lam)  # checks lam before any table is read
+    shapes = stratum_shapes(z, lam)  # checks lam before any table is read
     rows = standard_rows(z)
     counts: Counter[int] = Counter()
-    for mu, nvec in shapes:
-        sc = shape_classes(group, mu)
+    for _, nvec, sc in shapes:
         counts[sum(nvec)] += sum(map(mul, sc.lefts, map(sc.count, map(rows.__getitem__, sc.dirs))))
     return GradedTable(tuple((d, counts[d]) for d in range(max(counts) + 1)))
 

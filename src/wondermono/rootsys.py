@@ -74,9 +74,10 @@ def memoized(owner_key=None):
     A table keyed by a dominant weight is keyed by weight_key, the checked
     tuple, so (1.0, 1), which equals and hashes as (1, 1), is refused whether
     or not (1, 1) is cached.  A checked hit costs about six unchecked ones, so
-    the tables read once per path or once per shape of a query check their
-    weight on a miss only and answer an equal weight from the int entry:
-    WeylGroup.coset_table, monomials.shape_classes and monomials.candidate_runs.
+    the one table read once per path, WeylGroup.coset_table, checks its weight
+    on a miss only and answers an equal weight from the int entry.  A basis or
+    graded query reads one checked table, kept per (stratum, degree), and the
+    tables kept per shape only on that table's misses.
     """
 
     def decorate(fn):

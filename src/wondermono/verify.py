@@ -65,7 +65,7 @@ import time
 from collections import Counter, defaultdict
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations, compress, product
-from operator import attrgetter, or_
+from operator import attrgetter, index, or_
 from typing import NamedTuple
 
 from .demazure import char_dim, demazure_character, weyl_dim
@@ -600,6 +600,10 @@ def check_standard_intersection(group: WeylGroup, p, strict: list[int], shapes) 
 
 
 def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
+    try:
+        max_weight = index(max_weight)  # the check rootsys.rank_weight makes of a weight's coordinates
+    except TypeError:
+        raise ValueError(f"max weight must be an integer, got {max_weight!r}") from None
     if max_weight < 0:
         raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     rs = build(letter, rank)

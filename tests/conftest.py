@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, product
 
-from wondermono.monomials import MonomialIndex, candidate_runs, standard_rows
+from wondermono.monomials import MonomialIndex, shape_classes, standard_rows
 from wondermono.orbits import OrbitLabel, OrbitPoset, build_poset
 from wondermono.paths import LSPath, Segment, pair_directions
 from wondermono.rootsys import (
@@ -264,6 +264,6 @@ def scanned_basis(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
     for mu, nvec in dominant_below(group.rs, lam):
         if support(nvec) <= z.stratum:
             selector = bytes(rows[a] >> b & 1 for a, b in pair_directions(group, mu))
-            candidates = chain.from_iterable(picks.run for picks in candidate_runs(group, mu, nvec))
+            candidates = chain.from_iterable(picks.run for picks in shape_classes(group, mu).runs(nvec))
             out.extend(compress(candidates, selector))
     return tuple(out)

@@ -359,8 +359,8 @@ def test_every_refusal_is_one_error_line(capsys, argv, refuse):
 MONOMIALS_A2 = ("monomials", "--group", "A2", "--weight", "1 1", "--orbit")
 
 
-# the refusals the command line words itself, before the library sees an input; an empty orbit field is
-# skipped, so its row expects the bytes of the same orbit written without it
+# the refusals the command line words itself, before the library sees an input; a row that is no refusal
+# expects the bytes of an equal input: an empty orbit field is skipped, and a max weight's sign and blanks read
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -375,6 +375,12 @@ MONOMIALS_A2 = ("monomials", "--group", "A2", "--weight", "1 1", "--orbit")
         ((*MONOMIALS_A2, "I=\u0661;x=e;w=e"), "malformed stratum '\u0661'"),
         ((*MONOMIALS_A2, "I=1;x=e;w=s\u0661"), "malformed word token 's\u0661', expected s1..s2"),
         ((*MONOMIALS_A2, "I=1;x=e;w=s\u00b2"), "malformed word token 's\u00b2', expected s1..s2"),
+        (("verify", "--group", "A2", "--max-weight", "1_0"), "malformed max weight '1_0'"),
+        (("verify", "--group", "A2", "--max-weight", "\u0661"), "malformed max weight '\u0661'"),
+        (("verify", "--group", "A1", "--max-weight", " +1 "), ("verify", "--group", "A1", "--max-weight", "1")),
+        # an orbit spec names each of I, x and w once
+        ((*MONOMIALS_A2, "I=1;I=2;x=e;w=e"), "malformed orbit field 'I=2', expected each of I, x and w once"),
+        ((*MONOMIALS_A2, "I=1,2;x=e;w=e;q=1"), "malformed orbit field 'q=1', expected each of I, x and w once"),
     ],
     ids=[
         "weight",
@@ -387,6 +393,11 @@ MONOMIALS_A2 = ("monomials", "--group", "A2", "--weight", "1 1", "--orbit")
         "stratum-arabic-indic-digit",
         "word-arabic-indic-digit",
         "word-superscript-digit",
+        "max-weight-underscore",
+        "max-weight-arabic-indic-digit",
+        "max-weight-sign-and-blanks",
+        "orbit-repeated-field",
+        "orbit-unknown-field",
     ],
 )
 def test_the_command_lines_own_parse_refusals(capsys, argv, expected):

@@ -28,11 +28,11 @@ from wondermono import monomials, orbits, paths, verify
 from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
-    candidate_runs,
     graded_counts,
     nonstandard_components,
     shape_classes,
     standard_rows,
+    stratum_shapes,
 )
 from wondermono.orbits import OrbitLabel, build_poset, closure_leq, schubert_pairs, stratum_components
 from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
@@ -74,7 +74,7 @@ def test_cache_info_counts_one_miss_then_one_hit():
         (schubert_pairs, (z,)),
         (standard_rows, (z,)),
         (shape_classes, (group, (1, 0))),
-        (candidate_runs, (group, (1, 0), (0, 1))),
+        (stratum_shapes, (z, (1, 0))),
     ]:
         before = fn.cache_info()
         first = fn(*args)
@@ -200,9 +200,9 @@ def test_a_refused_weight_leaves_no_table_behind():
     assert {type(x) for x in coordinates} == {int}
 
 
-def test_weight_keyed_tables_refuse_a_warm_float_except_the_three_read_per_path_or_query():
-    # (1.0, 1) and [1, Fraction(1)] equal and hash as (1, 1): a table keyed by weight_key refuses them even
-    # when (1, 1) is cached, and only the three tables that check on a miss answer them from its entry
+def test_weight_keyed_tables_refuse_a_warm_float_except_the_coset_table():
+    # (1.0, 1) and [1, Fraction(1)] equal and hash as (1, 1): a table keyed by a checked weight refuses them
+    # even when (1, 1) is cached, and only coset_table, read once per path, answers them from its entry
     rs = from_name("A2")
     group = WeylGroup(rs)
     top = OrbitLabel(frozenset({1, 2}), group.identity, group.longest)
@@ -211,15 +211,12 @@ def test_weight_keyed_tables_refuse_a_warm_float_except_the_three_read_per_path_
         "shape_denominator": partial(paths.shape_denominator, rs),
         "path_directions": partial(path_directions, group),
         "shapes_below": partial(monomials.shapes_below, group),
-        "_admissible_shapes": partial(monomials._admissible_shapes, top),
+        "stratum_shapes": partial(stratum_shapes, top),
+        "shape_classes": partial(shape_classes, group),
         "generate_paths": partial(generate_paths, rs),
         "generate_pairs": partial(generate_pairs, group),
     }
-    answering = {
-        "coset_table": group.coset_table,
-        "shape_classes": partial(shape_classes, group),
-        "candidate_runs": lambda lam: candidate_runs(group, lam, (0, 0)),
-    }
+    answering = {"coset_table": group.coset_table}
     filled = {name: call((1, 1)) for name, call in {**refusing, **answering}.items()}
     assert {*refusing, *answering} <= {*rs.memo, *group.memo}
     for lam in [(1.0, 1), [1, Fraction(1)]]:

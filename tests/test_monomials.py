@@ -19,7 +19,6 @@ from wondermono.monomials import (
     MonomialIndex,
     basis_indices,
     candidate_count,
-    candidate_runs,
     graded_counts,
     is_standard_on_closure,
     is_standard_on_components,
@@ -28,6 +27,7 @@ from wondermono.monomials import (
     pair_count,
     shape_classes,
     standard_rows,
+    stratum_shapes,
 )
 from wondermono.orbits import OrbitLabel, build_poset, schubert_pairs
 from wondermono.paths import (
@@ -440,9 +440,10 @@ def test_runs_are_the_distinct_left_directions(name):
         lefts = path_directions(g, g.dual_weight(lam))
         assert [a for a, _ in groupby(lefts)] == list(dict.fromkeys(lefts)), lam
     for lam in budget_weights(g):
-        for mu, nvec in monomials._admissible_shapes(top, lam):
-            runs = candidate_runs(g, mu, nvec)
-            assert shape_classes(g, mu).dirs == tuple(dict.fromkeys(path_directions(g, g.dual_weight(mu)))), mu
+        for mu, nvec, sc in stratum_shapes(top, lam):
+            runs = sc.runs(nvec)
+            assert sc is shape_classes(g, mu), mu
+            assert sc.dirs == tuple(dict.fromkeys(path_directions(g, g.dual_weight(mu)))), mu
             # the runs carry every pair of the shape, in generate_pairs order, without a gap or an overlap
             chained = tuple(chain.from_iterable(p.run for p in runs))
             assert tuple(idx.pair for idx in chained) == generate_pairs(g, mu)
@@ -452,7 +453,7 @@ def test_runs_are_the_distinct_left_directions(name):
 def test_a_full_selection_is_the_run_itself_and_an_empty_one_is_empty():
     g = WeylGroup(group_of("B2").rs)  # fresh, so every row value below is read here
     for mu, nvec in dominant_below(g.rs, (1, 1)):
-        for picks in candidate_runs(g, mu, nvec):
+        for picks in shape_classes(g, mu).runs(nvec):
             assert picks[(1 << len(g)) - 1] is picks.run  # every bit set selects every right path
             assert picks[0] == ()
             assert list(picks) == [(1 << len(g)) - 1, 0]
@@ -505,6 +506,8 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         partial(generate_pairs, g),
         g.coset_table,
         partial(pair_count, g),
+        partial(shape_classes, g),
+        partial(stratum_shapes, z),
         partial(basis_indices, z),
         partial(graded_counts, z),
         partial(candidate_count, z),
@@ -583,9 +586,48 @@ def test_first_query_builds_only_admitted_blocks():
     g = WeylGroup(group_of("A1").rs)  # nothing memoized yet
     z = lab(g, (), (), ())
     basis_indices(z, (4,))
-    assert list(g.memo["candidate_runs"]) == [((4,), (0,))]
-    runs = g.memo["candidate_runs"][(4,), (0,)]
-    assert sum(len(picks.run) for picks in runs) == candidate_count(z, (4,)) == 25
+    assert list(g.memo["shape_classes"]) == [(4,)]
+    sc = g.memo["shape_classes"][(4,)]
+    assert sc.runs.cache_info().currsize == 1  # one exponent vector, (0,)
+    assert sum(len(picks.run) for picks in sc.runs((0,))) == candidate_count(z, (4,)) == 25
+
+
+PER_LABEL_TABLES = {"standard_rows", "schubert_pairs", "_lift_rows", "down_mask", "product_row"}
+
+
+def _shape_tables(g) -> list[dict]:
+    """Every memo table of g and its root system that is kept per weight or per shape, not per label or element."""
+    owners = memo_contents(g.rs, g)
+    return [{name: table for name, table in owner.items() if name not in PER_LABEL_TABLES} for owner in owners]
+
+
+@pytest.mark.parametrize("query", [basis_indices, graded_counts])
+def test_a_second_label_of_a_stratum_reads_only_the_stratum_table(query):
+    # once a stratum's first query has run, a query on another label of it reads stratum_shapes once, and
+    # neither reads nor fills a table kept per shape
+    g = WeylGroup(from_name("B2"))  # fresh, with a fresh root system
+    lam = (1, 1)
+    first, second = lab(g, (1, 2), (), (1, 2, 1, 2)), lab(g, (1, 2), (), (2, 1))
+    query(first, lam)
+    shapes = stratum_shapes(first, lam)
+
+    def shape_state():
+        return _shape_tables(g), shape_classes.cache_info(), [sc.runs.cache_info().misses for _, _, sc in shapes]
+
+    before, table_info = shape_state(), stratum_shapes.cache_info()
+    query(second, lam)
+    assert standard_rows(second) != standard_rows(first)
+    assert shape_state() == before
+    after = stratum_shapes.cache_info()
+    assert (after.hits, after.misses) == (table_info.hits + 1, table_info.misses)
+
+
+def test_candidate_count_builds_no_class_or_path_model():
+    g = WeylGroup(from_name("B2"))  # fresh, with a fresh root system
+    top = OrbitLabel(frozenset({1, 2}), g.identity, g.longest)
+    assert candidate_count(top, (1, 1)) == sum(pair_count(g, mu) for mu, _ in dominant_below(g.rs, (1, 1)))
+    tables = {name for owner in (g, g.rs) for name, table in owner.memo.items() if table}
+    assert tables.isdisjoint({"generate_paths", "generate_pairs", "path_directions", "shape_classes"})
 
 
 def test_run_suite_releases_its_memo(monkeypatch):

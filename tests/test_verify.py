@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -46,6 +47,12 @@ def test_grid_budget_refuses_before_building_the_grid(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "100000000 weights" in captured.err
+
+
+@pytest.mark.parametrize("max_weight", [1.0, 1.5, "1", None])
+def test_run_suite_refuses_a_max_weight_that_is_not_an_integer(max_weight):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'max weight must be an integer, got {max_weight!r}')}$"):
+        run_suite("A", 2, max_weight)
 
 
 def test_graded_tables_fails_on_index_under_no_component(monkeypatch):
