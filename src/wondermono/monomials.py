@@ -51,8 +51,7 @@ below lam whose exponents stay inside the stratum, with mu's direction
 classes, so a query reads one table, checked on lam, and filters
 shapes_below and reads shape_classes only at the first label of its stratum.
 Both tables are keyed by the checked weight, so (1.0, 1) is refused even when
-(1, 1) is cached; the one table that answers it from the int entry is
-WeylGroup.coset_table, read once per path (see rootsys.memoized).  Every
+(1, 1) is cached, as by every public table (see rootsys.memoized).  Every
 cache lives in a memo entry on the group and is freed with it.
 """
 

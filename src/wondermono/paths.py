@@ -67,8 +67,10 @@ translate the rest.  It raises when the cut point does not land on 1/D_lam;
 it never rounds.  _lowering_closure closes the straight path under it, which
 verify compares with the chains; root_lower converts one path to orbit form
 and back around the same kernel.  A path's initial direction, tau_1, is read
-from the shape's coset table (WeylGroup.coset_table), which gives each point
-of the orbit the element of its word there.
+from the shape's coset table (WeylGroup._coset_table), which gives each point
+of the orbit the element of its word there.  The table is keyed by the shape
+unchecked, one dict lookup per path, which is safe because every path's shape
+is an int tuple, checked by _path or generate_paths when the path was made.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ def initial_direction(group: WeylGroup, path: LSPath) -> WeylElement:
     the zero shape yields the identity.
     """
     target = path.dirs[0]
-    got = group.coset_table(path.shape).get(target)
+    got = group._coset_table(path.shape).get(target)
     if got is None:
         raise ValueError(f"direction {target} is not in the orbit of {path.shape}")
     return got

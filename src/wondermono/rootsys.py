@@ -65,19 +65,16 @@ def memoized(owner_key=None):
 
     The result of fn(*args) is stored in owner.memo[fn.__name__][key], so it
     is freed together with its owner.  (owner, key) is owner_key(*args) when
-    owner_key is given, and the call's two arguments otherwise.  A key that
-    cannot be hashed, such as a list weight, is looked up and stored as its
-    tuple; a miss passes fn the caller's own arguments, so a refusal names
-    them.  cache_info() counts hits and misses over all owners, as functools
-    does; a stored None is a hit like any other value.
+    owner_key is given, and the call's two arguments otherwise.  A hit costs
+    one lookup and a miss one store; a miss passes fn the caller's own
+    arguments, so a refusal names them.  A key that cannot be hashed raises
+    TypeError and stores nothing.  cache_info() counts hits and misses over
+    all owners, as functools does; a stored None is a hit like any other value.
 
-    A table keyed by a dominant weight is keyed by weight_key, the checked
-    tuple, so (1.0, 1), which equals and hashes as (1, 1), is refused whether
-    or not (1, 1) is cached.  A checked hit costs about six unchecked ones, so
-    the one table read once per path, WeylGroup.coset_table, checks its weight
-    on a miss only and answers an equal weight from the int entry.  A basis or
-    graded query reads one checked table, kept per (stratum, degree), and the
-    tables kept per shape only on that table's misses.
+    One key rule: a public table keyed by a weight is keyed by weight_key, the
+    checked tuple, so (1.0, 1), which equals and hashes as (1, 1), is refused
+    whether or not (1, 1) is cached.  A table keyed by the raw argument is
+    private to readers that pass an int tuple, as WeylGroup._coset_table is.
     """
 
     def decorate(fn):
@@ -94,15 +91,10 @@ def memoized(owner_key=None):
                 hits += 1
                 return got
             except KeyError:
-                slot = key
-            except TypeError:  # an unhashable key: a list weight
-                slot = tuple(key)
-                if slot in table:
-                    hits += 1
-                    return table[slot]
-            # fn runs outside the handlers, so its own exceptions carry no KeyError context
+                pass
+            # fn runs outside the handler, so its own exceptions carry no KeyError context
             misses += 1
-            got = table[slot] = fn(*args)
+            got = table[key] = fn(*args)
             return got
 
         wrapper.cache_info = lambda: SimpleNamespace(hits=hits, misses=misses)
@@ -294,7 +286,11 @@ def build(letter: str, rank: int) -> RootSystem:
     Supported: A1..A4, B2..B4, C2..C4, D4, F4, G2.  Anything else raises
     RootSystemError, including the E series (rank beyond the envelope).
     """
-    _require(isinstance(rank, int) and rank >= 1, f"rank must be a positive integer, got {rank!r}")
+    try:
+        rank = index(rank)  # the check rank_weight makes of a coordinate: True is 1, 2.0 and "2" are refused
+    except TypeError:
+        raise RootSystemError(f"rank must be a positive integer, got {rank!r}") from None
+    _require(rank >= 1, f"rank must be a positive integer, got {rank!r}")
     if letter not in _VALID_RANKS:
         raise RootSystemError(f"unknown type letter {letter!r} (expected one of A B C D F G)")
     if rank not in _VALID_RANKS[letter]:

@@ -6,11 +6,13 @@ group and weight bound; work that would blow past the built-in budgets is
 skipped and reported as skipped, never silently dropped.
 
 Each check is a module-level check_<name> whose parameters are the inputs it
-reads.  run_suite builds each input of a run at most once and wires the
-checks by one table of thunks; a thunk reads its check's inputs inside the
-check's timer and handler, so an input that refuses (a poset over the label
-cap, a grid with every weight over its budget) raises SkipCheck while it is
-read, and the check is reported as skipped with the input's reason.
+reads.  run_suite builds each input of a run at most once, at its first
+read, and wires the checks by one table of thunks; a thunk reads its check's
+inputs inside the check's timer and handler, so an input's build time counts
+toward the first check that reads it, and an input that refuses (a poset
+over the label cap, a grid with every weight over its budget) raises
+SkipCheck at each read, and each check that reads it is reported as skipped
+with the input's reason.
 
 The closure-order checks read the relation one label at a time: a label's
 strict down-set, as bytes, selects the values ORed together for it in one
@@ -50,7 +52,8 @@ name the witness such a scan would meet first.
 dominance-order checks each shape dominant_below returns, and on the path
 grid that none is missing: the dominant weights of V(lam), read from the
 character of w0 at lam, are exactly the dominant mu <= lam.  The character is
-built once per weight and run, and path-endpoints reads the same one.
+built once per weight and run, and path-endpoints and path-demazure, at w0,
+read the same one.
 
 path-demazure compares, for each sampled w, the endpoints of the paths whose
 initial direction lies below w with the Demazure character of w at lam.  The
@@ -330,7 +333,7 @@ def check_path_endpoints(rs, weights, full_character) -> str:
     return _counted(kept, skipped)
 
 
-def check_path_demazure(rs, group: WeylGroup, weights) -> str:
+def check_path_demazure(rs, group: WeylGroup, weights, full_character) -> str:
     kept, skipped = weights
     wsample = _stride(group.elements, WEYL_SAMPLE)
     if group.longest not in wsample:
@@ -342,7 +345,7 @@ def check_path_demazure(rs, group: WeylGroup, weights) -> str:
             ends[initial_direction(group, p)].append(p.endpoint())
         for w in wsample:
             lhs = Counter(chain.from_iterable(e for d, e in ends.items() if group.bruhat_leq(d, w)))
-            rhs = demazure_character(group, w, lam)
+            rhs = full_character(lam) if w is group.longest else demazure_character(group, w, lam)
             if lhs != rhs:
                 count, dim = lhs.total(), char_dim(rhs)
                 if count != dim:
@@ -607,27 +610,23 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     if max_weight < 0:
         raise ValueError(f"max weight must be nonnegative, got {max_weight}")
     rs = build(letter, rank)
-    grid_size = (max_weight + 1) ** rank
+    grid_size = (max_weight + 1) ** rs.rank
     if grid_size > GRID_BUDGET:
         raise ValueError(
             f"the weight grid of {rs.name} at max weight {max_weight} has {grid_size} weights,"
             f" over the budget of {GRID_BUDGET}"
         )
     group = WeylGroup(rs)
-    grid = [tuple(t) for t in product(range(max_weight + 1), repeat=rank)]
-    top = OrbitLabel(frozenset(range(1, rank + 1)), group.identity, group.longest)
+    grid = [tuple(t) for t in product(range(max_weight + 1), repeat=rs.rank)]
+    top = OrbitLabel(frozenset(range(1, rs.rank + 1)), group.identity, group.longest)
 
-    poset = None
-    poset_note = ""
-    try:
-        poset = build_poset(group)
-    except ValueError as exc:
-        poset_note = str(exc)
-
-    def need_poset():
-        if poset is None:
-            raise SkipCheck(poset_note)
-        return poset
+    @cache
+    def poset():
+        """The orbit poset, built at its first read; build_poset counts a refusal before it builds any label."""
+        try:
+            return build_poset(group)
+        except ValueError as exc:
+            raise SkipCheck(str(exc)) from None
 
     def box_size(lam) -> int:
         return math.prod(b + 1 for b in exponent_bounds(rs, lam))
@@ -669,7 +668,7 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
     @cache
     def strict() -> list[int]:
         """Each label's down-set without the label itself."""
-        return [d & ~(1 << i) for i, d in enumerate(need_poset().down_masks())]
+        return [d & ~(1 << i) for i, d in enumerate(poset().down_masks())]
 
     @cache
     def beneath() -> list[int]:
@@ -698,20 +697,20 @@ def run_suite(letter: str, rank: int, max_weight: int = 1) -> list[CheckResult]:
         ),
         ("path-count", lambda: check_path_count(rs, sized("path"))),
         ("path-endpoints", lambda: check_path_endpoints(rs, sized("path"), full_character)),
-        ("path-demazure", lambda: check_path_demazure(rs, group, sized("path"))),
-        ("orbit-census", lambda: check_orbit_census(group, need_poset())),
-        ("poset-axioms", lambda: check_poset_axioms(need_poset(), strict(), beneath())),
-        ("poset-extremes", lambda: check_poset_extremes(group, top, need_poset(), strict(), covers())),
-        ("closure-crosscheck", lambda: check_closure_crosscheck(need_poset())),
-        ("stratum-slices", lambda: check_stratum_slices(group, need_poset())),
+        ("path-demazure", lambda: check_path_demazure(rs, group, sized("path"), full_character)),
+        ("orbit-census", lambda: check_orbit_census(group, poset())),
+        ("poset-axioms", lambda: check_poset_axioms(poset(), strict(), beneath())),
+        ("poset-extremes", lambda: check_poset_extremes(group, top, poset(), strict(), covers())),
+        ("closure-crosscheck", lambda: check_closure_crosscheck(poset())),
+        ("stratum-slices", lambda: check_stratum_slices(group, poset())),
         ("basis-counts", lambda: check_basis_counts(group, top, sized("counting"))),
-        ("graded-tables", lambda: check_graded_tables(group, need_poset(), sized("candidate"))),
+        ("graded-tables", lambda: check_graded_tables(group, poset(), sized("candidate"))),
         (
             "index-monotonicity",
-            lambda: check_index_monotonicity(group, need_poset(), sized("candidate"), strict(), covers(), order()),
+            lambda: check_index_monotonicity(group, poset(), sized("candidate"), strict(), covers(), order()),
         ),
-        ("nonstandard-locus", lambda: check_nonstandard_locus(group, need_poset(), sized("pair")[0])),
-        ("standard-intersection", lambda: check_standard_intersection(group, need_poset(), strict(), sized("pair")[0])),
+        ("nonstandard-locus", lambda: check_nonstandard_locus(group, poset(), sized("pair")[0])),
+        ("standard-intersection", lambda: check_standard_intersection(group, poset(), strict(), sized("pair")[0])),
     ]
 
     results = []

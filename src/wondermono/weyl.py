@@ -21,7 +21,7 @@ The group interns its elements: each is constructed once, and every public
 operation returns one of them, so elements compare and hash by identity.
 
 Every minimal coset representative is read off one table per dominant
-weight lam (coset_table): each point of the W-orbit of lam with the element of
+weight lam (_coset_table): each point of the W-orbit of lam with the element of
 its word in rootsys.orbit_table, the shortest element sending lam there.  Its
 values are W^lam, the minimal representatives for W / W_lam.  For a subset J,
 lam_J (0 at the indices in J, 1 elsewhere) has stabilizer W_J, so the table
@@ -29,7 +29,10 @@ of lam_J gives W^J.  The elements of W^J spelled in letters of I are those
 lying in W_I; with J empty, lam_J = rho and they are all of W_I.  The
 representative of w W_J is the table's entry at w(lam_J), reached by walking
 w's word right to left through the orbit's reflection table, on indices.
-Descents decide no coset; only checks read them.
+Descents decide no coset; only checks read them.  The table is keyed by lam
+unchecked, one dict lookup per read, so it is private to readers that pass
+an int tuple: lam_J here, and a path's shape, checked when the path was
+made, in paths.initial_direction.  No public name takes a weight to it.
 
 WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group.  The group's own entries are the product rows
@@ -223,12 +226,14 @@ class WeylGroup:
     # -- parabolic and coset combinatorics ----------------------------------
 
     @memoized()
-    def coset_table(self, lam) -> dict[Weight, WeylElement]:
+    def _coset_table(self, lam: Weight) -> dict[Weight, WeylElement]:
         """Each point of the W-orbit of a dominant lam, with its minimal representative for W / W_lam.
 
         A point's representative is the element of its word in the orbit
-        table, the shortest one sending lam there.  lam is checked on a miss
-        only, by orbit_table (see rootsys.memoized).
+        table, the shortest one sending lam there.  Keyed by lam unchecked,
+        for one dict lookup per read, so private to readers that pass an int
+        tuple: paths.initial_direction a path's checked shape, and
+        min_coset_rep and min_coset_reps lam_J.
         """
         orbit = orbit_table(self.rs, lam)
         return {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
@@ -252,7 +257,7 @@ class WeylGroup:
         k = 0
         for letter in reversed(w.word):
             k = orbit.refl[letter - 1][k]
-        return self.coset_table(lam)[orbit.points[k]]
+        return self._coset_table(lam)[orbit.points[k]]
 
     def coset_decompose(self, w: WeylElement, I) -> tuple[WeylElement, WeylElement]:
         """Split w = x y with x minimal in w W_I and y in W_I; lengths add."""
@@ -268,7 +273,7 @@ class WeylGroup:
     @memoized(lambda group, J: (group, frozenset(J)))
     def min_coset_reps(self, J) -> tuple[WeylElement, ...]:
         """W^J, the minimal representatives for W / W_J in enumeration order: the coset table of lam_J."""
-        return tuple(sorted(self.coset_table(self._subset_weight(J)).values(), key=attrgetter("index")))
+        return tuple(sorted(self._coset_table(self._subset_weight(J)).values(), key=attrgetter("index")))
 
     @memoized(lambda group, I, J: (group, (frozenset(I), frozenset(J))))
     def parabolic_min_reps(self, I, J) -> tuple[WeylElement, ...]:

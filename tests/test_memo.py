@@ -67,7 +67,7 @@ def test_cache_info_counts_one_miss_then_one_hit():
     for fn, args in [
         (WeylGroup.product_row, (group, 3)),
         (WeylGroup.down_mask, (group, group.identity)),  # any other element reads its prefix's interval too
-        (WeylGroup.coset_table, (group, (1, 0))),
+        (WeylGroup._coset_table, (group, (1, 0))),
         (orbits._lift_rows, (group, (z, frozenset()))),
         (generate_pairs, (group, (1, 0))),
         (path_directions, (group, (1, 0))),
@@ -96,13 +96,12 @@ def test_every_memo_table_belongs_to_a_memoized_function():
     stratum_components(top, {2})
     build_poset(group)
     initial_direction(group, generate_paths(group.rs, (0, 1))[-1])
-    group.coset_table([1, 0])
     # a memo table is named after its function: one of a module of the package, or a method of the group
     owners = [mod for name, mod in sys.modules.items() if name.startswith("wondermono.")] + [WeylGroup]
     named = {key: value for owner in owners for key, value in vars(owner).items()}
     tables = [*group.memo, *group.rs.memo]
     assert [name for name in tables if not hasattr(named.get(name), "cache_info")] == []
-    assert {"product_row", "down_mask", "coset_table", "_lift_rows", "orbit_table"} <= set(tables)
+    assert {"product_row", "down_mask", "_coset_table", "_lift_rows", "orbit_table"} <= set(tables)
 
 
 def test_the_memo_is_the_groups_only_table():
@@ -139,7 +138,7 @@ def test_a_cached_none_is_a_hit():
     assert (info.hits, info.misses) == (1, 1)
 
 
-def test_the_default_form_stores_an_unhashable_key_as_its_tuple():
+def test_the_default_form_stores_a_key_as_given_and_refuses_an_unhashable_one():
     calls = []
 
     @memoized()
@@ -147,11 +146,15 @@ def test_the_default_form_stores_an_unhashable_key_as_its_tuple():
         calls.append(key)
 
     owner = SimpleNamespace(memo=defaultdict(dict))
-    assert nothing(owner, [1, 2]) is None and nothing(owner, (1, 2)) is None and nothing(owner, [1, 2]) is None
-    assert calls == [[1, 2]]  # a miss passes the caller's own key
-    assert list(owner.memo["nothing"]) == [(1, 2)]
+    key = (1, 2)
+    assert nothing(owner, key) is None and nothing(owner, (1, 2)) is None
+    assert calls == [key] and calls[0] is key  # a miss passes the caller's own key
+    assert list(owner.memo["nothing"]) == [key]
+    with pytest.raises(TypeError, match="unhashable"):
+        nothing(owner, [3, 4])
+    assert calls == [key] and list(owner.memo["nothing"]) == [key]  # fn not run, nothing stored
     info = nothing.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_memo_does_not_change_root_system_identity():
@@ -186,7 +189,7 @@ def test_a_refused_weight_leaves_no_table_behind():
     group = WeylGroup(rs)
     before = memo_contents(rs, group)
     refusals = []
-    for call in (group.coset_table, lambda lam: orbit_table(rs, lam)):
+    for call in (group._coset_table, lambda lam: orbit_table(rs, lam)):
         try:
             call((2.0, 1))
         except RootSystemError as exc:
@@ -200,9 +203,9 @@ def test_a_refused_weight_leaves_no_table_behind():
     assert {type(x) for x in coordinates} == {int}
 
 
-def test_weight_keyed_tables_refuse_a_warm_float_except_the_coset_table():
+def test_weight_keyed_tables_refuse_a_warm_float():
     # (1.0, 1) and [1, Fraction(1)] equal and hash as (1, 1): a table keyed by a checked weight refuses them
-    # even when (1, 1) is cached, and only coset_table, read once per path, answers them from its entry
+    # even when (1, 1) is cached; the coset table, keyed unchecked, has no public reader that takes a weight
     rs = from_name("A2")
     group = WeylGroup(rs)
     top = OrbitLabel(frozenset({1, 2}), group.identity, group.longest)
@@ -216,9 +219,9 @@ def test_weight_keyed_tables_refuse_a_warm_float_except_the_coset_table():
         "generate_paths": partial(generate_paths, rs),
         "generate_pairs": partial(generate_pairs, group),
     }
-    answering = {"coset_table": group.coset_table}
-    filled = {name: call((1, 1)) for name, call in {**refusing, **answering}.items()}
-    assert {*refusing, *answering} <= {*rs.memo, *group.memo}
+    for call in refusing.values():
+        call((1, 1))
+    assert {*refusing} <= {*rs.memo, *group.memo}
     for lam in [(1.0, 1), [1, Fraction(1)]]:
         message = re.escape(f"weight {lam} has a coordinate that is not an integer")
         for name, call in refusing.items():
@@ -226,5 +229,4 @@ def test_weight_keyed_tables_refuse_a_warm_float_except_the_coset_table():
             with pytest.raises(RootSystemError, match=message):
                 call(lam)
             assert memo_contents(rs, group) == before, name
-        for name, call in answering.items():
-            assert call(lam) is filled[name], name
+    assert not hasattr(group, "coset_table")

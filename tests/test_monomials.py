@@ -504,7 +504,6 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         partial(orbit_table, rs),
         partial(generate_paths, rs),
         partial(generate_pairs, g),
-        g.coset_table,
         partial(pair_count, g),
         partial(shape_classes, g),
         partial(stratum_shapes, z),
@@ -519,15 +518,9 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
         lambda lam: dominance_diff(rs, lam, (0, 0)),
     ]
     refusing = dominant if words == "is not dominant" else dominant + any_sign
-    # coset_table checks a weight on a miss only (see rootsys.memoized): once the first round has made the
-    # entry of (1, 1), a weight that finds its key reads the integer entry stored there
-    finds_key = {}
     message = f"^{re.escape(f'weight {lam} {words}')}$"
     for _ in ("cold", "warm"):
         for call in refusing:
-            if finds_key.get(call):
-                assert call(lam) is call((1, 1))
-                continue
             before = memo_contents(rs, g)
             with pytest.raises(RootSystemError, match=message):
                 call(lam)
@@ -537,7 +530,6 @@ def test_non_integer_weight_is_refused_cold_and_warm(lam, words):
                 call(lam)  # these take a weight of either sign
         for call in refusing:
             call((1, 1))  # every memo now holds the key of (1, 1)
-        finds_key[g.coset_table] = tuple(lam) == (1, 1)
 
 
 @pytest.mark.parametrize(

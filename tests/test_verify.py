@@ -55,6 +55,60 @@ def test_run_suite_refuses_a_max_weight_that_is_not_an_integer(max_weight):
         run_suite("A", 2, max_weight)
 
 
+def test_the_poset_is_built_once_inside_the_first_check_that_reads_it(monkeypatch):
+    built = []
+    real = verify.build_poset
+    monkeypatch.setattr(verify, "build_poset", lambda group: built.append(group) or real(group))
+    at_start = {}
+
+    def counting(name, check):
+        def wrapped(*args):
+            at_start.setdefault(name, len(built))
+            return check(*args)
+
+        return wrapped
+
+    # path-demazure is the last check before orbit-census, the first that reads the poset; a check's
+    # inputs are read before its function is entered
+    for name in ("check_path_demazure", "check_orbit_census", "check_poset_axioms"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    for runs in (1, 2):
+        assert all(r.ok for r in run_suite("A", 2, 1))
+        assert len(built) == runs
+    assert at_start == {"check_path_demazure": 0, "check_orbit_census": 1, "check_poset_axioms": 1}
+
+
+def test_a_refused_poset_skips_each_check_that_reads_it(monkeypatch):
+    counted = []
+    real = verify.build_poset
+
+    def refused(group):
+        counted.append(group)
+        return real(group, max_labels=10)  # A2 has 78 labels: refused as they are counted, before any is built
+
+    monkeypatch.setattr(verify, "build_poset", refused)
+    results = run_suite("A", 2, 1)
+    note = "orbit poset of A2 has 78 labels, beyond the supported envelope (10)"
+    skipped = [r.name for r in results if r.status == "skip"]
+    assert skipped == [
+        "orbit-census", "poset-axioms", "poset-extremes", "closure-crosscheck", "stratum-slices",
+        "graded-tables", "index-monotonicity", "nonstandard-locus", "standard-intersection",
+    ]  # fmt: skip
+    assert {r.detail for r in results if r.status == "skip"} == {note}
+    assert len(counted) == len(skipped)  # a refusal is not kept: each read counts again
+    assert all(r.status == "pass" for r in results if r.name not in skipped)
+
+
+def test_path_demazure_reads_the_full_character_at_w0(monkeypatch):
+    calls = []
+    real = verify.demazure_character
+    monkeypatch.setattr(verify, "demazure_character", lambda g, w, lam: calls.append((w, lam)) or real(g, w, lam))
+    results = run_suite("A", 2, 2)
+    assert all(r.ok for r in results)
+    longest = [lam for w, lam in calls if w is w.group.longest]
+    assert sorted(longest) == sorted(set(longest)) == weight_grid(2, 2)  # once per weight and run
+
+
 def test_graded_tables_fails_on_index_under_no_component(monkeypatch):
     monkeypatch.setattr(verify, "schubert_pairs", lambda z: ())
     result = {r.name: r for r in run_suite("A", 1, 1)}["graded-tables"]

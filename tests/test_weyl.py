@@ -264,10 +264,10 @@ def test_coset_entry_points_reject_a_subset_out_of_range(name):
                 call({bad})
     negative, long = (-1,) + (0,) * (g.rank - 1), (1,) * (g.rank + 1)
     with pytest.raises(ValueError, match=f"^{re.escape(f'weight {negative} is not dominant')}$"):
-        g.coset_table(negative)
+        g._coset_table(negative)
     message = f"weight {long} has length {g.rank + 1}, not the rank {g.rank}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        g.coset_table(long)
+        g._coset_table(long)
 
 
 def test_dual_weight():
