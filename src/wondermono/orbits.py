@@ -25,17 +25,22 @@ mask in each selected block.
 Taking a closure strictly lowers orbit dimension, so maximal elements of any
 set of labels are found layer by layer in dimension, highest first: a label
 is maximal exactly when no maximal label of a higher layer lies above it.
-The walk starts at the highest dimension the set can reach: one below the
-label for its covers (the maximal elements of its strict down-set), the
-lower of the two labels' dimensions for a meet.  The up-sets are closed
+The poset keeps each label's layer index, set when it is built, and the
+walk starts at the first layer the set can reach: the layer after the
+label's own for its covers (the maximal elements of its strict down-set),
+the later of the two labels' layers for a meet.  The up-sets are closed
 from the covers in the same order, highest layer first.  The one assumption
 is that every strict relation lowers dimension, which the verify suite
 checks for every relation bit.
+
+The covers and the up-sets are derived tables, kept in the poset's own memo
+(see rootsys.memoized) and built on first read, as the CSV and --count-only
+outputs read neither.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Callable, Sequence
 from functools import cache
 from itertools import product, repeat
@@ -88,13 +93,15 @@ class OrbitLabel(_LabelFields):
     __slots__ = ()
 
     def __new__(cls, stratum, x: WeylElement, w: WeylElement):
-        # any iterable of indices is accepted; stored as a frozenset, so every form equals and hashes alike
-        stratum = frozenset(stratum)
+        if x.__class__ is not WeylElement or w.__class__ is not WeylElement:
+            raise ValueError(f"x={x!r} and w={w!r} must be Weyl group elements")
         group = x.group
         if group is not w.group:
             raise ValueError("x and w must come from the same Weyl group")
-        if not stratum <= group._letters:
-            raise ValueError(f"stratum {sorted(stratum)} is not a subset of 1..{group.rank}")
+        # any iterable of indices is accepted, each read by operator.index as a weight coordinate is: True is 1,
+        # and 1.0, which equals and hashes as 1, is refused, so no label reads the memo entries of its int twin;
+        # the stratum kept is the group's own object for the subset, shared by every label of the stratum
+        stratum = group._check_subset(stratum, "stratum {} is not a subset of 1..{}")
         if not stratum.isdisjoint(group.right_descents(x)):
             raise ValueError(f"x={x.word_str} is not a minimal coset representative for I={sorted(stratum)}")
         return tuple.__new__(cls, (stratum, x, w))
@@ -142,16 +149,16 @@ def _lifts(z: OrbitLabel, J):
             yield elements[x_row[v.index]], wv
 
 
-@memoized()
-def _lift_rows(group: WeylGroup, key: tuple[OrbitLabel, frozenset[int]]) -> tuple:
-    """Label z's lifts to stratum J, key being (z, J), as the closure criterion reads them.
+@memoized(lambda z, J: (z.x.group, (z, J)))
+def _lift_rows(z: OrbitLabel, J: frozenset[int]) -> tuple:
+    """Label z's lifts to stratum J, as the closure criterion reads them, kept on z's group under (z, J).
 
     Each lift (xv, wv) gives (the pairs (x v u^-1, u) by element index for
     each u in W_J in enumeration order, read off the product row of xv, the
     down-mask of wv).  Every label of stratum J tested against z reads
     them, so a lift is computed once.  A label hashes in C, as its fields.
     """
-    z, J = key
+    group = z.group
     inverses = group.inverses
     us = [u.index for u in group.parabolic_elements(J)]
     rows = []
@@ -180,7 +187,7 @@ def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
     if not J <= z2.stratum:
         return False
     x_down, w_row = group.down_mask(x1), group.product_row(z1.w.index)
-    for pairs, wv_down in _lift_rows(group, (z2, J)):
+    for pairs, wv_down in _lift_rows(z2, J):
         for y, u in pairs:
             if x_down >> y & 1 and wv_down >> w_row[u] & 1:
                 return True
@@ -190,12 +197,13 @@ def closure_leq(z1: OrbitLabel, z2: OrbitLabel) -> bool:
 def stratum_components(z: OrbitLabel, J) -> list[OrbitLabel]:
     """Irreducible components of the closure of z sliced to the stratum of J.
 
-    J must be contained in z's stratum.  Each admissible v (in the parabolic
-    of z's stratum, minimal for W / W_J, with l(wv) additive) contributes the
-    orbit [J, xv, wv].  xv is minimal for W / W_J, as x is for W / W_I and v
-    lies in W_I; the label checks it, so a lift that broke this would raise.
+    J must be contained in z's stratum, its members read as a label's are.
+    Each admissible v (in the parabolic of z's stratum, minimal for W / W_J,
+    with l(wv) additive) contributes the orbit [J, xv, wv].  xv is minimal
+    for W / W_J, as x is for W / W_I and v lies in W_I; the label checks it,
+    so a lift that broke this would raise.
     """
-    J = frozenset(J)
+    J = z.group._check_subset(J)
     if not J <= z.stratum:
         raise ValueError(f"target stratum {sorted(J)} is not contained in {sorted(z.stratum)}")
     return sorted((OrbitLabel(J, xv, wv) for xv, wv in _lifts(z, J)), key=OrbitLabel.sort_key)
@@ -227,15 +235,14 @@ class OrbitPoset:
         self._down = down
         self._base = base
         self._dims = dims
-        self._covers: list[tuple[int, ...]] | None = None
-        self._up: list[int] | None = None
-        # one label bitmask per orbit dimension, highest first, and those dimensions negated, ascending for bisect
-        by_dim: dict[int, int] = {}
-        for k, d in enumerate(dims):
-            by_dim[d] = by_dim.get(d, 0) | 1 << k
-        top_down = sorted(by_dim, reverse=True)
-        self._layers = [by_dim[d] for d in top_down]
-        self._neg_dims = [-d for d in top_down]
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
+        # each label's layer, the index of its dimension among those present, highest first, and one label
+        # bitmask per layer
+        top_down = sorted(set(dims), reverse=True)
+        self._layer_of = list(map({d: n for n, d in enumerate(top_down)}.__getitem__, dims))
+        self._layers = layers = [0] * len(top_down)
+        for k, n in enumerate(self._layer_of):
+            layers[n] |= 1 << k
 
     # -- queries ------------------------------------------------------------
 
@@ -256,24 +263,27 @@ class OrbitPoset:
         return list(self._down)
 
     def up_mask(self, z: OrbitLabel) -> int:
-        """Bitmask of the labels whose closure contains z, read off the up-set table.
+        """Bitmask of the labels whose closure contains z, read off the up-set table (_up_sets)."""
+        return self._up_sets()[self.index[z]]
 
-        The table is built on first read from the covers, layer by layer in
-        dimension, highest first: a label's up-set is its own bit and the
-        up-sets of the labels covering it, all in higher layers and so
-        complete by then.  That is the transitive closure of the covers, the
-        closure order itself as every strict relation lowers dimension.
+    @memoized(lambda poset: (poset, None))
+    def _up_sets(self) -> tuple[int, ...]:
+        """Each label's up-set bitmask, by label index, closed from the covers.
+
+        The labels are taken layer by layer in dimension, highest first: a
+        label's up-set is its own bit and the up-sets of the labels covering
+        it, all in higher layers and so complete by then.  That is the
+        transitive closure of the covers, the closure order itself as every
+        strict relation lowers dimension.
         """
-        if self._up is None:
-            covers = self._cover_rows()
-            up = [1 << k for k in range(len(self.labels))]
-            for layer in self._layers:
-                for i in bits(layer):
-                    above = up[i]
-                    for j in covers[i]:
-                        up[j] |= above
-            self._up = up
-        return self._up[self.index[z]]
+        covers = self._cover_rows()
+        up = [1 << k for k in range(len(self.labels))]
+        for layer in self._layers:
+            for i in bits(layer):
+                above = up[i]
+                for j in covers[i]:
+                    up[j] |= above
+        return tuple(up)
 
     def below(self, z: OrbitLabel) -> list[OrbitLabel]:
         return self._from_mask(self._down[self.index[z]])
@@ -288,24 +298,20 @@ class OrbitPoset:
     def _from_mask(self, mask: int) -> list[OrbitLabel]:
         return [self.labels[i] for i in bits(mask)]
 
-    def _maximal_bits(self, mask: int, start: int | None = None) -> list[int]:
+    def _maximal_bits(self, mask: int, first: int = 0) -> list[int]:
         """Positions of the maximal labels of mask, ascending, found layer by layer in dimension.
 
         A strict relation lowers dimension, so labels of one layer are pairwise
         incomparable and anything above a label sits in a higher layer.  Going
         down the layers, the labels of mask still uncovered are maximal, and
         their down-sets are taken out of what is left; the walk stops once
-        nothing is.  A caller that knows mask holds no label above dimension
-        start passes it, and the walk skips the layers above.
+        nothing is.  A caller that knows mask holds no label of a layer before
+        first, by layer index, passes it, and the walk skips those layers.
         """
-        layers = self._layers
-        if start is not None:
-            # the first layer of dimension at most start; no dimension is assumed present
-            layers = layers[bisect_left(self._neg_dims, -start) :]
         down = self._down
         top: list[int] = []
         rest = mask
-        for layer in layers:
+        for layer in self._layers[first:]:
             if not rest:
                 break
             fresh = rest & layer
@@ -326,31 +332,32 @@ class OrbitPoset:
         maximal label costs one OR of its down-set; labels below them cost
         nothing.
         """
-        labels = self.labels
-        return [labels[i] for i in self._maximal_bits(mask)]
+        return list(map(self.labels.__getitem__, self._maximal_bits(mask)))
 
     def meet_components(self, z1: OrbitLabel, z2: OrbitLabel) -> list[OrbitLabel]:
         """Maximal orbits lying in both closures (the components of the intersection)."""
         i1, i2 = self.index[z1], self.index[z2]
-        start = min(self._dims[i1], self._dims[i2])
-        labels = self.labels
-        return [labels[i] for i in self._maximal_bits(self._down[i1] & self._down[i2], start)]
+        # the meet holds no label of a higher dimension than either, so nothing before the later layer
+        first = max(self._layer_of[i1], self._layer_of[i2])
+        return list(map(self.labels.__getitem__, self._maximal_bits(self._down[i1] & self._down[i2], first)))
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Transitive reduction as (upper index, lower index) pairs, ascending.
 
         The covers of a label are the maximal elements of its strict down-set,
-        found by the same layer walk as maximal_of_mask started one dimension
-        below the label; it relies on every strict relation lowering dimension.
+        found by the same layer walk as maximal_of_mask started at the layer
+        after the label's own; it relies on every strict relation lowering
+        dimension.
         """
         return [(i, j) for i, js in enumerate(self._cover_rows()) for j in js]
 
-    def _cover_rows(self) -> list[tuple[int, ...]]:
-        """The labels each label covers, by label index, ascending: built on first read."""
-        if self._covers is None:
-            dims = self._dims
-            self._covers = [tuple(self._maximal_bits(d & ~(1 << i), dims[i] - 1)) for i, d in enumerate(self._down)]
-        return self._covers
+    @memoized(lambda poset: (poset, None))
+    def _cover_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The labels each label covers, by label index, ascending."""
+        return tuple(
+            tuple(self._maximal_bits(d & ~(1 << i), layer + 1))
+            for i, (d, layer) in enumerate(zip(self._down, self._layer_of))
+        )
 
     @property
     def maximum(self) -> OrbitLabel:

@@ -36,12 +36,16 @@ end = tau_r(lam) + sum_k a_k (tau_k(lam) - tau_(k+1)(lam)), entering tau' from
 tau at time s / D_lam moves that endpoint by (s - D_lam)(tau - tau') / D_lam.
 This step is computed, and checked to be a lattice vector, once per (point,
 time, target), when the point's successor row is built, so a path costs one
-vector addition and no division for its endpoint.  The walk makes _path's
-checks where they are cheapest: a duration is positive when its segment is
-appended, a point differs from the one it is entered from and each endpoint
-step is integral when its successor row is built, and the steps sum to D_lam
-by the carried time.  Every other path is built from given fields through
-_path, the one checker; both routes make the path in C by tuple.__new__.
+vector addition and no division for its endpoint.  Of _path's checks the
+walk keeps one, that each endpoint step is integral, made when a successor
+row is built; the others hold by construction.  A duration is positive, as
+each time s is taken above the current time t; the steps sum to D_lam, as
+the current time is 0 or an admitted time, below D_lam, and the last
+segment runs to D_lam; a point differs from the one it is entered from, as
+an s-chain only walks down covers, to points with longer words; and the
+directions and shape are int tuples, read off the checked weight's orbit
+table.  Every other path is built from given fields through _path, the one
+checker; both routes make the path in C by tuple.__new__.
 
 A model repeats its fields: paths with one sequence of directions and
 different times, with one time sequence and different directions, or with one
@@ -80,6 +84,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, product, repeat
 from math import gcd, lcm
+from numbers import Rational
 from operator import add, index, mul
 from typing import NamedTuple
 
@@ -119,6 +124,10 @@ class LSPath(_PathFields):
     def __new__(cls, segments, shape):
         """A path from (direction, duration) segments, durations being rationals."""
         segments = tuple(segments)
+        for _, t in segments:
+            # Fraction would read a float or a string too, so a path could be built from 0.5 or "1/2"
+            if not isinstance(t, Rational):
+                raise ValueError(f"segment duration {t!r} is not a rational number")
         durations = [Fraction(t) for _, t in segments]
         den = lcm(*(t.denominator for t in durations))
         steps = tuple(t.numerator * (den // t.denominator) for t in durations)
@@ -127,7 +136,7 @@ class LSPath(_PathFields):
     @classmethod
     def _make(cls, fields) -> "LSPath":
         dirs, steps, den, shape, end = fields
-        path = _path(dirs, tuple(steps), den, shape)
+        path = _path(dirs, steps, den, shape)
         if path.end != tuple(end):
             raise ValueError(f"endpoint {tuple(end)} is not the path's endpoint {path.end}")
         return path
@@ -146,20 +155,25 @@ class LSPath(_PathFields):
         return self.end
 
 
-def _path(dirs, steps: tuple[int, ...], den: int, shape) -> LSPath:
+def _path(dirs, steps, den, shape) -> LSPath:
     """The path with these fields, checked and in lowest terms: the checker of every path built from given fields.
 
-    generate_paths makes the same checks along its chains and builds its paths, as this does, by tuple.__new__.
-    Directions and shape must be int vectors, read as rootsys.rank_weight reads a weight: (1.0, 0) equals and
-    hashes as (1, 0), so a memo keyed by a float shape would answer from an int entry.  Every direction must
-    have the shape's length; whether it lies in the shape's W-orbit is left to the readers that need the orbit,
-    root_lower and initial_direction, which refuse a direction outside it.
+    generate_paths builds its paths, as this does, by tuple.__new__, and its chains satisfy these checks (see
+    the module docstring).  Directions and shape must be int vectors, read as rootsys.rank_weight reads a
+    weight: (1.0, 0) equals and hashes as (1, 0), so a memo keyed by a float shape would answer from an int
+    entry.  The steps and the denominator are read the same way, so True is stored as 1 and 1.0 is refused.
+    Every direction must have the shape's length; whether it lies in the shape's W-orbit is left to the
+    readers that need the orbit, root_lower and initial_direction, which refuse a direction outside it.
     """
     try:
         shape = tuple(map(index, shape))
         dirs = tuple(tuple(map(index, d)) for d in dirs)
+        steps = tuple(map(index, steps))
+        den = index(den)
     except TypeError:
-        raise ValueError(f"path directions {dirs} and shape {shape} must have int coordinates") from None
+        raise ValueError(
+            f"path directions {dirs}, steps {steps}, denominator {den} and shape {shape} must have int coordinates"
+        ) from None
     if not steps:
         raise ValueError("a path needs at least one segment")
     if set(map(len, dirs)) != {len(shape)}:
@@ -342,7 +356,8 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     depth-first search that tries the admitted times in ascending order and
     emits each path after those that continue it yields the canonical order,
     and builds each path once.  Each path's fields are carried along its
-    chain and checked where they are made, and the model's paths share each
+    chain, valid by construction but for the endpoint steps, checked when a
+    successor row is built, and the model's paths share each
     distinct dirs, steps and end value as one object, from a table dropped
     on return (see the module docstring).
     """
@@ -382,8 +397,6 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
         row = []
         for j in reach(k, s):
             point = points[j]
-            if point == tau:
-                raise ValueError("adjacent segments must have distinct directions")
             shift = []
             for x, y in zip(tau, point):
                 q, r = divmod(s * (x - y), big)
@@ -413,8 +426,6 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
         times = admitted[k]
         row_at = successors[k]
         for s in times[bisect_right(times, t) :]:
-            if s <= t:
-                raise ValueError("segment durations must be positive")
             head = steps + (s - t,)
             h = gcd(g, s)
             tail = head + (big - s,)
@@ -424,8 +435,6 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
             row = row_at.get(s) or successor_row(k, s)
             for j, point, shift in row:
                 walk(dirs + (point,), head, h, tuple(map(add, end, shift)), j, s, tail)
-        if t >= big:
-            raise ValueError(f"durations must sum to 1, got {t}/{big} before the last segment")
         model.append(tuple.__new__(LSPath, (share(dirs, dirs), last, big // g, lam, share(end, end))))
 
     for k, point in enumerate(points):

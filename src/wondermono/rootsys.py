@@ -22,7 +22,8 @@ package's one breadth-first walk of the W-orbit of a weight, which gives the
 Weyl group as the orbit of rho and each path model its points), each root's
 coroot, the path models of generate_paths (LS chains through the Bruhat
 covers of a shape's orbit) and each shape's common denominator; results
-computed per Weyl group live on the WeylGroup.
+computed per Weyl group live on the WeylGroup, and an orbit poset's covers
+and up-sets on the OrbitPoset.
 """
 
 from __future__ import annotations
@@ -64,17 +65,23 @@ def memoized(owner_key=None):
     """Keep fn's results in a table on the object they are derived from.
 
     The result of fn(*args) is stored in owner.memo[fn.__name__][key], so it
-    is freed together with its owner.  (owner, key) is owner_key(*args) when
-    owner_key is given, and the call's two arguments otherwise.  A hit costs
-    one lookup and a miss one store; a miss passes fn the caller's own
-    arguments, so a refusal names them.  A key that cannot be hashed raises
-    TypeError and stores nothing.  cache_info() counts hits and misses over
-    all owners, as functools does; a stored None is a hit like any other value.
+    is freed together with its owner: a RootSystem, a WeylGroup or an
+    orbits.OrbitPoset, the three classes that hold a memo.  (owner, key) is
+    owner_key(*args) when owner_key is given, and the call's two arguments
+    otherwise; a table derived from its owner alone, such as the group's
+    inverses or the poset's covers and up-sets, is keyed (owner, None).  A
+    hit costs one lookup and a miss one store; a miss passes fn the caller's
+    own arguments, so a refusal names them.  A key that cannot be hashed
+    raises TypeError and stores nothing.  cache_info() counts hits and misses
+    over all owners, as functools does; a stored None is a hit like any other
+    value.
 
     One key rule: a public table keyed by a weight is keyed by weight_key, the
     checked tuple, so (1.0, 1), which equals and hashes as (1, 1), is refused
-    whether or not (1, 1) is cached.  A table keyed by the raw argument is
-    private to readers that pass an int tuple, as WeylGroup._coset_table is.
+    whether or not (1, 1) is cached; a table keyed by a subset of the simple
+    roots is keyed by WeylGroup._check_subset's frozenset of ints, so {1.0} is
+    refused the same way.  A table keyed by the raw argument is private to
+    readers that pass an int tuple, as WeylGroup._coset_table is.
     """
 
     def decorate(fn):

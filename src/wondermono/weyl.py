@@ -38,7 +38,11 @@ WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group.  The group's own entries are the product rows
 read so far (product_row), the lower Bruhat intervals, each built from its
 prefix's by the lifting property (down_mask), the coset tables and the coset
-lists read off them, and the inverses (public, built on first read); the
+lists read off them, each list keyed by its checked subset (_check_subset:
+a frozenset of ints, so {1.0} is refused and {True} is {1}), the subsets of
+1..rank themselves, one object each (_subsets), which every checked subset
+and every orbit label's stratum is, and the inverses (public, built on first
+read); the
 higher layers' memoized functions keep theirs there too.  Elements point
 back at their group, so a dropped group waits for the cycle collector;
 verify.run_suite therefore clears its group's memo, and its root system's,
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .rootsys import RootSystem, Weight, from_name, memoized, orbit_table, rank_weight
 
@@ -117,7 +121,6 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
-        self._letters = frozenset(range(1, rs.rank + 1))
         self._alphas = [rs.simple_root(i) for i in range(1, rs.rank + 1)]
         # the point of w is w^-1(rho), and s_p sends it to the point of w s_p
         table = orbit_table(rs, rs.rho())
@@ -238,16 +241,27 @@ class WeylGroup:
         orbit = orbit_table(self.rs, lam)
         return {p: self.from_word(word) for p, word in zip(orbit.points, orbit.words)}
 
-    def _check_subset(self, I) -> frozenset[int]:
-        I = frozenset(I)
-        if not I <= self._letters:
-            raise ValueError(f"subset {sorted(I)} is not contained in 1..{self.rank}")
-        return I
+    def _check_subset(self, I, refusal: str = "subset {} is not contained in 1..{}") -> frozenset[int]:
+        """I as the group's own frozenset of its members, each read by operator.index, all in 1..rank.
 
-    @memoized(lambda group, J: (group, frozenset(J)))
+        True is 1, and 1.0 and "1" are refused, with refusal filled in with
+        the members and the rank.  This is the memo key of every table kept
+        per subset, so a subset that equals and hashes as an int one is
+        refused whether or not that one is cached; OrbitLabel reads its
+        stratum here too.
+        """
+        try:
+            checked = frozenset(map(index, I))
+        except TypeError:
+            raise ValueError(refusal.format(sorted(I, key=repr), self.rank)) from None
+        own = self._subsets().get(checked)
+        if own is None:
+            raise ValueError(refusal.format(sorted(checked), self.rank))
+        return own
+
+    @memoized(lambda group, J: (group, group._check_subset(J)))
     def _subset_weight(self, J) -> Weight:
         """lam_J, 0 at the indices in J and 1 elsewhere: its stabilizer is W_J."""
-        J = self._check_subset(J)
         return tuple(0 if i in J else 1 for i in range(1, self.rank + 1))
 
     def min_coset_rep(self, w: WeylElement, J) -> WeylElement:
@@ -270,12 +284,12 @@ class WeylGroup:
             )
         return x, y
 
-    @memoized(lambda group, J: (group, frozenset(J)))
+    @memoized(lambda group, J: (group, group._check_subset(J)))
     def min_coset_reps(self, J) -> tuple[WeylElement, ...]:
         """W^J, the minimal representatives for W / W_J in enumeration order: the coset table of lam_J."""
         return tuple(sorted(self._coset_table(self._subset_weight(J)).values(), key=attrgetter("index")))
 
-    @memoized(lambda group, I, J: (group, (frozenset(I), frozenset(J))))
+    @memoized(lambda group, I, J: (group, (group._check_subset(I), group._check_subset(J))))
     def parabolic_min_reps(self, I, J) -> tuple[WeylElement, ...]:
         """Elements of W_I that are minimal representatives for W / W_J: those of W^J spelled in I."""
         I = self._check_subset(I)
@@ -290,9 +304,19 @@ class WeylGroup:
         return tuple(-x for x in self.longest.act(lam))
 
     def subsets(self) -> list[frozenset[int]]:
-        """All subsets of {1..rank} ordered by (size, sorted members)."""
+        """All subsets of {1..rank} ordered by (size, sorted members), as the group's own objects."""
+        return list(self._subsets())
+
+    @memoized(lambda group: (group, None))
+    def _subsets(self) -> dict[frozenset[int], frozenset[int]]:
+        """Each subset of {1..rank} mapped to itself, in subsets() order.
+
+        Every checked subset and every label's stratum is one of these
+        objects, so the labels of one stratum share it and a memo key that
+        holds it compares by identity.
+        """
         base = range(1, self.rank + 1)
-        return [frozenset(c) for size in range(self.rank + 1) for c in combinations(base, size)]
+        return {I: I for size in range(self.rank + 1) for I in map(frozenset, combinations(base, size))}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WeylGroup({self.rs.name}, order={len(self.elements)})"

@@ -34,7 +34,7 @@ from wondermono.monomials import (
     standard_rows,
     stratum_shapes,
 )
-from wondermono.orbits import OrbitLabel, build_poset, closure_leq, schubert_pairs, stratum_components
+from wondermono.orbits import OrbitLabel, OrbitPoset, build_poset, closure_leq, schubert_pairs, stratum_components
 from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
 from wondermono.rootsys import RootSystemError, from_name, memoized, orbit_table
 from wondermono.weyl import WeylGroup
@@ -64,11 +64,14 @@ def test_groups_are_freed_with_their_memo():
 def test_cache_info_counts_one_miss_then_one_hit():
     group = WeylGroup(from_name("B2"))
     z = OrbitLabel(frozenset({1}), group.identity, group.longest)
+    poset = build_poset(WeylGroup(from_name("B2")))  # its own group: the build reads every row and interval
     for fn, args in [
         (WeylGroup.product_row, (group, 3)),
         (WeylGroup.down_mask, (group, group.identity)),  # any other element reads its prefix's interval too
         (WeylGroup._coset_table, (group, (1, 0))),
-        (orbits._lift_rows, (group, (z, frozenset()))),
+        (orbits._lift_rows, (z, frozenset())),
+        (OrbitPoset._cover_rows, (poset,)),
+        (OrbitPoset._up_sets, (poset,)),  # read after the covers, which it is closed from
         (generate_pairs, (group, (1, 0))),
         (path_directions, (group, (1, 0))),
         (schubert_pairs, (z,)),
@@ -94,14 +97,17 @@ def test_every_memo_table_belongs_to_a_memoized_function():
     graded_counts(low, lam)
     closure_leq(low, top)
     stratum_components(top, {2})
-    build_poset(group)
+    poset = build_poset(group)
+    poset.cover_pairs()
+    nonstandard_components(generate_pairs(group, lam)[0], poset)
     initial_direction(group, generate_paths(group.rs, (0, 1))[-1])
-    # a memo table is named after its function: one of a module of the package, or a method of the group
-    owners = [mod for name, mod in sys.modules.items() if name.startswith("wondermono.")] + [WeylGroup]
-    named = {key: value for owner in owners for key, value in vars(owner).items()}
-    tables = [*group.memo, *group.rs.memo]
-    assert [name for name in tables if not hasattr(named.get(name), "cache_info")] == []
+    # a memo table is named after its function: one of a module of the package, or a method of the group or poset
+    owners = [mod for name, mod in sys.modules.items() if name.startswith("wondermono.")] + [WeylGroup, OrbitPoset]
+    memoized_names = {key for owner in owners for key, value in vars(owner).items() if hasattr(value, "cache_info")}
+    tables = [*group.memo, *group.rs.memo, *poset.memo]
+    assert [name for name in tables if name not in memoized_names] == []
     assert {"product_row", "down_mask", "_coset_table", "_lift_rows", "orbit_table"} <= set(tables)
+    assert set(poset.memo) == {"_cover_rows", "_up_sets"}
 
 
 def test_the_memo_is_the_groups_only_table():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -81,6 +82,28 @@ def test_make_and_replace_check_a_label():
         z._replace(stratum=[3, 0])
     with pytest.raises(ValueError, match="^x and w must come from the same Weyl group$"):
         z._replace(w=WeylGroup(from_name("B2")).identity)
+    with pytest.raises(ValueError, match="^x='e' and w=<s1 s2> must be Weyl group elements$"):
+        z._replace(x="e")
+    with pytest.raises(ValueError, match="^x=<e> and w=3 must be Weyl group elements$"):
+        OrbitLabel(frozenset({1}), g.identity, 3)
+
+
+def test_a_stratum_is_read_as_ints_cold_and_warm():
+    g = group_of("A2")
+    e, w0 = g.identity, g.longest
+    # True is the int 1, stored and printed as 1
+    z = OrbitLabel({True}, e, w0)
+    assert z == OrbitLabel({1}, e, w0) and repr(z) == "[{1},e,s1 s2 s1]"
+    assert [type(i) for i in z.stratum] == [int]
+    top = OrbitLabel({1, 2}, e, w0)
+    assert repr(stratum_components(top, [True])) == "[[{1},e,s1 s2 s1]]"
+    # 1.0 and "1" equal or stand for 1, and are refused whether or not the label of {1} is cached
+    schubert_pairs(z)
+    for bad, shown in ((1.0, "[1.0]"), ("1", "['1']")):
+        with pytest.raises(ValueError, match=f"^stratum {re.escape(shown)} is not a subset of 1..2$"):
+            OrbitLabel({bad}, e, w0)
+        with pytest.raises(ValueError, match=f"^subset {re.escape(shown)} is not contained in 1..2$"):
+            stratum_components(top, [bad])
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3"])
@@ -490,13 +513,25 @@ def test_meet_components_match_brute_force(name):
 def test_a_walk_started_one_layer_too_low_is_caught(monkeypatch):
     real = OrbitPoset._maximal_bits
 
-    def one_layer_low(self, mask, start=None):
-        return real(self, mask, None if start is None else start - 1)
+    def one_layer_low(self, mask, first=None):
+        # a caller's first layer, one past the first its set can reach, skips that layer's maximal labels
+        return real(self, mask) if first is None else real(self, mask, first + 1)
 
     monkeypatch.setattr(OrbitPoset, "_maximal_bits", one_layer_low)
     poset = build_poset(group_of("B2"))
     assert set(poset.cover_pairs()) != flat_covers(poset)
     assert meet_mismatches(poset, walk_pairs(poset))
+
+
+def test_covers_are_built_once_for_the_pairs_and_every_up_set():
+    poset = build_poset(group_of("B2"))
+    before = OrbitPoset._cover_rows.cache_info()
+    pairs = poset.cover_pairs()
+    ups = [poset.up_mask(z) for z in poset.labels]
+    after = OrbitPoset._cover_rows.cache_info()
+    assert after.misses - before.misses == 1
+    assert poset.cover_pairs() == pairs and [poset.up_mask(z) for z in poset.labels] == ups
+    assert OrbitPoset._cover_rows.cache_info().misses == after.misses
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -297,6 +298,27 @@ def test_path_checks_on_ints():
         LSPath([((2,), HALF), ((2,), HALF)], (2,))
     with pytest.raises(ValueError, match="lattice weight"):
         LSPath([((1,), Fraction(1, 3)), ((-1,), Fraction(2, 3))], (1,))
+
+
+def test_path_steps_and_denominator_are_ints():
+    # True is the int 1: stored as 1, so the path is the one built from ints
+    path = LSPath._make((((1,),), (True,), True, (1,), (1,)))
+    assert path == LSPath([((1,), 1)], (1,))
+    assert [type(v) for v in (*path.steps, path.den)] == [int, int]
+    message = r"^path directions .*, steps .*, denominator .* and shape .* must have int coordinates$"
+    with pytest.raises(ValueError, match=message):
+        LSPath._make((((1,),), (1.0,), 1, (1,), (1,)))
+    with pytest.raises(ValueError, match=message):
+        path._replace(den=1.0)
+    with pytest.raises(ValueError, match=message):
+        path._replace(steps=("1",))
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_path_durations_are_rationals(bad):
+    with pytest.raises(ValueError, match=f"^segment duration {re.escape(repr(bad))} is not a rational number$"):
+        LSPath([((1,), bad), ((-1,), HALF)], (1,))
+    assert LSPath([((1,), HALF), ((-1,), HALF)], (1,)).steps == (1, 1)
 
 
 def test_path_refuses_a_shape_of_another_length():

@@ -270,6 +270,31 @@ def test_coset_entry_points_reject_a_subset_out_of_range(name):
         g._coset_table(long)
 
 
+def test_coset_entry_points_read_a_subset_as_ints_cold_and_warm():
+    g = group_of("A2")
+    entry_points = [
+        g.min_coset_reps,
+        g.parabolic_elements,
+        lambda J: g.parabolic_min_reps(J, ()),
+        lambda J: g.parabolic_min_reps((), J),
+        lambda J: g.min_coset_rep(g.longest, J),
+        lambda J: g.coset_decompose(g.longest, J),
+    ]
+    for call in entry_points:
+        # True is the int 1: the same answer as {1}
+        assert call({True}) == call({1})
+        # 1.0 and "1" are refused although {1} is now cached, and leave no entry of their own
+        for bad, shown in ((1.0, "[1.0]"), ("1", "['1']")):
+            with pytest.raises(ValueError, match=f"^subset {re.escape(shown)} is not contained in 1..2$"):
+                call({bad})
+    # every table is keyed by the checked subset, so each member of a key is an int, never the bool True
+    subsets = [*g.memo["_subset_weight"], *g.memo["min_coset_reps"]]
+    subsets += [J for IJ in g.memo["parabolic_min_reps"] for J in IJ]
+    assert {1} in subsets and {type(i) for J in subsets for i in J} == {int}
+    # and is the group's own object for that subset
+    assert all(J is g._subsets()[J] for J in subsets)
+
+
 def test_dual_weight():
     assert group_of("A2").dual_weight((1, 0)) == (0, 1)
     assert group_of("A2").dual_weight((2, 1)) == (1, 2)
