@@ -25,13 +25,21 @@ reflection's permutation and pairings are in the table, and a higher positive
 root beta = s_c gamma has s_beta = s_c s_gamma s_c and
 <mu, beta^vee> = <s_c mu, gamma^vee>, so no weight is built or looked up.
 
+A shape's chain graph (_chain_graph: the orbit's points in ascending weight
+order, D_lam, the covers and each point's admitted times) is a memo table,
+built once per shape and read by two callers: generate_paths walks it, and
+_is_ls, root_lower's check, tests a given path against it.  Which points an
+s-chain reaches (_reach) is not kept in the graph: each caller reads it into
+a table of its own, dropped when the call returns, as are the walk's
+successor rows.  The graph's memo, like every table kept per shape here, is
+keyed by rootsys.weight_key (see rootsys.memoized).
+
 generate_paths walks these chains depth first in canonical order, so each
-path is built once and nothing is sorted.  Its memo, like every table kept
-per shape here, is keyed by rootsys.weight_key (see rootsys.memoized).  A
-path's fields are carried along its chain rather than derived from it: the
-walk keeps the prefix's directions, its steps over D_lam, their gcd with
-D_lam (one gcd per step gives the lowest terms) and the endpoint of the path
-that would stop there.  By
+path is built once and nothing is sorted.  A path's fields are carried along
+its chain rather than derived from it: the walk keeps the prefix's
+directions, its steps over D_lam, their gcd with D_lam (one gcd per step
+gives the lowest terms) and the endpoint of the path that would stop there.
+By
 end = tau_r(lam) + sum_k a_k (tau_k(lam) - tau_(k+1)(lam)), entering tau' from
 tau at time s / D_lam moves that endpoint by (s - D_lam)(tau - tau') / D_lam.
 This step is computed, and checked to be a lattice vector, once per (point,
@@ -55,10 +63,10 @@ from that table, so equal fields of one model are one object: the B3 (3,3,3)
 model's 262,144 paths hold 55,850 direction tuples, 17,704 step tuples and
 2,728 endpoints, about half the memory of a copy per path.  Sharing is safe
 because the fields are tuples of ints or of int tuples, which no reader can
-change, and the table is freed on return with the search tables, so nothing
-outlives the call but the model.  The lowest-terms steps of the paths that
-enter a point at one time are made once, by the walk's caller, for every
-point that time reaches.
+change, and the table is freed on return with the reach table and the
+successor rows, so nothing the walk builds outlives the call but the model.
+The lowest-terms steps of the paths that enter a point at one time are made
+once, by the walk's caller, for every point that time reaches.
 
 The root operators are the cross-check.  Lowering runs in orbit form too: a
 direction is its index in the shape's W-orbit (rootsys.orbit_table) and the
@@ -69,17 +77,19 @@ One kernel (_lower) follows the usual path model recipe: locate the last
 attainment of the minimal height, reflect up to the next unit rise,
 translate the rest.  It raises when the cut point does not land on 1/D_lam;
 it never rounds.  _lowering_closure closes the straight path under it, which
-verify compares with the chains; root_lower converts one path to orbit form
-and back around the same kernel.  A path's initial direction, tau_1, is read
-from the shape's coset table (WeylGroup._coset_table), which gives each point
-of the orbit the element of its word there.  The table is keyed by the shape
-unchecked, one dict lookup per path, which is safe because every path's shape
-is an int tuple, checked by _path or generate_paths when the path was made.
+verify compares with the chains, and reads no chain graph, so the two routes
+stay independent; root_lower checks one path by _is_ls, then converts it to
+orbit form and back around the same kernel, so every input of _lower is an
+LS path.  A path's initial direction, tau_1, is read from the shape's coset
+table (WeylGroup._coset_table), which gives each point of the orbit the
+element of its word there.  The table is keyed by the shape unchecked, one
+dict lookup per path, which is safe because every path's shape is an int
+tuple, checked by _path or generate_paths when the path was made.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, product, repeat
@@ -252,10 +262,12 @@ def _lower(
     new_dirs += dirs[j2:]
     new_steps += steps[j2:]
     # reflection keeps adjacent directions distinct, and a segment that rises is not fixed by it, so
-    # equal neighbours can only meet where the reflected run starts, and where it ends if no rest is left
-    if not rest and j2 < len(dirs) and new_dirs[j2 - 1] == new_dirs[j2]:
-        del new_dirs[j2]
-        new_steps[j2 - 1] += new_steps.pop(j2)
+    # equal neighbours can only meet where the reflected run starts, or where it ends if no rest is left.
+    # They never meet at the end on an LS path, the only input (root_lower checks its path by _is_ls, and
+    # _lowering_closure lowers LS paths only): there the height is m + 1, and a next direction equal to the
+    # reflected one pairs negatively with alpha_c, so the height falls; as the final height is at least
+    # m + 1, it turns back up at a local minimum strictly between m and m + 1 (j1 is the last global
+    # minimum), while an LS path's local minima of <pi(t), alpha_c^vee> are integers.
     if j1 and new_dirs[j1 - 1] == new_dirs[j1]:
         del new_dirs[j1]
         new_steps[j1 - 1] += new_steps.pop(j1)
@@ -265,18 +277,16 @@ def _lower(
 def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     """Apply the i-th lowering operator, or return None when it is undefined.
 
-    The path goes to orbit form and back around the lowering kernel; the
-    result is built over D_lam, where the cut point must land.
+    The path must be an LS path of its shape (_is_ls), or a ValueError says
+    what fails.  It goes to orbit form and back around the lowering kernel;
+    the result is built over D_lam, where the cut point must land.
     """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
+    _is_ls(rs, path)
     table = orbit_table(rs, path.shape)
-    try:
-        dirs = tuple(table.index[d] for d in path.dirs)
-    except KeyError as exc:
-        raise ValueError(f"direction {exc.args[0]} is not in the orbit of {path.shape}") from None
     big = shape_denominator(rs, path.shape)
-    low = _lower(table, i - 1, dirs, path.steps, path.den, big)
+    low = _lower(table, i - 1, tuple(map(table.index.__getitem__, path.dirs)), path.steps, path.den, big)
     if low is None:
         return None
     return _path(tuple(table.points[d] for d in low[0]), low[1], big, path.shape)
@@ -346,69 +356,104 @@ def _cover_table(rs: RootSystem, table: OrbitTable, big: int) -> list[list[tuple
     return covers
 
 
+class _ChainGraph(NamedTuple):
+    points: tuple[Weight, ...]  # the shape's orbit in ascending weight order
+    den: int  # D_lam
+    covers: tuple[tuple[tuple[int, int], ...], ...]  # covers[k]: (q, j) for each cover of points[j] by points[k]
+    admitted: tuple[tuple[int, ...], ...]  # admitted[k]: the times some cover out of points[k] admits, ascending
+
+
+@memoized(weight_key)
+def _chain_graph(rs: RootSystem, lam: Weight) -> _ChainGraph:
+    """The chain graph of W/W_lam, which generate_paths walks and _is_ls checks a path against.
+
+    Its points are the orbit's, renumbered in ascending weight order, so
+    ascending indices are the canonical order of directions; its covers are
+    _cover_table's, each (q, j) admitting the time s / D_lam iff q divides s;
+    and each point's admitted times are the numerators in (0, D_lam) that some
+    cover out of it admits.  Which points an s-chain reaches is not kept here:
+    _reach reads it into a table of the caller's.
+    """
+    table = orbit_table(rs, lam)
+    big = shape_denominator(rs, lam)
+    # the orbit table's indices in ascending weight order, and the inverse: each index's place in that order
+    order = sorted(range(len(table.points)), key=table.points.__getitem__)
+    where = sorted(range(len(order)), key=order.__getitem__)
+    covers = tuple(
+        tuple([(q, where[j]) for q, j in row]) for row in map(_cover_table(rs, table, big).__getitem__, order)
+    )
+    admitted = [sorted({s for q in {q for q, _ in row} for s in range(q, big, q)}) for row in covers]
+    return _ChainGraph(tuple(map(table.points.__getitem__, order)), big, covers, tuple(map(tuple, admitted)))
+
+
+def _reach(graph: _ChainGraph, reached: dict[tuple[int, int], list[int]], k: int, s: int) -> list[int]:
+    """The points below graph.points[k] along an s-chain of at least one cover, ascending.
+
+    Each answer is kept in reached, the caller's table, which lives as long as
+    the caller's walk or check: the graph's memo entry holds no reach table.
+    """
+    got = reached.get((k, s))
+    if got is None:
+        found = set()
+        for q, j in graph.covers[k]:
+            if not s % q:
+                found.add(j)
+                found.update(_reach(graph, reached, j, s))
+        got = reached[k, s] = sorted(found)
+    return got
+
+
+def _is_ls(rs: RootSystem, path: LSPath) -> bool:
+    """True for an LS path of its shape, else a ValueError naming the first direction or breakpoint that fails.
+
+    The test generate_paths applies as it walks: each direction is a point of
+    the shape's orbit, D_lam is a multiple of the path's denominator, and at
+    each breakpoint, s_k as a numerator over D_lam, the next direction is in
+    reach(tau_k, s_k): some s_k-chain leads down to it from tau_k.
+    """
+    graph = _chain_graph(rs, path.shape)
+    points, big = graph.points, graph.den
+    at = []
+    for d in path.dirs:
+        k = bisect_left(points, d)
+        if k == len(points) or points[k] != d:
+            raise ValueError(f"direction {d} is not in the orbit of {path.shape}")
+        at.append(k)
+    scale, rem = divmod(big, path.den)
+    if rem:
+        raise ValueError(f"path denominator {path.den} does not divide D = {big} of shape {path.shape}")
+    reached: dict[tuple[int, int], list[int]] = {}
+    for k, j, s in zip(at, at[1:], accumulate(map(scale.__mul__, path.steps))):
+        if j not in _reach(graph, reached, k, s):
+            raise ValueError(
+                f"not an LS path of shape {path.shape}: no chain at its breakpoint {Fraction(s, big)}"
+                f" leads from {points[k]} to {points[j]}"
+            )
+    return True
+
+
 @memoized(weight_key)
 def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
     """The LS paths of shape lam as chains in W/W_lam, in canonical order.
 
     A path runs along tau_1 > ... > tau_r, each tau_k for time a_k - a_(k-1),
     where tau_k reaches tau_(k+1) by an a_k-chain: a chain of covers that each
-    admit the time a_k.  Points are taken in ascending weight order, so a
-    depth-first search that tries the admitted times in ascending order and
-    emits each path after those that continue it yields the canonical order,
-    and builds each path once.  Each path's fields are carried along its
-    chain, valid by construction but for the endpoint steps, checked when a
-    successor row is built, and the model's paths share each
-    distinct dirs, steps and end value as one object, from a table dropped
-    on return (see the module docstring).
+    admit the time a_k.  The walk reads the shape's chain graph (_chain_graph),
+    whose points are in ascending weight order, so a depth-first search that
+    tries the admitted times in ascending order and emits each path after
+    those that continue it yields the canonical order, and builds each path
+    once.  Each path's fields are carried along its chain, valid by
+    construction but for the endpoint steps, checked when a successor row is
+    built, and the model's paths share each distinct dirs, steps and end value
+    as one object.  The reach answers, the successor rows and the sharing
+    table are the call's own, dropped on return (see the module docstring).
     """
     lam = dominant_weight(rs, lam)
-    table = orbit_table(rs, lam)
-    big = shape_denominator(rs, lam)
-    # renumber the orbit in ascending weight order, so ascending indices are the canonical order of directions
-    order = sorted(range(len(table.points)), key=table.points.__getitem__)
-    renumber = [0] * len(order)
-    for k, old in enumerate(order):
-        renumber[old] = k
-    points = [table.points[old] for old in order]
-    by_table = _cover_table(rs, table, big)
-    covers = [[(q, renumber[j]) for q, j in by_table[old]] for old in order]
-    # the times (numerators over D_lam) that some cover out of each point admits, ascending
-    admitted = [sorted({s for q in {q for q, _ in row} for s in range(q, big, q)}) for row in covers]
+    points, big, _, admitted = graph = _chain_graph(rs, lam)
     reached: dict[tuple[int, int], list[int]] = {}
-
-    def reach(k: int, s: int) -> list[int]:
-        """The points below points[k] along an s-chain of at least one cover, ascending."""
-        got = reached.get((k, s))
-        if got is None:
-            found = set()
-            for q, j in covers[k]:
-                if not s % q:
-                    found.add(j)
-                    found.update(reach(j, s))
-            got = reached[(k, s)] = sorted(found)
-        return got
-
-    # successors[k][s] lists (j, points[j], shift) for each j in reach(k, s), built on first use
+    # successors[k][s] lists (j, points[j], shift) for each j in reach(k, s), with the endpoint shift
+    # (s - D_lam)(tau - tau') / D_lam of entering tau' = points[j] from tau = points[k]: built on first use
     successors: list[dict[int, list[tuple[int, Weight, Weight]]]] = [{} for _ in points]
-
-    def successor_row(k: int, s: int) -> list[tuple[int, Weight, Weight]]:
-        """The points an s-chain reaches from points[k], each with its endpoint shift (s - D_lam)(tau - tau') / D_lam."""
-        tau = points[k]
-        row = []
-        for j in reach(k, s):
-            point = points[j]
-            shift = []
-            for x, y in zip(tau, point):
-                q, r = divmod(s * (x - y), big)
-                if r:
-                    raise ValueError(
-                        f"path endpoint is not a lattice weight: entering {point} from {tau} at time {s}/{big}"
-                    )
-                shift.append(q - x + y)
-            row.append((j, point, tuple(shift)))
-        successors[k][s] = row
-        return row
-
     model: list[LSPath] = []
     # share(v, v) is the first object met in this model with v's value: its paths hold each dirs, steps and end once
     share = {}.setdefault
@@ -432,16 +477,29 @@ def generate_paths(rs: RootSystem, lam: Weight) -> tuple[LSPath, ...]:
             if h > 1:
                 tail = tuple(map(h.__rfloordiv__, tail))
             tail = share(tail, tail)
-            row = row_at.get(s) or successor_row(k, s)
-            for j, point, shift in row:
+            if s not in row_at:
+                row = row_at[s] = []
+                for j in _reach(graph, reached, k, s):
+                    point = points[j]
+                    shift = []
+                    for x, y in zip(dirs[-1], point):
+                        q, r = divmod(s * (x - y), big)
+                        if r:
+                            raise ValueError(
+                                "path endpoint is not a lattice weight:"
+                                f" entering {point} from {dirs[-1]} at time {s}/{big}"
+                            )
+                        shift.append(q - x + y)
+                    row.append((j, point, tuple(shift)))
+            for j, point, shift in row_at[s]:
                 walk(dirs + (point,), head, h, tuple(map(add, end, shift)), j, s, tail)
         model.append(tuple.__new__(LSPath, (share(dirs, dirs), last, big // g, lam, share(end, end))))
 
     for k, point in enumerate(points):
         walk((point,), (), big, point, k, 0, (1,))
-    # walk and reach refer to themselves through their closure cells: break those cycles, so that
-    # the search tables and the sharing table are freed on return rather than at the next full collection
-    walk = reach = None
+    # walk refers to itself through its closure cell: break that cycle, so that the search tables
+    # and the sharing table are freed on return rather than at the next full collection
+    walk = None
     return tuple(model)
 
 

@@ -20,8 +20,10 @@ cache, so it is freed with that object.  RootSystem.memo holds what is
 derived from the root system alone: the orbit tables of orbit_table (the
 package's one breadth-first walk of the W-orbit of a weight, which gives the
 Weyl group as the orbit of rho and each path model its points), each root's
-coroot, the path models of generate_paths (LS chains through the Bruhat
-covers of a shape's orbit) and each shape's common denominator; results
+coroot, each shape's common denominator, its chain graph (_chain_graph: the
+orbit's points in ascending order, the Bruhat covers between them and the
+times each admits, which generate_paths walks and root_lower checks a path
+against) and its path model (generate_paths); results
 computed per Weyl group live on the WeylGroup, and an orbit poset's covers
 and up-sets on the OrbitPoset.
 """
@@ -78,10 +80,12 @@ def memoized(owner_key=None):
 
     One key rule: a public table keyed by a weight is keyed by weight_key, the
     checked tuple, so (1.0, 1), which equals and hashes as (1, 1), is refused
-    whether or not (1, 1) is cached; a table keyed by a subset of the simple
+    whether or not (1, 1) is cached; a table kept per subset of the simple
     roots is keyed by WeylGroup._check_subset's frozenset of ints, so {1.0} is
     refused the same way.  A table keyed by the raw argument is private to
-    readers that pass an int tuple, as WeylGroup._coset_table is.
+    readers that pass a checked value: WeylGroup._coset_table an int tuple,
+    and the subset tables the frozenset their public reader checked, which is
+    all their bodies read, so a one-shot iterator is read once.
     """
 
     def decorate(fn):
@@ -192,7 +196,7 @@ class RootSystem:
 
 
 def _edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
-    """Dynkin edges as (i, j, a, b) meaning C[i][j] = -a and C[j][i] = -b, 1-based."""
+    """Dynkin edges as (i, j, a, b) meaning C[i][j] = -a and C[j][i] = -b, 1-based, for a letter build admits."""
     chain = [(i, i + 1, 1, 1) for i in range(1, rank)]
     if letter == "A":
         return chain
@@ -206,9 +210,8 @@ def _edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
         return [(1, 2, 1, 1), (2, 3, 1, 1), (2, 4, 1, 1)]
     if letter == "F":  # alpha_1, alpha_2 long; alpha_3, alpha_4 short
         return [(1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)]
-    if letter == "G":  # alpha_1 short, alpha_2 long
-        return [(1, 2, 3, 1)]
-    raise RootSystemError(f"unknown type letter {letter!r}")
+    # G, the last letter build admits: alpha_1 short, alpha_2 long
+    return [(1, 2, 3, 1)]
 
 
 def _invert(mat: list[list[int]]) -> tuple[int, list[list[int]]]:

@@ -38,12 +38,13 @@ WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group.  The group's own entries are the product rows
 read so far (product_row), the lower Bruhat intervals, each built from its
 prefix's by the lifting property (down_mask), the coset tables and the coset
-lists read off them, each list keyed by its checked subset (_check_subset:
-a frozenset of ints, so {1.0} is refused and {True} is {1}), the subsets of
-1..rank themselves, one object each (_subsets), which every checked subset
-and every orbit label's stratum is, and the inverses (public, built on first
-read); the
-higher layers' memoized functions keep theirs there too.  Elements point
+lists read off them, each list in a private table keyed by the subset its
+public reader checked (_check_subset: a frozenset of ints, so {1.0} is
+refused and {True} is {1}) and built from that frozenset alone, so a one-shot
+iterator is read once, the subsets of 1..rank themselves, one object each
+(_subsets), which every checked subset and every orbit label's stratum is,
+and the inverses (public, built on first read); the higher layers' memoized
+functions keep theirs there too.  Elements point
 back at their group, so a dropped group waits for the cycle collector;
 verify.run_suite therefore clears its group's memo, and its root system's,
 before it returns.  Built at construction, by element index: the lengths
@@ -259,14 +260,14 @@ class WeylGroup:
             raise ValueError(refusal.format(sorted(checked), self.rank))
         return own
 
-    @memoized(lambda group, J: (group, group._check_subset(J)))
-    def _subset_weight(self, J) -> Weight:
-        """lam_J, 0 at the indices in J and 1 elsewhere: its stabilizer is W_J."""
+    @memoized()
+    def _subset_weight(self, J: frozenset[int]) -> Weight:
+        """lam_J, 0 at the indices in J and 1 elsewhere: its stabilizer is W_J.  J must be checked (_check_subset)."""
         return tuple(0 if i in J else 1 for i in range(1, self.rank + 1))
 
     def min_coset_rep(self, w: WeylElement, J) -> WeylElement:
         """The minimal representative of the left coset w W_J: the coset table of lam_J at w(lam_J)."""
-        lam = self._subset_weight(J)
+        lam = self._subset_weight(self._check_subset(J))
         orbit = orbit_table(self.rs, lam)
         k = 0
         for letter in reversed(w.word):
@@ -284,16 +285,21 @@ class WeylGroup:
             )
         return x, y
 
-    @memoized(lambda group, J: (group, group._check_subset(J)))
     def min_coset_reps(self, J) -> tuple[WeylElement, ...]:
         """W^J, the minimal representatives for W / W_J in enumeration order: the coset table of lam_J."""
+        return self._min_coset_reps(self._check_subset(J))
+
+    @memoized()
+    def _min_coset_reps(self, J: frozenset[int]) -> tuple[WeylElement, ...]:
         return tuple(sorted(self._coset_table(self._subset_weight(J)).values(), key=attrgetter("index")))
 
-    @memoized(lambda group, I, J: (group, (group._check_subset(I), group._check_subset(J))))
     def parabolic_min_reps(self, I, J) -> tuple[WeylElement, ...]:
         """Elements of W_I that are minimal representatives for W / W_J: those of W^J spelled in I."""
-        I = self._check_subset(I)
-        return tuple(el for el in self.min_coset_reps(J) if I.issuperset(el.word))
+        return self._parabolic_min_reps(self._check_subset(I), self._check_subset(J))
+
+    @memoized(lambda group, I, J: (group, (I, J)))
+    def _parabolic_min_reps(self, I: frozenset[int], J: frozenset[int]) -> tuple[WeylElement, ...]:
+        return tuple(el for el in self._min_coset_reps(J) if I.issuperset(el.word))
 
     def parabolic_elements(self, I) -> tuple[WeylElement, ...]:
         """All of W_I, in enumeration order."""

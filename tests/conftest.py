@@ -6,7 +6,8 @@ criterion through group methods live here, not in the package, so the tests
 exercise the shipped orbit tables, lowering operator, Bruhat intervals, descent sets,
 orbit-table cosets and index-form closure test against genuinely separate
 implementations.  The scan of every candidate pair is the reference for
-basis_indices' selection by runs of left paths.
+basis_indices' selection by runs of left paths, and a search of the admitted
+covers the reference for the points an s-chain reaches.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, product
 
+from wondermono import paths
 from wondermono.monomials import MonomialIndex, shape_classes, standard_rows
 from wondermono.orbits import OrbitLabel, OrbitPoset, build_poset
 from wondermono.paths import LSPath, Segment, pair_directions
@@ -24,6 +26,7 @@ from wondermono.rootsys import (
     Weight,
     dominant_below,
     from_name,
+    orbit_table,
     root_combination,
     support,
 )
@@ -267,3 +270,24 @@ def scanned_basis(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
             candidates = chain.from_iterable(picks.run for picks in shape_classes(group, mu).runs(nvec))
             out.extend(compress(candidates, selector))
     return tuple(out)
+
+
+def searched_reach(rs: RootSystem, lam: Weight, s: int) -> dict[Weight, set[Weight]]:
+    """Each point of lam's orbit with the points below it along an s-chain of at least one cover.
+
+    A depth-first search over paths._cover_table's covers, each admitted at time
+    s / D_lam iff its q divides s: the reference for paths._reach, which reads
+    the covers through the chain graph's renumbering and keeps its answers.
+    """
+    table = orbit_table(rs, lam)
+    covers = paths._cover_table(rs, table, paths.shape_denominator(rs, lam))
+    reached = {}
+    for k, tau in enumerate(table.points):
+        seen, stack = set(), [k]
+        while stack:
+            for q, j in covers[stack.pop()]:
+                if s % q == 0 and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reached[tau] = {table.points[j] for j in seen}
+    return reached

@@ -72,6 +72,7 @@ def test_cache_info_counts_one_miss_then_one_hit():
         (orbits._lift_rows, (z, frozenset())),
         (OrbitPoset._cover_rows, (poset,)),
         (OrbitPoset._up_sets, (poset,)),  # read after the covers, which it is closed from
+        (paths._chain_graph, (group.rs, (1, 0))),
         (generate_pairs, (group, (1, 0))),
         (path_directions, (group, (1, 0))),
         (schubert_pairs, (z,)),
@@ -218,6 +219,7 @@ def test_weight_keyed_tables_refuse_a_warm_float():
     refusing = {
         "orbit_table": partial(orbit_table, rs),
         "shape_denominator": partial(paths.shape_denominator, rs),
+        "_chain_graph": partial(paths._chain_graph, rs),
         "path_directions": partial(path_directions, group),
         "shapes_below": partial(monomials.shapes_below, group),
         "stratum_shapes": partial(stratum_shapes, top),

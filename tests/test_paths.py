@@ -2,15 +2,29 @@ from __future__ import annotations
 
 import copy
 import gc
+import hashlib
+import importlib.util
 import pickle
 import re
+import sys
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate, islice
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 
-from conftest import canonical_segments, descent_min_reps, group_of, root_raise, stepwise_orbit_table, weight_grid
+from conftest import (
+    canonical_segments,
+    descent_min_reps,
+    group_of,
+    root_raise,
+    searched_reach,
+    stepwise_orbit_table,
+    weight_grid,
+)
 
 from wondermono import paths, rootsys
 from wondermono.demazure import weyl_dim
@@ -280,15 +294,22 @@ def test_fraction_built_paths_equal_generated():
 
 
 def test_lowering_never_rounds():
-    # neither path is an LS path: one is not over D = 2, one cuts between multiples of 1/6
+    # neither path is an LS path: one is not over D = 2, one cuts between multiples of 1/6.  root_lower
+    # refuses both, and the kernel, given their orbit form, raises rather than round
     a2 = group_of("A2").rs
     off_denominator = LSPath([((1, 1), Fraction(1, 3)), ((1, -2), Fraction(2, 3))], (1, 1))
-    with pytest.raises(ValueError, match="does not divide D = 2"):
+    with pytest.raises(ValueError, match=r"^path denominator 3 does not divide D = 2 of shape \(1, 1\)$"):
         root_lower(a2, 1, off_denominator)
     g2 = group_of("G2").rs
     off_cut = LSPath([((-3, 1), HALF), ((-3, 2), Fraction(1, 3)), ((3, -1), Fraction(1, 6))], (0, 1))
-    with pytest.raises(ValueError, match="not a multiple of 1/6"):
+    with pytest.raises(ValueError, match=r"^not an LS path of shape \(0, 1\): no chain at its breakpoint 1/2 "):
         root_lower(g2, 2, off_cut)
+    kernel_refusals = [(a2, off_denominator, 0, "does not divide D = 2"), (g2, off_cut, 1, "not a multiple of 1/6")]
+    for rs, path, c, message in kernel_refusals:
+        table = rootsys.orbit_table(rs, path.shape)
+        dirs = tuple(map(table.index.__getitem__, path.dirs))
+        with pytest.raises(ValueError, match=message):
+            paths._lower(table, c, dirs, path.steps, path.den, paths.shape_denominator(rs, path.shape))
 
 
 def test_path_checks_on_ints():
@@ -579,3 +600,150 @@ def test_initial_direction_table_has_one_entry_per_coset():
     # |W / W_lam| = 1152 / 48, the stabilizer of omega_4 being of type B3
     assert len(table) == 24
     assert set(table.values()) == set(descent_min_reps(g, {1, 2, 3}))
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_path_models_keep_their_bytes(monkeypatch):
+    # sha256 over repr of every path's fields, for the 101 weights of the paths-rank4 benchmark in its query order
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    digest, count = hashlib.sha256(), 0
+    for name, lam in workloads.path_queries():
+        for path in generate_paths(group_of(name).rs, lam):
+            digest.update(repr(tuple(path)).encode())
+            count += 1
+    assert count == 20923
+    assert digest.hexdigest() == "73d08e08fcd50be44f60c6b2b5072313d17c80c6a3c5673c3a6ff01c2b690c8c"
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_reach_matches_a_search_of_the_admitted_covers(name):
+    rs = group_of(name).rs
+    for lam in weight_grid(rs.rank, 2):
+        graph = paths._chain_graph(rs, lam)
+        assert list(graph.points) == sorted(rootsys.orbit_table(rs, lam).points)
+        assert graph.den == paths.shape_denominator(rs, lam)
+        reached = {}
+        for s in range(1, graph.den):
+            oracle = searched_reach(rs, lam, s)
+            for k, tau in enumerate(graph.points):
+                got = paths._reach(graph, reached, k, s)
+                assert got == sorted(got) and {graph.points[j] for j in got} == oracle[tau], (lam, tau, s)
+            # a time is admitted out of a point iff some cover out of it admits it
+            assert [s in times for times in graph.admitted] == [any(s % q == 0 for q, _ in row) for row in graph.covers]
+
+
+def test_generate_paths_reads_one_chain_graph_per_weight(monkeypatch):
+    rs = from_name("B2")  # a fresh root system, so every graph and model is built here
+    for lam in [(1, 0), (1, 1), (0, 2)]:
+        before = paths._chain_graph.cache_info()
+        model = generate_paths(rs, lam)
+        mid = paths._chain_graph.cache_info()
+        assert (mid.hits - before.hits, mid.misses - before.misses) == (0, 1)
+        # the LS check of root_lower reads the same entry
+        root_lower(rs, 1, model[0])
+        after = paths._chain_graph.cache_info()
+        assert (after.hits - mid.hits, after.misses - mid.misses) == (1, 0)
+    # with the graph cached, the walk builds no covers of its own
+    graph = paths._chain_graph(rs, (2, 1))
+
+    def no_covers(*args):
+        raise AssertionError("generate_paths built a cover table")
+
+    monkeypatch.setattr(paths, "_cover_table", no_covers)
+    assert len(generate_paths(rs, (2, 1))) == weyl_dim(rs, (2, 1))
+    assert paths._chain_graph(rs, [2, 1]) is graph
+
+
+def test_lowering_closure_reads_no_chain_graph(monkeypatch):
+    # the root-operator route stays independent of the chains that path-count compares it with
+    rs = from_name("G2")
+    model = generate_paths(rs, (1, 1))
+
+    def no_graph(*args):
+        raise AssertionError("_lowering_closure read the chain graph")
+
+    monkeypatch.setattr(paths, "_chain_graph", no_graph)
+    assert paths._lowering_closure(rs, (1, 1)) == {(p.dirs, p.steps, p.den) for p in model}
+
+
+@cache
+def ls_rows() -> list[tuple[str, LSPath, str | None]]:
+    """(group, path, refusal pattern or None): every path of every model up to max weight 2 on rank 2 and 1 on
+    rank 3, accepted, then one A1 sequence that _path accepts though its directions rise from -4 to 4 at time 1/2."""
+    rows = [
+        (name, path, None)
+        for name, bound in [("A2", 2), ("B2", 2), ("C2", 2), ("G2", 2), ("A3", 1), ("B3", 1), ("C3", 1)]
+        for lam in weight_grid(int(name[1]), bound)
+        for path in generate_paths(group_of(name).rs, lam)
+    ]
+    quarter = Fraction(1, 4)
+    rise = LSPath([((-4,), quarter), ((4,), quarter), ((-4,), quarter), ((4,), quarter)], (4,))
+    refusal = r"^not an LS path of shape \(4,\): no chain at its breakpoint 1/2 leads from \(4,\) to \(-4,\)$"
+    return rows + [("A1", rise, refusal)]
+
+
+def ls_verdicts() -> list[str | None]:
+    """_is_ls on each row's path: None when accepted, else the refusal's message."""
+    verdicts = []
+    for name, path, _ in ls_rows():
+        try:
+            assert paths._is_ls(group_of(name).rs, path) is True
+            verdicts.append(None)
+        except ValueError as exc:
+            verdicts.append(str(exc))
+    return verdicts
+
+
+def test_is_ls_accepts_every_model_path_and_refuses_a_rise():
+    assert len(ls_rows()) == 3646
+    for (name, path, refusal), verdict in zip(ls_rows(), ls_verdicts()):
+        if refusal is None:
+            assert verdict is None, (name, path)
+        else:
+            assert re.search(refusal, verdict), (name, path, verdict)
+    # root_lower refuses the A1 sequence, which it used to lower to directions (-4, 4, -4) with steps (1, 1, 2)/4
+    name, path, refusal = ls_rows()[-1]
+    with pytest.raises(ValueError, match=refusal):
+        root_lower(group_of(name).rs, 1, path)
+    assert path not in generate_paths(group_of(name).rs, path.shape)
+
+
+def test_is_ls_read_one_breakpoint_late_fails_a_row(monkeypatch):
+    # the mutant checks tau_(k+1) against reach(tau_k, s_(k+1)): some row must tell it from the real check
+    real = accumulate
+    monkeypatch.setattr(paths, "accumulate", lambda *args: islice(real(*args), 1, None))
+    wrong = [
+        (name, path)
+        for (name, path, refusal), verdict in zip(ls_rows(), ls_verdicts())
+        if (verdict is None) != (refusal is None)
+    ]
+    assert wrong
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_lowering_leaves_no_equal_neighbours(name):
+    # the census behind _lower's one merge, at max weight 2: where the reflected run ends, no lowering of an LS path
+    # meets its next direction, so no result over any lowering closure has equal neighbours
+    rs = group_of(name).rs
+    for lam in weight_grid(rs.rank, 2):
+        table = rootsys.orbit_table(rs, lam)
+        big = paths.shape_denominator(rs, lam)
+        seen = {((0,), (big,))}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for dirs, steps in frontier:
+                for c in range(rs.rank):
+                    low = paths._lower(table, c, dirs, steps, big, big)
+                    if low is not None:
+                        assert all(a != b for a, b in zip(low[0], low[0][1:])), (lam, dirs, steps, c)
+                        if low not in seen:
+                            seen.add(low)
+                            nxt.append(low)
+            frontier = nxt
+        assert len(seen) == weyl_dim(rs, lam)

@@ -288,11 +288,34 @@ def test_coset_entry_points_read_a_subset_as_ints_cold_and_warm():
             with pytest.raises(ValueError, match=f"^subset {re.escape(shown)} is not contained in 1..2$"):
                 call({bad})
     # every table is keyed by the checked subset, so each member of a key is an int, never the bool True
-    subsets = [*g.memo["_subset_weight"], *g.memo["min_coset_reps"]]
-    subsets += [J for IJ in g.memo["parabolic_min_reps"] for J in IJ]
+    tables = {"_subset_weight", "_min_coset_reps", "_parabolic_min_reps"}
+    assert tables <= set(g.memo) and all(g.memo[name] for name in tables)
+    subsets = [*g.memo["_subset_weight"], *g.memo["_min_coset_reps"]]
+    subsets += [J for IJ in g.memo["_parabolic_min_reps"] for J in IJ]
     assert {1} in subsets and {type(i) for J in subsets for i in J} == {int}
     # and is the group's own object for that subset
     assert all(J is g._subsets()[J] for J in subsets)
+
+
+# each table kept per subset reads the subset once, where its reader checks it: a one-shot iterator is neither read
+# as empty by the table's body nor stored under the subset it named
+def test_min_coset_reps_reads_a_one_shot_subset_once():
+    g = WeylGroup(from_name("A2"))  # a fresh group, so the iterator meets no cached entry
+    assert [el.word_str for el in g.min_coset_reps(iter([1]))] == ["e", "s2", "s1 s2"]
+    assert [el.word_str for el in g.min_coset_reps([1])] == ["e", "s2", "s1 s2"]
+
+
+def test_parabolic_min_reps_reads_one_shot_subsets_once():
+    g = WeylGroup(from_name("A2"))
+    assert [el.word_str for el in g.parabolic_min_reps(iter([1, 2]), iter([1]))] == ["e", "s2", "s1 s2"]
+    assert [el.word_str for el in g.parabolic_min_reps([1, 2], [1])] == ["e", "s2", "s1 s2"]
+
+
+def test_subset_weight_reads_a_one_shot_subset_once():
+    g = WeylGroup(from_name("A2"))
+    assert g.min_coset_rep(g.longest, iter([1])).word_str == "s1 s2"
+    assert g._subset_weight(g._check_subset([1])) == (0, 1)
+    assert len(g.min_coset_reps([1])) == 3
 
 
 def test_dual_weight():
