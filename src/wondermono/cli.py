@@ -36,10 +36,11 @@ CONVENTIONS = {
 
 # requests are sized before anything is enumerated.  Measured in process
 # (Python 3.11, one core of a shared 2-CPU Xeon): paths on B4 (2,1,0,1), 9,504
-# paths, takes 0.36-0.50 s as JSON, 0.41-0.61 s as CSV and 0.29-0.42 s with
-# --count-only; monomials on the open orbit of B3 at (0,2,0), 77,415 candidate
-# pairs, takes 0.17-0.19 s as JSON, 0.19-0.20 s as CSV and 0.010-0.013 s with
-# --count-only.  Either budget is under a second of work.
+# paths, takes 0.36-0.50 s as JSON and 0.41-0.61 s as CSV; monomials on the
+# open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 0.17-0.19 s as
+# JSON, 0.19-0.20 s as CSV and 0.010-0.013 s with --count-only.  Either budget
+# is under a second of work.  paths --count-only reads the Weyl dimension
+# formula alone, builds no path and has no budget.
 PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000
 
@@ -279,11 +280,12 @@ def cmd_paths(args) -> int:
     rs = group.rs
     lam = dominant_weight(rs, _numbers(args.weight, "weight"))
     count = weyl_dim(rs, lam)
-    _check_budget(f"the number of paths of {lam} on {rs.name} is", count, PATH_BUDGET)
     if args.count_only:
-        # the path model has one path per weight of V(lam), counted with multiplicity: none is built
+        # the path model has one path per weight of V(lam), counted with multiplicity: none is built, so no
+        # budget applies
         _write(args.out, [f"{count}\n"])
         return 0
+    _check_budget(f"the number of paths of {lam} on {rs.name} is", count, PATH_BUDGET)
     paths = generate_paths(rs, lam)
     # a duration, steps[k] / den, is rendered once per distinct pair of ints
     duration = cache(lambda s, den: str(Fraction(s, den)))

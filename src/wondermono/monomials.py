@@ -7,9 +7,14 @@ irreducible component of the closure's slice to the doubled flag variety
 admits both initial directions in its Bruhat intervals.
 
 Standardness therefore depends only on the pair's initial directions (a, b).
-Each orbit z gets one table of row masks, built once from its Schubert pairs
-(L, R) and kept on the group: bit b of row a is set when a <= L and b <= R for
-some component.  Every standardness test is then one bit lookup in that table.
+Each orbit z gets one table of row masks, built once and kept on the group:
+bit b of row a is set when a <= L and b <= R for some component (L, R).  The
+table reads z's lifts (xv, wv) to the closed stratum straight off, each the
+component (xv w0, wv), with xv w0 from the group's table of right products by
+w0 and the lower interval of xv w0 as a tuple of element indices.
+orbits.schubert_pairs, the same components sorted, is the reference route,
+which is_standard_on_components and verify read.  Every standardness test is
+then one bit lookup in that table.
 
 Read through the closure order, the table is the closed-stratum slice of z's
 closure: since right multiplication by w0 reverses the Bruhat order, (a, b)
@@ -65,7 +70,7 @@ from operator import getitem, mul
 from typing import NamedTuple
 
 from .demazure import weyl_dim
-from .orbits import OrbitLabel, OrbitPoset, bit_reader, mask_bytes, schubert_pairs
+from .orbits import OrbitLabel, OrbitPoset, _lifts, bit_reader, mask_bytes
 from .paths import (
     PathPair,
     generate_pairs,
@@ -81,7 +86,7 @@ from .rootsys import (
     support,
     weight_key,
 )
-from .weyl import WeylGroup, bits
+from .weyl import WeylGroup
 
 
 class MonomialIndex(NamedTuple):
@@ -128,13 +133,16 @@ def standard_rows(z: OrbitLabel) -> tuple[int, ...]:
 
     Bit b of row a is set iff a <= L and b <= R for some Schubert pair (L, R)
     of z, i.e. the union of the products down(L) x down(R): down(R) is ORed
-    into the rows at the set bits of down(L).
+    into the rows at the indices of down(L).  The pairs are read straight off
+    z's lifts (xv, wv) to the closed stratum, as (L, R) = (xv w0, wv), with
+    xv w0 read from the group's table of right products by w0.
     """
     group = z.group
+    times_w0 = group._times_longest()
     rows = [0] * len(group)
-    for c in schubert_pairs(z):
-        right = group.down_mask(c.right)
-        for a in bits(group.down_mask(c.left)):
+    for xv, wv in _lifts(z, ()):
+        right = group.down_mask(wv)
+        for a in group.down_indices(times_w0[xv.index]):
             rows[a] |= right
     return tuple(rows)
 
@@ -269,10 +277,11 @@ def graded_counts(z: OrbitLabel, lam: Weight) -> GradedTable:
     """
     shapes = stratum_shapes(z, lam)  # checks lam before any table is read
     rows = standard_rows(z)
-    counts: Counter[int] = Counter()
-    for _, nvec, sc in shapes:
-        counts[sum(nvec)] += sum(map(mul, sc.lefts, map(sc.count, map(rows.__getitem__, sc.dirs))))
-    return GradedTable(tuple((d, counts[d]) for d in range(max(counts) + 1)))
+    degrees = [sum(nvec) for _, nvec, _ in shapes]
+    counts = [0] * (max(degrees) + 1)
+    for d, (_, _, sc) in zip(degrees, shapes):
+        counts[d] += sum(map(mul, sc.lefts, map(sc.count, map(rows.__getitem__, sc.dirs))))
+    return GradedTable(tuple(enumerate(counts)))
 
 
 def _nonstandard_mask(pair: PathPair, poset: OrbitPoset) -> int:

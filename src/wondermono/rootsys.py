@@ -340,7 +340,7 @@ def from_name(name: str) -> RootSystem:
 
 
 def is_dominant(lam: Weight) -> bool:
-    return all(x >= 0 for x in lam)
+    return min(lam, default=0) >= 0
 
 
 def sub_weights(a: Weight, b: Weight) -> Weight:

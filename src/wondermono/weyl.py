@@ -37,7 +37,9 @@ made, in paths.initial_direction.  No public name takes a weight to it.
 WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group.  The group's own entries are the product rows
 read so far (product_row), the lower Bruhat intervals, each built from its
-prefix's by the lifting property (down_mask), the coset tables and the coset
+prefix's by the lifting property (down_mask), and each one's element indices
+(down_indices), the right products a w0 of every a, read off the orbit of
+rho (_times_longest), the coset tables and the coset
 lists read off them, each list in a private table keyed by the subset its
 public reader checked (_check_subset: a frozenset of ints, so {1.0} is
 refused and {True} is {1}) and built from that frozenset alone, so a one-shot
@@ -222,6 +224,25 @@ class WeylGroup:
             out |= 1 << rmult[u][p]
         return out
 
+    @memoized()
+    def down_indices(self, w: WeylElement) -> tuple[int, ...]:
+        """The element indices of {u : u <= w}, ascending: the set bits of down_mask(w), peeled once."""
+        return tuple(bits(self.down_mask(w)))
+
+    @memoized(lambda group: (group, None))
+    def _times_longest(self) -> tuple[WeylElement, ...]:
+        """a w0 for every a, by element index, read off the orbit of rho: no product row is built.
+
+        The point of a w0 is w0 applied to the point of a, and w0 sends each
+        fundamental weight omega_i to -omega_sigma(i), sigma being the
+        involution of the Dynkin diagram that -w0 induces, so coordinate j of
+        w0(p) is -p[sigma(j)].
+        """
+        table = orbit_table(self.rs, self.rs.rho())
+        units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        sigma = [self.dual_weight(unit).index(1) for unit in units]
+        return tuple(self.elements[table.index[tuple(-p[s] for s in sigma)]] for p in table.points)
+
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         if u.length > w.length:
             return False
@@ -249,13 +270,18 @@ class WeylGroup:
         the members and the rank.  This is the memo key of every table kept
         per subset, so a subset that equals and hashes as an int one is
         refused whether or not that one is cached; OrbitLabel reads its
-        stratum here too.
+        stratum here too.  The group's own object, such as a label's
+        stratum, is returned as it is, after one lookup; anything else, an
+        equal frozenset included, is read member by member.
         """
+        subsets = self._subsets()
+        if I.__class__ is frozenset and subsets.get(I) is I:
+            return I
         try:
             checked = frozenset(map(index, I))
         except TypeError:
             raise ValueError(refusal.format(sorted(I, key=repr), self.rank)) from None
-        own = self._subsets().get(checked)
+        own = subsets.get(checked)
         if own is None:
             raise ValueError(refusal.format(sorted(checked), self.rank))
         return own

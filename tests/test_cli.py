@@ -418,13 +418,19 @@ def test_an_error_that_is_no_refusal_is_not_caught(monkeypatch):
 
 
 def test_paths_over_budget_rejected_before_enumeration(capsys):
-    rc, out, err = run(capsys, "paths", "--group", "F4", "--weight", "2 2 2 2", "--count-only")
+    rc, out, err = run(capsys, "paths", "--group", "F4", "--weight", "2 2 2 2")
     assert rc == 1 and out == ""
     assert "282429536481" in err and "(10000)" in err
 
 
+def test_paths_count_only_has_no_budget(capsys):
+    # a count builds no path, so the path budget does not apply: F4 (1,1,1,1) has 2**24 paths
+    rc, out, err = run(capsys, "paths", "--group", "F4", "--weight", "1 1 1 1", "--count-only")
+    assert (rc, out, err) == (0, "16777216\n", "")
+
+
 def test_paths_count_only_builds_no_path(capsys, monkeypatch):
-    # the count is the Weyl dimension the budget check computed; the path model is never built
+    # the count is the Weyl dimension; the path model is never built
     def refuse(*args):
         raise AssertionError("generate_paths called for a count")
 

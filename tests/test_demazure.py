@@ -24,6 +24,13 @@ def test_string_rule_cancellation():
     # D_1 applied to a full s1-string is the identity on it
     full = {(2,): 1, (0,): 1, (-2,): 1}
     assert apply_demazure(g.rs, 1, full) == full
+    # e^0 is kept and e^-2 subtracts e^0 back out: a coefficient that cancels is dropped, not kept as 0
+    assert apply_demazure(g.rs, 1, {(0,): 1, (-2,): 1}) == {}
+
+
+def test_demazure_character_refuses_a_word_that_is_not_reduced():
+    with pytest.raises(ValueError, match=r"^word \(1, 1\) is not reduced$"):
+        demazure_character(group_of("A2"), [1, 1], (1, 0))
 
 
 def test_identity_word():

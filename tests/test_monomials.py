@@ -12,7 +12,7 @@ import pytest
 from conftest import group_of, memo_contents, poset_of, scanned_basis, weight_grid
 
 import wondermono
-from wondermono import monomials, verify
+from wondermono import monomials, orbits, verify
 from wondermono.demazure import demazure_character, weyl_dim
 from wondermono.monomials import (
     GradedTable,
@@ -259,6 +259,34 @@ def check_closed_orbit_identity(g, poset, labels):
         for b, w in enumerate(g.elements):
             c = poset.index[OrbitLabel(frozenset(), x, w)]
             assert [r[a] >> b & 1 for r in rows] == [d >> c & 1 for d in down], (el, w)
+
+
+@pytest.mark.parametrize(
+    "name, count", [("A1", 6), ("A2", 78), ("B2", 136), ("C2", 136), ("G2", 300), ("A3", 1800), ("B3", 7056)]
+)
+def test_standard_rows_are_the_union_over_schubert_pairs(name, count):
+    # the table read off the lifts, on every label, against the reference route: down(L) x down(R) for each pair
+    g = group_of(name)
+    labels = all_labels(g)
+    assert len(labels) == count
+    for z in labels:
+        rows = [0] * len(g)
+        for c in schubert_pairs(z):
+            left, right = g.down_mask(c.left), g.down_mask(c.right)
+            for a in range(len(g)):
+                if left >> a & 1:
+                    rows[a] |= right
+        assert standard_rows(z) == tuple(rows), z
+
+
+def test_a_standard_table_builds_no_product_row_beyond_the_lifts():
+    # on F4, 1,152 elements: the lifts read the rows of x and w, and the table itself reads none
+    g = WeylGroup(from_name("F4"))
+    z = lab(g, (1, 2), (), (3, 4))
+    assert len(list(orbits._lifts(z, ()))) == 6
+    g.memo.clear()
+    standard_rows(z)
+    assert set(g.memo["product_row"]) == {z.x.index, z.w.index}
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
@@ -584,7 +612,7 @@ def test_first_query_builds_only_admitted_blocks():
     assert sum(len(picks.run) for picks in sc.runs((0,))) == candidate_count(z, (4,)) == 25
 
 
-PER_LABEL_TABLES = {"standard_rows", "schubert_pairs", "_lift_rows", "down_mask", "product_row"}
+PER_LABEL_TABLES = {"standard_rows", "schubert_pairs", "_lift_rows", "down_mask", "down_indices", "product_row"}
 
 
 def _shape_tables(g) -> list[dict]:

@@ -545,6 +545,18 @@ def test_model_comes_out_in_canonical_order(name, lam):
     assert len(set(keys)) == len(keys)
 
 
+def test_path_refuses_no_segment():
+    with pytest.raises(ValueError, match="^a path needs at least one segment$"):
+        LSPath([], (1, 0))
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_root_lower_refuses_an_index_out_of_range(i):
+    rs = group_of("A2").rs
+    with pytest.raises(ValueError, match=rf"^simple root index {i} out of range 1\.\.2$"):
+        root_lower(rs, i, LSPath([((1, 0), 1)], (1, 0)))
+
+
 def test_root_lower_names_direction_outside_orbit():
     rs = group_of("A2").rs
     # the orbit of (1, 0) is (1, 0), (-1, 1), (0, -1); the path still ends on a lattice weight

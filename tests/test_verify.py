@@ -295,11 +295,14 @@ def _graded_with_every_degree_raised(real):
             "orbit-census",
             "60 labels, index formula gives 78",
         ),
-        # the component (w0, w0) of the dense orbit [{1},e,w0] of a G x G-orbit closure, dropped in the library's route
+        # the component (w0, w0) of the dense orbit [{1},e,w0] of a G x G-orbit closure, dropped in the library's
+        # route: the lift (e, w0) to the closed stratum, whose left factor times w0 is w0
         (
             monomials,
-            "schubert_pairs",
-            lambda real: lambda z: tuple(p for p in real(z) if z.stratum != {1} or p != (z.group.longest,) * 2),
+            "_lifts",
+            lambda real: lambda z, J: (
+                lift for lift in real(z, J) if z.stratum != {1} or lift != (z.group.identity, z.group.longest)
+            ),
             "A",
             "basis-counts",
             "0 indices on the closure of [{1},e,s1 s2 s1] at (0, 0), expected 1",
@@ -423,11 +426,14 @@ def _graded_with_every_degree_raised(real):
             "poset-extremes",
             "minimum is [{1,2},e,s1 s2 s1] of dimension 8",
         ),
-        # the component (w0, w0) of every label of the empty stratum dropped: the closed stratum loses its index
+        # the component (w0, w0) of every label of the empty stratum dropped, as its lift (e, w0): the closed
+        # stratum loses its index
         (
             monomials,
-            "schubert_pairs",
-            lambda real: lambda z: tuple(p for p in real(z) if z.stratum or p != (z.group.longest,) * 2),
+            "_lifts",
+            lambda real: lambda z, J: (
+                lift for lift in real(z, J) if z.stratum or lift != (z.group.identity, z.group.longest)
+            ),
             "A",
             "basis-counts",
             "0 indices on the closed stratum at (0, 0), expected 1",
@@ -470,6 +476,16 @@ def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, na
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     result = {r.name: r for r in run_suite(letter, 2, 1)}[check]
     assert (result.status, result.detail) == ("fail", detail)
+
+
+def test_component_masks_read_only_schubert_pairs_and_down_masks():
+    # the reference route shares no table with the library's standard tables
+    g = WeylGroup(from_name("B2"))
+    labels = build_poset(g).labels
+    classes = [(a, b) for a in range(len(g)) for b in range(len(g))]
+    verify.component_masks(g, labels, classes)
+    assert {"schubert_pairs", "down_mask"} <= set(g.memo)
+    assert not {"standard_rows", "down_indices", "_times_longest"} & set(g.memo)
 
 
 def test_coset_structure_names_the_lengths_of_a_broken_decomposition(monkeypatch):

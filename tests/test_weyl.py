@@ -270,6 +270,33 @@ def test_coset_entry_points_reject_a_subset_out_of_range(name):
         g._coset_table(long)
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_generators_refuse_an_index_out_of_range(i):
+    g = group_of("A2")
+    with pytest.raises(ValueError, match=rf"^simple reflection index {i} out of range 1\.\.2$"):
+        g.simple(i)
+    with pytest.raises(ValueError, match=rf"^generator index {i} out of range 1\.\.2$"):
+        g.from_word((1, i))
+
+
+def test_check_subset_returns_the_groups_own_subset_itself():
+    g = WeylGroup(from_name("A2"))
+    for I in g.subsets():
+        assert g._check_subset(I) is I
+    # an equal frozenset made elsewhere is still read member by member: {True} is {1}, and {1.0} is refused
+    one = g.subsets()[1]
+    assert g._check_subset(frozenset({True})) is one
+    assert g._check_subset(frozenset({1})) is one
+    with pytest.raises(ValueError, match=r"^subset \[1\.0\] is not contained in 1\.\.2$"):
+        g._check_subset(frozenset({1.0}))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_times_longest_is_right_multiplication_by_w0(name):
+    g = group_of(name)
+    assert g._times_longest() == tuple(g.multiply(el, g.longest) for el in g.elements)
+
+
 def test_coset_entry_points_read_a_subset_as_ints_cold_and_warm():
     g = group_of("A2")
     entry_points = [
