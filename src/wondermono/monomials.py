@@ -48,13 +48,14 @@ selection is the run itself and an empty one is ().  A query then costs one
 cached lookup per run, plus the indices it returns, and never scans the
 candidates a row leaves out.
 
-The direction classes carry two more readers cached by row value: select,
-the row's bits at each right path's direction, which a run's first lookup of
-a value reads, and count, the sum of N_mu(b) over the row's set bits b.  The
-second table is kept per (stratum, degree lam): stratum_shapes, each (mu, n)
-below lam whose exponents stay inside the stratum, with mu's direction
-classes, so a query reads one table, checked on lam, and filters
-shapes_below and reads shape_classes only at the first label of its stratum.
+Two more readers are cached by row value: select, the row's bits at each
+right path's direction, which a run's first lookup of a value reads, and
+count, the sum of N_mu(b) over the row's set bits b, which the direction
+classes carry.  The second table is kept per (stratum, degree lam):
+stratum_shapes, each (mu, n) below lam whose exponents stay inside the
+stratum, with mu's direction classes, so a query reads one table, checked on
+lam, and filters shapes_below and reads shape_classes only at the first
+label of its stratum.
 Both tables are keyed by the checked weight, so (1.0, 1) is refused even when
 (1, 1) is cached, as by every public table (see rootsys.memoized).  Every
 cache lives in a memo entry on the group and is freed with it.
@@ -165,7 +166,6 @@ class ShapeClasses(NamedTuple):
 
     dirs: tuple[int, ...]  # each run's left direction a, in generate_paths order: the row of a standard table it reads
     lefts: tuple[int, ...]  # N_mu*(a) for each a of dirs: the number of left paths in its run
-    select: Callable[[int], bytes]  # row -> its bits at each right path's direction, cached by row
     count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
     runs: Callable[[RootVector], tuple[RunPicks, ...]]  # n -> the candidates with exponents n, one RunPicks per run
 
@@ -203,7 +203,7 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
         pairs = tuple(map(tuple.__new__, repeat(MonomialIndex), fields))
         return tuple(RunPicks(pairs[a:b], select, n) for a, b, n in zip((0, *stops), stops, lefts))
 
-    return ShapeClasses(dirs, lefts, select, count, runs)
+    return ShapeClasses(dirs, lefts, count, runs)
 
 
 class RunPicks(dict):

@@ -75,16 +75,18 @@ coordinate against every simple coroot and its image under every simple
 reflection, so lowering reads tables and adds ints, and builds no weight.
 One kernel (_lower) follows the usual path model recipe: locate the last
 attainment of the minimal height, reflect up to the next unit rise,
-translate the rest.  It raises when the cut point does not land on 1/D_lam;
-it never rounds.  _lowering_closure closes the straight path under it, which
-verify compares with the chains, and reads no chain graph, so the two routes
-stay independent; root_lower checks one path by _is_ls, then converts it to
-orbit form and back around the same kernel, so every input of _lower is an
-LS path.  A path's initial direction, tau_1, is read from the shape's coset
-table (WeylGroup._coset_table), which gives each point of the orbit the
-element of its word there.  The table is keyed by the shape unchecked, one
-dict lookup per path, which is safe because every path's shape is an int
-tuple, checked by _path or generate_paths when the path was made.
+translate the rest.  It reads steps over D_lam only, and raises when the
+cut point does not land on 1/D_lam; it never rounds.  _lowering_closure
+closes the straight path under it, which verify compares with the chains,
+and reads no chain graph, so the two routes stay independent; root_lower
+checks one path by _is_ls, which refuses a denominator that does not divide
+D_lam, then scales its steps to D_lam and converts it to orbit form and back
+around the same kernel, so every input of _lower is an LS path over D_lam.
+A path's initial direction, tau_1, is read from the shape's coset table
+(WeylGroup._coset_table), which gives each point of the orbit the element of
+its word there.  The table is keyed by the shape unchecked, one dict lookup
+per path, which is safe because every path's shape is an int tuple, checked
+by _path or generate_paths when the path was made.
 """
 
 from __future__ import annotations
@@ -219,13 +221,13 @@ def shape_denominator(rs: RootSystem, lam: Weight) -> int:
 
 
 def _lower(
-    table: OrbitTable, c: int, dirs: tuple[int, ...], steps: tuple[int, ...], den: int, big: int
+    table: OrbitTable, c: int, dirs: tuple[int, ...], steps: tuple[int, ...], big: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The lowering operator f_{c+1} in orbit form, or None when it is undefined.
 
-    dirs are orbit indices into table and steps numerators over den; the
-    result, merged, is over big = D_lam.  Heights are the pairings against the
-    simple coroot, in units of 1/den.  With m the minimal height, the operator
+    dirs are orbit indices into table and steps numerators over big = D_lam,
+    as is the result, merged.  Heights are the pairings against the simple
+    coroot, in units of 1/D_lam.  With m the minimal height, the operator
     exists iff the final height exceeds m by at least 1; the path is reflected
     between the last minimum and the first subsequent rise to m + 1, and
     translated by -alpha afterwards, which leaves its directions unchanged.
@@ -233,22 +235,17 @@ def _lower(
     rises = list(map(table.pair[c].__getitem__, dirs))
     h = list(accumulate(map(mul, rises, steps), initial=0))
     m = min(h)
-    if h[-1] - m < den:
+    if h[-1] - m < big:
         return None
     j1 = len(h) - 1 - h[::-1].index(m)
-    target = m + den
+    target = m + big
     j2 = j1 + 1
     while h[j2] < target:
         j2 += 1
 
-    scale, rem = divmod(big, den)
-    if rem:
-        raise ValueError(f"path denominator {den} does not divide D = {big} of shape {table.points[0]}")
-    cut, rem = divmod((target - h[j2 - 1]) * scale, rises[j2 - 1])
+    cut, rem = divmod(target - h[j2 - 1], rises[j2 - 1])
     if rem:
         raise ValueError(f"lowering cut point is not a multiple of 1/{big}")
-    if scale > 1:
-        steps = [s * scale for s in steps]
 
     refl = table.refl[c]
     new_dirs = [*dirs[:j1], *map(refl.__getitem__, dirs[j1:j2])]
@@ -278,15 +275,17 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     """Apply the i-th lowering operator, or return None when it is undefined.
 
     The path must be an LS path of its shape (_is_ls), or a ValueError says
-    what fails.  It goes to orbit form and back around the lowering kernel;
-    the result is built over D_lam, where the cut point must land.
+    what fails; its denominator then divides D_lam, and its steps go to the
+    lowering kernel scaled to D_lam, in orbit form, and back.  The cut point
+    must land on 1/D_lam.
     """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
     _is_ls(rs, path)
     table = orbit_table(rs, path.shape)
     big = shape_denominator(rs, path.shape)
-    low = _lower(table, i - 1, tuple(map(table.index.__getitem__, path.dirs)), path.steps, path.den, big)
+    steps = tuple(map((big // path.den).__mul__, path.steps))
+    low = _lower(table, i - 1, tuple(map(table.index.__getitem__, path.dirs)), steps, big)
     if low is None:
         return None
     return _path(tuple(table.points[d] for d in low[0]), low[1], big, path.shape)
@@ -310,7 +309,7 @@ def _lowering_closure(rs: RootSystem, lam: Weight) -> set[tuple[tuple[Weight, ..
         nxt = []
         for dirs, steps in frontier:
             for c in range(rs.rank):
-                q = _lower(table, c, dirs, steps, big, big)
+                q = _lower(table, c, dirs, steps, big)
                 if q is not None and q not in seen:
                     seen.add(q)
                     nxt.append(q)

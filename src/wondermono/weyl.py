@@ -38,8 +38,8 @@ WeylGroup.memo (see rootsys.memoized) holds what is derived from the group, so
 it is freed with the group.  The group's own entries are the product rows
 read so far (product_row), the lower Bruhat intervals, each built from its
 prefix's by the lifting property (down_mask), and each one's element indices
-(down_indices), the right products a w0 of every a, read off the orbit of
-rho (_times_longest), the coset tables and the coset
+(down_indices), the right products a w0 of every a, by the group's own
+product (_times_longest), the coset tables and the coset
 lists read off them, each list in a private table keyed by the subset its
 public reader checked (_check_subset: a frozenset of ints, so {1.0} is
 refused and {True} is {1}) and built from that frozenset alone, so a one-shot
@@ -231,17 +231,8 @@ class WeylGroup:
 
     @memoized(lambda group: (group, None))
     def _times_longest(self) -> tuple[WeylElement, ...]:
-        """a w0 for every a, by element index, read off the orbit of rho: no product row is built.
-
-        The point of a w0 is w0 applied to the point of a, and w0 sends each
-        fundamental weight omega_i to -omega_sigma(i), sigma being the
-        involution of the Dynkin diagram that -w0 induces, so coordinate j of
-        w0(p) is -p[sigma(j)].
-        """
-        table = orbit_table(self.rs, self.rs.rho())
-        units = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        sigma = [self.dual_weight(unit).index(1) for unit in units]
-        return tuple(self.elements[table.index[tuple(-p[s] for s in sigma)]] for p in table.points)
+        """a w0 for every a, by element index: the group's product by w0, so no product row is built."""
+        return tuple(self.multiply(a, self.longest) for a in self.elements)
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         if u.length > w.length:

@@ -295,7 +295,7 @@ def test_fraction_built_paths_equal_generated():
 
 def test_lowering_never_rounds():
     # neither path is an LS path: one is not over D = 2, one cuts between multiples of 1/6.  root_lower
-    # refuses both, and the kernel, given their orbit form, raises rather than round
+    # refuses both; the kernel reads steps over D only, and given the second's orbit form, raises rather than round
     a2 = group_of("A2").rs
     off_denominator = LSPath([((1, 1), Fraction(1, 3)), ((1, -2), Fraction(2, 3))], (1, 1))
     with pytest.raises(ValueError, match=r"^path denominator 3 does not divide D = 2 of shape \(1, 1\)$"):
@@ -304,12 +304,12 @@ def test_lowering_never_rounds():
     off_cut = LSPath([((-3, 1), HALF), ((-3, 2), Fraction(1, 3)), ((3, -1), Fraction(1, 6))], (0, 1))
     with pytest.raises(ValueError, match=r"^not an LS path of shape \(0, 1\): no chain at its breakpoint 1/2 "):
         root_lower(g2, 2, off_cut)
-    kernel_refusals = [(a2, off_denominator, 0, "does not divide D = 2"), (g2, off_cut, 1, "not a multiple of 1/6")]
-    for rs, path, c, message in kernel_refusals:
-        table = rootsys.orbit_table(rs, path.shape)
-        dirs = tuple(map(table.index.__getitem__, path.dirs))
-        with pytest.raises(ValueError, match=message):
-            paths._lower(table, c, dirs, path.steps, path.den, paths.shape_denominator(rs, path.shape))
+    table = rootsys.orbit_table(g2, off_cut.shape)
+    big = paths.shape_denominator(g2, off_cut.shape)
+    assert big == off_cut.den
+    dirs = tuple(map(table.index.__getitem__, off_cut.dirs))
+    with pytest.raises(ValueError, match="not a multiple of 1/6"):
+        paths._lower(table, 1, dirs, off_cut.steps, big)
 
 
 def test_path_checks_on_ints():
@@ -751,7 +751,7 @@ def test_lowering_leaves_no_equal_neighbours(name):
             nxt = []
             for dirs, steps in frontier:
                 for c in range(rs.rank):
-                    low = paths._lower(table, c, dirs, steps, big, big)
+                    low = paths._lower(table, c, dirs, steps, big)
                     if low is not None:
                         assert all(a != b for a, b in zip(low[0], low[0][1:])), (lam, dirs, steps, c)
                         if low not in seen:

@@ -293,8 +293,14 @@ def test_check_subset_returns_the_groups_own_subset_itself():
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_times_longest_is_right_multiplication_by_w0(name):
+    # the oracle reads a w0 off the orbit of rho: the point of a w0 is w0 applied to the point of a, and w0 sends
+    # each fundamental weight omega_i to -omega_sigma(i), sigma being the diagram involution that -w0 induces, so
+    # coordinate j of w0(p) is -p[sigma(j)]
     g = group_of(name)
-    assert g._times_longest() == tuple(g.multiply(el, g.longest) for el in g.elements)
+    table = orbit_table(g.rs, g.rs.rho())
+    sigma = [g.dual_weight(tuple(int(i == j) for j in range(g.rank))).index(1) for i in range(g.rank)]
+    oracle = tuple(g.elements[table.index[tuple(-p[s] for s in sigma)]] for p in table.points)
+    assert g._times_longest() == oracle
 
 
 def test_coset_entry_points_read_a_subset_as_ints_cold_and_warm():
