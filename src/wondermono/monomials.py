@@ -20,7 +20,8 @@ Read through the closure order, the table is the closed-stratum slice of z's
 closure: since right multiplication by w0 reverses the Bruhat order, (a, b)
 is standard on z exactly when the closed orbit [0, a w0, b] lies in the
 closure of z.  A pair's nonstandard locus is therefore the set of labels
-whose closure misses one orbit, read from the poset without any table.
+whose closure misses one orbit, read from the poset and the group's table of
+a w0, the one standard_rows reads, without any standard table.
 
 A pair's directions are its two paths' own, so with N_mu(b) the number of
 paths of shape mu starting in direction b, the pairs of shape mu standard on z
@@ -37,7 +38,8 @@ generate_pairs, cut into those runs, built at the first basis query that
 admits (mu, n) and kept per n in the table's entry.  The indices are shared,
 immutable objects; a query builds none, and runs are built only for a shape
 some queried orbit admits, so candidate_count, which reads no table of a
-shape, bounds what a first query builds.  Graded counts read only the
+shape, bounds what a first query builds: a shape mu has (dim mu)^2 pairs,
+V(mu*) being the dual of V(mu).  Graded counts read only the
 direction classes and their counts, and build no pair.
 
 A basis is a selection from those runs.  Row a of z's standard table selects
@@ -50,12 +52,13 @@ candidates a row leaves out.
 
 Two more readers are cached by row value: select, the row's bits at each
 right path's direction, which a run's first lookup of a value reads, and
-count, the sum of N_mu(b) over the row's set bits b, which the direction
-classes carry.  The second table is kept per (stratum, degree lam):
-stratum_shapes, each (mu, n) below lam whose exponents stay inside the
-stratum, with mu's direction classes, so a query reads one table, checked on
-lam, and filters shapes_below and reads shape_classes only at the first
-label of its stratum.
+count, the number of right paths the row selects, sum(select(row)), which is
+the sum of N_mu(b) over the row's set bits b.  The second table is kept per
+(stratum, degree lam): stratum_shapes, each (mu, n) below lam whose
+exponents stay inside the stratum, with mu's direction classes, so a query
+reads one table, checked on lam, and filters rootsys.dominant_below, kept
+once per weight on the root system, and reads shape_classes only at the
+first label of its stratum.
 Both tables are keyed by the checked weight, so (1.0, 1) is refused even when
 (1, 1) is cached, as by every public table (see rootsys.memoized).  Every
 cache lives in a memo entry on the group and is freed with it.
@@ -63,7 +66,6 @@ cache lives in a memo entry on the group and is freed with it.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from functools import cache
 from itertools import accumulate, chain, compress, groupby, repeat
@@ -155,18 +157,12 @@ def is_standard_on_closure(pair: PathPair, z: OrbitLabel) -> bool:
     return bool(standard_rows(z)[a] >> b & 1)
 
 
-@memoized(weight_key)
-def shapes_below(group: WeylGroup, lam: Weight) -> tuple:
-    """dominant_below(lam), run once per weight and kept on the group."""
-    return tuple(dominant_below(group.rs, lam))
-
-
 class ShapeClasses(NamedTuple):
     """The paths of a shape mu (right) and of mu* (left), read by initial direction (element index)."""
 
     dirs: tuple[int, ...]  # each run's left direction a, in generate_paths order: the row of a standard table it reads
     lefts: tuple[int, ...]  # N_mu*(a) for each a of dirs: the number of left paths in its run
-    count: Callable[[int], int]  # row -> sum of N_mu(b) over its set bits b, cached by row
+    count: Callable[[int], int]  # row -> the number of right paths it selects, cached by row
     runs: Callable[[RootVector], tuple[RunPicks, ...]]  # n -> the candidates with exponents n, one RunPicks per run
 
 
@@ -182,9 +178,7 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
     left_runs = groupby(path_directions(group, group.dual_weight(mu)))
     dirs, lefts = zip(*((a, sum(1 for _ in run)) for a, run in left_runs))
     rights = path_directions(group, mu)
-    right_counts = Counter(rights)
-    counts = tuple(right_counts.values())
-    read_classes, read_rights = bit_reader(tuple(right_counts)), bit_reader(rights)
+    read_rights = bit_reader(rights)
 
     @cache
     def select(row: int) -> bytes:
@@ -192,7 +186,7 @@ def shape_classes(group: WeylGroup, mu: Weight) -> ShapeClasses:
 
     @cache
     def count(row: int) -> int:
-        return sum(compress(counts, read_classes(mask_bytes(row, width))))
+        return sum(select(row))
 
     stops = tuple(accumulate(n * len(rights) for n in lefts))  # each run's end: len(rights) pairs per left path
 
@@ -229,8 +223,8 @@ class RunPicks(dict):
 
 
 def pair_count(group: WeylGroup, mu: Weight) -> int:
-    """Number of path pairs of shape mu: dim mu * dim mu*."""
-    return weyl_dim(group.rs, mu) * weyl_dim(group.rs, group.dual_weight(mu))
+    """Number of path pairs of shape mu: dim mu * dim mu*, which is (dim mu) ** 2, V(mu*) being V(mu)'s dual."""
+    return weyl_dim(group.rs, mu) ** 2
 
 
 @memoized(lambda z, lam: (z.group, (z.stratum, dominant_weight(z.group.rs, lam))))
@@ -241,14 +235,14 @@ def stratum_shapes(z: OrbitLabel, lam: Weight) -> tuple[tuple[Weight, RootVector
     """
     group = z.group
     return tuple(
-        (mu, nvec, shape_classes(group, mu)) for mu, nvec in shapes_below(group, lam) if support(nvec) <= z.stratum
+        (mu, nvec, shape_classes(group, mu)) for mu, nvec in dominant_below(group.rs, lam) if support(nvec) <= z.stratum
     )
 
 
 def candidate_count(z: OrbitLabel, lam: Weight) -> int:
     """Number of path pairs basis_indices(z, lam) tests; it builds no direction class or path model."""
     group = z.group
-    return sum(pair_count(group, mu) for mu, nvec in shapes_below(group, lam) if support(nvec) <= z.stratum)
+    return sum(pair_count(group, mu) for mu, nvec in dominant_below(group.rs, lam) if support(nvec) <= z.stratum)
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:
@@ -289,7 +283,7 @@ def _nonstandard_mask(pair: PathPair, poset: OrbitPoset) -> int:
     group = poset.group
     a = initial_direction(group, pair.left)
     b = initial_direction(group, pair.right)
-    closed = OrbitLabel(frozenset(), group.multiply(a, group.longest), b)
+    closed = OrbitLabel(frozenset(), group._times_longest()[a.index], b)
     full = (1 << len(poset)) - 1
     return full & ~poset.up_mask(closed)
 

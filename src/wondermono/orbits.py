@@ -290,10 +290,10 @@ class OrbitPoset:
 
     def stratum_mask(self, J) -> int:
         """Bitmask of all labels whose stratum is exactly J (a contiguous block)."""
-        # min_coset_reps validates J, so a subset outside 1..rank is a ValueError, not a missing block
+        # J is read once, by the group's checker: a subset outside 1..rank is a ValueError, not a missing block
+        J = self.group._check_subset(J)
         size = len(self.group.min_coset_reps(J)) * len(self.group)
-        start = self._base[frozenset(J)]
-        return ((1 << size) - 1) << start
+        return ((1 << size) - 1) << self._base[J]
 
     def _from_mask(self, mask: int) -> list[OrbitLabel]:
         return [self.labels[i] for i in bits(mask)]

@@ -109,6 +109,7 @@ from .rootsys import (
     memoized,
     orbit_table,
     root_combination,
+    simple_index,
     weight_key,
 )
 from .weyl import WeylElement, WeylGroup
@@ -279,8 +280,7 @@ def root_lower(rs: RootSystem, i: int, path: LSPath) -> LSPath | None:
     lowering kernel scaled to D_lam, in orbit form, and back.  The cut point
     must land on 1/D_lam.
     """
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
+    i = simple_index(rs, i)
     _is_ls(rs, path)
     table = orbit_table(rs, path.shape)
     big = shape_denominator(rs, path.shape)

@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* simple roots are numbered 1..l following Bourbaki,
+* simple roots are numbered 1..l following Bourbaki, and every index of one
+  that the library takes passes simple_index,
 * a weight is a tuple of integers in the fundamental-weight basis; every
   library entry point passes the weights it takes through rank_weight or,
   where a weight must be dominant, dominant_weight, so no memo table is ever
@@ -23,7 +24,9 @@ Weyl group as the orbit of rho and each path model its points), each root's
 coroot, each shape's common denominator, its chain graph (_chain_graph: the
 orbit's points in ascending order, the Bruhat covers between them and the
 times each admits, which generate_paths walks and root_lower checks a path
-against) and its path model (generate_paths); results
+against) and its path model (generate_paths), and the dominant weights below
+each weight (dominant_below), which every count of the standardness layer
+reads; results
 computed per Weyl group live on the WeylGroup, and an orbit poset's covers
 and up-sets on the OrbitPoset.
 """
@@ -128,6 +131,19 @@ def rank_weight(rs: RootSystem, lam) -> Weight:
     return out
 
 
+def simple_index(rs: RootSystem, i, noun: str = "simple root") -> int:
+    """i as an int in 1..rs.rank, or a RootSystemError naming the caller's i: the one simple-root index check.
+
+    Read by operator.index, as a weight coordinate is, so True is 1 and 1.0 and "1" are refused.
+    """
+    try:
+        out = index(i)
+    except TypeError:
+        raise RootSystemError(f"{noun} index {i!r} is not an integer") from None
+    _require(1 <= out <= rs.rank, f"{noun} index {i} out of range 1..{rs.rank}")
+    return out
+
+
 def dominant_weight(rs: RootSystem, lam) -> Weight:
     """rank_weight(rs, lam), refusing a weight with a negative coordinate too."""
     out = rank_weight(rs, lam)
@@ -185,7 +201,7 @@ class RootSystem:
 
     def simple_root(self, i: int) -> Weight:
         """Fundamental-weight coordinates of alpha_i (column i of the Cartan matrix)."""
-        _require(1 <= i <= self.rank, f"simple root index {i} out of range 1..{self.rank}")
+        i = simple_index(self, i)
         return tuple(row[i - 1] for row in self.cartan)
 
     def rho(self) -> Weight:
@@ -384,14 +400,15 @@ def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     return tuple(bounds)
 
 
-def dominant_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, RootVector]]:
-    """All dominant mu <= lam with their exponent vectors, ordered lex on n."""
+@memoized(weight_key)
+def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, RootVector], ...]:
+    """All dominant mu <= lam with their exponent vectors, ordered lex on n: searched once per weight."""
     out = []
     for n in product(*(range(b + 1) for b in exponent_bounds(rs, lam))):
         mu = sub_weights(lam, root_combination(rs, n))
         if is_dominant(mu):
             out.append((mu, n))
-    return out
+    return tuple(out)
 
 
 @memoized()

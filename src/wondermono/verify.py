@@ -78,7 +78,6 @@ from .monomials import (
     graded_counts,
     nonstandard_components,
     pair_count,
-    shapes_below,
     standard_rows,
 )
 from .orbits import (
@@ -102,6 +101,7 @@ from .paths import (
 from .rootsys import (
     build,
     dominance_diff,
+    dominant_below,
     exponent_bounds,
     is_dominant,
     root_combination,
@@ -281,7 +281,7 @@ def check_dominance_order(rs, group: WeylGroup, grid, boxes, path_weights, full_
             raise CheckFailure(f"dual weight not involutive at {lam}")
     kept, skipped = boxes
     for lam in kept:
-        shapes = shapes_below(group, lam)
+        shapes = dominant_below(rs, lam)
         for mu, nvec in shapes:
             if not is_dominant(mu):
                 raise CheckFailure(f"dominant_below({lam}) produced non-dominant {mu}")
@@ -469,7 +469,7 @@ def check_graded_tables(group: WeylGroup, p, weights) -> str:
     position: dict[tuple[int, int], int] = {}
     # id(pair) -> its class's bit, given once per candidate shape; every pair stays in generate_pairs' memo
     bit_of: dict[int, int] = {}
-    for mu in dict.fromkeys(mu for lam in kept for mu, _ in shapes_below(group, lam)):
+    for mu in dict.fromkeys(mu for lam in kept for mu, _ in dominant_below(group.rs, lam)):
         for pair, ab in zip(generate_pairs(group, mu), pair_directions(group, mu)):
             bit_of[id(pair)] = 1 << position.setdefault(ab, len(position))
     masks = component_masks(group, zs, position)
@@ -514,7 +514,7 @@ def check_index_monotonicity(group: WeylGroup, p, weights, strict: list[int], co
     of_weight = {}  # each weight's classes as a bitmask, read only to name a failing weight
     for lam in kept:
         held = 0
-        for mu, nvec in shapes_below(group, lam):
+        for mu, nvec in dominant_below(group.rs, lam):
             supp = support(nvec)
             for a, b in pair_directions(group, mu):
                 held |= 1 << classes.setdefault((supp, a, b), len(classes))

@@ -60,7 +60,7 @@ from collections import defaultdict
 from itertools import combinations
 from operator import attrgetter, index
 
-from .rootsys import RootSystem, Weight, from_name, memoized, orbit_table, rank_weight
+from .rootsys import RootSystem, Weight, from_name, memoized, orbit_table, rank_weight, simple_index
 
 
 def bits(mask: int) -> list[int]:
@@ -148,17 +148,16 @@ class WeylGroup:
         return len(self.elements)
 
     def simple(self, i: int) -> WeylElement:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple reflection index {i} out of range 1..{self.rank}")
-        return self.elements[self._rmult[0][i - 1]]
+        return self.elements[self._rmult[0][simple_index(self.rs, i, "simple reflection") - 1]]
 
     def from_word(self, word: tuple[int, ...]) -> WeylElement:
         """Multiply out a word in the generators; the word need not be reduced."""
-        j = 0
+        j, rank, rmult = 0, self.rank, self._rmult
         for letter in word:
-            if not 1 <= letter <= self.rank:
-                raise ValueError(f"generator index {letter} out of range 1..{self.rank}")
-            j = self._rmult[j][letter - 1]
+            # an int in range costs two comparisons; anything else goes to the checker, which refuses it or reads True as 1
+            if letter.__class__ is not int or not 0 < letter <= rank:
+                letter = simple_index(self.rs, letter, "generator")
+            j = rmult[j][letter - 1]
         return self.elements[j]
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_reduced_words, group_of
+from conftest import all_reduced_words, group_of, weight_grid
 
 from wondermono.demazure import apply_demazure, char_dim, demazure_character, weyl_dim
 
@@ -131,6 +131,14 @@ def test_operator_index_out_of_range_is_refused(name, i):
     rs = group_of(name).rs
     with pytest.raises(ValueError, match=rf"^simple root index {i} out of range 1\.\.{rs.rank}$"):
         apply_demazure(rs, i, {(0,) * rs.rank: 1})
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"])
+def test_dual_weight_has_the_same_dimension(name):
+    # V(mu*) is the dual of V(mu), so a shape's pairs number (dim mu) ** 2 (monomials.pair_count)
+    g = group_of(name)
+    for mu in weight_grid(g.rank, 2):
+        assert weyl_dim(g.rs, g.dual_weight(mu)) == weyl_dim(g.rs, mu)
 
 
 def test_zero_weight():

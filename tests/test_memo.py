@@ -24,7 +24,7 @@ import pytest
 from conftest import memo_contents
 
 import wondermono
-from wondermono import monomials, orbits, paths, verify
+from wondermono import orbits, paths, verify
 from wondermono.demazure import weyl_dim
 from wondermono.monomials import (
     basis_indices,
@@ -36,7 +36,7 @@ from wondermono.monomials import (
 )
 from wondermono.orbits import OrbitLabel, OrbitPoset, build_poset, closure_leq, schubert_pairs, stratum_components
 from wondermono.paths import generate_pairs, generate_paths, initial_direction, path_directions
-from wondermono.rootsys import RootSystemError, from_name, memoized, orbit_table
+from wondermono.rootsys import RootSystemError, dominant_below, from_name, memoized, orbit_table
 from wondermono.weyl import WeylGroup
 
 
@@ -221,7 +221,7 @@ def test_weight_keyed_tables_refuse_a_warm_float():
         "shape_denominator": partial(paths.shape_denominator, rs),
         "_chain_graph": partial(paths._chain_graph, rs),
         "path_directions": partial(path_directions, group),
-        "shapes_below": partial(monomials.shapes_below, group),
+        "dominant_below": partial(dominant_below, rs),
         "stratum_shapes": partial(stratum_shapes, top),
         "shape_classes": partial(shape_classes, group),
         "generate_paths": partial(generate_paths, rs),

@@ -12,7 +12,7 @@ import pytest
 from conftest import group_of, memo_contents, poset_of, scanned_basis, weight_grid
 
 import wondermono
-from wondermono import monomials, orbits, verify
+from wondermono import monomials, orbits, rootsys, verify
 from wondermono.demazure import demazure_character, weyl_dim
 from wondermono.monomials import (
     GradedTable,
@@ -199,14 +199,17 @@ def test_dominant_below_runs_once_per_weight(monkeypatch):
     words = [((1, 2), (), (1, 2, 1)), ((1,), (), (2,)), ((), (), ())]
     g = group_of("A2")
     expected = [(basis_indices(lab(g, *w), lam), graded_counts(lab(g, *w), lam)) for w in words]
-    fresh = WeylGroup(g.rs)  # nothing memoized yet
+    fresh = WeylGroup(from_name("A2"))  # a fresh root system too, which keeps dominant_below: nothing memoized yet
     calls = []
-    real = monomials.dominant_below
-    monkeypatch.setattr(monomials, "dominant_below", lambda rs, w: calls.append(w) or real(rs, w))
+    # the search reads its box through rootsys' own binding, once per run of dominant_below's body
+    real = rootsys.exponent_bounds
+    monkeypatch.setattr(rootsys, "exponent_bounds", lambda rs, w: calls.append(w) or real(rs, w))
+    misses = dominant_below.cache_info().misses
     for w, (basis, table) in zip(words, expected):
         z = lab(fresh, *w)
         assert basis_indices(z, list(lam)) == basis
         assert graded_counts(z, lam) == table
+    assert dominant_below.cache_info().misses == misses + 1
     assert calls == [list(lam)]  # once, passed the first caller's own weight as a miss is
     with pytest.raises(ValueError):
         basis_indices(lab(fresh, *words[0]), (1, -1))
@@ -218,7 +221,14 @@ def test_library_accepts_list_and_set_inputs():
     expected = basis_indices(OrbitLabel(frozenset({1}), g.identity, g.longest), lam)
     for stratum in ({1}, [1], (1,)):
         assert basis_indices(OrbitLabel(stratum, g.identity, g.longest), lam) == expected
-    assert monomials.shapes_below(g, [1, 1]) is monomials.shapes_below(g, (1, 1))
+    assert dominant_below(g.rs, [1, 1]) is dominant_below(g.rs, (1, 1))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "G2"])
+def test_pair_count_counts_the_generated_pairs(name):
+    g = group_of(name)
+    for mu in weight_grid(g.rank, 1):
+        assert pair_count(g, mu) == len(generate_pairs(g, mu))
 
 
 def test_candidate_count_matches_pairs():

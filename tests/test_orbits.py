@@ -275,6 +275,14 @@ def test_stratum_mask_refuses_a_subset_outside_the_rank():
         poset_of("A2").stratum_mask({5})
 
 
+def test_stratum_mask_reads_a_one_shot_subset_once():
+    # A2's strata hold 36, 18, 18 and 6 labels, in subsets() order: stratum {1} is labels 36..53
+    poset = poset_of("A2")
+    assert poset.stratum_mask(iter([1])) == poset.stratum_mask({1}) == ((1 << 18) - 1) << 36
+    with pytest.raises(ValueError, match=r"^subset \[1\.0\] is not contained in 1\.\.2$"):
+        poset.stratum_mask({1.0})
+
+
 def test_stratum_components_a1():
     g = group_of("A1")
     ee, es, se, ss, de, ds = a1_labels()

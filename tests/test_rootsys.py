@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import add_weights
+from conftest import add_weights, group_of
 
+from wondermono.demazure import apply_demazure, demazure_character
+from wondermono.paths import LSPath, root_lower
 from wondermono.rootsys import (
     RootSystemError,
     _invert,
@@ -212,10 +214,10 @@ def test_dominance_diff():
 
 def test_dominant_below_frozen():
     rs = build("A", 1)
-    assert dominant_below(rs, (2,)) == [((2,), (0,)), ((0,), (1,))]
+    assert dominant_below(rs, (2,)) == (((2,), (0,)), ((0,), (1,)))
     rs2 = build("A", 2)
-    assert dominant_below(rs2, (1, 1)) == [((1, 1), (0, 0)), ((0, 0), (1, 1))]
-    assert dominant_below(rs2, (1, 0)) == [((1, 0), (0, 0))]
+    assert dominant_below(rs2, (1, 1)) == (((1, 1), (0, 0)), ((0, 0), (1, 1)))
+    assert dominant_below(rs2, (1, 0)) == (((1, 0), (0, 0)),)
 
 
 def test_dominant_below_ordering_and_consistency():
@@ -291,3 +293,34 @@ def test_weight_refusals_are_worded_only_by_the_checkers():
     # only tokenizes before it.  A check copied anywhere else would bring its words.
     sites = [site for path in sorted(PACKAGE.glob("*.py")) for site in refusal_sites(path)]
     assert sorted(set(sites)) == ["rootsys.dominant_weight", "rootsys.rank_weight"]
+
+
+def _index_calls():
+    g = group_of("A2")
+    path = LSPath([((1, 0), 1)], (1, 0))
+    return {
+        "root_lower": (lambda: root_lower(g.rs, 1.0, path), "simple root index 1.0"),
+        "simple": (lambda: g.simple(1.0), "simple reflection index 1.0"),
+        "from_word-float": (lambda: g.from_word((1.0,)), "generator index 1.0"),
+        "from_word-str": (lambda: g.from_word(("1",)), "generator index '1'"),
+        "simple_root": (lambda: g.rs.simple_root(1.0), "simple root index 1.0"),
+        "apply_demazure": (lambda: apply_demazure(g.rs, 1.0, {(1, 0): 1}), "simple root index 1.0"),
+        "demazure_character": (lambda: demazure_character(g, (1.0,), (1, 0)), "generator index 1.0"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_index_calls()))
+def test_simple_root_index_that_is_no_int_is_refused(name):
+    # 1.0 equals 1 and "1" stands for it: each is read by operator.index, as a weight coordinate is, and refused
+    call, shown = _index_calls()[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not an integer$"):
+        call()
+
+
+def test_simple_root_index_true_is_one():
+    g = group_of("A2")
+    assert g.simple(True) is g.simple(1)
+    assert g.from_word((True, 2)) is g.from_word((1, 2))
+    assert g.rs.simple_root(True) == g.rs.simple_root(1)
+    path = LSPath([((1, 0), 1)], (1, 0))
+    assert root_lower(g.rs, True, path) == root_lower(g.rs, 1, path)

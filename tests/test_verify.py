@@ -28,8 +28,9 @@ def test_box_budget_skips_weights_before_enumerating(monkeypatch):
     over = {lam for lam in grid if math.prod(b + 1 for b in exponent_bounds(rs, lam)) > 3}
     assert 0 < len(over) < len(grid)
     calls = []
-    real = monomials.dominant_below
-    monkeypatch.setattr(monomials, "dominant_below", lambda rs, lam: calls.append(tuple(lam)) or real(rs, lam))
+    # dominant_below's search reads the box through rootsys' own binding; verify's box_size keeps its own
+    real = rootsys.exponent_bounds
+    monkeypatch.setattr(rootsys, "exponent_bounds", lambda rs, lam: calls.append(tuple(lam)) or real(rs, lam))
     results = run_suite("A", 2, 2)
     detail = {r.name: r.detail for r in results}
     note = f"{len(grid) - len(over)} weights, {len(over)} skipped over budget"
@@ -211,11 +212,13 @@ def test_checks_fail_on_a_mutated_library_route(monkeypatch, name, mutate, failu
 def test_dominance_order_fails_when_dominant_below_drops_its_last_shape(
     monkeypatch, letter, max_weight, lam, shapes, dominant
 ):
-    # basis-counts reads the shapes on both of its sides, so only the character route sees the loss
-    real = monomials.dominant_below
-    monkeypatch.setattr(
-        monomials, "dominant_below", lambda rs, w: (lambda s: s[:-1] if len(s) > 1 else s)(real(rs, w))
-    )
+    # basis-counts reads the shapes on both of its sides, so only the character route sees the loss;
+    # monomials and verify each bind dominant_below, and both read the mutated list
+    real = rootsys.dominant_below
+    for module in (monomials, verify):
+        monkeypatch.setattr(
+            module, "dominant_below", lambda rs, w: (lambda s: s[:-1] if len(s) > 1 else s)(real(rs, w))
+        )
     assert {r.name: r.detail for r in run_suite(letter, 2, max_weight) if r.status == "fail"} == {
         "dominance-order": f"dominant_below({lam}) gives {shapes} shapes, its character {dominant} dominant weights"
     }
@@ -384,9 +387,10 @@ def _graded_with_every_degree_raised(real):
             "dominance-order",
             "dominant_below((1, 1)) produced non-dominant (2, -1)",
         ),
-        # each shape's exponents one too high in the first coordinate, while the shape is kept
+        # each shape's exponents one too high in the first coordinate, while the shape is kept, in both
+        # modules that bind dominant_below
         (
-            monomials,
+            (monomials, verify),
             "dominant_below",
             lambda real: lambda rs, lam: [(mu, (n[0] + 1,) + n[1:]) for mu, n in real(rs, lam)],
             "A",
@@ -472,8 +476,10 @@ def _graded_with_every_degree_raised(real):
     ],
 )
 def test_structure_checks_fail_on_a_mutated_library_name(monkeypatch, module, name, mutate, letter, check, detail):
-    # the mutation breaks more than one check; only the named one's detail is pinned
-    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    # the mutation breaks more than one check; only the named one's detail is pinned.  A name bound in
+    # several modules is mutated in each of them
+    for owner in module if isinstance(module, tuple) else (module,):
+        monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     result = {r.name: r for r in run_suite(letter, 2, 1)}[check]
     assert (result.status, result.detail) == ("fail", detail)
 
