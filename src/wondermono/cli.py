@@ -21,7 +21,7 @@ from itertools import compress, groupby
 from operator import itemgetter
 
 from .demazure import weyl_dim
-from .monomials import basis_indices, candidate_count, graded_counts, pair_count
+from .monomials import basis_indices, candidate_count, graded_counts, pair_count, path_count, shape_path_count
 from .orbits import OrbitLabel, OrbitPoset, build_poset, mask_bytes
 from .paths import generate_paths, initial_direction
 from .rootsys import dominant_weight, from_name, orbit_table
@@ -40,7 +40,10 @@ CONVENTIONS = {
 # open orbit of B3 at (0,2,0), 77,415 candidate pairs, takes 0.17-0.19 s as
 # JSON, 0.19-0.20 s as CSV and 0.010-0.013 s with --count-only.  Either budget
 # is under a second of work.  paths --count-only reads the Weyl dimension
-# formula alone, builds no path and has no budget.
+# formula alone, builds no path and has no budget.  monomials --count-only
+# builds no pair, so it is sized by the paths it builds against PATH_BUDGET:
+# the open orbit of A4 at (1,0,2,2), 9,878 paths, takes 0.10-0.23 s as a
+# whole process.
 PATH_BUDGET = 10_000
 PAIR_BUDGET = 100_000
 
@@ -328,16 +331,18 @@ def cmd_monomials(args) -> int:
     rs = group.rs
     lam = dominant_weight(rs, _numbers(args.weight, "weight"))
     z = _orbit(args.orbit, group)
-    # the pairs of shape lam alone bound the search over the shapes below it
-    # before that search runs, so a huge weight is refused at once
-    what = f"the number of candidate pairs of {lam} on {rs.name} is"
-    top = pair_count(group, lam)
-    _check_budget(f"{what} at least", top, PAIR_BUDGET)
-    _check_budget(what, candidate_count(z, lam), PAIR_BUDGET)
+    # the shape lam alone bounds the search over the shapes below it before
+    # that search runs, so a huge weight is refused at once
     if args.count_only:
-        # the graded table counts the basis by direction class: no index is built
+        # the graded table counts the basis by direction class: it builds each admitted shape's paths and no pair
+        what = f"the number of paths below {lam} on {rs.name} is"
+        _check_budget(f"{what} at least", shape_path_count(group, lam), PATH_BUDGET)
+        _check_budget(what, path_count(z, lam), PATH_BUDGET)
         _write(args.out, [f"{graded_counts(z, lam).total()}\n"])
         return 0
+    what = f"the number of candidate pairs of {lam} on {rs.name} is"
+    _check_budget(f"{what} at least", pair_count(group, lam), PAIR_BUDGET)
+    _check_budget(what, candidate_count(z, lam), PAIR_BUDGET)
     indices = basis_indices(z, lam)
     # a path lies in many indices and an (n, mu) heads a block of them: each is rendered once.
     # Indices share their path objects, so a path is keyed by identity

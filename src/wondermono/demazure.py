@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .rootsys import RootSystem, Weight, coroot, dominant_weight, rank_weight
+from .rootsys import RootSystem, Weight, dominant_weight, rank_weight
 from .weyl import WeylElement, WeylGroup
 
 Character = dict[Weight, int]
@@ -78,8 +78,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     lam = dominant_weight(rs, lam)
     shifted = tuple(x + 1 for x in lam)
     num = den = 1
-    for beta in rs.positive_roots:
-        co = coroot(rs, beta)
+    for co in rs.coroots:
         num *= sum(map(mul, co, shifted))
         den *= sum(co)  # <rho, beta^vee>, rho being (1, ..., 1)
     dim, rem = divmod(num, den)

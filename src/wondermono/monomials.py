@@ -40,7 +40,8 @@ immutable objects; a query builds none, and runs are built only for a shape
 some queried orbit admits, so candidate_count, which reads no table of a
 shape, bounds what a first query builds: a shape mu has (dim mu)^2 pairs,
 V(mu*) being the dual of V(mu).  Graded counts read only the
-direction classes and their counts, and build no pair.
+direction classes and their counts, and build no pair; path_count bounds the
+paths they build, dim mu per shape and dim mu* again when mu* != mu.
 
 A basis is a selection from those runs.  Row a of z's standard table selects
 the same right paths after every left path of the run of direction a.  A row
@@ -243,6 +244,17 @@ def candidate_count(z: OrbitLabel, lam: Weight) -> int:
     """Number of path pairs basis_indices(z, lam) tests; it builds no direction class or path model."""
     group = z.group
     return sum(pair_count(group, mu) for mu, nvec in dominant_below(group.rs, lam) if support(nvec) <= z.stratum)
+
+
+def shape_path_count(group: WeylGroup, mu: Weight) -> int:
+    """Number of paths shape_classes(group, mu) builds: dim V(mu), and dim V(mu*) = dim V(mu) again when mu* != mu."""
+    return weyl_dim(group.rs, mu) * (1 + (group.dual_weight(mu) != mu))
+
+
+def path_count(z: OrbitLabel, lam: Weight) -> int:
+    """Number of paths graded_counts(z, lam) builds, over the shapes it admits; it builds no path and no pair."""
+    group = z.group
+    return sum(shape_path_count(group, mu) for mu, nvec in dominant_below(group.rs, lam) if support(nvec) <= z.stratum)
 
 
 def basis_indices(z: OrbitLabel, lam: Weight) -> tuple[MonomialIndex, ...]:

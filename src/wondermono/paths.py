@@ -104,7 +104,6 @@ from .rootsys import (
     OrbitTable,
     RootSystem,
     Weight,
-    coroot_pairing,
     dominant_weight,
     memoized,
     orbit_table,
@@ -218,7 +217,7 @@ def shape_denominator(rs: RootSystem, lam: Weight) -> int:
 
     Every breakpoint of a path of shape lam lies in (1/D_lam)Z.  The zero shape gives 1.
     """
-    return lcm(*filter(None, (abs(coroot_pairing(rs, lam, beta)) for beta in rs.positive_roots)))
+    return lcm(*filter(None, (abs(sum(map(mul, co, lam))) for co in rs.coroots)))
 
 
 def _lower(

@@ -8,25 +8,28 @@ Conventions used throughout the package:
   library entry point passes the weights it takes through rank_weight or,
   where a weight must be dominant, dominant_weight, so no memo table is ever
   filled from a refused weight,
-* a root is a tuple of integers in the simple-root basis,
+* a root is a tuple of integers in the simple-root basis, and a coroot one
+  in the simple-coroot basis: RootSystem.coroots holds each positive root's,
+  found with it by one walk,
 * ``cartan[i][j]`` pairs the j-th simple root against the i-th simple coroot,
   so column j holds the fundamental-weight coordinates of alpha_j.
 
-All arithmetic is exact (int and fractions.Fraction); floats never appear.
-No value is changed once built, so sharing a RootSystem between computations is safe.
+All arithmetic is exact and in ints: the Cartan inverse is kept as its
+adjugate and determinant, and a reader divides once.  No float or Fraction
+appears.  No value is changed once built, so sharing a RootSystem between
+computations is safe.
 
 Every derived table goes through one decorator, memoized, which keeps it in
 a ``memo`` table on the object it derives from, never in a module-level
 cache, so it is freed with that object.  RootSystem.memo holds what is
 derived from the root system alone: the orbit tables of orbit_table (the
 package's one breadth-first walk of the W-orbit of a weight, which gives the
-Weyl group as the orbit of rho and each path model its points), each root's
-coroot, each shape's common denominator, its chain graph (_chain_graph: the
-orbit's points in ascending order, the Bruhat covers between them and the
-times each admits, which generate_paths walks and root_lower checks a path
-against) and its path model (generate_paths), and the dominant weights below
-each weight (dominant_below), which every count of the standardness layer
-reads; results
+Weyl group as the orbit of rho and each path model its points), each
+shape's common denominator, its chain graph (_chain_graph: the orbit's points
+in ascending order, the Bruhat covers between them and the times each admits,
+which generate_paths walks and root_lower checks a path against) and its path
+model (generate_paths), and the dominant weights below each weight
+(dominant_below), which every count of the standardness layer reads; results
 computed per Weyl group live on the WeylGroup, and an orbit poset's covers
 and up-sets on the OrbitPoset.
 """
@@ -34,10 +37,8 @@ and up-sets on the OrbitPoset.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import wraps
 from itertools import product
-from math import lcm
 from operator import index, mul
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -160,32 +161,35 @@ def weight_key(owner, lam) -> tuple[object, Weight]:
 class RootSystem:
     """A simple root system: Cartan data plus the saturated set of roots.
 
-    A slotted class, not a named tuple: == and hash read the six data fields
-    and not the memo, and a root system can be weakly referenced, which a
-    tuple cannot.
+    The Cartan inverse is adjugate / det, kept in integers, and coroots[k] is
+    the coroot of positive_roots[k] over the simple coroots.  A slotted class,
+    not a named tuple: == and hash read the seven data fields and not the
+    memo, and a root system can be weakly referenced, which a tuple cannot.
     """
 
-    __slots__ = ("letter", "rank", "cartan", "inverse_cartan", "symmetrizer", "positive_roots", "memo", "__weakref__")
+    __slots__ = ("letter", "rank", "cartan", "adjugate", "det", "positive_roots", "coroots", "memo", "__weakref__")
 
     def __init__(
         self,
         letter: str,
         rank: int,
         cartan: tuple[tuple[int, ...], ...],
-        inverse_cartan: tuple[tuple[Fraction, ...], ...],
-        symmetrizer: tuple[int, ...],  # d_i with d_i * C[i][j] symmetric
+        adjugate: tuple[tuple[int, ...], ...],  # det times the inverse of cartan
+        det: int,
         positive_roots: tuple[Root, ...],
+        coroots: tuple[Root, ...],  # aligned with positive_roots
     ):
         self.letter = letter
         self.rank = rank
         self.cartan = cartan
-        self.inverse_cartan = inverse_cartan
-        self.symmetrizer = symmetrizer
+        self.adjugate = adjugate
+        self.det = det
         self.positive_roots = positive_roots
+        self.coroots = coroots
         self.memo: defaultdict[str, dict] = defaultdict(dict)
 
     def _data(self) -> tuple:
-        return (self.letter, self.rank, self.cartan, self.inverse_cartan, self.symmetrizer, self.positive_roots)
+        return (self.letter, self.rank, self.cartan, self.adjugate, self.det, self.positive_roots, self.coroots)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -236,7 +240,7 @@ def _invert(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
     Each step scales a row by the pivot, subtracts, and divides exactly by the
     previous pivot (Bareiss), so every entry stays an integer and, at the end,
     every diagonal entry is the last pivot d: the determinant, up to the sign
-    of the row swaps.  The inverse is M / d, divided once per entry.
+    of the row swaps.  The inverse is M / d; a reader divides once, by d.
     """
     n = len(mat)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
@@ -259,51 +263,38 @@ def _off_diagonal(rows) -> list[list[tuple[int, int]]]:
     return [[(j, a) for j, a in enumerate(row) if a and j != i] for i, row in enumerate(rows)]
 
 
-def _symmetrizer(cartan: list[list[int]]) -> tuple[int, ...]:
-    """Positive integers d with d_i C[i][j] = d_j C[j][i]; requires a connected diagram."""
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                stack.append(j)
-    _require(all(x is not None for x in d), "Dynkin diagram is not connected")
-    scale = lcm(*(x.denominator for x in d))
-    out = tuple(int(x * scale) for x in d)
-    _require(all(x > 0 for x in out), "symmetrizer must be positive")
-    for i in range(n):
-        for j in range(n):
-            _require(out[i] * cartan[i][j] == out[j] * cartan[j][i], "Cartan matrix is not symmetrizable")
-    return out
+def _saturate_roots(cartan: list[list[int]]) -> tuple[tuple[Root, ...], tuple[Root, ...]]:
+    """The positive roots in ascending order and their coroots, aligned: the simple roots and coroots closed together.
 
-
-def _saturate_roots(cartan: list[list[int]]) -> tuple[Root, ...]:
-    """Close the simple roots under all simple reflections, in root coordinates."""
+    s_i changes coordinate i only: of a root by row i of the Cartan matrix, to
+    c_i - sum_j C[i][j] c_j = -c_i - sum over i's neighbours j of C[i][j] c_j,
+    and of its coroot by column i, as <alpha_i, alpha_j^vee> = C[j][i].  The
+    coroot of s_i beta is s_i beta^vee, so each root carries its own coroot.
+    """
     n = len(cartan)
     simple = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    # s_i changes coordinate i only, to c_i - sum_j C[i][j] c_j = -c_i - sum over i's neighbours j of C[i][j] c_j
-    steps = list(enumerate(_off_diagonal(cartan)))
-    seen = set(simple)
-    frontier = list(simple)
+    steps = list(zip(range(n), _off_diagonal(cartan), _off_diagonal(zip(*cartan))))
+
+    def reflect(c: Root, i: int, neighbours) -> Root:
+        ci = -c[i]
+        for j, a in neighbours:
+            ci -= a * c[j]
+        return c[:i] + (ci,) + c[i + 1 :]
+
+    coroot = dict(zip(simple, simple))
+    frontier = simple
     while frontier:
         nxt = []
         for c in frontier:
-            for i, neighbours in steps:
-                ci = -c[i]
-                for j, a in neighbours:
-                    ci -= a * c[j]
-                image = c[:i] + (ci,) + c[i + 1 :]
-                if image not in seen:
-                    seen.add(image)
+            for i, row, column in steps:
+                image = reflect(c, i, row)
+                if image not in coroot:
+                    coroot[image] = reflect(coroot[c], i, column)
                     nxt.append(image)
         frontier = nxt
-    positives = sorted(r for r in seen if all(x >= 0 for x in r))
-    _require(2 * len(positives) == len(seen), "root saturation produced a sign-unbalanced set")
-    return tuple(positives)
+    positives = sorted(r for r in coroot if all(x >= 0 for x in r))
+    _require(2 * len(positives) == len(coroot), "root saturation produced a sign-unbalanced set")
+    return tuple(positives), tuple(map(coroot.__getitem__, positives))
 
 
 def build(letter: str, rank: int) -> RootSystem:
@@ -331,14 +322,7 @@ def build(letter: str, rank: int) -> RootSystem:
     _require(all(x * det >= 0 for row in adj for x in row), "inverse Cartan matrix has a negative entry")
     ident = [[sum(c[i][k] * adj[k][j] for k in range(rank)) for j in range(rank)] for i in range(rank)]
     _require(ident == [[det * (i == j) for j in range(rank)] for i in range(rank)], "Cartan inverse check failed")
-    return RootSystem(
-        letter=letter,
-        rank=rank,
-        cartan=tuple(tuple(row) for row in c),
-        inverse_cartan=tuple(tuple(Fraction(x, det) for x in row) for row in adj),
-        symmetrizer=_symmetrizer(c),
-        positive_roots=_saturate_roots(c),
-    )
+    return RootSystem(letter, rank, tuple(map(tuple, c)), tuple(map(tuple, adj)), det, *_saturate_roots(c))
 
 
 def from_name(name: str) -> RootSystem:
@@ -376,15 +360,17 @@ def support(nvec: RootVector) -> frozenset[int]:
 def dominance_diff(rs: RootSystem, lam: Weight, mu: Weight) -> RootVector | None:
     """Exponents n with lam - mu = sum n_j alpha_j, or None when mu is not below lam.
 
-    The linear system C n = lam - mu is solved exactly; only integral
-    nonnegative solutions count as comparable.
+    The linear system C n = lam - mu is solved exactly, as adjugate (lam - mu)
+    divided once by det; only integral nonnegative solutions count as comparable.
     """
-    lam, mu = rank_weight(rs, lam), rank_weight(rs, mu)
-    diff = sub_weights(lam, mu)
-    n = [sum(rs.inverse_cartan[i][j] * diff[j] for j in range(rs.rank)) for i in range(rs.rank)]
-    if any(x.denominator != 1 or x < 0 for x in n):
-        return None
-    return tuple(int(x) for x in n)
+    diff = sub_weights(rank_weight(rs, lam), rank_weight(rs, mu))
+    out = []
+    for row in rs.adjugate:
+        q, r = divmod(sum(map(mul, row, diff)), rs.det)
+        if r or q < 0:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
@@ -393,11 +379,7 @@ def exponent_bounds(rs: RootSystem, lam: Weight) -> tuple[int, ...]:
     The box is exact because the inverse Cartan matrix is entrywise nonnegative.
     """
     lam = dominant_weight(rs, lam)
-    bounds = []
-    for i in range(rs.rank):
-        b = sum(rs.inverse_cartan[i][j] * lam[j] for j in range(rs.rank))
-        bounds.append(b.numerator // b.denominator)
-    return tuple(bounds)
+    return tuple(sum(map(mul, row, lam)) // rs.det for row in rs.adjugate)
 
 
 @memoized(weight_key)
@@ -409,29 +391,6 @@ def dominant_below(rs: RootSystem, lam: Weight) -> tuple[tuple[Weight, RootVecto
         if is_dominant(mu):
             out.append((mu, n))
     return tuple(out)
-
-
-@memoized()
-def coroot(rs: RootSystem, root: Root) -> tuple[int, ...]:
-    """The coroot of an arbitrary root over the simple coroots: integer coefficients.
-
-    With (alpha_j, alpha_j) = 2 d_j, alpha_j^vee = alpha_j / d_j, so
-    beta^vee = 2 beta / (beta, beta) has coefficient 2 d_j beta_j / (beta, beta) on alpha_j^vee.
-    """
-    d = rs.symmetrizer
-    norm = sum(root[i] * root[j] * d[i] * rs.cartan[i][j] for i in range(rs.rank) for j in range(rs.rank))
-    out = []
-    for j, c in enumerate(root):
-        q, rem = divmod(2 * d[j] * c, norm)
-        if rem:
-            raise RootSystemError(f"{root} has no integral coroot: it is not a root of {rs.name}")
-        out.append(q)
-    return tuple(out)
-
-
-def coroot_pairing(rs: RootSystem, lam: Weight, root: Root) -> int:
-    """Pair a weight against the coroot of an arbitrary root, exactly: a dot product with its coroot."""
-    return sum(map(mul, coroot(rs, root), lam))
 
 
 class OrbitTable(NamedTuple):

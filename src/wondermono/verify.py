@@ -68,7 +68,7 @@ import time
 from collections import Counter, defaultdict
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations, compress, product
-from operator import attrgetter, index, or_
+from operator import attrgetter, index, mul, or_
 from typing import NamedTuple
 
 from .demazure import char_dim, demazure_character, weyl_dim
@@ -224,10 +224,10 @@ def check_root_data(rs) -> str:
     }[rs.letter]
     if len(rs.positive_roots) != expected_pos:
         raise CheckFailure(f"{len(rs.positive_roots)} positive roots, expected {expected_pos}")
-    for i in range(rank):
-        for j in range(rank):
-            if rs.symmetrizer[i] * rs.cartan[i][j] != rs.symmetrizer[j] * rs.cartan[j][i]:
-                raise CheckFailure(f"symmetrized Cartan matrix asymmetric at ({i}, {j})")
+    for beta, co in zip(rs.positive_roots, rs.coroots, strict=True):
+        pairing = sum(map(mul, root_combination(rs, beta), co))
+        if pairing != 2:
+            raise CheckFailure(f"positive root {beta} pairs to {pairing} with its coroot {co}, not 2")
     return f"{expected_pos} positive roots"
 
 

@@ -1,10 +1,12 @@
 """Shared helpers: cached groups and independent combinatorial oracles.
 
-The orbit walk that reflects every coordinate, the raising operator, the brute-force and subword Bruhat oracles, the
-root-sign test for descents, the descent-based coset oracles and the closure
-criterion through group methods live here, not in the package, so the tests
-exercise the shipped orbit tables, lowering operator, Bruhat intervals, descent sets,
-orbit-table cosets and index-form closure test against genuinely separate
+The symmetrizer and the norm formula 2 beta / (beta, beta) for coroots, the
+orbit walk that reflects every coordinate, the raising operator, the
+brute-force and subword Bruhat oracles, the root-sign test for descents, the
+descent-based coset oracles and the closure criterion through group methods
+live here, not in the package, so the tests exercise the shipped coroots,
+orbit tables, lowering operator, Bruhat intervals, descent sets, orbit-table
+cosets and index-form closure test against genuinely separate
 implementations.  The scan of every candidate pair is the reference for
 basis_indices' selection by runs of left paths, and a search of the admitted
 covers the reference for the points an s-chain reaches.
@@ -15,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, product
+from math import lcm
 
 from wondermono import paths
 from wondermono.monomials import MonomialIndex, shape_classes, standard_rows
@@ -170,6 +173,39 @@ def subword_down(group: WeylGroup, w: WeylElement) -> int:
 
 def add_weights(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def symmetrizer(cartan) -> tuple[int, ...]:
+    """Positive integers d with d_i C[i][j] = d_j C[j][i], walked over a connected Dynkin diagram in Fraction."""
+    n = len(cartan)
+    d: list[Fraction | None] = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                stack.append(j)
+    assert all(x is not None for x in d), "Dynkin diagram is not connected"
+    scale = lcm(*(x.denominator for x in d))
+    return tuple(int(x * scale) for x in d)
+
+
+def norm_coroot(rs: RootSystem, root) -> tuple[int, ...]:
+    """The coroot 2 beta / (beta, beta) of a root over the simple coroots: the oracle for rs.coroots.
+
+    With (alpha_j, alpha_j) = 2 d_j, alpha_j^vee = alpha_j / d_j, so beta^vee
+    has coefficient 2 d_j beta_j / (beta, beta) on alpha_j^vee, an integer for a root.
+    """
+    d = symmetrizer(rs.cartan)
+    norm = sum(root[i] * root[j] * d[i] * rs.cartan[i][j] for i in range(rs.rank) for j in range(rs.rank))
+    out = []
+    for j, c in enumerate(root):
+        q, rem = divmod(2 * d[j] * c, norm)
+        assert not rem, f"{root} has no integral coroot: it is not a root of {rs.name}"
+        out.append(q)
+    return tuple(out)
 
 
 def left_descents(group: WeylGroup, u: WeylElement) -> tuple[int, ...]:

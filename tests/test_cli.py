@@ -13,8 +13,9 @@ import pytest
 
 from conftest import group_of, poset_of
 
-from wondermono import cli
+from wondermono import cli, monomials
 from wondermono.cli import main
+from wondermono.monomials import basis_indices
 from wondermono.orbits import OrbitLabel, build_poset
 from wondermono.paths import generate_paths, initial_direction
 from wondermono.rootsys import dominant_weight, from_name
@@ -455,17 +456,37 @@ def test_monomials_count_only_builds_no_index(capsys, monkeypatch):
     assert (rc, out, err) == (0, "10\n", "")
 
 
-def test_monomials_over_budget_rejected_before_enumeration(capsys):
+def test_monomials_count_only_answers_past_the_pair_budget(capsys):
+    # 138,384 candidate pairs, over the pair budget, but 1,244 paths: a count builds paths and no pair
+    orbit = "I=1,2,3;x=e;w=w0"
+    rc, out, err = run(capsys, "monomials", "--group", "A3", "--weight", "2 1 2", "--orbit", orbit, "--count-only")
+    assert (rc, out, err) == (0, "138384\n", "")
+    assert len(basis_indices(cli._orbit(orbit, group_of("A3")), (2, 1, 2))) == 138384
+
+
+def test_monomials_over_budget_rejected_before_enumeration(capsys, monkeypatch):
     # the shape lam alone is over budget: refused before the shapes below it are listed
     rc, out, err = run(capsys, "monomials", "--group", "B4", "--weight", "3 3 3 3", "--orbit", "I=;x=e;w=e")
     assert rc == 1 and out == ""
     assert "at least 18446744073709551616" in err and "(100000)" in err
-    # the sum over all admissible shapes is over budget
-    rc, out, err = run(
-        capsys, "monomials", "--group", "A3", "--weight", "2 1 2", "--orbit", "I=1,2,3;x=e;w=w0", "--count-only"
+    # a count is sized in paths: dim V(3 rho) = 4 ** 16 on B4, refused before dominant_below lists any shape
+    with monkeypatch.context() as patched:
+        patched.setattr(monomials, "dominant_below", lambda *args: pytest.fail("dominant_below called"))
+        rc, out, err = run(
+            capsys, "monomials", "--group", "B4", "--weight", "3 3 3 3", "--orbit", "I=;x=e;w=e", "--count-only"
+        )
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: the number of paths below (3, 3, 3, 3) on B4 is at least 4294967296, beyond the supported envelope"
+        " (10000)\n"
     )
-    assert rc == 1 and out == ""
-    assert "is 138384" in err
+    # a count builds paths, not pairs: the shape lam alone is 825 paths, within the path budget, but the
+    # sum over all admissible shapes and their duals is over it
+    rc, out, err = run(
+        capsys, "monomials", "--group", "A3", "--weight", "4 0 4", "--orbit", "I=1,2,3;x=e;w=w0", "--count-only"
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: the number of paths below (4, 0, 4) on A3 is 10414, beyond the supported envelope (10000)\n"
     # the closed stratum admits only the shape lam itself, which fits
     rc, out, _ = run(
         capsys, "monomials", "--group", "A3", "--weight", "2 1 2", "--orbit", "I=;x=e;w=w0", "--count-only"

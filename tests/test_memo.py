@@ -169,8 +169,8 @@ def test_memo_does_not_change_root_system_identity():
     generate_paths(rs, (1, 0))
     assert rs == from_name("G2") and hash(rs) == hash(from_name("G2"))
     assert "generate_paths" not in from_name("G2").memo
-    # == and hash read the six data fields, as a tuple of them would
-    data = (rs.letter, rs.rank, rs.cartan, rs.inverse_cartan, rs.symmetrizer, rs.positive_roots)
+    # == and hash read the seven data fields, as a tuple of them would
+    data = (rs.letter, rs.rank, rs.cartan, rs.adjugate, rs.det, rs.positive_roots, rs.coroots)
     assert hash(rs) == hash(data) and rs != data and rs != from_name("A2")
 
 

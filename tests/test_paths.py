@@ -20,6 +20,7 @@ from conftest import (
     canonical_segments,
     descent_min_reps,
     group_of,
+    norm_coroot,
     root_raise,
     searched_reach,
     stepwise_orbit_table,
@@ -245,7 +246,6 @@ def test_path_arithmetic_builds_no_fraction(monkeypatch, name, lam):
         raise AssertionError("a Fraction was built in path arithmetic")
 
     monkeypatch.setattr(paths, "Fraction", no_fraction)
-    monkeypatch.setattr(rootsys, "Fraction", no_fraction)
     found = generate_paths(g.rs, lam)
     assert len(found) == weyl_dim(g.rs, lam)
     members = set(found)
@@ -481,7 +481,7 @@ def weight_cover_table(rs, points, length, big):
     s_beta mu found as a weight and looked up, and q = D_lam / gcd(D_lam, m).
     """
     index = {point: k for k, point in enumerate(points)}
-    roots = [(rootsys.coroot(rs, beta), rootsys.root_combination(rs, beta)) for beta in rs.positive_roots]
+    roots = [(norm_coroot(rs, beta), rootsys.root_combination(rs, beta)) for beta in rs.positive_roots]
     covers = [[] for _ in points]
     for j, mu in enumerate(points):
         for co, beta in roots:

@@ -4,11 +4,12 @@ import ast
 import re
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from conftest import add_weights, group_of
+from conftest import add_weights, group_of, norm_coroot, symmetrizer
 
 from wondermono.demazure import apply_demazure, demazure_character
 from wondermono.paths import LSPath, root_lower
@@ -16,8 +17,6 @@ from wondermono.rootsys import (
     RootSystemError,
     _invert,
     build,
-    coroot,
-    coroot_pairing,
     dominance_diff,
     dominant_below,
     from_name,
@@ -105,21 +104,32 @@ def test_cartan_matrices():
 
 
 def test_symmetrizer():
-    assert build("A", 3).symmetrizer == (1, 1, 1)
-    assert build("B", 2).symmetrizer == (2, 1)
-    assert build("C", 2).symmetrizer == (1, 2)
-    assert build("G", 2).symmetrizer == (1, 3)
-    assert build("B", 3).symmetrizer == (2, 2, 1)
-    assert build("C", 3).symmetrizer == (1, 1, 2)
+    # the oracle's values, from which norm_coroot's (beta, beta) is read
+    assert symmetrizer(build("A", 3).cartan) == (1, 1, 1)
+    assert symmetrizer(build("B", 2).cartan) == (2, 1)
+    assert symmetrizer(build("C", 2).cartan) == (1, 2)
+    assert symmetrizer(build("G", 2).cartan) == (1, 3)
+    assert symmetrizer(build("B", 3).cartan) == (2, 2, 1)
+    assert symmetrizer(build("C", 3).cartan) == (1, 1, 2)
 
 
 def test_symmetrizer_symmetrizes():
     for letter, rank in VALID:
         rs = build(letter, rank)
-        d = rs.symmetrizer
+        d = symmetrizer(rs.cartan)
+        assert min(d) > 0
         for i in range(rank):
             for j in range(rank):
                 assert d[i] * rs.cartan[i][j] == d[j] * rs.cartan[j][i]
+
+
+@pytest.mark.parametrize("letter, rank", VALID)
+def test_coroots_match_the_norm_formula(letter, rank):
+    # the walk's coroots are the norm formula's 2 beta / (beta, beta), and each pairs to 2 with its root
+    rs = build(letter, rank)
+    assert rs.coroots == tuple(norm_coroot(rs, beta) for beta in rs.positive_roots)
+    for beta, co in zip(rs.positive_roots, rs.coroots):
+        assert sum(map(mul, root_combination(rs, beta), co)) == 2
 
 
 def test_positive_root_counts():
@@ -141,13 +151,15 @@ def test_highest_root_g2():
 
 
 def test_inverse_cartan():
+    # C adjugate = det I, with det > 0 and the adjugate entrywise nonnegative, so the inverse is too
     for letter, rank in VALID:
         rs = build(letter, rank)
+        assert rs.det > 0
         for i in range(rank):
             for j in range(rank):
-                entry = sum(Fraction(rs.cartan[i][k]) * rs.inverse_cartan[k][j] for k in range(rank))
-                assert entry == (1 if i == j else 0)
-                assert rs.inverse_cartan[i][j] >= 0
+                entry = sum(rs.cartan[i][k] * rs.adjugate[k][j] for k in range(rank))
+                assert entry == (rs.det if i == j else 0)
+                assert rs.adjugate[i][j] >= 0
 
 
 def fraction_inverse(mat) -> list[list[Fraction]]:
@@ -172,8 +184,8 @@ def test_invert_matches_the_fraction_oracle(letter, rank):
     det, adj = _invert([list(row) for row in rs.cartan])
     oracle = fraction_inverse(rs.cartan)
     assert [[Fraction(x, det) for x in row] for row in adj] == oracle
-    assert [list(row) for row in rs.inverse_cartan] == oracle
-    assert {type(x) for row in rs.inverse_cartan for x in row} == {Fraction}
+    assert [[Fraction(x, rs.det) for x in row] for row in rs.adjugate] == oracle
+    assert {type(x) for row in rs.adjugate for x in row} | {type(rs.det)} == {int}
 
 
 def test_simple_roots_and_rho():
@@ -234,22 +246,23 @@ def test_dominant_below_ordering_and_consistency():
 
 def test_coroot_pairing():
     rs = build("G", 2)
+    coroot = dict(zip(rs.positive_roots, rs.coroots))
     # pairing against a simple coroot reads off the fundamental coordinate
     for lam in [(1, 0), (0, 1), (2, 3)]:
-        assert coroot_pairing(rs, lam, (1, 0)) == lam[0]
-        assert coroot_pairing(rs, lam, (0, 1)) == lam[1]
+        assert sum(map(mul, coroot[(1, 0)], lam)) == lam[0]
+        assert sum(map(mul, coroot[(0, 1)], lam)) == lam[1]
     # highest root of G2 is long, its coroot is a short coroot combination
-    assert coroot_pairing(rs, (1, 0), (3, 2)) == 1
-    assert coroot_pairing(rs, (0, 1), (3, 2)) == 2
+    assert sum(map(mul, coroot[(3, 2)], (1, 0))) == 1
+    assert sum(map(mul, coroot[(3, 2)], (0, 1))) == 2
 
 
 def test_coroot_table():
     rs = build("G", 2)
+    coroot = dict(zip(rs.positive_roots, rs.coroots))
     # the long highest root of G2 has coroot alpha_1^vee + 2 alpha_2^vee
-    assert coroot(rs, (3, 2)) == (1, 2)
-    assert coroot(rs, (-3, -2)) == (-1, -2)
-    with pytest.raises(RootSystemError, match="not a root of G2"):
-        coroot(rs, (1, 2))
+    assert coroot[(3, 2)] == (1, 2)
+    # (1, 2) is no root of G2, so it has no coroot
+    assert len(coroot) == 6 and (1, 2) not in coroot
 
 
 def test_dominance_diff_roundtrip():

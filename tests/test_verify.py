@@ -41,6 +41,16 @@ def test_box_budget_skips_weights_before_enumerating(monkeypatch):
     assert all(r.ok for r in results)
 
 
+def test_every_weight_beyond_the_path_budget_skips_each_check_that_reads_paths(monkeypatch):
+    # dim V(0) = 1, so with a budget of 0 no weight of A1's grid {(0,), (1,)} is sized in
+    monkeypatch.setattr(verify, "PATH_DIM_BUDGET", 0)
+    results = run_suite("A", 1, 1)
+    skipped = [r.name for r in results if r.status == "skip"]
+    assert skipped == ["dominance-order", "path-count", "path-endpoints", "path-demazure"]
+    assert {r.detail for r in results if r.status == "skip"} == {"all 2 weights beyond the path budget"}
+    assert all(r.status == "pass" for r in results if r.name not in skipped)
+
+
 def test_grid_budget_refuses_before_building_the_grid(capsys):
     with pytest.raises(ValueError, match="100000000 weights"):
         run_suite("F", 4, 99)
@@ -268,18 +278,20 @@ def _graded_with_every_degree_raised(real):
         (
             rootsys,
             "_saturate_roots",
-            lambda real: lambda c: real(c)[:-1],
+            lambda real: lambda c: tuple(part[:-1] for part in real(c)),
             "A",
             "root-data",
             "2 positive roots, expected 3",
         ),
+        # the walk's coroots replaced by the roots: right for a simply-laced type, wrong for the long and short
+        # roots of B2
         (
             rootsys,
-            "_symmetrizer",
-            lambda real: lambda c: (1,) * len(c),
+            "_saturate_roots",
+            lambda real: lambda c: (real(c)[0],) * 2,
             "B",
             "root-data",
-            "symmetrized Cartan matrix asymmetric at (0, 1)",
+            "positive root (1, 1) pairs to 1 with its coroot (1, 1), not 2",
         ),
         # the group is enumerated as the orbit of a singular weight, so it comes out as a coset space
         (
@@ -453,7 +465,7 @@ def _graded_with_every_degree_raised(real):
     ],
     ids=[
         "root-dropped",
-        "symmetrizer-trivial",
+        "coroots-are-roots",
         "group-as-singular-orbit",
         "coset-rep-dropped",
         "closure-pair-dropped",
